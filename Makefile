@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: all check build test vet lint lint-list lint-sarif lint-summaries optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench bench-json bench-json-smoke cover tables examples clean
+.PHONY: all check build test pgperf-test vet lint lint-list lint-sarif lint-summaries optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench bench-json bench-json-smoke cover tables examples clean
 
 all: check
 
-# check is the default CI gate: tier-1 build+tests, vet, pglint, the
-# compiler-diagnostics contract gate (pgoptcheck), the race detector over
-# the short case set, a short-budget fuzz pass, and a short-horizon
-# pgstudy run of both workload studies.
-check: build vet lint optcheck test race fuzz study-smoke
+# check is the default CI gate: tier-1 build+tests, the pgperf benchmark
+# module's tests, vet, pglint, the compiler-diagnostics contract gate
+# (pgoptcheck), the race detector over the short case set, a short-budget
+# fuzz pass, and a short-horizon pgstudy run of both workload studies.
+check: build vet lint optcheck test pgperf-test race fuzz study-smoke
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,13 @@ optcheck-diff: optcheck-build
 
 test:
 	$(GO) test ./...
+
+# pgperf-test runs the benchmark's own tests (quick runs of every
+# workload, names/units/bounds against BENCHMARK.json, the -compare
+# verdicts). cmd/pgperf is a Go module of its own, so `go test ./...` at
+# the root does not see it.
+pgperf-test:
+	cd cmd/pgperf && $(GO) test .
 
 # Quick mode skips the multi-second suite-level claim checks.
 test-short:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"powerrchol/internal/rng"
+	"powerrchol/internal/testmat"
 )
 
 // Concurrency suite: SolveBatch and concurrent preconditioner Apply
@@ -204,5 +205,56 @@ func TestBatchWorkersDefault(t *testing.T) {
 	}
 	if pinned.BatchWorkers() != 3 {
 		t.Fatalf("BatchWorkers = %d, want 3", pinned.BatchWorkers())
+	}
+}
+
+// TestConcurrentSetupOnFreshSystem prepares solvers concurrently on one
+// freshly built system, the shape of concurrent NewSolver calls (or
+// serve cache misses) sharing an ingested grid. Set-up reads the shared
+// graph only; under -race any lazy write to it is reported. Each solve
+// must still match a solver prepared serially on its own copy.
+func TestConcurrentSetupOnFreshSystem(t *testing.T) {
+	methods := []Method{MethodPowerRChol, MethodRChol, MethodLTRChol, MethodPowerRChol}
+	b := batchRHS(20*20, 1, 5)[0]
+	want := make([][]float64, len(methods))
+	for i, m := range methods {
+		solver, err := NewSolver(testmat.GridSDDM(20, 20), Options{Method: m, Seed: uint64(i)})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		res, err := solver.Solve(b)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		want[i] = res.X
+	}
+
+	shared := testmat.GridSDDM(20, 20)
+	got := make([][]float64, len(methods))
+	errs := make([]error, len(methods))
+	var wg sync.WaitGroup
+	for i, m := range methods {
+		wg.Add(1)
+		go func(i int, m Method) {
+			defer wg.Done()
+			solver, err := NewSolver(shared, Options{Method: m, Seed: uint64(i)})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := solver.Solve(b)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = res.X
+		}(i, m)
+	}
+	wg.Wait()
+	for i, m := range methods {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", m, errs[i])
+		}
+		assertBitwise(t, m.String(), got[i], want[i])
 	}
 }

@@ -136,42 +136,13 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 	}
 	invSamples := 1.0 / float64(samples)
 
-	// Build the elimination adjacency in permuted coordinates. Every live
-	// edge is stored exactly once, on its lower-numbered endpoint, so the
-	// list at node k holds precisely the edges incident to k among the
-	// not-yet-eliminated nodes when k's turn comes.
+	// Build the elimination adjacency (see elimGraph) in permuted
+	// coordinates.
 	var inv []int
 	if perm != nil {
 		inv = sparse.InvPerm(perm)
 	}
-	adj := make([][]halfedge, n)
-	deg0 := make([]int, n)
-	for _, e := range s.G.Edges {
-		u, v := e.U, e.V
-		if inv != nil {
-			u, v = inv[u], inv[v]
-		}
-		if u > v {
-			u, v = v, u
-		}
-		deg0[u]++
-		_ = v
-	}
-	for _, e := range s.G.Edges {
-		u, v := e.U, e.V
-		if inv != nil {
-			u, v = inv[u], inv[v]
-		}
-		if u > v {
-			u, v = v, u
-		}
-		if adj[u] == nil {
-			//pglint:hotalloc one-time adjacency build: capacity comes from deg0, one make per vertex over the whole setup
-			adj[u] = make([]halfedge, 0, deg0[u]+2)
-		}
-		//pglint:hotalloc capacity reserved from deg0 above; grows only for sampled fill beyond the +2 slack
-		adj[u] = append(adj[u], halfedge{to: int32(v), w: e.W})
-	}
+	eg := newElimGraph(n, s.G.Edges, inv)
 
 	d := make([]float64, n)
 	if perm == nil {
@@ -197,7 +168,7 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 		compact = n <= sparse.MaxIndex32
 	}
 	m := s.G.M()
-	colPtr := make([]int, n+1)
+	colPtr := make([]int, 1, n+1)
 	var rowIdx []int
 	var rowIdx32 []int32
 	if compact {
@@ -210,17 +181,19 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 	r := rng.New(opt.Seed)
 	cs := newCountingSorter(buckets)
 
-	// Reusable per-elimination scratch.
 	pos := make([]int32, n)
 	for i := range pos {
 		pos[i] = -1
 	}
+	// Reusable per-elimination scratch, sized for the live degrees of
+	// sparse systems so it rarely grows.
+	const scratch = 64
 	var (
-		nbr []int32
-		wts []float64
-		pfs []float64
-		tgt []float64
-		loc []int
+		nbr = make([]int32, 0, scratch)
+		wts = make([]float64, 0, scratch)
+		pfs = make([]float64, scratch)
+		tgt = make([]float64, scratch)
+		loc = make([]int, scratch)
 	)
 
 	for k := 0; k < n; k++ {
@@ -230,24 +203,9 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 			}
 		}
 		// Gather and coalesce the live neighbor list of k.
-		nbr = nbr[:0]
-		wts = wts[:0]
-		for _, he := range adj[k] {
-			if p := pos[he.to]; p >= 0 {
-				wts[p] += he.w
-			} else {
-				pos[he.to] = int32(len(nbr))
-				//pglint:hotalloc nbr/wts are per-factorization scratch reset with [:0]; growth stops at the max live degree
-				nbr = append(nbr, he.to)
-				//pglint:hotalloc same scratch discipline as nbr above
-				wts = append(wts, he.w)
-			}
-		}
-		adj[k] = nil
-		for _, v := range nbr {
-			pos[v] = -1
-		}
+		nbr, wts = eg.gather(k, pos, nbr[:0], wts[:0])
 		deg := len(nbr)
+		wts = wts[:deg] // proves len(wts) == len(nbr) to the compiler: no per-element bounds checks below
 
 		wsum := 0.0
 		for _, w := range wts {
@@ -296,7 +254,8 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 				val = append(val, -wts[i]/sq)
 			}
 		}
-		colPtr[k+1] = len(val)
+		//pglint:hotalloc within the n+1 capacity reserved above: never grows
+		colPtr = append(colPtr, len(val))
 
 		if deg == 0 {
 			continue
@@ -324,9 +283,12 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 
 		// Prefix sums of sorted weights (Eq. 4).
 		if cap(pfs) < deg {
-			pfs = make([]float64, deg)
-			tgt = make([]float64, deg)
-			loc = make([]int, deg)
+			//pglint:hotalloc scratch doubling past the max live degree seen so far; O(log) times per factorization
+			pfs = make([]float64, 2*deg)
+			//pglint:hotalloc same doubling as pfs
+			tgt = make([]float64, 2*deg)
+			//pglint:hotalloc same doubling as pfs
+			loc = make([]int, 2*deg)
 		}
 		pfs = pfs[:deg]
 		acc := 0.0
@@ -360,8 +322,7 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 					if l >= deg {
 						l = deg - 1
 					}
-					//pglint:hotalloc sampled fill lands in adj, the structure being built; growth beyond the deg0+2 slack is the algorithm's output, amortized doubling
-					addSampledEdge(adj, nbr[j], nbr[l], suffix*wts[j]*invSamples/dk)
+					eg.addSampled(nbr[j], nbr[l], suffix*wts[j]*invSamples/dk)
 				}
 			default: // VariantRChol and VariantHybrid: independent binary searches
 				for j := 0; j < deg-1; j++ {
@@ -374,8 +335,7 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 					if l >= deg {
 						l = deg - 1
 					}
-					//pglint:hotalloc sampled fill lands in adj, the structure being built; growth beyond the deg0+2 slack is the algorithm's output, amortized doubling
-					addSampledEdge(adj, nbr[j], nbr[l], suffix*wts[j]*invSamples/dk)
+					eg.addSampled(nbr[j], nbr[l], suffix*wts[j]*invSamples/dk)
 				}
 			}
 		}
@@ -397,14 +357,4 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 		f.Perm = perm
 	}
 	return f, nil
-}
-
-// addSampledEdge records the sampled fill edge (a, b, w) on its
-// lower-numbered endpoint so it is seen exactly once, when that endpoint
-// is eliminated.
-func addSampledEdge(adj [][]halfedge, a, b int32, w float64) {
-	if a > b {
-		a, b = b, a
-	}
-	adj[a] = append(adj[a], halfedge{to: b, w: w})
 }

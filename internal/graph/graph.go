@@ -19,17 +19,12 @@ type Edge struct {
 	W    float64
 }
 
-// Graph is a weighted undirected graph stored as an edge list plus a
-// CSR-style adjacency built on demand.
+// Graph is a weighted undirected graph stored as an edge list. Reading a
+// Graph never writes to it, so one Graph may be shared by concurrent
+// readers (orderings, factorizations, solvers) without locking.
 type Graph struct {
 	N     int
 	Edges []Edge
-
-	// adjacency (built lazily by BuildAdj): Ptr has length N+1; Adj/W list
-	// each edge twice.
-	Ptr []int
-	Adj []int
-	W   []float64
 }
 
 // New returns an empty graph on n nodes with capacity for m edges.
@@ -50,7 +45,6 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 		return fmt.Errorf("graph: edge (%d,%d) has non-positive or non-finite weight %g", u, v, w)
 	}
 	g.Edges = append(g.Edges, Edge{U: u, V: v, W: w})
-	g.Ptr = nil // invalidate adjacency
 	return nil
 }
 
@@ -65,43 +59,38 @@ func (g *Graph) MustAddEdge(u, v int, w float64) {
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return len(g.Edges) }
 
-// BuildAdj (re)builds the CSR adjacency from the edge list. Parallel edges
-// are kept as-is; callers that need a simple graph should coalesce first.
-func (g *Graph) BuildAdj() {
-	if g.Ptr != nil {
-		return
-	}
-	g.Ptr = make([]int, g.N+1)
+// Adjacency builds the CSR adjacency of the edge list: the neighbors of
+// node i are adj[ptr[i]:ptr[i+1]], each edge listed at both endpoints in
+// edge order. Parallel edges are kept as-is; callers that need a simple
+// graph should coalesce first. The result is the caller's own: nothing is
+// cached on g.
+func (g *Graph) Adjacency() (ptr, adj []int) {
+	ptr = make([]int, g.N+1)
 	for _, e := range g.Edges {
-		g.Ptr[e.U+1]++
-		g.Ptr[e.V+1]++
+		ptr[e.U+1]++
+		ptr[e.V+1]++
 	}
 	for i := 0; i < g.N; i++ {
-		g.Ptr[i+1] += g.Ptr[i]
+		ptr[i+1] += ptr[i]
 	}
-	g.Adj = make([]int, 2*len(g.Edges))
-	g.W = make([]float64, 2*len(g.Edges))
-	next := append([]int(nil), g.Ptr[:g.N]...)
+	adj = make([]int, 2*len(g.Edges))
+	next := append([]int(nil), ptr[:g.N]...)
 	for _, e := range g.Edges {
-		g.Adj[next[e.U]] = e.V
-		g.W[next[e.U]] = e.W
+		adj[next[e.U]] = e.V
 		next[e.U]++
-		g.Adj[next[e.V]] = e.U
-		g.W[next[e.V]] = e.W
+		adj[next[e.V]] = e.U
 		next[e.V]++
 	}
+	return ptr, adj
 }
 
-// Degree returns the number of incident edges of node i (parallel edges
-// counted separately). BuildAdj must have been called.
-func (g *Graph) Degree(i int) int { return g.Ptr[i+1] - g.Ptr[i] }
-
-// Degrees returns all node degrees.
+// Degrees returns the number of incident edges of every node (parallel
+// edges counted separately).
 func (g *Graph) Degrees() []int {
-	g.BuildAdj()
 	d := make([]int, g.N)
-	for i := range d {
-		d[i] = g.Degree(i)
+	for _, e := range g.Edges {
+		d[e.U]++
+		d[e.V]++
 	}
 	return d
 }
@@ -150,7 +139,7 @@ func (g *Graph) Connected() bool {
 	if g.N == 0 {
 		return true
 	}
-	g.BuildAdj()
+	ptr, adj := g.Adjacency()
 	seen := make([]bool, g.N)
 	stack := []int{0}
 	seen[0] = true
@@ -158,8 +147,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for p := g.Ptr[u]; p < g.Ptr[u+1]; p++ {
-			v := g.Adj[p]
+		for _, v := range adj[ptr[u]:ptr[u+1]] {
 			if !seen[v] {
 				seen[v] = true
 				count++

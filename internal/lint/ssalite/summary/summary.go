@@ -35,6 +35,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 
 	"golang.org/x/tools/go/analysis"
 
@@ -117,10 +118,15 @@ var Analyzer = &analysis.Analyzer{
 
 // An Index resolves the summary of any statically known callee: local
 // functions from this package's analysis, imported ones from their
-// package fact.
+// package fact. The analyzers that require summary.Analyzer share one
+// Index and may run concurrently, so Lookup is safe for concurrent use:
+// local is complete before run returns, and the lazily decoded imported
+// table is guarded by mu.
 type Index struct {
-	pass     *analysis.Pass
-	local    map[*types.Func]*FuncSummary
+	pass  *analysis.Pass
+	local map[*types.Func]*FuncSummary
+
+	mu       sync.Mutex
 	imported map[*types.Package]map[string]FuncSummary
 }
 
@@ -136,20 +142,35 @@ func (ix *Index) Lookup(fn *types.Func) (FuncSummary, bool) {
 	if pkg == nil || pkg == ix.pass.Pkg {
 		return FuncSummary{}, false
 	}
-	m, ok := ix.imported[pkg]
-	if !ok {
-		m = nil
-		var fact PackageSummaries
-		if ix.pass.ImportPackageFact(pkg, &fact) {
-			m = make(map[string]FuncSummary, len(fact.Funcs))
-			for _, ns := range fact.Funcs {
-				m[ns.Name] = ns.Sum
-			}
-		}
-		ix.imported[pkg] = m
-	}
-	s, ok := m[fn.FullName()]
+	s, ok := ix.importedFuncs(pkg)[fn.FullName()]
 	return s, ok
+}
+
+// importedFuncs returns pkg's summaries by function full name, decoding
+// its package fact on first use (nil when pkg exports none). The fact is
+// read outside the lock; when two lookups race to decode the same
+// package, the first table stored wins and both return it.
+func (ix *Index) importedFuncs(pkg *types.Package) map[string]FuncSummary {
+	ix.mu.Lock()
+	m, ok := ix.imported[pkg]
+	ix.mu.Unlock()
+	if ok {
+		return m
+	}
+	var fact PackageSummaries
+	if ix.pass.ImportPackageFact(pkg, &fact) {
+		m = make(map[string]FuncSummary, len(fact.Funcs))
+		for _, ns := range fact.Funcs {
+			m[ns.Name] = ns.Sum
+		}
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if prev, ok := ix.imported[pkg]; ok {
+		return prev
+	}
+	ix.imported[pkg] = m
+	return m
 }
 
 // localCall is one statically resolved call site kept for propagation.

@@ -22,7 +22,7 @@ func AMD(g *graph.Graph) []int {
 	if n == 0 {
 		return nil
 	}
-	g.BuildAdj()
+	ptr, adj := g.Adjacency()
 
 	// Quotient-graph state. A node index doubles as an element index once
 	// eliminated (the element is the pivot's fill clique).
@@ -56,10 +56,10 @@ func AMD(g *graph.Graph) []int {
 		stampArr[i] = -1
 	}
 	for i := 0; i < n; i++ {
-		lo, hi := g.Ptr[i], g.Ptr[i+1]
-		lst := make([]int32, 0, hi-lo)
-		for p := lo; p < hi; p++ {
-			v := int32(g.Adj[p])
+		nb := adj[ptr[i]:ptr[i+1]]
+		lst := make([]int32, 0, len(nb))
+		for _, u := range nb {
+			v := int32(u)
 			if stampArr[v] != int32(i) && v != int32(i) {
 				stampArr[v] = int32(i)
 				lst = append(lst, v)

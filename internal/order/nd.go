@@ -12,7 +12,7 @@ import (
 // randomization-aware).
 func ND(g *graph.Graph) []int {
 	n := g.N
-	g.BuildAdj()
+	ptr, adj := g.Adjacency()
 	perm := make([]int, 0, n)
 	visited := make([]bool, n)
 	// scratch reused across recursion levels
@@ -27,7 +27,7 @@ func ND(g *graph.Graph) []int {
 			perm = append(perm, nodes...)
 			return
 		}
-		left, right, sep := bisect(g, nodes, level)
+		left, right, sep := bisect(ptr, adj, nodes, level)
 		if len(sep) == 0 || len(left) == 0 || len(right) == 0 {
 			// no useful separator (e.g. a clique): stop recursing
 			perm = append(perm, nodes...)
@@ -51,8 +51,8 @@ func ND(g *graph.Graph) []int {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			comp = append(comp, u)
-			for p := g.Ptr[u]; p < g.Ptr[u+1]; p++ {
-				if v := g.Adj[p]; !visited[v] {
+			for _, v := range adj[ptr[u]:ptr[u+1]] {
+				if !visited[v] {
 					visited[v] = true
 					queue = append(queue, v)
 				}
@@ -64,9 +64,9 @@ func ND(g *graph.Graph) []int {
 }
 
 // bisect splits the node set with the middle BFS level from a pseudo-
-// peripheral source as the separator. level is an n-sized scratch array
-// holding -1 outside the current call.
-func bisect(g *graph.Graph, nodes []int, level []int32) (left, right, sep []int) {
+// peripheral source as the separator, over the CSR adjacency ptr/adj.
+// level is an n-sized scratch array holding -1 outside the current call.
+func bisect(ptr, adj, nodes []int, level []int32) (left, right, sep []int) {
 	inSet := level // reuse: mark membership with -2 first
 	for _, v := range nodes {
 		inSet[v] = -2
@@ -81,8 +81,7 @@ func bisect(g *graph.Graph, nodes []int, level []int32) (left, right, sep []int)
 		for len(frontier) > 0 {
 			var next []int
 			for _, u := range frontier {
-				for p := g.Ptr[u]; p < g.Ptr[u+1]; p++ {
-					v := g.Adj[p]
+				for _, v := range adj[ptr[u]:ptr[u+1]] {
 					if inSet[v] == -2 {
 						inSet[v] = inSet[u] + 1
 						if inSet[v] > maxLvl {

@@ -4,7 +4,9 @@
 // reverse Cuthill-McKee as an extra baseline.
 //
 // All functions return a permutation with perm[newIdx] = oldIdx: the node
-// eliminated at step newIdx is original node oldIdx.
+// eliminated at step newIdx is original node oldIdx. None of them writes
+// to its input graph — any adjacency they need is built locally — so
+// concurrent orderings of one shared graph are safe.
 package order
 
 import (
@@ -105,7 +107,7 @@ func shuffle(s []int, r *rng.Rand) {
 // Provided as an additional baseline for the reordering study.
 func RCM(g *graph.Graph) []int {
 	n := g.N
-	g.BuildAdj()
+	ptr, adj := g.Adjacency()
 	deg := g.Degrees()
 	visited := make([]bool, n)
 	orderOut := make([]int, 0, n)
@@ -118,7 +120,7 @@ func RCM(g *graph.Graph) []int {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(g, deg, start, visited)
+		root := pseudoPeripheral(ptr, adj, deg, start, visited)
 		visited[root] = true
 		queue = append(queue[:0], root)
 		for len(queue) > 0 {
@@ -126,8 +128,7 @@ func RCM(g *graph.Graph) []int {
 			queue = queue[1:]
 			orderOut = append(orderOut, u)
 			nbrs = nbrs[:0]
-			for p := g.Ptr[u]; p < g.Ptr[u+1]; p++ {
-				v := g.Adj[p]
+			for _, v := range adj[ptr[u]:ptr[u+1]] {
 				if !visited[v] {
 					visited[v] = true
 					nbrs = append(nbrs, v)
@@ -153,8 +154,9 @@ func RCM(g *graph.Graph) []int {
 }
 
 // pseudoPeripheral finds an approximate peripheral node of the component
-// containing start by repeated BFS to the farthest minimum-degree node.
-func pseudoPeripheral(g *graph.Graph, deg []int, start int, globalVisited []bool) int {
+// containing start by repeated BFS to the farthest minimum-degree node,
+// over the CSR adjacency ptr/adj.
+func pseudoPeripheral(ptr, adj, deg []int, start int, globalVisited []bool) int {
 	root := start
 	lastEcc := -1
 	level := make(map[int]int)
@@ -169,8 +171,7 @@ func pseudoPeripheral(g *graph.Graph, deg []int, start int, globalVisited []bool
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for p := g.Ptr[u]; p < g.Ptr[u+1]; p++ {
-				v := g.Adj[p]
+			for _, v := range adj[ptr[u]:ptr[u+1]] {
 				if globalVisited[v] {
 					continue
 				}

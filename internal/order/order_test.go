@@ -1,6 +1,7 @@
 package order
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -345,6 +346,36 @@ func TestAlg4SeededHeavyFirst(t *testing.T) {
 		}
 		if pos[4] > 1 || pos[5] > 1 {
 			t.Fatalf("seed %d: heavy nodes 4,5 at positions %d,%d; want the first two slots", seed, pos[4], pos[5])
+		}
+	}
+}
+
+// TestOrderingsShareOneGraph runs every ordering concurrently on one
+// freshly built graph, the way concurrent solver set-ups share a system.
+// An ordering that caches anything on its input is a data race here
+// under -race; without it the permutations must still match a serial run.
+func TestOrderingsShareOneGraph(t *testing.T) {
+	fresh := func() *graph.Graph { return testmat.RandomConnectedGraph(rng.New(19), 400, 900) }
+	want := allOrderings(fresh())
+
+	g := fresh()
+	got := make([]map[string][]int, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = allOrderings(g)
+		}(i)
+	}
+	wg.Wait()
+	for i, m := range got {
+		for name, p := range m {
+			for k := range p {
+				if p[k] != want[name][k] {
+					t.Fatalf("goroutine %d: %s ordering differs from a serial run at %d", i, name, k)
+				}
+			}
 		}
 	}
 }

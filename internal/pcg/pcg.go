@@ -178,7 +178,7 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 	if x0 != nil {
 		copy(x, x0)
 		mul(ap, x) // r = b - A·x0
-		sparse.AxpyPar(r, -1, ap, nw)
+		sparse.AxpyPar(r, r, -1, ap, nw)
 		if rel := sparse.Norm2Par(r, nw) / bnorm; rel < opt.Tol {
 			return &Result{X: x, Converged: true, Residual: rel}, nil
 		}
@@ -194,11 +194,16 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 
 	// Best-iterate tracking: an early-stopped run (cap, stagnation,
 	// divergence, cancellation) hands back the iterate with the smallest
-	// residual rather than whatever the last step produced. winBest is a
-	// ring buffer of best-so-far values used by the stagnation window.
+	// residual rather than whatever the last step produced. The best
+	// iterate is tracked by pointer, never copied: while x holds it, the
+	// next update goes out of place into spare and the two buffers swap,
+	// so the best survives; otherwise x is updated in place. Two buffers
+	// always suffice. winBest is a ring buffer of best-so-far values used
+	// by the stagnation window.
 	best := math.Inf(1)
 	bestIter := 0
-	var bestX []float64
+	var bestX, spare []float64
+	xIsBest := false
 	var winBest []float64
 	if opt.StagnationWindow > 0 {
 		winBest = make([]float64, opt.StagnationWindow)
@@ -227,19 +232,25 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 			return nil, fmt.Errorf("%w: p'Ap = %g at iteration %d", ErrIndefinite, pap, iter)
 		}
 		alpha := rz / pap
-		sparse.AxpyPar(x, alpha, p, nw)
-		sparse.AxpyPar(r, -alpha, ap, nw)
+		if xIsBest {
+			if spare == nil {
+				//pglint:hotalloc second iterate buffer, made once per solve on the first update after an improvement
+				spare = make([]float64, n)
+			}
+			sparse.AxpyPar(spare, x, alpha, p, nw)
+			x, spare = spare, x
+		} else {
+			sparse.AxpyPar(x, x, alpha, p, nw)
+		}
+		sparse.AxpyPar(r, r, -alpha, ap, nw)
 
 		rel := sparse.Norm2Par(r, nw) / bnorm
 		res.History = append(res.History, rel)
 		res.Iterations = iter
 		res.Residual = rel
-		if rel < best {
-			best, bestIter = rel, iter
-			if bestX == nil {
-				bestX = make([]float64, n)
-			}
-			copy(bestX, x)
+		xIsBest = rel < best
+		if xIsBest {
+			best, bestIter, bestX = rel, iter, x
 		}
 		if rel < opt.Tol {
 			res.Converged = true

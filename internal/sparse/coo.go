@@ -64,16 +64,19 @@ func (c *COO) ToCSC() *CSC {
 	for _, j := range c.J {
 		a.ColPtr[j+1]++
 	}
-	for j := 0; j < c.Cols; j++ {
-		a.ColPtr[j+1] += a.ColPtr[j]
+	sum := 0
+	for j, cnt := range a.ColPtr {
+		sum += cnt
+		a.ColPtr[j] = sum
 	}
 	next := append([]int(nil), a.ColPtr...)
-	for k := 0; k < nnz; k++ {
-		j := c.J[k]
+	cols, vals := c.J[:nnz], c.V[:nnz]
+	for k, i := range c.I {
+		j := cols[k]
 		q := next[j]
 		next[j]++
-		a.RowIdx[q] = c.I[k]
-		a.Val[q] = c.V[k]
+		a.RowIdx[q] = i
+		a.Val[q] = vals[k]
 	}
 	compressColumns(a)
 	return a
@@ -83,37 +86,69 @@ func (c *COO) ToCSC() *CSC {
 // are already grouped by column per a.ColPtr but unsorted within each
 // column and possibly duplicated. It sorts each column by row index and
 // merges duplicates in place (summing values, Matrix Market semantics),
-// trimming a's arrays to the merged entry count. Every builder that
-// positions entries in the same pre-sort arrangement and then calls this
-// one function produces bit-identical matrices — the property the
-// streaming ingest paths rely on.
+// trimming a's arrays to the merged entry count and rewriting a.ColPtr in
+// place. Every builder that positions entries in the same pre-sort
+// arrangement and then calls this one function produces bit-identical
+// matrices — the property the streaming ingest paths rely on.
+//
+// Columns of at most shortColumn entries — nearly all of them in the
+// sparse systems this repository solves — are sorted by a typed
+// insertion sort. sort.Sort runs exactly that algorithm for such short
+// inputs, and a stable sort has only one possible output, so the
+// duplicate merge sees the same order either way. Longer columns keep
+// sort.Sort, whose arrangement of equal rows the merge depends on.
 func compressColumns(a *CSC) {
-	out := 0
-	colStart := make([]int, a.Cols+1)
 	// One sorter reused across columns: boxing a fresh colSorter into the
 	// sort.Interface per column costs an allocation per column, which at
 	// 1e7 columns is the difference between assembly being allocation-flat
 	// and not (the graph package's allocation regression test pins this).
 	seg := &colSorter{}
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
+	out, lo := 0, colPtr[0]
 	for j := 0; j < a.Cols; j++ {
-		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-		seg.rows, seg.vals = a.RowIdx[lo:hi], a.Val[lo:hi]
-		sort.Sort(seg)
-		colStart[j] = out
-		for p := lo; p < hi; p++ {
-			if out > colStart[j] && a.RowIdx[out-1] == a.RowIdx[p] {
-				a.Val[out-1] += a.Val[p]
+		hi := colPtr[j+1]
+		rows, vals := rowIdx[lo:hi], val[lo:hi]
+		vals = vals[:len(rows)]
+		if len(rows) <= shortColumn {
+			insertionSortColumn(rows, vals)
+		} else {
+			seg.rows, seg.vals = rows, vals
+			sort.Sort(seg)
+		}
+		colPtr[j] = out
+		first, last := out, 0
+		for i, r := range rows {
+			if out > first && last == r {
+				val[out-1] += vals[i]
 			} else {
-				a.RowIdx[out] = a.RowIdx[p]
-				a.Val[out] = a.Val[p]
+				rowIdx[out] = r
+				val[out] = vals[i]
 				out++
+				last = r
 			}
 		}
+		lo = hi
 	}
-	colStart[a.Cols] = out
-	a.ColPtr = colStart
-	a.RowIdx = a.RowIdx[:out]
-	a.Val = a.Val[:out]
+	colPtr[a.Cols] = out
+	a.RowIdx = rowIdx[:out]
+	a.Val = val[:out]
+}
+
+// shortColumn is the longest input sort.Sort hands straight to its
+// insertion sort (the pdqsort cutoff in the standard library).
+const shortColumn = 12
+
+// insertionSortColumn sorts rows ascending, permuting vals alongside. It is
+// the same swap sequence as sort.Sort's insertion sort on a colSorter,
+// without the interface calls.
+func insertionSortColumn(rows []int, vals []float64) {
+	vals = vals[:len(rows)]
+	for i := 1; i < len(rows); i++ {
+		for k := i; k > 0 && rows[k] < rows[k-1]; k-- {
+			rows[k], rows[k-1] = rows[k-1], rows[k]
+			vals[k], vals[k-1] = vals[k-1], vals[k]
+		}
+	}
 }
 
 type colSorter struct {

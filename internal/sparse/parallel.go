@@ -154,21 +154,17 @@ func Norm2Par(x []float64, workers int) float64 {
 	}))
 }
 
-// AxpyPar computes y += alpha·x using up to `workers` goroutines. The
-// operation is element-wise, so the result is bitwise identical to Axpy
-// for every worker count.
-func AxpyPar(y []float64, alpha float64, x []float64, workers int) {
+// AxpyPar computes dst = y + alpha·x using up to `workers` goroutines;
+// dst may be y itself (y += alpha·x). The operation is element-wise, so
+// the result is bitwise identical to Axpy for every worker count and
+// either aliasing.
+func AxpyPar(dst, y []float64, alpha float64, x []float64, workers int) {
 	if workers <= 1 || len(x) < ParThreshold {
-		Axpy(y, alpha, x)
+		axpyTo(dst, y, alpha, x)
 		return
 	}
 	parRange(len(x), workers, func(lo, hi int) {
-		ys := y[lo:hi]
-		xs := x[lo:hi]
-		xs = xs[:len(ys)]
-		for i, v := range xs {
-			ys[i] += alpha * v
-		}
+		axpyTo(dst[lo:hi], y[lo:hi], alpha, x[lo:hi])
 	})
 }
 

@@ -111,8 +111,12 @@ func TestAxpyParBitwiseEqualsSerial(t *testing.T) {
 		Axpy(want, 0.37, x)
 		for _, w := range []int{1, 2, 5, 16} {
 			got := append([]float64(nil), y0...)
-			AxpyPar(got, 0.37, x, w)
+			AxpyPar(got, got, 0.37, x, w)
 			bitwiseEqual(t, "AxpyPar", got, want)
+			// Out of place: dst gets the same bits.
+			dst := make([]float64, n)
+			AxpyPar(dst, y0, 0.37, x, w)
+			bitwiseEqual(t, "AxpyPar out of place", dst, want)
 		}
 	}
 }

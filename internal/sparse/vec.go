@@ -57,6 +57,20 @@ func Axpy(y []float64, alpha float64, x []float64) {
 	}
 }
 
+// axpyTo computes dst = y + alpha·x, the same float operations as Axpy
+// whether or not dst is y. It stays out of line: AxpyPar calls it from
+// both its serial and its per-worker path, and one compiled copy keeps
+// one set of bounds checks (pgoptcheck rule bce).
+//
+//go:noinline
+func axpyTo(dst, y []float64, alpha float64, x []float64) {
+	y = y[:len(x)]
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = y[i] + alpha*v
+	}
+}
+
 // Scale computes x *= alpha.
 func Scale(x []float64, alpha float64) {
 	for i := range x {
