@@ -140,7 +140,12 @@ study-smoke:
 	$(GO) run ./cmd/pgstudy mc -nx 24 -ny 24 -samples 16 -failcands 4 -failprob 0.25
 
 # load is a quick in-process pgload run at 2x admission capacity: watch
-# the shed rate engage while p99 stays bounded.
+# the shed rate engage while p99 stays bounded. At this load the
+# degradation ladder peaks at High/Critical, where micro-batching is
+# off (avg width ~1). Batching needs the wait queue under half full:
+# with these settings (4 slots + 8 queue) that is -clients 8 or fewer,
+# and at pgload's defaults (8 slots + 64 queue) -clients 8 averages a
+# batch width of ~3; the report prints the peak pressure level reached.
 load:
 	$(GO) run ./cmd/pgload -clients 16 -duration 5s -nx 48 -ny 48 -max-inflight 4 -max-queue 8
 

@@ -65,7 +65,6 @@ func run() error {
 		maxInflight = flag.Int("max-inflight", 8, "server slots")
 		maxQueue    = flag.Int("max-queue", 64, "server wait queue")
 		cacheBudget = flag.Int64("cache-budget", 256<<20, "server cache budget bytes")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "server micro-batch window")
 		maxBatch    = flag.Int("max-batch", 32, "server micro-batch width")
 	)
 	flag.Parse()
@@ -83,7 +82,6 @@ func run() error {
 			CacheBudgetBytes: *cacheBudget,
 			MaxInflight:      *maxInflight,
 			MaxQueue:         *maxQueue,
-			BatchWindow:      *batchWindow,
 			MaxBatch:         *maxBatch,
 		})
 		ts := httptest.NewServer(s.Handler())
@@ -124,6 +122,11 @@ func run() error {
 	transport.MaxIdleConnsPerHost = *clients
 	client := &http.Client{Transport: transport}
 
+	// The degradation level is a live reading: sampled after the load
+	// stops it is always back at normal, so watch it during the run.
+	stopWatch := make(chan struct{})
+	peak := watchPressure(base, stopWatch)
+
 	var wg sync.WaitGroup
 	perClient := make([][]outcome, *clients)
 	start := time.Now()
@@ -152,9 +155,54 @@ func run() error {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	close(stopWatch)
 
 	report(perClient, elapsed)
-	return reportServerStats(base)
+	return reportServerStats(base, <-peak)
+}
+
+// watchPressure polls /statsz until stop is closed, then sends the
+// highest degradation level it read (normal if no poll succeeded).
+func watchPressure(base string, stop <-chan struct{}) <-chan serve.Level {
+	out := make(chan serve.Level, 1)
+	go func() {
+		peak := serve.LevelNormal
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				out <- peak
+				return
+			case <-tick.C:
+			}
+			st, err := fetchStats(base)
+			if err != nil {
+				continue
+			}
+			for l := peak + 1; l <= serve.LevelCritical; l++ {
+				if st.Level == l.String() {
+					peak = l
+				}
+			}
+		}
+	}()
+	return out
+}
+
+// statsClient bounds each /statsz read, so a stalled server cannot hold
+// the report back.
+var statsClient = &http.Client{Timeout: 5 * time.Second}
+
+func fetchStats(base string) (serve.Stats, error) {
+	var st serve.Stats
+	resp, err := statsClient.Get(base + "/statsz")
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	return st, err
 }
 
 func ingest(base string, nx, ny int) (string, int, error) {
@@ -236,14 +284,9 @@ func report(perClient [][]outcome, elapsed time.Duration) {
 		q(0.99).Round(time.Microsecond), q(1.0).Round(time.Microsecond))
 }
 
-func reportServerStats(base string) error {
-	resp, err := http.Get(base + "/statsz")
+func reportServerStats(base string, peak serve.Level) error {
+	st, err := fetchStats(base)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var st serve.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	hitRate := 0.0
@@ -258,6 +301,6 @@ func reportServerStats(base string) error {
 		st.Admitted, st.Shed, st.Refused, st.Timeouts, st.Panics)
 	fmt.Printf("  cache:  hit rate %.1f%% (%d hits / %d misses), %d entries, %d/%d bytes, %d evictions\n",
 		hitRate, st.CacheHits, st.CacheMisses, st.CacheEntries, st.CacheBytes, st.CacheBudget, st.CacheEvictions)
-	fmt.Printf("  batch:  %d windows, avg width %.2f; pressure=%s\n", st.Batches, avgBatch, st.Level)
+	fmt.Printf("  batch:  %d windows, avg width %.2f; peak pressure=%s\n", st.Batches, avgBatch, peak)
 	return nil
 }

@@ -54,7 +54,6 @@ func run() error {
 		maxGrids    = flag.Int("max-grids", 64, "ingested-grid store bound")
 		maxInflight = flag.Int("max-inflight", 8, "concurrently executing solves")
 		maxQueue    = flag.Int("max-queue", 64, "solves allowed to wait for a slot")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch max delay")
 		maxBatch    = flag.Int("max-batch", 32, "micro-batch max width")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 		maxTimeout  = flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested deadlines")
@@ -85,7 +84,6 @@ func run() error {
 		MaxGrids:         *maxGrids,
 		MaxInflight:      *maxInflight,
 		MaxQueue:         *maxQueue,
-		BatchWindow:      *batchWindow,
 		MaxBatch:         *maxBatch,
 		DefaultTimeout:   *timeout,
 		MaxTimeout:       *maxTimeout,

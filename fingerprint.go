@@ -89,6 +89,14 @@ func FingerprintSystem(sys *graph.SDDM) uint64 {
 // identical to the serial ones, so solvers differing only in Workers are
 // interchangeable — and a cache should treat them as one entry.
 func Fingerprint(sys *graph.SDDM, opt Options) uint64 {
+	return CombineFingerprint(FingerprintSystem(sys), opt)
+}
+
+// CombineFingerprint is the option half of Fingerprint: it folds opt
+// into a system fingerprint already computed by FingerprintSystem, so
+// CombineFingerprint(FingerprintSystem(sys), opt) == Fingerprint(sys, opt)
+// without hashing the system a second time.
+func CombineFingerprint(sysFP uint64, opt Options) uint64 {
 	o := opt
 	// Normalization cannot fail in a way that matters here: invalid
 	// options produce a well-defined hash and NewSolver rejects them
@@ -96,7 +104,7 @@ func Fingerprint(sys *graph.SDDM, opt Options) uint64 {
 	_ = o.validate()
 	w := newFPWriter()
 	w.tag("powerrchol-solver/1")
-	w.u64(FingerprintSystem(sys))
+	w.u64(sysFP)
 	w.i64(int(o.Method))
 	w.i64(int(o.Ordering))
 	w.i64(int(o.Transform))
@@ -117,7 +125,10 @@ func Fingerprint(sys *graph.SDDM, opt Options) uint64 {
 
 // Fingerprint reports the identity of this prepared solver — the
 // Fingerprint(sys, opt) value of the system and options it was built
-// from, computed once at construction. Equal fingerprints mean bitwise
-// interchangeable solvers (same setup stream, same solve results), the
-// key contract of the pgserved prepared-factor cache.
-func (s *Solver) Fingerprint() uint64 { return s.fingerprint }
+// from. It is computed on each call (a pass over the system), not at
+// construction, so building a solver never pays for a hash nobody reads;
+// callers that need the key repeatedly should keep it. Equal
+// fingerprints mean bitwise interchangeable solvers (same setup stream,
+// same solve results), the key contract of the pgserved prepared-factor
+// cache.
+func (s *Solver) Fingerprint() uint64 { return Fingerprint(s.sys, s.opt) }

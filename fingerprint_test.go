@@ -103,6 +103,29 @@ func TestSolverFingerprintMatchesPackageLevel(t *testing.T) {
 	}
 }
 
+// TestCombineFingerprintComposes: the two halves compose to the whole,
+// and the whole is pinned — the prepared-solver key is a persisted
+// identity, so its byte stream must not drift.
+func TestCombineFingerprintComposes(t *testing.T) {
+	s := testmat.GridSDDM(12, 9)
+	sysFP := FingerprintSystem(s)
+	for _, tc := range []struct {
+		opt  Options
+		want uint64
+	}{
+		{Options{}, 0x30e6f9f7f9cf2b0d},
+		{Options{Seed: 42, Tol: 1e-8}, 0x3622fe9209921ad9},
+		{Options{Method: MethodAMG, Retry: RetryPolicy{MaxAttempts: 3, Escalate: true}}, 0xf090cf285fd91e12},
+	} {
+		if got := Fingerprint(s, tc.opt); got != tc.want {
+			t.Errorf("Fingerprint(sys, %+v) = %016x, want %016x", tc.opt, got, tc.want)
+		}
+		if got := CombineFingerprint(sysFP, tc.opt); got != tc.want {
+			t.Errorf("CombineFingerprint(FingerprintSystem(sys), %+v) = %016x, want %016x", tc.opt, got, tc.want)
+		}
+	}
+}
+
 // TestMemoryBytesSharedFormula: the prepared solver's footprint and the
 // one-shot Result's estimate must agree for the same configuration —
 // that is the whole point of sharing solverMemoryBytes between the cache

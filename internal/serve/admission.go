@@ -12,9 +12,10 @@
 //   - Cache (cache.go): prepared-solver LRU weighed by
 //     Solver.MemoryBytes against a byte budget, with single-flight
 //     builds and poisoned-entry invalidation.
-//   - Batcher (batch.go): per-solver micro-batching with a max-delay /
-//     max-width window; every response stays bitwise identical to a
-//     one-shot Solve.
+//   - Batcher (internal/session): per-solver work-conserving
+//     micro-batching — each window takes the requests already waiting,
+//     up to a width bound, and never waits for more; every response
+//     stays bitwise identical to a one-shot Solve.
 //   - the degradation ladder (degrade.go): under pressure the service
 //     sheds batch width, evicts cache, and downgrades retry rungs
 //     before it starts refusing traffic.

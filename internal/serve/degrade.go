@@ -1,15 +1,11 @@
 package serve
 
-import (
-	"time"
-
-	"powerrchol"
-)
+import "powerrchol"
 
 // The graceful-degradation ladder. Overload is a spectrum, and the
 // service walks down it in deliberate steps instead of falling over:
-// first it gives up latency-smoothing (narrower, faster micro-batch
-// windows), then it gives up memory and setup resilience (cache shrinks,
+// first it gives up batching (narrower micro-batch windows, then none),
+// then it gives up memory and setup resilience (cache shrinks,
 // retry ladders are cut for new builds), and only at the top of the
 // scale does it refuse traffic outright. Every step is a pure function
 // of a LoadSnapshot, so the ladder is table-testable without a server.
@@ -18,11 +14,11 @@ import (
 type Level int
 
 const (
-	// LevelNormal: full batching window, full cache budget, full retry
+	// LevelNormal: full batch width, full cache budget, full retry
 	// ladder.
 	LevelNormal Level = iota
 	// LevelElevated: the admission queue is filling; micro-batch windows
-	// narrow so queued work drains with less added latency.
+	// narrow so slots turn over faster.
 	LevelElevated
 	// LevelHigh: the queue is mostly full or the cache is over budget;
 	// batching is cut to the bone, the cache sheds to half budget, and
@@ -91,20 +87,19 @@ func Classify(s LoadSnapshot) Level {
 // Only LevelCritical refuses — everything below it degrades instead.
 func (l Level) Admit() bool { return l < LevelCritical }
 
-// BatchKnobs degrades the micro-batching parameters: under pressure the
-// window narrows (less latency added to queued work) and the width
-// shrinks (smaller trisolve bursts, faster slot turnover). The returned
-// values never fall below 1 request / 0 delay, which degenerates to
-// solo solves — micro-batching is an optimization, and optimizations
-// are the first thing the ladder sheds.
-func (l Level) BatchKnobs(width int, window time.Duration) (int, time.Duration) {
+// BatchKnobs degrades the micro-batch width bound: halved at
+// LevelElevated (smaller trisolve bursts, faster slot turnover), 1 from
+// LevelHigh up. It never falls below 1, which degenerates to solo
+// solves — micro-batching is an optimization, and optimizations are the
+// first thing the ladder sheds.
+func (l Level) BatchKnobs(width int) int {
 	switch l {
 	case LevelElevated:
-		return max(1, width/2), window / 2
+		return max(1, width/2)
 	case LevelHigh, LevelCritical:
-		return 1, 0
+		return 1
 	}
-	return width, window
+	return width
 }
 
 // CacheTarget is the byte budget the cache should shed to at this

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"powerrchol"
 )
@@ -42,20 +41,17 @@ func TestLevelAdmit(t *testing.T) {
 }
 
 func TestBatchKnobsDegrade(t *testing.T) {
-	w, d := LevelNormal.BatchKnobs(32, 2*time.Millisecond)
-	if w != 32 || d != 2*time.Millisecond {
-		t.Errorf("normal knobs = (%d, %v)", w, d)
+	if w := LevelNormal.BatchKnobs(32); w != 32 {
+		t.Errorf("normal width = %d, want 32", w)
 	}
-	w, d = LevelElevated.BatchKnobs(32, 2*time.Millisecond)
-	if w != 16 || d != time.Millisecond {
-		t.Errorf("elevated knobs = (%d, %v), want (16, 1ms)", w, d)
+	if w := LevelElevated.BatchKnobs(32); w != 16 {
+		t.Errorf("elevated width = %d, want 16", w)
 	}
-	w, d = LevelHigh.BatchKnobs(32, 2*time.Millisecond)
-	if w != 1 || d != 0 {
-		t.Errorf("high knobs = (%d, %v), want (1, 0)", w, d)
+	if w := LevelHigh.BatchKnobs(32); w != 1 {
+		t.Errorf("high width = %d, want 1", w)
 	}
 	// Width never collapses below 1.
-	if w, _ := LevelElevated.BatchKnobs(1, time.Millisecond); w != 1 {
+	if w := LevelElevated.BatchKnobs(1); w != 1 {
 		t.Errorf("elevated width from 1 = %d, want 1", w)
 	}
 }

@@ -35,11 +35,10 @@ type Config struct {
 	MaxInflight int
 	MaxQueue    int
 
-	// BatchWindow and MaxBatch shape micro-batching: a window closes at
-	// MaxBatch right-hand sides or after BatchWindow, whichever first.
-	// Defaults 2ms and 32.
-	BatchWindow time.Duration
-	MaxBatch    int
+	// MaxBatch bounds the width of a micro-batch window: the requests
+	// already waiting when a window opens ride it, up to MaxBatch.
+	// Default 32.
+	MaxBatch int
 
 	// DefaultTimeout is the per-request deadline when the client sends
 	// none; MaxTimeout clamps client-requested deadlines. Defaults 30s
@@ -74,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
@@ -124,7 +120,23 @@ type Server struct {
 	active   atomic.Int64 // requests inside a handler (drain barrier)
 
 	gridsMu sync.Mutex
-	grids   map[uint64]*graph.SDDM
+	grids   map[uint64]grid
+}
+
+// grid is one ingested system together with its prepared-solver cache
+// key, Fingerprint(sys, cfg.Options), hashed once at ingest so no
+// request pays for a pass over the system.
+type grid struct {
+	sys *graph.SDDM
+	key uint64
+}
+
+// lookupGrid returns the ingested grid with system fingerprint fp.
+func (s *Server) lookupGrid(fp uint64) (grid, bool) {
+	s.gridsMu.Lock()
+	defer s.gridsMu.Unlock()
+	g, ok := s.grids[fp]
+	return g, ok
 }
 
 // New builds a server whose background goroutines live under ctx.
@@ -137,7 +149,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		gate:   NewGate(cfg.MaxInflight, cfg.MaxQueue),
 		ctx:    sctx,
 		cancel: cancel,
-		grids:  make(map[uint64]*graph.SDDM),
+		grids:  make(map[uint64]grid),
 	}
 	s.cache = NewCache(cfg.CacheBudgetBytes, func(p *Prepared) {
 		if p.Batch == nil {
@@ -194,10 +206,10 @@ func (s *Server) level() Level {
 	return l
 }
 
-// batchKnobs is the Batcher callback: it re-reads the ladder per window
+// batchWidth is the Batcher callback: it re-reads the ladder per window
 // so batching narrows under pressure without restarting dispatchers.
-func (s *Server) batchKnobs() (int, time.Duration) {
-	return s.level().BatchKnobs(s.cfg.MaxBatch, s.cfg.BatchWindow)
+func (s *Server) batchWidth() int {
+	return s.level().BatchKnobs(s.cfg.MaxBatch)
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +235,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("serve: grid store full (%d grids)", s.cfg.MaxGrids), 0)
 			return
 		}
-		s.grids[fp] = sys
+		// The cache key is the fingerprint of the *base* configuration:
+		// the ladder's retry downgrade changes how a build recovers from
+		// setup faults, not which logical solver it produces, and keying
+		// on the degraded options would duplicate entries across
+		// pressure levels.
+		s.grids[fp] = grid{sys: sys, key: powerrchol.CombineFingerprint(fp, s.cfg.Options)}
 	}
 	s.gridsMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -296,23 +313,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	gridFP, _ := ParseFingerprint(req.Grid) // validated by the decoder
-	s.gridsMu.Lock()
-	sys := s.grids[gridFP]
-	s.gridsMu.Unlock()
-	if sys == nil {
+	g, ok := s.lookupGrid(gridFP)
+	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown grid %s", req.Grid), 0)
 		return
 	}
-	b, err := req.RHS(sys.N())
+	b, err := req.RHS(g.sys.N())
 	if err == nil {
-		err = req.CheckReturn(sys.N())
+		err = req.CheckReturn(g.sys.N())
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 
-	res, width, hit, err := s.solve(ctx, level, gridFP, sys, b)
+	res, width, hit, err := s.solve(ctx, level, g, b)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -337,7 +352,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, SolveResponse{
 		Grid:       req.Grid,
-		Solver:     FormatFingerprint(powerrchol.Fingerprint(sys, s.cfg.Options)),
+		Solver:     FormatFingerprint(g.key),
 		X:          x,
 		Iterations: res.Iterations,
 		Residual:   res.Residual,
@@ -347,30 +362,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// solve resolves the prepared solver for sys and runs b through its
-// micro-batcher. A numeric solve failure invalidates the cache entry (a
+// solve resolves the prepared solver for g (cached under g.key) and
+// runs b through its micro-batcher. A numeric solve failure invalidates the cache entry (a
 // poisoned factor must not serve further traffic) and rebuilds once; a
 // batcher stopped by concurrent eviction falls back to a direct solve on
 // the still-valid solver.
-func (s *Server) solve(ctx context.Context, level Level, gridFP uint64, sys *graph.SDDM, b []float64) (*powerrchol.Result, int, bool, error) {
-	// The cache key is the fingerprint of the *base* configuration: the
-	// ladder's retry downgrade changes how a build recovers from setup
-	// faults, not which logical solver it produces, and keying on the
-	// degraded options would duplicate entries across pressure levels.
-	key := powerrchol.Fingerprint(sys, s.cfg.Options)
+func (s *Server) solve(ctx context.Context, level Level, g grid, b []float64) (*powerrchol.Result, int, bool, error) {
 	// The retry loop runs at most twice: the first pass, plus one rebuild
 	// after a poisoned-entry invalidation. The per-pass allocations below
 	// are annotated against that bound.
 	for attempt := 0; ; attempt++ {
 		//pglint:hotalloc resolve-or-build of the cached solver, at most twice per request (rebuild-once)
-		p, hit, err := s.cache.GetOrBuild(ctx, key, func(bctx context.Context) (*Prepared, int64, error) {
+		p, hit, err := s.cache.GetOrBuild(ctx, g.key, func(bctx context.Context) (*Prepared, int64, error) {
 			opt := s.cfg.Options
 			opt.Retry = level.RetryFor(opt.Retry)
-			solver, err := powerrchol.NewSolverContext(bctx, sys, opt)
+			solver, err := powerrchol.NewSolverContext(bctx, g.sys, opt)
 			if err != nil {
 				return nil, 0, err
 			}
-			batch := session.NewBatcher(session.Wrap(solver), s.batchKnobs, func(width int) {
+			batch := session.NewBatcher(session.Wrap(solver), s.batchWidth, func(width int) {
 				s.met.batches.Add(1)
 				s.met.batched.Add(int64(width))
 			})
@@ -404,7 +414,7 @@ func (s *Server) solve(ctx context.Context, level Level, gridFP uint64, sys *gra
 		// Numeric failure: drop the poisoned entry so the next request
 		// re-factorizes, and retry this request once on the rebuild.
 		//pglint:hotalloc poisoned-entry eviction, at most once per request
-		s.cache.Invalidate(key, p)
+		s.cache.Invalidate(g.key, p)
 		if attempt > 0 {
 			return nil, 0, hit, err
 		}

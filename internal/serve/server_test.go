@@ -101,6 +101,51 @@ func TestServerSolveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerSolverKeyIsFingerprint pins the response's solver field to
+// Fingerprint(sys, cfg.Options) — the key is hashed once at ingest, so
+// it must agree with the package-level fingerprint on the cache miss,
+// on a hit, and after the same grid is ingested again; a study against
+// the re-ingested grid must resolve through the same store entry.
+func TestServerSolverKeyIsFingerprint(t *testing.T) {
+	s, ts := newTestServer(t, Config{Options: testOptions()})
+	grid, n := ingestTestGrid(t, ts.URL, 10, 10)
+	want := FormatFingerprint(powerrchol.Fingerprint(testSystem(10, 10), testOptions()))
+
+	solve := func(label string, wantHit bool) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Grid: grid, B: testRHS(n, 9)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: solve status %d: %s", label, resp.StatusCode, body)
+		}
+		var out SolveResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.CacheHit != wantHit {
+			t.Fatalf("%s: cache_hit = %v, want %v", label, out.CacheHit, wantHit)
+		}
+		if out.Solver != want {
+			t.Fatalf("%s: solver = %s, want Fingerprint(sys, opt) = %s", label, out.Solver, want)
+		}
+	}
+	solve("cache miss", false)
+	solve("cache hit", true)
+
+	again, _ := ingestTestGrid(t, ts.URL, 10, 10)
+	if again != grid {
+		t.Fatalf("re-ingest returned grid %s, want %s", again, grid)
+	}
+	if got := s.Stats().Grids; got != 1 {
+		t.Fatalf("re-ingest of the same grid left %d store entries, want 1", got)
+	}
+	solve("after re-ingest", true)
+
+	resp, out, body := postStudy(t, ts.URL, StudyRequest{Grid: grid, Kind: "transient", B: testRHS(n, 3), Steps: 4})
+	if resp.StatusCode != http.StatusOK || out.Grid != grid {
+		t.Fatalf("study on re-ingested grid: status %d, grid %q: %s", resp.StatusCode, out.Grid, body)
+	}
+}
+
 func TestServerSparseRHSAndReturn(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: testOptions()})
 	grid, n := ingestTestGrid(t, ts.URL, 8, 8)

@@ -249,7 +249,6 @@ func TestSoakSetupFaultRecovery(t *testing.T) {
 		Options:     opt,
 		MaxInflight: 4,
 		MaxQueue:    32,
-		BatchWindow: time.Millisecond,
 		MaxBatch:    8,
 	}, refs, nx)
 }
@@ -280,7 +279,6 @@ func TestSoakTransientPrecondCorruption(t *testing.T) {
 		Options:     opt,
 		MaxInflight: 4,
 		MaxQueue:    32,
-		BatchWindow: time.Millisecond,
 		MaxBatch:    8,
 	}, refs, nx)
 	if !corrupted.Load() {
@@ -304,7 +302,6 @@ func TestSoakOverloadSheds(t *testing.T) {
 		Options:     opt,
 		MaxInflight: 1,
 		MaxQueue:    2,
-		BatchWindow: time.Millisecond,
 		MaxBatch:    4,
 	})
 	handler := s.Handler()

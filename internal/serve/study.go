@@ -215,14 +215,12 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	gridFP, _ := ParseFingerprint(req.Grid) // validated by the decoder
-	s.gridsMu.Lock()
-	sys := s.grids[gridFP]
-	s.gridsMu.Unlock()
-	if sys == nil {
+	g, ok := s.lookupGrid(gridFP)
+	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown grid %s", req.Grid), 0)
 		return
 	}
-	b, err := req.rhs(sys.N())
+	b, err := req.rhs(g.sys.N())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error(), 0)
 		return
@@ -237,7 +235,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	resp := StudyResponse{Grid: req.Grid, Kind: req.Kind}
 	switch req.Kind {
 	case "transient":
-		tr, err := workload.SystemTransient(ctx, sys, b, workload.StepStudySpec{
+		tr, err := workload.SystemTransient(ctx, g.sys, b, workload.StepStudySpec{
 			Cap: req.Cap, TimeStep: req.Dt, Steps: req.Steps,
 		}, opt)
 		if err != nil {
@@ -253,7 +251,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		resp.SetupMicros = tr.SetupTime.Microseconds()
 		resp.SolveMicros = tr.SolveTime.Microseconds()
 	case "mc":
-		mc, err := workload.MonteCarlo(ctx, sys, b, workload.MCSpec{
+		mc, err := workload.MonteCarlo(ctx, g.sys, b, workload.MCSpec{
 			Samples:        req.Samples,
 			Seed:           req.Seed,
 			ResistorSigma:  req.ResistorSigma,

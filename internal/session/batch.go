@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"powerrchol"
 )
@@ -16,13 +15,18 @@ import (
 var ErrBatcherStopped = errors.New("session: batcher stopped")
 
 // Batcher aggregates concurrent single-RHS solve requests against one
-// prepared session into Ensemble windows. A window closes when it
-// reaches its width bound or its delay bound, whichever first; the
-// knobs come from a callback so a degradation ladder can narrow them
-// per window without restarting the dispatcher. Batching is purely an
-// amortization: every response is bitwise identical to a one-shot
-// Solver.Solve of the same right-hand side (the SolveBatch contract),
-// which the serve soak test asserts end to end.
+// prepared session into Ensemble windows. It is work-conserving: a
+// window is its first request plus every request already waiting to be
+// accepted, up to the width bound, and it is dispatched at once — the
+// dispatcher never waits for peers. Requests that arrive while a window
+// is solving queue up and form the next one, so the batch width follows
+// the load with no delay setting: a lone request is solved alone, a
+// burst is solved together. The width bound comes from a callback so a
+// degradation ladder can narrow it per window without restarting the
+// dispatcher. Batching is purely an amortization: every response is
+// bitwise identical to a one-shot Solver.Solve of the same right-hand
+// side (the SolveBatch contract), which the serve soak test asserts end
+// to end.
 //
 // Lifecycle: Start spawns one dispatcher goroutine, tied to the ctx the
 // owner passes (its lifetime context). Stop — or that ctx ending —
@@ -33,8 +37,8 @@ var ErrBatcherStopped = errors.New("session: batcher stopped")
 // never block the dispatch loop.
 type Batcher struct {
 	sess *Session
-	// knobs returns the current (maxWidth, maxDelay) window bounds.
-	knobs   func() (int, time.Duration)
+	// width returns the current window width bound.
+	width   func() int
 	onBatch func(width int)
 
 	reqs    chan *solveReq
@@ -58,14 +62,15 @@ type solveResp struct {
 	width int // the batch width this response was served in
 }
 
-// NewBatcher builds a batcher over sess. knobs must be non-nil and
-// safe for concurrent use; it is consulted once per window. onBatch, if
-// non-nil, observes each dispatched window's width (the serve layer
-// feeds its service-wide metrics this way, surviving batcher eviction).
-func NewBatcher(sess *Session, knobs func() (int, time.Duration), onBatch func(width int)) *Batcher {
+// NewBatcher builds a batcher over sess. width must be non-nil and safe
+// for concurrent use; it is consulted once per window, and a bound below
+// 1 means 1. onBatch, if non-nil, observes each dispatched window's
+// width (the serve layer feeds its service-wide metrics this way,
+// surviving batcher eviction).
+func NewBatcher(sess *Session, width func() int, onBatch func(width int)) *Batcher {
 	return &Batcher{
 		sess:    sess,
-		knobs:   knobs,
+		width:   width,
 		onBatch: onBatch,
 		reqs:    make(chan *solveReq),
 		stopped: make(chan struct{}),
@@ -88,7 +93,7 @@ func (bt *Batcher) Start(ctx context.Context) {
 			case <-bt.stopped:
 				return
 			case first := <-bt.reqs:
-				//pglint:hotalloc per-window setup (timer, ctx, member list) is amortized over the whole batch it dispatches
+				//pglint:hotalloc per-window setup (ctx, member list) is amortized over the whole batch it dispatches
 				bt.runWindow(ctx, first)
 			}
 		}
@@ -107,8 +112,8 @@ func (bt *Batcher) Stop() {
 func (bt *Batcher) Batches() int64    { return bt.batches.Load() }
 func (bt *Batcher) BatchedRHS() int64 { return bt.widths.Load() }
 
-// Submit solves one right-hand side through the next micro-batch
-// window, blocking until the response, the request ctx ending, or the
+// Submit solves one right-hand side in the next window the dispatcher
+// opens, blocking until the response, the request ctx ending, or the
 // batcher stopping.
 func (bt *Batcher) Submit(ctx context.Context, b []float64) (*powerrchol.Result, int, error) {
 	req := &solveReq{ctx: ctx, b: b, resp: make(chan solveResp, 1)}
@@ -129,29 +134,22 @@ func (bt *Batcher) Submit(ctx context.Context, b []float64) (*powerrchol.Result,
 	}
 }
 
-// runWindow collects one batch starting from first and solves it.
+// runWindow forms one window from first and the requests already
+// waiting on bt.reqs — a non-blocking drain, never past the width
+// bound — and solves it.
 func (bt *Batcher) runWindow(ctx context.Context, first *solveReq) {
-	width, delay := bt.knobs()
-	if width < 1 {
-		width = 1
-	}
+	width := max(1, bt.width())
 	members := make([]*solveReq, 1, width)
 	members[0] = first
-	if width > 1 && delay > 0 {
-		timer := time.NewTimer(delay)
-	collect:
-		for len(members) < width {
-			select {
-			case r := <-bt.reqs:
-				//pglint:hotalloc capacity is reserved at the width knob above; the append never grows
-				members = append(members, r)
-			case <-timer.C:
-				break collect
-			case <-ctx.Done():
-				break collect
-			}
+drain:
+	for len(members) < width {
+		select {
+		case r := <-bt.reqs:
+			//pglint:hotalloc capacity is reserved at the width bound above; the append never grows
+			members = append(members, r)
+		default:
+			break drain
 		}
-		timer.Stop()
 	}
 	bt.solve(ctx, members)
 }

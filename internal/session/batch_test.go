@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -37,8 +38,37 @@ func newTestSession(t *testing.T) *Session {
 	return sess
 }
 
-func staticKnobs(width int, window time.Duration) func() (int, time.Duration) {
-	return func() (int, time.Duration) { return width, window }
+func staticWidth(width int) func() int {
+	return func() int { return width }
+}
+
+// queuedBatcher returns an unstarted batcher whose request channel is
+// buffered, so a test can line requests up as already waiting and drive
+// runWindow itself: the window's non-blocking drain takes a buffered
+// request exactly as it takes a Submit blocked on the channel. The
+// buffer holds more requests than any test lines up.
+func queuedBatcher(sess *Session, width int, onBatch func(int)) *Batcher {
+	bt := NewBatcher(sess, staticWidth(width), onBatch)
+	bt.reqs = make(chan *solveReq, 64)
+	return bt
+}
+
+func newSolveReq(ctx context.Context, b []float64) *solveReq {
+	return &solveReq{ctx: ctx, b: b, resp: make(chan solveResp, 1)}
+}
+
+// checkBitwise fails unless x is bit for bit Solver.Solve(b) on sess.
+func checkBitwise(t *testing.T, sess *Session, label string, x, b []float64) {
+	t.Helper()
+	ref, err := sess.Solver().Solve(b)
+	if err != nil {
+		t.Fatalf("%s referee: %v", label, err)
+	}
+	for j := range ref.X {
+		if math.Float64bits(x[j]) != math.Float64bits(ref.X[j]) {
+			t.Fatalf("%s: batched X[%d]=%g != one-shot %g", label, j, x[j], ref.X[j])
+		}
+	}
 }
 
 // TestBatcherBitwiseEqualsSolve is the batching contract: answers served
@@ -48,7 +78,7 @@ func TestBatcherBitwiseEqualsSolve(t *testing.T) {
 	sess := newTestSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	bt := NewBatcher(sess, staticKnobs(8, 20*time.Millisecond), nil)
+	bt := NewBatcher(sess, staticWidth(8), nil)
 	bt.Start(ctx)
 	defer bt.Stop()
 
@@ -73,15 +103,7 @@ func TestBatcherBitwiseEqualsSolve(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("submit %d: %v", i, errs[i])
 		}
-		ref, err := sess.Solver().Solve(testRHS(n, uint64(100+i)))
-		if err != nil {
-			t.Fatalf("referee %d: %v", i, err)
-		}
-		for j := range ref.X {
-			if math.Float64bits(got[i][j]) != math.Float64bits(ref.X[j]) {
-				t.Fatalf("request %d: batched X[%d]=%g != one-shot %g", i, j, got[i][j], ref.X[j])
-			}
-		}
+		checkBitwise(t, sess, fmt.Sprintf("request %d", i), got[i], testRHS(n, uint64(100+i)))
 	}
 	if bt.BatchedRHS() != k {
 		t.Fatalf("batched RHS = %d, want %d", bt.BatchedRHS(), k)
@@ -94,7 +116,7 @@ func TestBatcherBitwiseEqualsSolve(t *testing.T) {
 func TestBatcherStopRejectsSubmits(t *testing.T) {
 	sess := newTestSession(t)
 	ctx := context.Background()
-	bt := NewBatcher(sess, staticKnobs(4, time.Millisecond), nil)
+	bt := NewBatcher(sess, staticWidth(4), nil)
 	bt.Start(ctx)
 	bt.Stop()
 	_, _, err := bt.Submit(ctx, testRHS(12*12, 1))
@@ -108,7 +130,7 @@ func TestBatcherPreCancelledMember(t *testing.T) {
 	sess := newTestSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	bt := NewBatcher(sess, staticKnobs(4, 50*time.Millisecond), nil)
+	bt := NewBatcher(sess, staticWidth(4), nil)
 	bt.Start(ctx)
 	defer bt.Stop()
 
@@ -123,55 +145,91 @@ func TestBatcherPreCancelledMember(t *testing.T) {
 	}
 }
 
-// TestBatcherMidBatchCancellation cancels one member while its batch is
-// being collected; the peer must still get its (bitwise-correct) answer.
+// TestBatcherWindowTakesWaitingRequests: a window is its first request
+// plus the requests already waiting, up to the width bound and never
+// past it; the rest form the next window. Every response is bitwise
+// the one-shot answer.
+func TestBatcherWindowTakesWaitingRequests(t *testing.T) {
+	sess := newTestSession(t)
+	ctx := context.Background()
+	n := 12 * 12
+	for _, tc := range []struct {
+		width, requests int
+		windows         []int // expected width of each window, in order
+	}{
+		{width: 8, requests: 1, windows: []int{1}},
+		{width: 8, requests: 6, windows: []int{6}},
+		{width: 4, requests: 4, windows: []int{4}},
+		{width: 4, requests: 6, windows: []int{4, 2}},
+		{width: 1, requests: 3, windows: []int{1, 1, 1}},
+	} {
+		label := fmt.Sprintf("width %d, %d waiting", tc.width, tc.requests)
+		bt := queuedBatcher(sess, tc.width, nil)
+		reqs := make([]*solveReq, tc.requests)
+		for i := range reqs {
+			reqs[i] = newSolveReq(ctx, testRHS(n, uint64(200+i)))
+			bt.reqs <- reqs[i]
+		}
+		served := 0
+		for w, want := range tc.windows {
+			bt.runWindow(ctx, <-bt.reqs)
+			if left := tc.requests - served - want; len(bt.reqs) != left {
+				t.Fatalf("%s: window %d left %d requests waiting, want %d", label, w, len(bt.reqs), left)
+			}
+			for _, r := range reqs[served : served+want] {
+				resp := <-r.resp
+				if resp.err != nil {
+					t.Fatalf("%s: window %d: %v", label, w, resp.err)
+				}
+				if resp.width != want {
+					t.Fatalf("%s: window %d served width %d, want %d", label, w, resp.width, want)
+				}
+				checkBitwise(t, sess, label, resp.res.X, r.b)
+			}
+			served += want
+		}
+		if got := bt.Batches(); got != int64(len(tc.windows)) {
+			t.Fatalf("%s: %d windows dispatched, want %d", label, got, len(tc.windows))
+		}
+	}
+}
+
+// TestBatcherMidBatchCancellation cancels one member after its window
+// has formed (from the onBatch hook, which runs once the window's
+// members are fixed and before the solve). The peer must still get its
+// bitwise-correct answer in the same window, and the cancelled member
+// exactly one response.
 func TestBatcherMidBatchCancellation(t *testing.T) {
 	sess := newTestSession(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	bt := NewBatcher(sess, staticKnobs(4, 100*time.Millisecond), nil)
-	bt.Start(ctx)
-	defer bt.Stop()
-
+	ctx := context.Background()
 	n := 12 * 12
 	memberCtx, memberCancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var cancelledErr error
-	go func() {
-		defer wg.Done()
-		_, _, cancelledErr = bt.Submit(memberCtx, testRHS(n, 10))
-	}()
-	// Give the first submit time to open the collection window, then
-	// cancel it and submit a second member into the same window.
-	time.Sleep(10 * time.Millisecond)
-	memberCancel()
-	res, _, err := bt.Submit(ctx, testRHS(n, 11))
-	if err != nil {
-		t.Fatalf("surviving member: %v", err)
+	defer memberCancel()
+	bt := queuedBatcher(sess, 4, func(int) { memberCancel() })
+
+	member := newSolveReq(memberCtx, testRHS(n, 10))
+	peer := newSolveReq(ctx, testRHS(n, 11))
+	bt.reqs <- member
+	bt.reqs <- peer
+	bt.runWindow(ctx, <-bt.reqs)
+
+	resp := <-peer.resp
+	if resp.err != nil {
+		t.Fatalf("surviving member: %v", resp.err)
 	}
-	wg.Wait()
-	if cancelledErr == nil {
-		// The cancelled member may have been answered before the cancel
-		// landed — both outcomes are legal; the invariant is it got
-		// exactly one response and the survivor's answer is right.
-		t.Log("cancelled member was served before cancellation landed")
+	if resp.width != 2 {
+		t.Fatalf("survivor served at width %d, want 2 (same window as the cancelled member)", resp.width)
 	}
-	ref, err := sess.Solver().Solve(testRHS(n, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range ref.X {
-		if math.Float64bits(res.X[j]) != math.Float64bits(ref.X[j]) {
-			t.Fatalf("survivor X[%d] differs from one-shot referee", j)
-		}
+	checkBitwise(t, sess, "survivor", resp.res.X, peer.b)
+	if len(member.resp) != 1 {
+		t.Fatalf("cancelled member got %d responses, want exactly 1", len(member.resp))
 	}
 }
 
 func TestBatcherDispatcherDiesWithContext(t *testing.T) {
 	sess := newTestSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	bt := NewBatcher(sess, staticKnobs(4, time.Millisecond), nil)
+	bt := NewBatcher(sess, staticWidth(4), nil)
 	bt.Start(ctx)
 	cancel()
 	// After the lifetime ctx ends the dispatcher exits; Stop must not

@@ -51,7 +51,6 @@ type Solver struct {
 	factorNNZ        int
 	factorIndexBytes int
 	setupAttempts    []Attempt
-	fingerprint      uint64
 }
 
 // NewSolver validates the system and builds the preconditioner for the
@@ -144,7 +143,6 @@ func NewSolverFromPlan(ctx context.Context, sys *graph.SDDM, plan *SolverPlan) (
 		factorNNZ:        setup.FactorNNZ,
 		factorIndexBytes: setup.FactorIndexBytes,
 		setupAttempts:    r.Succeed(0, 0),
-		fingerprint:      Fingerprint(sys, opt),
 	}, nil
 }
 
