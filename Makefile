@@ -1,17 +1,24 @@
 GO ?= go
 
-.PHONY: all check build test pgperf-test vet lint lint-list lint-sarif lint-summaries optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench bench-json bench-json-smoke cover tables examples clean
+.PHONY: all check build fmt test pgperf-test vet lint lint-list lint-sarif lint-summaries optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench bench-json bench-json-smoke cover tables examples clean
 
 all: check
 
 # check is the default CI gate: tier-1 build+tests, the pgperf benchmark
-# module's tests, vet, pglint, the compiler-diagnostics contract gate
+# module's tests, gofmt cleanliness, vet, pglint, the compiler-diagnostics contract gate
 # (pgoptcheck), the race detector over the short case set, a short-budget
 # fuzz pass, and a short-horizon pgstudy run of both workload studies.
-check: build vet lint optcheck test pgperf-test race fuzz study-smoke
+check: build fmt vet lint optcheck test pgperf-test race fuzz study-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt fails if gofmt would rewrite any Go file outside vendor/, listing
+# the offenders; `gofmt -w <file>` fixes one.
+GOFMT ?= gofmt
+fmt:
+	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path './vendor/*')); \
+	if [ -n "$$out" ]; then echo "gofmt needs to rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

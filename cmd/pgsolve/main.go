@@ -16,8 +16,9 @@
 // Batch mode (-batch N) factorizes once and solves N deterministic load
 // patterns derived from the base right-hand side, fanned across a worker
 // pool (-workers, default NumCPU) via Solver.SolveBatch — the paper's
-// many-load-patterns workload. -workers also parallelizes the kernels of
-// a single solve when -batch is not given.
+// many-load-patterns workload. -workers also level-schedules the
+// factor's triangular solves across that many goroutines; it never
+// changes an answer.
 package main
 
 import (
@@ -74,7 +75,7 @@ func run() error {
 	retries := flag.Int("retries", 1, "solve attempts before giving up (recovery ladder; 1 = no retry)")
 	escalate := flag.Bool("escalate", true, "with -retries > 1, escalate to more robust methods on retry")
 	batch := flag.Int("batch", 0, "solve N derived load patterns through one factorization (SolveBatch)")
-	workers := flag.Int("workers", 0, "worker-pool size for -batch and parallel kernels (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "SolveBatch pool size for -batch (0 = NumCPU); > 1 also level-schedules the triangular solves. Answers never depend on it")
 	outPath := flag.String("out", "", "write node voltages here (IBM .solution format; netlist input only)")
 	refPath := flag.String("ref", "", "compare against a golden .solution file (netlist input only)")
 	flag.Parse()
@@ -272,15 +273,15 @@ func run() error {
 // default stage composition — so the CLI's method list can never drift
 // from what the library actually runs.
 func printMethodTable(w io.Writer) {
-	fmt.Fprintf(w, "%-14s %-10s %-9s %-9s %-7s %-9s %s\n",
-		"METHOD", "TRANSFORM", "ORDERING", "FACTOR", "LADDER", "PREPARED", "SUMMARY")
+	fmt.Fprintf(w, "%-14s %-10s %-9s %-9s %-7s %s\n",
+		"METHOD", "TRANSFORM", "ORDERING", "FACTOR", "LADDER", "SUMMARY")
 	for _, mi := range powerrchol.Methods() {
 		ordering := "-"
 		if mi.Ordered {
 			ordering = mi.Ordering.String()
 		}
-		fmt.Fprintf(w, "%-14s %-10s %-9s %-9s %-7v %-9v %s\n",
-			mi.Name, mi.Transform, ordering, mi.Factor, mi.Ladder, mi.Prepared, mi.Summary)
+		fmt.Fprintf(w, "%-14s %-10s %-9s %-9s %-7v %s\n",
+			mi.Name, mi.Transform, ordering, mi.Factor, mi.Ladder, mi.Summary)
 	}
 }
 

@@ -9,20 +9,18 @@ import (
 
 	"powerrchol/internal/graph"
 	"powerrchol/internal/rng"
+	"powerrchol/internal/sparse"
 	"powerrchol/internal/testmat"
 )
 
 // Cross-front-end equivalence suite. Both public entry points —
-// the one-shot Solve and the prepared NewSolver+Solve — are thin
-// drivers over internal/pipeline, so for every method × ordering the
-// two must produce bit-identical solutions from the same Options. Any
-// divergence means the refactored front-ends smuggled in their own
-// setup logic again; this suite is the tripwire.
+// the one-shot Solve and the prepared NewSolver+Solve — build the same
+// Solver and solve through it, so for every method × ordering × worker
+// count the two must produce bit-identical solutions from the same
+// Options. Any divergence means a front end smuggled in its own setup
+// or iteration logic again; this suite is the tripwire.
 
 // equivalenceOpt pins the configuration both front-ends run under.
-// Workers is left 0 (serial): parallel blocked reductions are only
-// reproducible for a fixed Workers value, and the contract under test
-// is front-end identity, not worker-count identity.
 func equivalenceOpt(m Method, o Ordering) Options {
 	return Options{Method: m, Ordering: o, Tol: 1e-8, MaxIter: 5000, Seed: 17}
 }
@@ -36,45 +34,86 @@ func orderingsFor(mi MethodInfo) []Ordering {
 
 // TestFrontEndEquivalence drives the full method table (from the
 // pipeline registry, so a newly registered method is covered
-// automatically) against every ordering and asserts bitwise identity
-// between the two front-ends. Contraction-bearing plans have no
-// prepared form; for those the test pins the rejection instead.
+// automatically) against every ordering, serial and with Workers 4,
+// and asserts bitwise identity between the two front-ends — and with
+// the serial one-shot answer. Contracting plans (PowerRush) included.
 func TestFrontEndEquivalence(t *testing.T) {
 	s, b, _ := testProblem(t)
 	for _, mi := range Methods() {
 		for _, o := range orderingsFor(mi) {
-			name := fmt.Sprintf("%s/%v", mi.Name, o)
-			opt := equivalenceOpt(mi.Method, o)
-			oneShot, err := Solve(s, b, opt)
+			serial, err := Solve(s, b, equivalenceOpt(mi.Method, o))
 			if err != nil {
-				t.Errorf("%s: one-shot Solve: %v", name, err)
+				t.Errorf("%s/%v: serial one-shot Solve: %v", mi.Name, o, err)
 				continue
 			}
-			if !mi.Prepared {
-				if _, err := NewSolver(s, opt); err == nil {
-					t.Errorf("%s: NewSolver accepted a contracting plan", name)
-				}
-				continue
+			for _, workers := range []int{0, 4} {
+				name := fmt.Sprintf("%s/%v/workers=%d", mi.Name, o, workers)
+				opt := equivalenceOpt(mi.Method, o)
+				opt.Workers = workers
+				checkFrontEnds(t, name, s, b, opt, serial)
 			}
-			solver, err := NewSolver(s, opt)
-			if err != nil {
-				t.Errorf("%s: NewSolver: %v", name, err)
-				continue
-			}
-			prepared, err := solver.Solve(b)
-			if err != nil {
-				t.Errorf("%s: prepared Solve: %v", name, err)
-				continue
-			}
-			if prepared.Iterations != oneShot.Iterations {
-				t.Errorf("%s: prepared took %d iterations, one-shot %d",
-					name, prepared.Iterations, oneShot.Iterations)
-			}
-			if prepared.FactorNNZ != oneShot.FactorNNZ {
-				t.Errorf("%s: prepared |L|=%d, one-shot |L|=%d",
-					name, prepared.FactorNNZ, oneShot.FactorNNZ)
-			}
-			assertBitwise(t, name+" front-end equivalence", prepared.X, oneShot.X)
+		}
+	}
+}
+
+// checkFrontEnds solves b under opt through both front ends and checks
+// each bit for bit against want (and the iteration count and |L|).
+func checkFrontEnds(t *testing.T, name string, s *graph.SDDM, b []float64, opt Options, want *Result) {
+	t.Helper()
+	oneShot, err := Solve(s, b, opt)
+	if err != nil {
+		t.Errorf("%s: one-shot Solve: %v", name, err)
+		return
+	}
+	assertBitwise(t, name+" one-shot", oneShot.X, want.X)
+	solver, err := NewSolver(s, opt)
+	if err != nil {
+		t.Errorf("%s: NewSolver: %v", name, err)
+		return
+	}
+	prepared, err := solver.Solve(b)
+	if err != nil {
+		t.Errorf("%s: prepared Solve: %v", name, err)
+		return
+	}
+	if prepared.Iterations != oneShot.Iterations || oneShot.Iterations != want.Iterations {
+		t.Errorf("%s: prepared took %d iterations, one-shot %d, want %d",
+			name, prepared.Iterations, oneShot.Iterations, want.Iterations)
+	}
+	if prepared.FactorNNZ != oneShot.FactorNNZ {
+		t.Errorf("%s: prepared |L|=%d, one-shot |L|=%d",
+			name, prepared.FactorNNZ, oneShot.FactorNNZ)
+	}
+	if prepared.MemoryBytes != oneShot.MemoryBytes || prepared.MemoryBytes != solver.MemoryBytes() {
+		t.Errorf("%s: MemoryBytes prepared %d, one-shot %d, Solver %d",
+			name, prepared.MemoryBytes, oneShot.MemoryBytes, solver.MemoryBytes())
+	}
+	assertBitwise(t, name+" front-end equivalence", prepared.X, oneShot.X)
+}
+
+// TestWorkersNeverChangeAnswers pins the Workers contract the solver
+// fingerprint relies on (Workers is not part of the key): on a system
+// large enough for the level-scheduled triangular solves to run in
+// parallel, a one-shot Solve returns the same bits for every Workers
+// value, and the prepared Solver returns them too.
+func TestWorkersNeverChangeAnswers(t *testing.T) {
+	s := testmat.GridSDDM(100, 100)
+	if s.N() < sparse.ParThreshold {
+		t.Fatalf("grid of %d nodes is below the parallel threshold %d", s.N(), sparse.ParThreshold)
+	}
+	r := rng.New(45)
+	b := make([]float64, s.N())
+	for i := range b {
+		b[i] = r.Float64() - 0.5
+	}
+	for _, m := range []Method{MethodPowerRChol, MethodPowerRush} {
+		serial, err := Solve(s, b, Options{Method: m, Seed: 9})
+		if err != nil {
+			t.Fatalf("%v serial: %v", m, err)
+		}
+		for _, workers := range []int{2, 4} {
+			checkFrontEnds(t, fmt.Sprintf("%v/workers=%d", m, workers), s, b,
+				Options{Method: m, Seed: 9, Workers: workers}, serial)
 		}
 	}
 }
@@ -141,20 +180,17 @@ func TestCompositionMergeWithRandomizedFactor(t *testing.T) {
 		if res.Iterations == 0 {
 			t.Fatalf("%v+merge: zero iterations reported", m)
 		}
-		// Contraction changes the unknowns, so the prepared front-end
-		// must keep refusing this plan no matter the method.
-		s, _, _ := testProblem(t)
-		if _, err := NewSolver(s, opt); err == nil {
-			t.Fatalf("%v+merge: NewSolver accepted a contracting plan", m)
-		}
+		// The prepared Solver maps vectors across the contraction
+		// itself and must reproduce the one-shot answer bit for bit.
+		s, b, _ := testProblem(t)
+		checkFrontEnds(t, m.String()+"+merge", s, b, opt, res)
 	}
 }
 
-// TestCompositionMergeActuallyContracts: on a grid overlaid with
-// near-short-circuit vias the merge transform genuinely contracts, the
-// randomized factor is built on the smaller system, and the expanded
-// solution still tracks the full solve to the via-resistance scale.
-func TestCompositionMergeActuallyContracts(t *testing.T) {
+// viaGrid is a 12×12 grid overlaid with near-short-circuit vias, which
+// the merge transform genuinely contracts, plus a load vector.
+func viaGrid(t *testing.T) (*graph.SDDM, []float64) {
+	t.Helper()
 	r := rng.New(7)
 	nx, ny := 12, 12
 	g := testmat.Grid2D(nx, ny)
@@ -172,6 +208,15 @@ func TestCompositionMergeActuallyContracts(t *testing.T) {
 	for i := range b {
 		b[i] = r.Float64() * 0.01
 	}
+	return s, b
+}
+
+// TestCompositionMergeActuallyContracts: on a grid overlaid with
+// near-short-circuit vias the merge transform genuinely contracts, the
+// randomized factor is built on the smaller system, and the expanded
+// solution still tracks the full solve to the via-resistance scale.
+func TestCompositionMergeActuallyContracts(t *testing.T) {
+	s, b := viaGrid(t)
 	want, err := testmat.DenseSolveSPD(s.ToCSC().Dense(), b)
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +249,41 @@ func TestCompositionMergeActuallyContracts(t *testing.T) {
 	}
 	if maxErr > 1e-3*scale {
 		t.Fatalf("contracted solution off by %g (scale %g)", maxErr, scale)
+	}
+}
+
+// TestContractedWarmStartFromSolution: on a grid that really contracts,
+// a prepared Solver equals the one-shot solve bit for bit, and a warm
+// start from that solution restricts back to the contracted iterate it
+// was expanded from, so it converges in zero iterations.
+func TestContractedWarmStartFromSolution(t *testing.T) {
+	s, b := viaGrid(t)
+	for _, m := range []Method{MethodPowerRush, MethodPowerRChol} {
+		opt := Options{Method: m, Transform: TransformMerge, Tol: 1e-10, MaxIter: 5000, Seed: 3}
+		oneShot, err := Solve(s, b, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		solver, err := NewSolver(s, opt)
+		if err != nil {
+			t.Fatalf("%v: NewSolver: %v", m, err)
+		}
+		if solver.N() != s.N() {
+			t.Fatalf("%v: Solver.N() = %d, want the original %d", m, solver.N(), s.N())
+		}
+		cold, err := solver.Solve(b)
+		if err != nil {
+			t.Fatalf("%v: prepared Solve: %v", m, err)
+		}
+		assertBitwise(t, m.String()+" contracted prepared", cold.X, oneShot.X)
+		warm, err := solver.SolveFrom(b, oneShot.X)
+		if err != nil {
+			t.Fatalf("%v: warm SolveFrom: %v", m, err)
+		}
+		if warm.Iterations != 0 {
+			t.Fatalf("%v: warm start from the solution took %d iterations, want 0", m, warm.Iterations)
+		}
+		assertBitwise(t, m.String()+" warm start", warm.X, oneShot.X)
 	}
 }
 
@@ -288,7 +368,7 @@ func TestIndexWidthEquivalence(t *testing.T) {
 
 // TestIndexWidthEquivalencePrepared: the prepared front-end under
 // IndexCompact — where both the factor and the iteration matrix live in
-// int32 storage and PCG multiplies through the Op entry points — must
+// int32 storage — must
 // agree bitwise with the wide prepared Solver, cold and warm starts
 // alike. This round-trip is also the tripwire guarding the seed-state
 // contract: a compact build that consumed randomness differently would
@@ -296,9 +376,6 @@ func TestIndexWidthEquivalence(t *testing.T) {
 func TestIndexWidthEquivalencePrepared(t *testing.T) {
 	s, b, _ := testProblem(t)
 	for _, mi := range Methods() {
-		if !mi.Prepared {
-			continue
-		}
 		name := mi.Name
 		wideSolver, err := NewSolver(s, equivalenceOpt(mi.Method, OrderDefault))
 		if err != nil {
@@ -327,8 +404,8 @@ func TestIndexWidthEquivalencePrepared(t *testing.T) {
 		}
 		assertBitwise(t, name+" prepared index-width equivalence", compact.X, wide.X)
 
-		// Warm start through SolveFromOp: perturb the solution and
-		// resolve; both widths must walk the identical trajectory.
+		// Warm start: perturb the solution and resolve; both widths
+		// must walk the identical trajectory.
 		x0 := make([]float64, len(wide.X))
 		for i, v := range wide.X {
 			x0[i] = v * 0.9
@@ -350,19 +427,17 @@ func TestIndexWidthEquivalencePrepared(t *testing.T) {
 // TestCancelEveryPreparedMethod: a pre-cancelled context must abort
 // NewSolverContext for every registered method — this is what forces
 // the transform/order/factorize stages of every composition (ichol,
-// feGRASS, AMG setup included) to carry the context. PowerRush has no
-// prepared form, so its one-shot setup is checked instead.
+// feGRASS, merge contraction, AMG setup included) to carry the
+// context — and the one-shot SolveContext, which builds through the
+// same constructor.
 func TestCancelEveryPreparedMethod(t *testing.T) {
 	s, b, _ := testProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, mi := range Methods() {
 		opt := equivalenceOpt(mi.Method, OrderDefault)
-		if !mi.Prepared {
-			if _, err := SolveContext(ctx, s, b, opt); !errors.Is(err, context.Canceled) {
-				t.Errorf("%s: one-shot setup under cancelled ctx: got %v, want context.Canceled", mi.Name, err)
-			}
-			continue
+		if _, err := SolveContext(ctx, s, b, opt); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: one-shot setup under cancelled ctx: got %v, want context.Canceled", mi.Name, err)
 		}
 		if _, err := NewSolverContext(ctx, s, opt); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: NewSolverContext under cancelled ctx: got %v, want context.Canceled", mi.Name, err)

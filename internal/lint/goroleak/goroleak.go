@@ -1,8 +1,8 @@
 // Package goroleak requires every go statement to have a visible
 // termination path.
 //
-// The solver's goroutines are all workers with a bounded life: parRange
-// and the batch pool tie theirs to a sync.WaitGroup, the level-scheduled
+// The solver's goroutines are all workers with a bounded life: the
+// batch pool ties its to a sync.WaitGroup, the level-scheduled
 // trisolve workers drain a channel that the coordinator closes, and the
 // cancellation paths select on ctx.Done(). A goroutine with none of
 // those — no WaitGroup discipline, no channel receive or range, no

@@ -20,9 +20,9 @@ import (
 // against the method that spawned the closure.
 type Func struct {
 	Name      string
-	File      string // repo-relative, slash-separated
-	Start     int    // line of the func keyword (doc comment excluded)
-	End       int    // line of the closing brace
+	File      string            // repo-relative, slash-separated
+	Start     int               // line of the func keyword (doc comment excluded)
+	End       int               // line of the closing brace
 	Contracts map[string]string // contract name -> reason
 }
 

@@ -35,7 +35,7 @@ var numeric = []string{
 // the PCG iteration. Inside these packages the hotalloc analyzer treats a
 // heap allocation in an innermost loop (or in a helper such a loop calls)
 // as a defect: the paper's O(|Nk|) clique-sampling complexity and the
-// parallel SpMV/trisolve throughput are both erased by per-iteration heap
+// SpMV/trisolve throughput are both erased by per-iteration heap
 // churn. Subpackages inherit the classification.
 var hot = []string{
 	"internal/chol",

@@ -241,18 +241,18 @@ func Notify(ch chan int) {
 		t.Fatalf("pglint passed a module with deliberate violations:\n%s", out)
 	}
 	wants := []string{
-		"import of math/rand is banned",             // bannedimport
-		"range over map is order-dependent",         // maprange
-		"between computed floats",                   // floateq
-		"without a Put",                             // poolleak
-		"severing the errors.Is/As chain",           // errwrapcheck
-		"context.Background in library code",        // ctxflow
-		"make in an innermost loop of a hot kernel", // hotalloc
-		"tie the goroutine to a WaitGroup",          // goroleak
-		"is returned before Put",                    // poolescape
-		"is not unlocked on every path to return",   // lockcheck
-		"but plainly here",                          // atomicmix
-		"determinism-tainted value reaches",         // detflow
+		"import of math/rand is banned",                            // bannedimport
+		"range over map is order-dependent",                        // maprange
+		"between computed floats",                                  // floateq
+		"without a Put",                                            // poolleak
+		"severing the errors.Is/As chain",                          // errwrapcheck
+		"context.Background in library code",                       // ctxflow
+		"make in an innermost loop of a hot kernel",                // hotalloc
+		"tie the goroutine to a WaitGroup",                         // goroleak
+		"is returned before Put",                                   // poolescape
+		"is not unlocked on every path to return",                  // lockcheck
+		"but plainly here",                                         // atomicmix
+		"determinism-tainted value reaches",                        // detflow
 		"channel send in a goroutine has no non-blocking evidence", // sendblock
 	}
 	for _, want := range wants {

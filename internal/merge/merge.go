@@ -124,6 +124,19 @@ func (c *Contraction) FoldRHS(b []float64) []float64 {
 	return cb
 }
 
+// Restrict maps an original-space vector into the contracted space for
+// warm starts: each supernode takes the value of its highest-numbered
+// member. It is a right inverse of Expand — Restrict(Expand(cx)) == cx —
+// so a solution expanded out of the contraction restricts back to
+// exactly the contracted iterate it came from.
+func (c *Contraction) Restrict(x []float64) []float64 {
+	cx := make([]float64, c.N)
+	for i, r := range c.Rep {
+		cx[r] = x[i]
+	}
+	return cx
+}
+
 // Expand maps a contracted-space solution back to original nodes.
 func (c *Contraction) Expand(cx []float64) []float64 {
 	x := make([]float64, len(c.Rep))

@@ -126,3 +126,43 @@ func TestExpandFoldShapes(t *testing.T) {
 		t.Fatalf("Expand length %d, want %d", len(x), s.N())
 	}
 }
+
+// TestRestrictInvertsExpand: restricting an expanded contracted vector
+// recovers it bit for bit, and restriction takes a member's value.
+func TestRestrictInvertsExpand(t *testing.T) {
+	s := testmat.GridSDDM(6, 6)
+	for i := range s.G.Edges {
+		if i%3 == 0 {
+			s.G.Edges[i].W = 1e9
+		}
+	}
+	c := Contract(s, 0)
+	if c.N >= s.N() {
+		t.Fatal("nothing contracted")
+	}
+	cx := make([]float64, c.N)
+	for i := range cx {
+		cx[i] = 0.1*float64(i) + 1/3.0
+	}
+	back := c.Restrict(c.Expand(cx))
+	for i := range cx {
+		if math.Float64bits(back[i]) != math.Float64bits(cx[i]) {
+			t.Fatalf("Restrict(Expand(cx))[%d] = %v, want %v", i, back[i], cx[i])
+		}
+	}
+	x := make([]float64, s.N())
+	for i := range x {
+		x[i] = float64(i)
+	}
+	for r, v := range c.Restrict(x) {
+		found := false
+		for i, ri := range c.Rep {
+			if ri == r && x[i] == v { //pglint:float-exact restriction copies a member's value verbatim
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("supernode %d took %v, not a member's value", r, v)
+		}
+	}
+}

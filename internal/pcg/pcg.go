@@ -56,13 +56,6 @@ func (j *Jacobi) Apply(z, r []float64) {
 type Options struct {
 	Tol     float64 // relative residual ‖b-Ax‖₂/‖b‖₂ target; default 1e-6
 	MaxIter int     // default 500, the paper's divergence cutoff
-	// Workers > 1 runs the dense vector kernels (dot, axpy, norm) across
-	// that many goroutines above sparse.ParThreshold. The reductions use
-	// deterministic blocked summation, so results are reproducible for a
-	// fixed Workers value but may differ in the last bits from the serial
-	// (Workers <= 1) path. The matrix-vector product is the caller's
-	// closure and parallelizes independently.
-	Workers int
 
 	// Ctx, when non-nil, is checked once per iteration; on cancellation
 	// the solve stops and returns the best iterate found so far with an
@@ -120,26 +113,16 @@ func Solve(a *sparse.CSC, b []float64, m Preconditioner, opt Options) (*Result, 
 	return SolveOp(a.Rows, mul, b, m, opt)
 }
 
-// SolveFrom is Solve starting from the initial guess x0 (which is not
-// modified). Warm starts pay off when consecutive right-hand sides are
-// close, e.g. across transient time steps.
-func SolveFrom(a *sparse.CSC, b, x0 []float64, m Preconditioner, opt Options) (*Result, error) {
-	mul := func(y, x []float64) { a.MulVec(y, x) }
-	return solveOp(a.Rows, mul, b, x0, m, opt)
-}
-
 // SolveOp is Solve for an implicit operator y = A·x.
 func SolveOp(n int, mul func(y, x []float64), b []float64, m Preconditioner, opt Options) (*Result, error) {
-	return solveOp(n, mul, b, nil, m, opt)
+	return SolveFromOp(n, mul, b, nil, m, opt)
 }
 
-// SolveFromOp is SolveFrom for an implicit operator y = A·x: a warm
-// start without requiring the system in CSC form.
+// SolveFromOp is SolveOp starting from the initial guess x0 (which is
+// not modified); a nil x0 is a cold start, identical to SolveOp. Warm
+// starts pay off when consecutive right-hand sides are close, e.g.
+// across transient time steps.
 func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner, opt Options) (*Result, error) {
-	return solveOp(n, mul, b, x0, m, opt)
-}
-
-func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner, opt Options) (*Result, error) {
 	if opt.Tol == 0 {
 		opt.Tol = 1e-6
 	}
@@ -156,19 +139,19 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 		return nil, fmt.Errorf("pcg: initial guess has length %d, want %d", len(x0), n)
 	}
 
-	nw := opt.Workers
 	stagFactor := opt.StagnationFactor
 	if stagFactor == 0 {
 		stagFactor = 0.5
 	}
 
 	x := make([]float64, n)
-	r := append([]float64(nil), b...)
+	r := make([]float64, n)
+	copy(r, b)
 	z := make([]float64, n)
 	p := make([]float64, n)
 	ap := make([]float64, n)
 
-	bnorm := sparse.Norm2Par(b, nw)
+	bnorm := sparse.Norm2(b)
 	if math.IsNaN(bnorm) || math.IsInf(bnorm, 0) {
 		return nil, fmt.Errorf("pcg: right-hand side contains non-finite values")
 	}
@@ -178,8 +161,8 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 	if x0 != nil {
 		copy(x, x0)
 		mul(ap, x) // r = b - A·x0
-		sparse.AxpyPar(r, r, -1, ap, nw)
-		if rel := sparse.Norm2Par(r, nw) / bnorm; rel < opt.Tol {
+		sparse.AxpyTo(r, r, -1, ap)
+		if rel := sparse.Norm2(r) / bnorm; rel < opt.Tol {
 			return &Result{X: x, Converged: true, Residual: rel}, nil
 		}
 	}
@@ -187,7 +170,7 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 	res := &Result{}
 	m.Apply(z, r)
 	copy(p, z)
-	rz := sparse.DotPar(r, z, nw)
+	rz := sparse.Dot(r, z)
 	if rz <= 0 || math.IsNaN(rz) {
 		return nil, fmt.Errorf("%w: r'z = %g at start", ErrIndefinite, rz)
 	}
@@ -227,7 +210,7 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 			}
 		}
 		mul(ap, p)
-		pap := sparse.DotPar(p, ap, nw)
+		pap := sparse.Dot(p, ap)
 		if pap <= 0 || math.IsNaN(pap) {
 			return nil, fmt.Errorf("%w: p'Ap = %g at iteration %d", ErrIndefinite, pap, iter)
 		}
@@ -237,14 +220,14 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 				//pglint:hotalloc second iterate buffer, made once per solve on the first update after an improvement
 				spare = make([]float64, n)
 			}
-			sparse.AxpyPar(spare, x, alpha, p, nw)
+			sparse.AxpyTo(spare, x, alpha, p)
 			x, spare = spare, x
 		} else {
-			sparse.AxpyPar(x, x, alpha, p, nw)
+			sparse.AxpyTo(x, x, alpha, p)
 		}
-		sparse.AxpyPar(r, r, -alpha, ap, nw)
+		sparse.AxpyTo(r, r, -alpha, ap)
 
-		rel := sparse.Norm2Par(r, nw) / bnorm
+		rel := sparse.Norm2(r) / bnorm
 		res.History = append(res.History, rel)
 		res.Iterations = iter
 		res.Residual = rel
@@ -271,7 +254,7 @@ func solveOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner,
 		}
 
 		m.Apply(z, r)
-		rzNew := sparse.DotPar(r, z, nw)
+		rzNew := sparse.Dot(r, z)
 		if rzNew <= 0 || math.IsNaN(rzNew) {
 			return nil, fmt.Errorf("%w: r'z = %g at iteration %d", ErrIndefinite, rzNew, iter)
 		}

@@ -1,6 +1,7 @@
-// Package pipeline is the staged setup layer shared by both solve
-// front-ends of the powerrchol module: the one-shot Solve path and the
-// prepared (amortized) Solver path. A solve setup is a plan — one or
+// Package pipeline is the staged setup layer behind the powerrchol
+// module's one solve driver: every Solver — prepared by NewSolver, or
+// built per rung by the one-shot Solve — is made from a Setup the
+// Runner returns. A solve setup is a plan — one or
 // more rungs, each the composition of an optional Transformer (feGRASS
 // sparsify, PowerRush resistor-merge contraction, identity), an Orderer
 // (Alg. 4, AMD, RCM, ND, natural, with the heavy-node tie-break RNG on
@@ -9,7 +10,8 @@
 // direct Cholesky) is plan rewriting: attemptPlan lays the rungs out up
 // front and the Runner simply walks them, so both front-ends get the
 // identical ladder, per-stage timings and Attempt trail from one piece
-// of code.
+// of code. A contracting transform hands back Fold/Expand/Restrict maps
+// with its Setup, so both front-ends accept every plan.
 //
 // The registry (registry.go) maps each public Method to its default
 // stage composition; Config.Transform overrides the transform stage
@@ -61,11 +63,6 @@ type Config struct {
 
 	Retry RetryPolicy
 
-	// Prepared rejects plans that contract the unknowns: the amortized
-	// Solver front-end solves in the original node space, so a
-	// contraction-bearing plan must use the one-shot path.
-	Prepared bool
-
 	// FactorOpts and WrapPrecond intercept the per-attempt pipeline for
 	// deterministic fault injection in tests; always nil in production.
 	FactorOpts  func(attempt int, o core.Options) core.Options
@@ -96,9 +93,11 @@ type Setup struct {
 	// for the matrix-free preconditioners.
 	FactorIndexBytes int
 	// Fold and Expand map right-hand sides into and solutions out of the
-	// transformed space; nil means identity.
-	Fold   func(b []float64) []float64
-	Expand func(x []float64) []float64
+	// transformed space, Restrict maps warm-start guesses in; nil means
+	// identity.
+	Fold     func(b []float64) []float64
+	Expand   func(x []float64) []float64
+	Restrict func(x []float64) []float64
 	// Reorder (transform + ordering) and Factorize are this rung's
 	// per-stage setup timings.
 	Reorder   time.Duration
@@ -136,19 +135,15 @@ type Plan struct {
 }
 
 // Compile resolves cfg against the method registry and lays the rungs
-// out. It fails fast on an unknown method or transform, and on a
-// contraction-bearing plan when cfg.Prepared is set.
+// out. It fails fast on an unknown method or transform.
 func Compile(cfg Config) (*Plan, error) {
 	spec, err := specFor(cfg.Method)
 	if err != nil {
 		return nil, err
 	}
-	transform, resolved, err := transformerFor(spec, cfg)
+	transform, err := transformerFor(spec, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Prepared && resolved == TransformMerge {
-		return nil, errContracts(cfg)
 	}
 	p := &Plan{cfg: cfg, spec: spec, transform: transform}
 	if spec.Ladder {
@@ -183,13 +178,6 @@ func NewRunner(sys *graph.SDDM, cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	return p.NewRunner(sys), nil
-}
-
-func errContracts(cfg Config) error {
-	if cfg.Method == MethodPowerRush {
-		return errors.New("powerrchol: MethodPowerRush contracts the system; use Solve instead of NewSolver")
-	}
-	return errors.New("powerrchol: TransformMerge contracts the system; use Solve instead of NewSolver")
 }
 
 // Ladder reports whether this plan is subject to the recovery ladder
@@ -293,6 +281,7 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 		FactorIndexBytes: idxBytes,
 		Fold:             tr.Fold,
 		Expand:           tr.Expand,
+		Restrict:         tr.Restrict,
 		Reorder:          reorder,
 		Factorize:        factorize,
 	}, att, nil

@@ -8,9 +8,9 @@ import (
 )
 
 // Spec is one registered method composition: which stages a method's
-// plan is assembled from, and how it behaves under the recovery ladder
-// and the prepared-solver front-end. The registry is the single source
-// of truth both front-ends (and the pgsolve method table) derive from.
+// plan is assembled from, and how it behaves under the recovery ladder.
+// The registry is the single source of truth the solve driver (and the
+// pgsolve method table) derive from.
 type Spec struct {
 	Method Method
 	// DefaultOrdering resolves OrderDefault for this method (the paper's
@@ -142,13 +142,11 @@ type MethodInfo struct {
 	Transform Transform // default transform stage
 	Factor    string    // factorizer stage name
 	Ladder    bool      // randomized; subject to the recovery ladder
-	Prepared  bool      // supported by NewSolver (amortized front-end)
 	Summary   string
 }
 
 // Methods returns the registry as a table, sorted by Method value, for
-// CLIs and documentation. A method is Prepared unless its default plan
-// contracts the unknowns (PowerRush).
+// CLIs and documentation.
 func Methods() []MethodInfo {
 	out := make([]MethodInfo, 0, len(specs))
 	for _, s := range specs {
@@ -160,7 +158,6 @@ func Methods() []MethodInfo {
 			Transform: s.DefaultTransform,
 			Factor:    s.FactorName,
 			Ladder:    s.Ladder,
-			Prepared:  s.DefaultTransform != TransformMerge,
 			Summary:   s.Summary,
 		})
 	}
@@ -172,14 +169,14 @@ func Methods() []MethodInfo {
 // TransformDefault picks the spec's own stage; the recovery budget for
 // feGRASS sparsification keeps the per-method paper defaults (2%|V|,
 // 50%|V| for the IChol variant) unless overridden.
-func transformerFor(spec *Spec, cfg Config) (Transformer, Transform, error) {
+func transformerFor(spec *Spec, cfg Config) (Transformer, error) {
 	t := cfg.Transform
 	if t == TransformDefault {
 		t = spec.DefaultTransform
 	}
 	switch t {
 	case TransformNone:
-		return identityTransformer{}, t, nil
+		return identityTransformer{}, nil
 	case TransformFeGRASS:
 		frac := cfg.RecoverFrac
 		if frac == 0 {
@@ -189,9 +186,9 @@ func transformerFor(spec *Spec, cfg Config) (Transformer, Transform, error) {
 				frac = fegrass.DefaultRecoverFrac
 			}
 		}
-		return fegrassTransformer{frac: frac}, t, nil
+		return fegrassTransformer{frac: frac}, nil
 	case TransformMerge:
-		return mergeTransformer{factor: cfg.MergeFactor}, t, nil
+		return mergeTransformer{factor: cfg.MergeFactor}, nil
 	}
-	return nil, t, fmt.Errorf("powerrchol: unknown transform %v", cfg.Transform)
+	return nil, fmt.Errorf("powerrchol: unknown transform %v", cfg.Transform)
 }

@@ -77,13 +77,14 @@ func (o funcOrderer) Order(g *graph.Graph, _ *rng.Rand) []int {
 // Transformed is a Transformer's output: the system the ordering and
 // factorization stages see (Precond), the system PCG iterates on
 // (Iterate), and, when the transform changes the unknowns, the maps
-// between original and transformed right-hand sides and solutions
-// (nil = identity).
+// between original and transformed right-hand sides, solutions and
+// warm-start guesses (nil = identity).
 type Transformed struct {
-	Precond *graph.SDDM
-	Iterate *graph.SDDM
-	Fold    func(b []float64) []float64
-	Expand  func(x []float64) []float64
+	Precond  *graph.SDDM
+	Iterate  *graph.SDDM
+	Fold     func(b []float64) []float64
+	Expand   func(x []float64) []float64
+	Restrict func(x []float64) []float64
 }
 
 // Transformer is the optional sparsify/contract stage. Its cost is
@@ -116,13 +117,14 @@ func (t fegrassTransformer) Transform(ctx context.Context, sys *graph.SDDM) (*Tr
 
 // mergeTransformer contracts small resistors (PowerRush): every later
 // stage, including PCG, runs on the contracted system; Fold/Expand map
-// right-hand sides and solutions across the contraction.
+// right-hand sides and solutions across the contraction, Restrict maps
+// warm-start guesses into it.
 type mergeTransformer struct{ factor float64 }
 
 func (mergeTransformer) Name() string { return "merge" }
 func (t mergeTransformer) Transform(_ context.Context, sys *graph.SDDM) (*Transformed, error) {
 	c := merge.Contract(sys, t.factor)
-	return &Transformed{Precond: c.System, Iterate: c.System, Fold: c.FoldRHS, Expand: c.Expand}, nil
+	return &Transformed{Precond: c.System, Iterate: c.System, Fold: c.FoldRHS, Expand: c.Expand, Restrict: c.Restrict}, nil
 }
 
 // Factorizer builds the preconditioner from the (transformed) system

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"powerrchol"
+	"powerrchol/internal/graph"
+	"powerrchol/internal/testmat"
 )
 
 func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
@@ -37,7 +39,12 @@ func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 // fingerprint and size.
 func ingestTestGrid(t *testing.T, url string, nx, ny int) (string, int) {
 	t.Helper()
-	sys := testSystem(nx, ny)
+	return ingestSystem(t, url, testSystem(nx, ny))
+}
+
+// ingestSystem posts sys and returns its wire fingerprint and size.
+func ingestSystem(t *testing.T, url string, sys *graph.SDDM) (string, int) {
+	t.Helper()
 	edges := make([][3]float64, 0, sys.G.M())
 	for _, e := range sys.G.Edges {
 		edges = append(edges, [3]float64{float64(e.U), float64(e.V), e.W})
@@ -98,6 +105,55 @@ func TestServerSolveRoundTrip(t *testing.T) {
 	}
 	if !out2.CacheHit {
 		t.Fatal("second request missed the solver cache")
+	}
+}
+
+// TestServerPowerRushMatchesSolve: a service configured for PowerRush
+// prepares the contracting plan like any other and answers, on the
+// cache miss and on a hit, bit for bit what a one-shot Solve returns.
+func TestServerPowerRushMatchesSolve(t *testing.T) {
+	opt := powerrchol.Options{Method: powerrchol.MethodPowerRush, Tol: 1e-10}
+	_, ts := newTestServer(t, Config{Options: opt})
+	// Near-short-circuit vias on every seventh wire, so the merge
+	// transform really contracts the grid.
+	g := testmat.Grid2D(10, 10)
+	for i := range g.Edges {
+		if i%7 == 0 {
+			g.Edges[i].W = 1e7
+		}
+	}
+	d := make([]float64, g.N)
+	d[0], d[g.N-1] = 1, 1
+	sys, err := graph.NewSDDM(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, n := ingestSystem(t, ts.URL, sys)
+	b := testRHS(n, 21)
+	ref, err := powerrchol.Solve(sys, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wantHit := range []bool{false, true} {
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Grid: grid, B: b})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve status %d: %s", resp.StatusCode, body)
+		}
+		var out SolveResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.CacheHit != wantHit {
+			t.Fatalf("cache_hit = %v, want %v", out.CacheHit, wantHit)
+		}
+		if len(out.X) != n {
+			t.Fatalf("len(x) = %d, want the original %d nodes", len(out.X), n)
+		}
+		for i := range ref.X {
+			if math.Float64bits(out.X[i]) != math.Float64bits(ref.X[i]) {
+				t.Fatalf("X[%d] = %g differs from one-shot referee %g", i, out.X[i], ref.X[i])
+			}
+		}
 	}
 }
 
@@ -185,7 +241,7 @@ func TestServerErrorStatuses(t *testing.T) {
 		want int
 	}{
 		{"unknown grid", SolveRequest{Grid: "beef", B: testRHS(n, 1)}, http.StatusNotFound},
-		{"bad rhs length", SolveRequest{Grid: grid, B: testRHS(n + 3, 1)}, http.StatusBadRequest},
+		{"bad rhs length", SolveRequest{Grid: grid, B: testRHS(n+3, 1)}, http.StatusBadRequest},
 		{"no rhs", SolveRequest{Grid: grid}, http.StatusBadRequest},
 		{"return out of range", SolveRequest{Grid: grid, B: testRHS(n, 1), Return: []int{n}}, http.StatusBadRequest},
 	}

@@ -1,12 +1,8 @@
 package sparse
 
-import "sync"
-
-// CSR is a compressed sparse row matrix. For matrix-vector products CSR
-// beats CSC on modern hardware: each output element is a contiguous dot
-// product (no scatter), and rows partition trivially across goroutines.
-// The paper's experiments are single-core; parallel products are an
-// opt-in extension (see Options.Workers in the facade).
+// CSR is a compressed sparse row matrix: the row-major copy of a
+// triangular factor that the level-scheduled solves (TriSolver,
+// TriSolver32) gather from, one contiguous row per unknown.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
@@ -46,76 +42,3 @@ func (a *CSC) ToCSR() *CSR {
 
 // NNZ returns the stored entry count.
 func (a *CSR) NNZ() int { return a.RowPtr[a.Rows] }
-
-// MulVec computes y = A·x row by row. The row-pointer walk carries each
-// row's end into the next iteration and ranges over the per-row window,
-// so only the data-dependent x gather keeps a bounds check (pgoptcheck
-// rule bce); the accumulation order is unchanged.
-//
-//pgopt:noescape one SpMV per PCG iteration; scratch-free by design
-func (a *CSR) MulVec(y, x []float64) {
-	n := a.Rows
-	y = y[:n]
-	p := a.RowPtr[0]
-	for i, end := range a.RowPtr[1 : n+1 : n+1] {
-		cols := a.ColIdx[p:end]
-		vals := a.Val[p:end]
-		vals = vals[:len(cols)]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] = s
-		p = end
-	}
-}
-
-// MulVecParallel computes y = A·x with rows partitioned across `workers`
-// goroutines, balanced by nonzero count rather than row count so skewed
-// matrices (power-law graphs) do not serialize on their hub rows.
-func (a *CSR) MulVecParallel(y, x []float64, workers int) {
-	if workers <= 1 || a.Rows < 4*workers {
-		a.MulVec(y, x)
-		return
-	}
-	bp := getBounds(workers + 1)
-	bounds := *bp
-	nnzPartitionInto(bounds, a.RowPtr, a.Rows, workers)
-	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := bounds[w], bounds[w+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		//pglint:hotalloc one closure per worker per call, bounded by the worker count, fenced by wg.Wait
-		go func(lo, hi int) {
-			defer wg.Done()
-			ys := y[lo:hi]
-			p := rowPtr[lo]
-			for i, end := range rowPtr[lo+1 : hi+1] {
-				cols := colIdx[p:end]
-				vals := val[p:end]
-				vals = vals[:len(cols)]
-				var s float64
-				for k, c := range cols {
-					s += vals[k] * x[c]
-				}
-				ys[i] = s
-				p = end
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	putBounds(bp)
-}
-
-// partition returns workers+1 row boundaries with roughly equal nonzeros
-// per slice. Allocating convenience form of nnzPartitionInto (tests and
-// diagnostics; the solve path uses the pooled in-place variant).
-func (a *CSR) partition(workers int) []int {
-	bounds := make([]int, workers+1)
-	nnzPartitionInto(bounds, a.RowPtr, a.Rows, workers)
-	return bounds
-}

@@ -219,18 +219,6 @@ func (a *CSC32) MulVec(y, x []float64) {
 	}
 }
 
-// MulVecTrans computes y = Aᵀ·x in gather form, bitwise identical to
-// CSC.MulVecTrans.
-func (a *CSC32) MulVecTrans(y, x []float64) {
-	for j := 0; j < a.Cols; j++ {
-		var s float64
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			s += a.Val[p] * x[a.RowIdx[p]]
-		}
-		y[j] = s
-	}
-}
-
 // ToCSR converts to compact CSR storage, same construction as CSC.ToCSR.
 func (a *CSC32) ToCSR() *CSR32 {
 	t := &CSR32{
@@ -265,18 +253,4 @@ type CSR32 struct {
 	RowPtr     []int32
 	ColIdx     []int32
 	Val        []float64
-}
-
-// NNZ returns the stored entry count.
-func (a *CSR32) NNZ() int { return int(a.RowPtr[a.Rows]) }
-
-// MulVec computes y = A·x row by row, bitwise identical to CSR.MulVec.
-func (a *CSR32) MulVec(y, x []float64) {
-	for i := 0; i < a.Rows; i++ {
-		var s float64
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			s += a.Val[p] * x[a.ColIdx[p]]
-		}
-		y[i] = s
-	}
 }

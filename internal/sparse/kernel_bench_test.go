@@ -83,8 +83,8 @@ func BenchmarkTriSolver32LowerSolve(b *testing.B) {
 	}
 }
 
-func BenchmarkCSRMulVec(b *testing.B) {
-	a := benchCSR(b)
+func BenchmarkCSCMulVec(b *testing.B) {
+	a := randCSC(rng.New(1), 20000, 20000, 200000)
 	x := randVec(rng.New(12), a.Cols)
 	y := make([]float64, a.Rows)
 	b.ReportAllocs()
@@ -93,6 +93,8 @@ func BenchmarkCSRMulVec(b *testing.B) {
 		a.MulVec(y, x)
 	}
 }
+
+var sink float64
 
 func BenchmarkDot(b *testing.B) {
 	r := rng.New(13)

@@ -6,55 +6,13 @@ import (
 	"powerrchol/internal/rng"
 )
 
-// Microbenchmarks for the parallel kernels, sized so the parallel path
-// (not the serial fallback) is exercised. The interesting column is
-// allocs/op: these kernels sit inside every PCG iteration, so per-call
-// partition scratch, reduction partials, or per-level goroutine spawns
-// show up here long before they move a wall-clock benchmark.
+// Microbenchmark for the level-scheduled triangular solve, sized so the
+// parallel path (not the serial fallback) is exercised. The interesting
+// column is allocs/op: the solve sits inside every PCG iteration, so
+// per-level goroutine spawns show up here long before they move a
+// wall-clock benchmark.
 
 const benchWorkers = 4
-
-func benchCSR(b *testing.B) *CSR {
-	b.Helper()
-	r := rng.New(1)
-	return randCSC(r, 20000, 20000, 200000).ToCSR()
-}
-
-func BenchmarkMulVecParallel(b *testing.B) {
-	a := benchCSR(b)
-	x := randVec(rng.New(2), a.Cols)
-	y := make([]float64, a.Rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecParallel(y, x, benchWorkers)
-	}
-}
-
-func BenchmarkMulVecTransParallel(b *testing.B) {
-	r := rng.New(3)
-	a := randCSC(r, 20000, 20000, 200000)
-	x := randVec(r, a.Rows)
-	y := make([]float64, a.Cols)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecTransParallel(y, x, benchWorkers)
-	}
-}
-
-func BenchmarkDotPar(b *testing.B) {
-	r := rng.New(4)
-	x := randVec(r, 1<<20)
-	y := randVec(r, 1<<20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = DotPar(x, y, benchWorkers)
-	}
-}
-
-var sink float64
 
 func BenchmarkTriSolverLowerSolve(b *testing.B) {
 	r := rng.New(5)

@@ -7,11 +7,9 @@ import (
 	"powerrchol/internal/rng"
 )
 
-// Property tests for the parallel kernels: every parallel op must agree
-// with its serial counterpart — bitwise where the implementation
-// guarantees it (axpy, SpMV, triangular solves), to rounding otherwise
-// (blocked reductions) — including the below-threshold serial fallback
-// and the n=0 / n=1 edge cases.
+// Property tests for the level-scheduled triangular solves: the parallel
+// solves must agree bitwise with their serial counterparts, including
+// the below-threshold serial fallback and the n=0 / n=1 edge cases.
 
 func randVec(r *rng.Rand, n int) []float64 {
 	v := make([]float64, n)
@@ -60,102 +58,6 @@ func bitwiseEqual(t *testing.T, what string, got, want []float64) {
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: entry %d = %v, serial %v (not bitwise equal)", what, i, got[i], want[i])
-		}
-	}
-}
-
-func TestDotParMatchesSerial(t *testing.T) {
-	r := rng.New(11)
-	for _, n := range []int{0, 1, 2, 100, ParThreshold - 1, ParThreshold, ParThreshold + 3, 3 * ParThreshold} {
-		x, y := randVec(r, n), randVec(r, n)
-		want := Dot(x, y)
-		for _, w := range []int{1, 2, 4, 7} {
-			got := DotPar(x, y, w)
-			scale := math.Abs(want) + float64(n) + 1
-			if math.Abs(got-want) > 1e-12*scale {
-				t.Fatalf("DotPar(n=%d, workers=%d) = %v, serial %v", n, w, got, want)
-			}
-		}
-		// determinism: identical bits for every parallel worker count
-		if n >= ParThreshold {
-			ref := DotPar(x, y, 2)
-			for _, w := range []int{3, 4, 8, 16} {
-				if got := DotPar(x, y, w); math.Float64bits(got) != math.Float64bits(ref) {
-					t.Fatalf("DotPar(n=%d) differs between workers=2 and workers=%d: %v vs %v", n, w, ref, got)
-				}
-			}
-		}
-	}
-}
-
-func TestNorm2ParMatchesSerial(t *testing.T) {
-	r := rng.New(12)
-	for _, n := range []int{0, 1, 100, ParThreshold, 2*ParThreshold + 17} {
-		x := randVec(r, n)
-		want := Norm2(x)
-		for _, w := range []int{1, 3, 8} {
-			got := Norm2Par(x, w)
-			if math.Abs(got-want) > 1e-12*(want+1) {
-				t.Fatalf("Norm2Par(n=%d, workers=%d) = %v, serial %v", n, w, got, want)
-			}
-		}
-	}
-}
-
-func TestAxpyParBitwiseEqualsSerial(t *testing.T) {
-	r := rng.New(13)
-	for _, n := range []int{0, 1, 100, ParThreshold, 2 * ParThreshold} {
-		x := randVec(r, n)
-		y0 := randVec(r, n)
-		want := append([]float64(nil), y0...)
-		Axpy(want, 0.37, x)
-		for _, w := range []int{1, 2, 5, 16} {
-			got := append([]float64(nil), y0...)
-			AxpyPar(got, got, 0.37, x, w)
-			bitwiseEqual(t, "AxpyPar", got, want)
-			// Out of place: dst gets the same bits.
-			dst := make([]float64, n)
-			AxpyPar(dst, y0, 0.37, x, w)
-			bitwiseEqual(t, "AxpyPar out of place", dst, want)
-		}
-	}
-}
-
-func TestMulVecParallelBitwiseEqualsSerial(t *testing.T) {
-	r := rng.New(14)
-	for _, n := range []int{1, 50, 900} {
-		a := randCSC(r, n, n, 6*n).ToCSR()
-		x := randVec(r, n)
-		want := make([]float64, n)
-		a.MulVec(want, x)
-		for _, w := range []int{1, 2, 4, 9} {
-			got := make([]float64, n)
-			a.MulVecParallel(got, x, w)
-			bitwiseEqual(t, "MulVecParallel", got, want)
-		}
-	}
-}
-
-func TestMulVecTransParallelBitwiseEqualsSerial(t *testing.T) {
-	r := rng.New(15)
-	for _, nnzScale := range []int{2, 40} { // below and above ParThreshold
-		n := 500
-		a := randCSC(r, n, n, nnzScale*n)
-		x := randVec(r, n)
-		want := make([]float64, n)
-		a.MulVecTrans(want, x)
-		for _, w := range []int{1, 2, 4, 9} {
-			got := make([]float64, n)
-			a.MulVecTransParallel(got, x, w)
-			bitwiseEqual(t, "MulVecTransParallel", got, want)
-		}
-		// cross-check the gather form against the scatter form on Aᵀ
-		ref := make([]float64, n)
-		a.Transpose().MulVec(ref, x)
-		for i := range ref {
-			if math.Abs(ref[i]-want[i]) > 1e-12*(math.Abs(ref[i])+1) {
-				t.Fatalf("MulVecTrans disagrees with Transpose().MulVec at %d: %v vs %v", i, want[i], ref[i])
-			}
 		}
 	}
 }

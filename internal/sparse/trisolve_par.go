@@ -16,6 +16,11 @@ import "sync"
 // (matching LowerTransposeSolve) — so both parallel solves are bitwise
 // identical to their serial counterparts for every worker count.
 
+// ParThreshold is the dimension below which the level-scheduled solves
+// run serially: under ~8k unknowns the work per unknown (a few ns)
+// cannot amortize goroutine handoff.
+const ParThreshold = 8192
+
 // TriSolver precomputes the level schedule and a row-major (CSR) copy of
 // a lower-triangular factor L stored diag-first in CSC, enabling
 // parallel forward and transpose solves. The struct is read-only after

@@ -12,7 +12,7 @@ import "math"
 
 // Dot returns xᵀ·y.
 //
-//pgopt:inline,noescape called per PCG iteration and from every partial-sum worker
+//pgopt:inline,noescape called per PCG iteration
 func Dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s float64
@@ -49,7 +49,7 @@ func NormInf(x []float64) float64 {
 
 // Axpy computes y += alpha·x.
 //
-//pgopt:inline,noescape called twice per PCG iteration and from every blocked worker
+//pgopt:inline,noescape called per Lanczos step and by every residual check
 func Axpy(y []float64, alpha float64, x []float64) {
 	y = y[:len(x)]
 	for i, v := range x {
@@ -57,15 +57,14 @@ func Axpy(y []float64, alpha float64, x []float64) {
 	}
 }
 
-// axpyTo computes dst = y + alpha·x, the same float operations as Axpy
-// whether or not dst is y. It stays out of line: AxpyPar calls it from
-// both its serial and its per-worker path, and one compiled copy keeps
-// one set of bounds checks (pgoptcheck rule bce).
-//
-//go:noinline
-func axpyTo(dst, y []float64, alpha float64, x []float64) {
-	y = y[:len(x)]
-	dst = dst[:len(x)]
+// AxpyTo computes dst = y + alpha·x, the same float operations as Axpy
+// whether or not dst is y: PCG's out-of-place iterate update. All three
+// operands must have the same length; checking that up front lets the
+// compiler drop every per-element bounds check (pgoptcheck rule bce).
+func AxpyTo(dst, y []float64, alpha float64, x []float64) {
+	if len(dst) != len(x) || len(y) != len(x) {
+		panic("sparse: AxpyTo operand lengths differ")
+	}
 	for i, v := range x {
 		dst[i] = y[i] + alpha*v
 	}

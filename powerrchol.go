@@ -79,9 +79,8 @@ const (
 func MethodByName(name string) (Method, error) { return pipeline.MethodByName(name) }
 
 // MethodInfo is one row of the method registry: the stage composition a
-// method resolves to (default transform, ordering, factorizer), whether
-// it runs the recovery ladder, and whether the amortized Solver
-// front-end supports it.
+// method resolves to (default transform, ordering, factorizer) and
+// whether it runs the recovery ladder.
 type MethodInfo = pipeline.MethodInfo
 
 // Methods returns the method registry as a table sorted by Method
@@ -126,8 +125,8 @@ const (
 	TransformFeGRASS = pipeline.TransformFeGRASS
 	// TransformMerge contracts small resistors (PowerRush's trick) before
 	// every later stage; PCG iterates on the contracted system and the
-	// solution is expanded back to the original nodes. Not supported by
-	// NewSolver (the contraction changes the unknowns).
+	// solution is expanded back to the original nodes (warm starts are
+	// restricted into it).
 	TransformMerge = pipeline.TransformMerge
 )
 
@@ -192,18 +191,12 @@ type Options struct {
 	// MergeFactor overrides the PowerRush contraction threshold.
 	MergeFactor float64
 	// Workers enables goroutine parallelism when > 1. The paper's
-	// experiments are single-core; this is an opt-in extension.
-	//
-	// In the one-shot Solve API it parallelizes the PCG kernels of a
-	// single solve: row-partitioned SpMV, level-scheduled triangular
-	// solves, and blocked vector reductions (the reductions use a fixed
-	// block size, so results are reproducible for a given Workers value
-	// but may differ in the last bits from the serial path).
-	//
-	// In the amortized Solver API it sizes the SolveBatch worker pool
-	// (0 means runtime.NumCPU()) and level-schedules the factor's
-	// triangular solves; every individual solve stays bitwise identical
-	// to the serial path regardless of Workers.
+	// experiments are single-core; this is an opt-in extension. It
+	// level-schedules the factor's triangular solves across Workers
+	// goroutines and sizes the Solver.SolveBatch worker pool (0 means
+	// runtime.NumCPU() there). Neither changes a bit of any answer: a
+	// solve returns the same Result for every Workers value, on both
+	// front ends.
 	Workers int
 
 	// CompactIndex selects int32 index storage for the factor and the
@@ -279,9 +272,8 @@ func (o *Options) validate() error {
 }
 
 // pipelineConfig maps the public Options onto the setup pipeline's
-// Config. prepared marks the amortized Solver front-end, which rejects
-// contraction-bearing plans.
-func (o Options) pipelineConfig(prepared bool) pipeline.Config {
+// Config.
+func (o Options) pipelineConfig() pipeline.Config {
 	cfg := pipeline.Config{
 		Method:       o.Method,
 		Ordering:     o.Ordering,
@@ -296,7 +288,6 @@ func (o Options) pipelineConfig(prepared bool) pipeline.Config {
 		Workers:      o.Workers,
 		CompactIndex: o.CompactIndex,
 		Retry:        o.Retry,
-		Prepared:     prepared,
 	}
 	if o.Hooks != nil {
 		cfg.FactorOpts = o.Hooks.FactorOpts
@@ -308,8 +299,8 @@ func (o Options) pipelineConfig(prepared bool) pipeline.Config {
 // pcgOptions assembles the iteration options for one solve attempt.
 // Stagnation/divergence detection is armed only while recovery is
 // enabled, so a plain solve keeps exactly today's error surface.
-func (o Options) pcgOptions(ctx context.Context, workers int) pcg.Options {
-	p := pcg.Options{Tol: o.Tol, MaxIter: o.MaxIter, Workers: workers, Ctx: ctx}
+func (o Options) pcgOptions(ctx context.Context) pcg.Options {
+	p := pcg.Options{Tol: o.Tol, MaxIter: o.MaxIter, Ctx: ctx}
 	if o.Retry.MaxAttempts > 1 {
 		p.StagnationWindow = defaultStagnationWindow
 		p.StagnationFactor = defaultStagnationFactor
@@ -346,10 +337,10 @@ type Result struct {
 	// modes; 0 for the matrix-free preconditioners.
 	FactorIndexBytes int
 	// MemoryBytes estimates the solver-state footprint of this solve:
-	// factor values + indices, iteration-matrix storage and solve
-	// scratch, by the same formula Solver.MemoryBytes uses — so the
-	// pgbench trajectory reports the number the pgserved cache budgets
-	// against. 0 when the solve never assembled an iteration matrix.
+	// factor values + indices, iteration-matrix storage (none for an
+	// exact solve) and solve scratch — the MemoryBytes of the Solver
+	// that produced it, so the pgbench trajectory reports the number the
+	// pgserved cache budgets against.
 	MemoryBytes int
 	Timings     Timings
 	// BestIteration is the iteration that produced X. It equals
@@ -372,6 +363,15 @@ func Solve(sys *graph.SDDM, b []float64, opt Options) (*Result, error) {
 // poll it) and the PCG iteration (checked every iteration) promptly,
 // returning an error wrapping context.Canceled or
 // context.DeadlineExceeded.
+//
+// A one-shot solve is a prepared solve: each rung of the plan's
+// recovery ladder builds a Solver exactly as NewSolver does and solves
+// through the same path, so Solve and NewSolver+Solve agree bit for
+// bit. The only thing added here is the solve-time ladder: a
+// recoverable iteration failure (indefiniteness, stagnation,
+// divergence) moves on to the next rung. Result.Timings carries the
+// rung's setup in Reorder and Factorize, and its iteration-matrix
+// assembly inside Iterate (the paper's T_i).
 func SolveContext(ctx context.Context, sys *graph.SDDM, b []float64, opt Options) (*Result, error) {
 	if len(b) != sys.N() {
 		return nil, fmt.Errorf("powerrchol: rhs has length %d, want %d", len(b), sys.N())
@@ -382,11 +382,41 @@ func SolveContext(ctx context.Context, sys *graph.SDDM, b []float64, opt Options
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r, err := pipeline.NewRunner(sys, opt.pipelineConfig(false))
+	r, err := pipeline.NewRunner(sys, opt.pipelineConfig())
 	if err != nil {
 		return nil, err
 	}
-	return solvePipeline(ctx, r, sys, b, opt)
+	for {
+		s, err := newSolver(ctx, r, sys, opt)
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.solveContext(ctx, b, nil)
+		res.Timings.Reorder = s.setupReorder
+		res.Timings.Factorize = s.setupFactorize
+		res.Timings.Iterate += s.setupAssemble
+		if err == nil {
+			res.Attempts = r.Succeed(res.Iterations, res.Residual)
+			return res, nil
+		}
+		if ctxDone(err) {
+			return res, err
+		}
+		if r.FailSolve(err, res.Iterations, res.Residual) {
+			continue
+		}
+		if !r.Ladder() {
+			return res, err
+		}
+		if errors.Is(err, ErrNotConverged) {
+			// The cap was reached without a detected failure: retrying the
+			// same slow-but-healthy solve would only double the bill.
+			// Return the partial result with its trail.
+			res.Attempts = r.Trail()
+			return res, err
+		}
+		return res, &SolveError{Attempts: r.Trail(), Last: err}
+	}
 }
 
 // SolveCSC is Solve for a matrix already assembled in CSC form; the
@@ -419,93 +449,6 @@ func SolveSDD(a *sparse.CSC, b []float64, opt Options) (*Result, error) {
 	return res, err
 }
 
-// solvePipeline is the one-shot iteration driver shared by every method:
-// walk the Runner's plan, run the iteration phase (or the exact direct
-// apply) on each setup, and translate the outcome into the historical
-// result/error shape — SolveError wrapping and Attempt trails for ladder
-// (randomized) plans, raw errors elsewhere, ctx errors always unwrapped.
-func solvePipeline(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, b []float64, opt Options) (*Result, error) {
-	for {
-		setup, err := r.Next(ctx)
-		if err != nil {
-			if ctxDone(err) || !r.Ladder() {
-				return nil, err
-			}
-			return nil, &SolveError{Attempts: r.Trail(), Last: err}
-		}
-		res := &Result{FactorNNZ: setup.FactorNNZ, FactorIndexBytes: setup.FactorIndexBytes}
-		res.Timings.Reorder = setup.Reorder
-		res.Timings.Factorize = setup.Factorize
-
-		rhs := b
-		if setup.Fold != nil {
-			rhs = setup.Fold(b)
-		}
-
-		if setup.Exact {
-			// Complete factorization of the iterated system: one apply is
-			// the solve, no iteration phase (and no assembled iteration
-			// matrix in the footprint).
-			res.MemoryBytes = solverMemoryBytes(setup.Sys.N(), 0, 0, setup.FactorNNZ, setup.FactorIndexBytes)
-			t0 := time.Now()
-			x := make([]float64, setup.Sys.N())
-			setup.M.Apply(x, rhs)
-			if setup.Expand != nil {
-				x = setup.Expand(x)
-			}
-			res.Timings.Iterate = time.Since(t0)
-			res.X = x
-			res.Converged = true
-			res.Residual = relativeResidual(sys, x, b)
-			res.Attempts = r.Succeed(res.Iterations, res.Residual)
-			return res, nil
-		}
-
-		t0 := time.Now()
-		// Assembling the CSC once is faster than edge-list SpMV per
-		// iteration; with Workers > 1 the product runs row-parallel over a
-		// CSR copy, and under a compact index mode the matrix drops to
-		// int32 indices (bitwise-identical products).
-		mul, matNNZ, matIdxBytes, merr := iterationMul(setup.Sys.ToCSC(), opt)
-		if merr != nil {
-			return nil, merr
-		}
-		res.MemoryBytes = solverMemoryBytes(setup.Sys.N(), matNNZ, matIdxBytes, setup.FactorNNZ, setup.FactorIndexBytes)
-		pres, perr := pcg.SolveOp(setup.Sys.N(), mul, rhs, setup.M, opt.pcgOptions(ctx, opt.Workers))
-		res.Timings.Iterate = time.Since(t0)
-		if pres != nil {
-			fill(res, pres)
-			if setup.Expand != nil && pres.X != nil {
-				res.X = setup.Expand(pres.X)
-			}
-		}
-		if perr == nil && !res.Converged {
-			perr = notConverged(opt, res)
-		}
-		if perr == nil {
-			res.Attempts = r.Succeed(res.Iterations, res.Residual)
-			return res, nil
-		}
-		if ctxDone(perr) {
-			return res, perr
-		}
-		if r.FailSolve(perr, res.Iterations, res.Residual) {
-			continue
-		}
-		if !r.Ladder() {
-			return res, perr
-		}
-		if errors.Is(perr, ErrNotConverged) {
-			// The cap was reached without a detected failure: retrying the
-			// same slow-but-healthy solve would only double the bill.
-			// Return the partial result with its trail.
-			res.Attempts = r.Trail()
-			return res, perr
-		}
-		return res, &SolveError{Attempts: r.Trail(), Last: perr}
-	}
-}
-
 func ctxDone(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -518,35 +461,6 @@ func ctxDone(err error) bool {
 func solverMemoryBytes(n, matNNZ, matIndexBytes, factorNNZ, factorIndexBytes int) int {
 	const scratchVectors = 6
 	return 8*(matNNZ+factorNNZ) + matIndexBytes + factorIndexBytes + scratchVectors*8*n
-}
-
-// iterationMul builds the SpMV closure the iteration phase multiplies
-// with, honoring the index-mode and worker settings, and reports the
-// entry count and index bytes of the storage it settled on (feeding the
-// Result.MemoryBytes estimate). Compact and wide operators are bitwise
-// identical; an overflowing IndexCompact request is the only error.
-func iterationMul(a *sparse.CSC, opt Options) (func(y, x []float64), int, int, error) {
-	if opt.CompactIndex != IndexWide {
-		a32, err := sparse.CompactCSC(a)
-		switch {
-		case err == nil:
-			if opt.Workers > 1 {
-				csr := a32.ToCSR()
-				workers := opt.Workers
-				return func(y, x []float64) { csr.MulVecParallel(y, x, workers) }, a32.NNZ(), a32.IndexBytes(), nil
-			}
-			return a32.MulVec, a32.NNZ(), a32.IndexBytes(), nil
-		case opt.CompactIndex == IndexCompact:
-			return nil, 0, 0, err
-		}
-		// IndexAuto past the boundary: fall through to wide storage.
-	}
-	if opt.Workers > 1 {
-		csr := a.ToCSR()
-		workers := opt.Workers
-		return func(y, x []float64) { csr.MulVecParallel(y, x, workers) }, a.NNZ(), a.IndexBytes(), nil
-	}
-	return a.MulVec, a.NNZ(), a.IndexBytes(), nil
 }
 
 // notConverged builds the typed iteration-cap error for a populated

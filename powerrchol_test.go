@@ -185,12 +185,12 @@ func TestWorkersProduceIdenticalResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if serial.Iterations != parallel.Iterations {
-		t.Fatalf("parallel SpMV changed the iteration count: %d vs %d",
+		t.Fatalf("Workers changed the iteration count: %d vs %d",
 			serial.Iterations, parallel.Iterations)
 	}
 	for i := range serial.X {
 		if serial.X[i] != parallel.X[i] {
-			t.Fatalf("parallel SpMV changed the result at %d", i)
+			t.Fatalf("Workers changed the result at %d", i)
 		}
 	}
 }

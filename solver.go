@@ -34,13 +34,26 @@ import (
 // solve-time ladder.
 type Solver struct {
 	opt Options
+	// sys is the caller's system: the length Solve expects of b, the
+	// Fingerprint input and the reference of exact-solve residuals.
 	sys *graph.SDDM
-	// The assembled iteration matrix, in exactly one storage: wide (a)
-	// or compact int32 (a32) per Options.CompactIndex. The two multiply
-	// to identical bits, so the width is invisible to solve results.
-	a   *sparse.CSC
-	a32 *sparse.CSC32
-	m   pcg.Preconditioner
+	// iter is the system PCG iterates on: sys itself, or its
+	// contraction under TransformMerge, with fold, expand and restrict
+	// mapping right-hand sides, solutions and warm starts across (nil =
+	// identity).
+	iter     *graph.SDDM
+	fold     func(b []float64) []float64
+	expand   func(x []float64) []float64
+	restrict func(x []float64) []float64
+	// mul multiplies by the assembled iteration matrix, stored wide or
+	// compact int32 per Options.CompactIndex; the two multiply to
+	// identical bits, so the width is invisible to solve results.
+	// matNNZ and matIndexBytes size that storage. Exact setups assemble
+	// no matrix (mul is nil): they never iterate.
+	mul           func(y, x []float64)
+	matNNZ        int
+	matIndexBytes int
+	m             pcg.Preconditioner
 	// exact marks a preconditioner that solves the system exactly
 	// (complete Cholesky with no sparsifying transform in the way):
 	// Solve applies it once instead of iterating.
@@ -48,6 +61,7 @@ type Solver struct {
 
 	setupReorder     time.Duration
 	setupFactorize   time.Duration
+	setupAssemble    time.Duration
 	factorNNZ        int
 	factorIndexBytes int
 	setupAttempts    []Attempt
@@ -55,10 +69,11 @@ type Solver struct {
 
 // NewSolver validates the system and builds the preconditioner for the
 // method selected in opt, running the same setup pipeline as the
-// one-shot Solve. Contraction-bearing plans — MethodPowerRush, or any
-// method under TransformMerge — are not supported here (the contraction
-// changes the unknowns; use Solve). MethodDirect is supported: its
-// complete factor makes every Solve a single exact apply.
+// one-shot Solve. Every method and transform is supported: under a
+// contracting plan (MethodPowerRush, TransformMerge) the Solver takes
+// and returns original-node vectors and maps them across the
+// contraction itself. MethodDirect's complete factor makes every Solve
+// a single exact apply.
 func NewSolver(sys *graph.SDDM, opt Options) (*Solver, error) {
 	return NewSolverContext(context.Background(), sys, opt)
 }
@@ -91,12 +106,12 @@ func (p *SolverPlan) Options() Options { return p.opt }
 
 // CompilePlan validates opt and resolves it against the method registry
 // once, for reuse across many NewSolverFromPlan calls. Plans reject the
-// same configurations NewSolver would (contraction-bearing transforms).
+// same configurations NewSolver would.
 func CompilePlan(opt Options) (*SolverPlan, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	plan, err := pipeline.Compile(opt.pipelineConfig(true))
+	plan, err := pipeline.Compile(opt.pipelineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -110,8 +125,22 @@ func NewSolverFromPlan(ctx context.Context, sys *graph.SDDM, plan *SolverPlan) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt := plan.opt
 	r := plan.plan.NewRunner(sys)
+	s, err := newSolver(ctx, r, sys, plan.opt)
+	if err != nil {
+		return nil, err
+	}
+	s.setupAttempts = r.Succeed(0, 0)
+	return s, nil
+}
+
+// newSolver builds the Runner's next rung into a Solver: the pipeline
+// setup, then the iteration matrix PCG multiplies with (none for exact
+// setups). It is the one constructor behind NewSolver and every rung of
+// the one-shot Solve, and reports setup failures the way both front
+// ends return them: SolveError-wrapped for ladder plans, raw otherwise,
+// context errors always unwrapped.
+func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Options) (*Solver, error) {
 	setup, err := r.Next(ctx)
 	if err != nil {
 		if ctxDone(err) || !r.Ladder() {
@@ -119,31 +148,38 @@ func NewSolverFromPlan(ctx context.Context, sys *graph.SDDM, plan *SolverPlan) (
 		}
 		return nil, &SolveError{Attempts: r.Trail(), Last: err}
 	}
-	a := setup.Sys.ToCSC()
-	var a32 *sparse.CSC32
-	if opt.CompactIndex != IndexWide {
-		c, cerr := sparse.CompactCSC(a)
-		switch {
-		case cerr == nil:
-			a, a32 = nil, c
-		case opt.CompactIndex == IndexCompact:
-			return nil, cerr
-		}
-		// IndexAuto past the boundary: keep the wide matrix.
-	}
-	return &Solver{
+	s := &Solver{
 		opt:              opt,
 		sys:              sys,
-		a:                a,
-		a32:              a32,
+		iter:             setup.Sys,
+		fold:             setup.Fold,
+		expand:           setup.Expand,
+		restrict:         setup.Restrict,
 		m:                setup.M,
 		exact:            setup.Exact,
 		setupReorder:     setup.Reorder,
 		setupFactorize:   setup.Factorize,
 		factorNNZ:        setup.FactorNNZ,
 		factorIndexBytes: setup.FactorIndexBytes,
-		setupAttempts:    r.Succeed(0, 0),
-	}, nil
+	}
+	if s.exact {
+		return s, nil
+	}
+	t0 := time.Now()
+	a := setup.Sys.ToCSC()
+	s.mul, s.matNNZ, s.matIndexBytes = a.MulVec, a.NNZ(), a.IndexBytes()
+	if opt.CompactIndex != IndexWide {
+		a32, cerr := sparse.CompactCSC(a)
+		switch {
+		case cerr == nil:
+			s.mul, s.matNNZ, s.matIndexBytes = a32.MulVec, a32.NNZ(), a32.IndexBytes()
+		case opt.CompactIndex == IndexCompact:
+			return nil, cerr
+		}
+		// IndexAuto past the boundary: keep the wide matrix.
+	}
+	s.setupAssemble = time.Since(t0)
+	return s, nil
 }
 
 // SetupTimings reports the one-time reorder and factorization cost.
@@ -172,14 +208,7 @@ func (s *Solver) FactorIndexBytes() int { return s.factorIndexBytes }
 // preconditioners (AMG, Jacobi, SSOR) contribute only their iteration
 // matrix and scratch; their hierarchy/diagonal storage is not counted.
 func (s *Solver) MemoryBytes() int {
-	matNNZ, matIdx := 0, 0
-	switch {
-	case s.a32 != nil:
-		matNNZ, matIdx = s.a32.NNZ(), s.a32.IndexBytes()
-	case s.a != nil:
-		matNNZ, matIdx = s.a.NNZ(), s.a.IndexBytes()
-	}
-	return solverMemoryBytes(s.sys.N(), matNNZ, matIdx, s.factorNNZ, s.factorIndexBytes)
+	return solverMemoryBytes(s.iter.N(), s.matNNZ, s.matIndexBytes, s.factorNNZ, s.factorIndexBytes)
 }
 
 // SetupAttempts returns the recovery-ladder trail of NewSolver for the
@@ -204,7 +233,9 @@ func (s *Solver) SolveContext(ctx context.Context, b []float64) (*Result, error)
 
 // SolveFrom is Solve with a warm start: PCG begins at x0 instead of
 // zero. Across transient time steps, where consecutive solutions differ
-// little, this typically saves a third or more of the iterations.
+// little, this typically saves a third or more of the iterations. Under
+// a contracting plan x0 is restricted into the contracted unknowns, so
+// a warm start from a previous solution resumes exactly where it ended.
 func (s *Solver) SolveFrom(b, x0 []float64) (*Result, error) {
 	return s.SolveFromContext(context.Background(), b, x0)
 }
@@ -216,10 +247,18 @@ func (s *Solver) SolveFromContext(ctx context.Context, b, x0 []float64) (*Result
 }
 
 func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, error) {
-	if len(b) != s.sys.N() {
-		return nil, fmt.Errorf("powerrchol: rhs has length %d, want %d", len(b), s.sys.N())
+	n := s.sys.N()
+	if len(b) != n {
+		return nil, fmt.Errorf("powerrchol: rhs has length %d, want %d", len(b), n)
 	}
-	res := &Result{FactorNNZ: s.factorNNZ}
+	if x0 != nil && len(x0) != n {
+		return nil, fmt.Errorf("powerrchol: initial guess has length %d, want %d", len(x0), n)
+	}
+	res := &Result{FactorNNZ: s.factorNNZ, FactorIndexBytes: s.factorIndexBytes, MemoryBytes: s.MemoryBytes()}
+	rhs := b
+	if s.fold != nil {
+		rhs = s.fold(b)
+	}
 	if s.exact {
 		// The factor solves the system exactly: one apply, no iteration
 		// (and no use for a warm start).
@@ -229,31 +268,28 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 			}
 		}
 		t0 := time.Now()
-		x := make([]float64, s.sys.N())
-		s.m.Apply(x, b)
+		x := make([]float64, s.iter.N())
+		s.m.Apply(x, rhs)
+		if s.expand != nil {
+			x = s.expand(x)
+		}
 		res.Timings.Iterate = time.Since(t0)
 		res.X = x
 		res.Converged = true
 		res.Residual = relativeResidual(s.sys, x, b)
 		return res, nil
 	}
-	popt := s.opt.pcgOptions(ctx, 0)
-	t0 := time.Now()
-	var pres *pcg.Result
-	var err error
-	switch {
-	case s.a32 != nil && x0 == nil:
-		pres, err = pcg.SolveOp(s.sys.N(), s.a32.MulVec, b, s.m, popt)
-	case s.a32 != nil:
-		pres, err = pcg.SolveFromOp(s.sys.N(), s.a32.MulVec, b, x0, s.m, popt)
-	case x0 == nil:
-		pres, err = pcg.Solve(s.a, b, s.m, popt)
-	default:
-		pres, err = pcg.SolveFrom(s.a, b, x0, s.m, popt)
+	if x0 != nil && s.restrict != nil {
+		x0 = s.restrict(x0)
 	}
+	t0 := time.Now()
+	pres, err := pcg.SolveFromOp(s.iter.N(), s.mul, rhs, x0, s.m, s.opt.pcgOptions(ctx))
 	res.Timings.Iterate = time.Since(t0)
 	if pres != nil {
 		fill(res, pres)
+		if s.expand != nil && pres.X != nil {
+			res.X = s.expand(pres.X)
+		}
 	}
 	if err != nil {
 		return res, err
@@ -266,14 +302,17 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 
 // ConditionEstimate runs a short preconditioned Lanczos process and
 // returns an estimate of κ(M⁻¹A), the condition number governing PCG
-// convergence. It is a diagnostic, accurate to a few percent for the
-// extreme eigenvalues after ~30 iterations on the matrices in this
-// repository.
+// convergence, on the system PCG iterates on. It is a diagnostic,
+// accurate to a few percent for the extreme eigenvalues after ~30
+// iterations on the matrices in this repository.
 func (s *Solver) ConditionEstimate(iters int) (float64, error) {
-	if s.a32 != nil {
-		return pcg.ConditionEstimateOp(s.sys.N(), s.a32.MulVec, s.m, iters, s.opt.Seed)
+	mul := s.mul
+	if mul == nil {
+		// Exact setups assemble no iteration matrix; the edge-list
+		// product is the same operator.
+		mul = s.iter.MulVec
 	}
-	return pcg.ConditionEstimate(s.a, s.m, iters, s.opt.Seed)
+	return pcg.ConditionEstimateOp(s.iter.N(), mul, s.m, iters, s.opt.Seed)
 }
 
 // BatchWorkers reports the worker-pool size SolveBatch will use:

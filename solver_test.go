@@ -71,10 +71,38 @@ func TestSolverAllMethods(t *testing.T) {
 	}
 }
 
-func TestSolverRejectsPowerRush(t *testing.T) {
-	s, _, _ := testProblem(t)
-	if _, err := NewSolver(s, Options{Method: MethodPowerRush}); err == nil {
-		t.Fatal("MethodPowerRush accepted by NewSolver")
+// TestSolverPowerRushMatchesSolve: the prepared Solver runs PowerRush's
+// contraction itself — original-node vectors in and out — and returns
+// the one-shot answer bit for bit, cold and with a warm start.
+func TestSolverPowerRushMatchesSolve(t *testing.T) {
+	s, b, _ := testProblem(t)
+	opt := Options{Method: MethodPowerRush}
+	want, err := Solve(s, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := NewSolver(s, opt)
+	if err != nil {
+		t.Fatalf("MethodPowerRush rejected by NewSolver: %v", err)
+	}
+	got, err := solver.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations {
+		t.Fatalf("prepared PowerRush took %d iterations, one-shot %d", got.Iterations, want.Iterations)
+	}
+	assertBitwise(t, "prepared PowerRush", got.X, want.X)
+	x0 := make([]float64, len(want.X))
+	for i, v := range want.X {
+		x0[i] = 0.9 * v
+	}
+	warm, err := solver.SolveFrom(b, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.X) != s.N() {
+		t.Fatalf("warm solution has %d entries, want %d", len(warm.X), s.N())
 	}
 }
 
