@@ -7,12 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"powerrchol/internal/sparse"
 )
 
 // Preconditioner applies z = M⁻¹·r. Implementations must be symmetric
-// positive definite for CG theory to hold.
+// positive definite for CG theory to hold, and must overwrite all of z
+// without reading it: PCG hands Apply a recycled, dirty z.
 type Preconditioner interface {
 	Apply(z, r []float64)
 }
@@ -123,6 +125,71 @@ func SolveOp(n int, mul func(y, x []float64), b []float64, m Preconditioner, opt
 // starts pay off when consecutive right-hand sides are close, e.g.
 // across transient time steps.
 func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditioner, opt Options) (*Result, error) {
+	mulDot := func(y, x []float64) float64 {
+		mul(y, x)
+		return sparse.Dot(x, y)
+	}
+	return SolveFromDotOp(n, mulDot, b, x0, m, opt)
+}
+
+// SolveFromDotOp is SolveFromOp for a multiply that also returns
+// xᵀ·(A·x): the pᵀAp every iteration needs, computed in the multiply's
+// own pass (sparse.CSR.MulVecDot). With a mul that returns
+// sparse.Dot(x, A·x) the result is bitwise that of SolveFromOp, which
+// is exactly that adapter. The scratch vectors come from a shared pool,
+// so only the returned X is allocated per solve, and it is the
+// caller's: no later solve writes to it.
+func SolveFromDotOp(n int, mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner, opt Options) (*Result, error) {
+	if len(b) != n {
+		return nil, fmt.Errorf("pcg: rhs has length %d, want %d", len(b), n)
+	}
+	if x0 != nil && len(x0) != n {
+		return nil, fmt.Errorf("pcg: initial guess has length %d, want %d", len(x0), n)
+	}
+	s := getScratch(n)
+	res, err := iterate(mul, b, x0, m, opt, s)
+	scratchPool.Put(s)
+	return res, err
+}
+
+// scratchPool recycles PCG working sets across solves. It is shared by
+// every solve in the process: a pool per operator would keep a set per
+// processor alive for each cached solver, where a shared one holds
+// about one per concurrent solve. Sets of another length than the
+// solve's are dropped, not reused.
+var scratchPool sync.Pool // of *scratch
+
+// scratch is one solve's working set: the residual, the preconditioned
+// residual, the search direction, its product with A, and whichever of
+// the two iterate buffers the last solve did not hand to its caller.
+type scratch struct {
+	r, z, p, ap, spare []float64
+}
+
+func getScratch(n int) *scratch {
+	//pglint:pool-escapes checkout helper: SolveFromDotOp owns the set and recycles it via Put on its only exit
+	if s, ok := scratchPool.Get().(*scratch); ok && len(s.r) == n {
+		//pglint:poolescape checkout helper: ownership transfers to SolveFromDotOp, which recycles via Put on its only exit
+		return s
+	}
+	return &scratch{
+		r:     make([]float64, n),
+		z:     make([]float64, n),
+		p:     make([]float64, n),
+		ap:    make([]float64, n),
+		spare: make([]float64, n),
+	}
+}
+
+// iterate is the PCG loop proper, over a fresh iterate x and the
+// working set s. Pooled vectors arrive dirty, so each is written before
+// it is read: r from b, z by the preconditioner, p from z, ap by the
+// multiply, spare by an out-of-place update. The iterate double-buffers
+// between x and s.spare, so the result may land in either; s.spare is
+// kept pointing at whichever buffer the result does not take, so
+// exactly one iterate buffer leaves with the Result and the other
+// stays in the set.
+func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner, opt Options, s *scratch) (*Result, error) {
 	if opt.Tol == 0 {
 		opt.Tol = 1e-6
 	}
@@ -132,24 +199,18 @@ func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditio
 	if m == nil {
 		m = Identity{}
 	}
-	if len(b) != n {
-		return nil, fmt.Errorf("pcg: rhs has length %d, want %d", len(b), n)
-	}
-	if x0 != nil && len(x0) != n {
-		return nil, fmt.Errorf("pcg: initial guess has length %d, want %d", len(x0), n)
-	}
 
 	stagFactor := opt.StagnationFactor
 	if stagFactor == 0 {
 		stagFactor = 0.5
 	}
 
-	x := make([]float64, n)
-	r := make([]float64, n)
+	x := make([]float64, len(b))
+	r, z, p, ap, spare := s.r, s.z, s.p, s.ap, s.spare
+	if len(z) != len(r) || len(p) != len(r) {
+		panic(errLengths) // proves the loop's z and p accesses in bounds
+	}
 	copy(r, b)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
 
 	bnorm := sparse.Norm2(b)
 	if math.IsNaN(bnorm) || math.IsInf(bnorm, 0) {
@@ -178,14 +239,14 @@ func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditio
 	// Best-iterate tracking: an early-stopped run (cap, stagnation,
 	// divergence, cancellation) hands back the iterate with the smallest
 	// residual rather than whatever the last step produced. The best
-	// iterate is tracked by pointer, never copied: while x holds it, the
-	// next update goes out of place into spare and the two buffers swap,
-	// so the best survives; otherwise x is updated in place. Two buffers
-	// always suffice. winBest is a ring buffer of best-so-far values used
-	// by the stagnation window.
+	// iterate is never copied: while x holds it (xIsBest), the next
+	// update goes out of place into spare and the two buffers swap, so
+	// the best survives in spare; otherwise x is updated in place. Two
+	// buffers always suffice, and the best iterate, once there is one
+	// (bestIter > 0), is x if xIsBest and spare otherwise. winBest is a
+	// ring buffer of best-so-far values used by the stagnation window.
 	best := math.Inf(1)
 	bestIter := 0
-	var bestX, spare []float64
 	xIsBest := false
 	var winBest []float64
 	if opt.StagnationWindow > 0 {
@@ -193,12 +254,15 @@ func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditio
 	}
 	// finishBest points the result at the best iterate for early stops.
 	finishBest := func() {
-		if bestX != nil {
-			res.X = bestX
-			res.Residual = best
-			res.BestIteration = bestIter
-		} else {
+		switch {
+		case bestIter == 0:
 			res.X = x
+		case xIsBest:
+			res.X, res.Residual, res.BestIteration = x, best, bestIter
+		default:
+			// The caller takes spare; x stays in the working set.
+			res.X, res.Residual, res.BestIteration = spare, best, bestIter
+			s.spare = x
 		}
 	}
 
@@ -209,31 +273,27 @@ func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditio
 				return res, fmt.Errorf("pcg: solve cancelled at iteration %d: %w", iter, err)
 			}
 		}
-		mul(ap, p)
-		pap := sparse.Dot(p, ap)
+		pap := mul(ap, p)
 		if pap <= 0 || math.IsNaN(pap) {
 			return nil, fmt.Errorf("%w: p'Ap = %g at iteration %d", ErrIndefinite, pap, iter)
 		}
 		alpha := rz / pap
+		xNext := x
 		if xIsBest {
-			if spare == nil {
-				//pglint:hotalloc second iterate buffer, made once per solve on the first update after an improvement
-				spare = make([]float64, n)
-			}
-			sparse.AxpyTo(spare, x, alpha, p)
-			x, spare = spare, x
-		} else {
-			sparse.AxpyTo(x, x, alpha, p)
+			xNext = spare
 		}
-		sparse.AxpyTo(r, r, -alpha, ap)
+		rel := math.Sqrt(update(xNext, x, r, p, ap, alpha)) / bnorm
+		if xIsBest {
+			x, spare = spare, x
+			s.spare = spare
+		}
 
-		rel := sparse.Norm2(r) / bnorm
 		res.History = append(res.History, rel)
 		res.Iterations = iter
 		res.Residual = rel
 		xIsBest = rel < best
 		if xIsBest {
-			best, bestIter, bestX = rel, iter, x
+			best, bestIter = rel, iter
 		}
 		if rel < opt.Tol {
 			res.Converged = true
@@ -244,13 +304,14 @@ func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditio
 			return res, fmt.Errorf("%w: relative residual %.3e at iteration %d exceeds %g× the best %.3e",
 				ErrDiverged, rel, iter, opt.DivergenceFactor, best)
 		}
-		if w := opt.StagnationWindow; w > 0 {
-			if iter > w && best > stagFactor*winBest[iter%w] {
+		if w := len(winBest); w > 0 {
+			k := uint(iter) % uint(w)
+			if iter > w && best > stagFactor*winBest[k] {
 				finishBest()
 				return res, fmt.Errorf("%w: best relative residual improved only %.3e → %.3e over the last %d iterations (need a factor %g)",
-					ErrStagnated, winBest[iter%w], best, w, stagFactor)
+					ErrStagnated, winBest[k], best, w, stagFactor)
 			}
-			winBest[iter%w] = best
+			winBest[k] = best
 		}
 
 		m.Apply(z, r)
@@ -272,4 +333,33 @@ func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditio
 		finishBest()
 	}
 	return res, nil
+}
+
+// errLengths is the panic value of a length check that only a bug can
+// fail. Checking lengths up front lets the compiler drop per-element
+// bounds checks (pgoptcheck rule bce); a preallocated error makes the
+// panic path allocate nothing (//pgopt:noescape).
+var errLengths = errors.New("pcg: vector lengths differ")
+
+// update takes one CG step in a single pass: xNext = x + α·p (xNext
+// may be x) and r += (−α)·ap, returning the new ‖r‖². Per element and
+// in accumulation order these are exactly the float operations of
+// sparse.AxpyTo(xNext, x, α, p), sparse.AxpyTo(r, r, −α, ap) and
+// sparse.Norm2(r) (less its square root), so fusing them changes no
+// bit.
+//
+//pgopt:noescape one fused vector pass per PCG iteration
+func update(xNext, x, r, p, ap []float64, alpha float64) float64 {
+	if len(xNext) != len(p) || len(x) != len(p) || len(r) != len(p) || len(ap) != len(p) {
+		panic(errLengths)
+	}
+	nalpha := -alpha
+	var rr float64
+	for i, pv := range p {
+		xNext[i] = x[i] + alpha*pv
+		ri := r[i] + nalpha*ap[i]
+		r[i] = ri
+		rr += ri * ri
+	}
+	return rr
 }

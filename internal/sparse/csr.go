@@ -1,8 +1,14 @@
 package sparse
 
+import (
+	"errors"
+	"math"
+)
+
 // CSR is a compressed sparse row matrix: the row-major copy of a
 // triangular factor that the level-scheduled solves (TriSolver,
-// TriSolver32) gather from, one contiguous row per unknown.
+// TriSolver32) gather from, one contiguous row per unknown, and the
+// row view PCG multiplies by (MulVecDot).
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
@@ -42,3 +48,111 @@ func (a *CSC) ToCSR() *CSR {
 
 // NNZ returns the stored entry count.
 func (a *CSR) NNZ() int { return a.RowPtr[a.Rows] }
+
+// IndexBytes returns the bytes spent on index storage (RowPtr+ColIdx).
+func (a *CSR) IndexBytes() int {
+	const w = 8 // int is 8 bytes on every platform this repo targets
+	return w * (len(a.RowPtr) + len(a.ColIdx))
+}
+
+// RowView returns a's rows in CSR form with ascending column indices,
+// the storage MulVecDot gathers from. A bitwise-symmetric matrix is its
+// own transpose, so its column arrays already are its rows: the view
+// shares them and copies nothing. Any other matrix gets the ToCSR copy.
+func (a *CSC) RowView() *CSR {
+	if bitwiseSymmetric(a) {
+		return &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.ColPtr, ColIdx: a.RowIdx, Val: a.Val}
+	}
+	return a.ToCSR()
+}
+
+// bitwiseSymmetric reports whether a's arrays equal those of its ToCSR
+// transpose entry for entry: the same indices in the same order, values
+// with the same bits. It is the ToCSR walk comparing instead of
+// writing: as the columns ascend, entry (i, j) must be the next
+// unvisited entry of column i and carry row index j. O(nnz) plus one
+// n-vector of cursors.
+func bitwiseSymmetric(a *CSC) bool {
+	n := a.Cols
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
+	if a.Rows != n || len(colPtr) != n+1 || len(val) != len(rowIdx) {
+		return false
+	}
+	next := make([]int, n)
+	copy(next, colPtr)
+	p := colPtr[0]
+	for j, end := range colPtr[1:] {
+		for ; p < end; p++ {
+			i := rowIdx[p]
+			q := next[i]
+			if q >= colPtr[i+1] || rowIdx[q] != j || math.Float64bits(val[q]) != math.Float64bits(val[p]) {
+				return false
+			}
+			next[i] = q + 1
+		}
+	}
+	return true
+}
+
+// CompactCSR converts a to compact index storage, failing like
+// CompactCSC (a CSR's arrays are the CSC of its transpose). The value
+// slice is shared, not copied.
+func CompactCSR(a *CSR) (*CSR32, error) {
+	t, err := CompactCSC(&CSC{Rows: a.Cols, Cols: a.Rows, ColPtr: a.RowPtr, RowIdx: a.ColIdx, Val: a.Val})
+	if err != nil {
+		return nil, err
+	}
+	return &CSR32{Rows: a.Rows, Cols: a.Cols, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}, nil
+}
+
+// MulVecDot computes y = A·x for a square A and returns xᵀ·y. Each
+// y[i] is a register sum over row i in ascending column order — the
+// very additions the scatter CSC.MulVec makes into y[i] as its column
+// walk ascends, so y is bitwise equal to it (the scatter's skipped
+// zero columns contribute only ±0 terms, which leave a sum that starts
+// at +0 unchanged). The returned dot accumulates x[i]·y[i] in
+// ascending i, Dot(x, y)'s order: one pass yields PCG's Ap and pᵀAp.
+//
+//pgopt:noescape one SpMV and pᵀAp per PCG iteration
+func (a *CSR) MulVecDot(y, x []float64) float64 {
+	return mulVecDot(a.RowPtr, a.ColIdx, a.Val, y, x)
+}
+
+// MulVecDot is the compact-index form of CSR.MulVecDot, bitwise equal
+// to it.
+//
+//pgopt:noescape one SpMV and pᵀAp per PCG iteration
+func (a *CSR32) MulVecDot(y, x []float64) float64 {
+	return mulVecDot(a.RowPtr, a.ColIdx, a.Val, y, x)
+}
+
+// errMulVecDotLengths is mulVecDot's panic value: a preallocated error,
+// so the panic path moves nothing to the heap (//pgopt:noescape).
+var errMulVecDotLengths = errors.New("sparse: MulVecDot operand lengths differ")
+
+// mulVecDot is the row-gather kernel behind both index widths. With
+// the operand lengths checked up front, only the row pointer, the row
+// windows and the data-dependent x gather stay bounds-checked
+// (pgoptcheck rule bce).
+//
+//pgopt:noescape one SpMV and pᵀAp per PCG iteration
+func mulVecDot[I int | int32](rowPtr, colIdx []I, val, y, x []float64) float64 {
+	if len(x) != len(y) || len(rowPtr) != len(y)+1 {
+		panic(errMulVecDotLengths)
+	}
+	var dot float64
+	p := rowPtr[0]
+	for i, xi := range x {
+		end := rowPtr[i+1]
+		cols := colIdx[p:end]
+		vals := val[p:end]
+		var s float64
+		for k, j := range cols {
+			s += vals[k] * x[j]
+		}
+		y[i] = s
+		dot += xi * s
+		p = end
+	}
+	return dot
+}

@@ -16,11 +16,11 @@ import (
 // overflow-checked conversions that fail loudly at the 2^31 boundary
 // instead of wrapping.
 //
-// Kernel contract: every compact kernel (MulVec, the triangular solves,
-// TriSolver32) performs the identical floating-point operations in the
-// identical order as its wide counterpart, so switching index width
-// never changes a solve's bits. The equivalence suite at the repo root
-// pins this for every registered method.
+// Kernel contract: every compact kernel (MulVecDot, the triangular
+// solves, TriSolver32) performs the identical floating-point
+// operations in the identical order as its wide counterpart, so
+// switching index width never changes a solve's bits. The equivalence
+// suite at the repo root pins this for every registered method.
 
 // MaxIndex32 is the largest dimension or entry count representable in
 // compact (int32) index storage.
@@ -202,23 +202,6 @@ func (a *CSC32) Check() error {
 	return nil
 }
 
-// MulVec computes y = A·x; same operation order as CSC.MulVec, so the
-// result is bitwise identical to the wide kernel.
-func (a *CSC32) MulVec(y, x []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	for j := 0; j < a.Cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			y[a.RowIdx[p]] += a.Val[p] * xj
-		}
-	}
-}
-
 // ToCSR converts to compact CSR storage, same construction as CSC.ToCSR.
 func (a *CSC32) ToCSR() *CSR32 {
 	t := &CSR32{
@@ -254,3 +237,9 @@ type CSR32 struct {
 	ColIdx     []int32
 	Val        []float64
 }
+
+// NNZ returns the stored entry count.
+func (a *CSR32) NNZ() int { return len(a.Val) }
+
+// IndexBytes returns the bytes spent on index storage (RowPtr+ColIdx).
+func (a *CSR32) IndexBytes() int { return 4 * (len(a.RowPtr) + len(a.ColIdx)) }

@@ -94,6 +94,20 @@ func BenchmarkCSCMulVec(b *testing.B) {
 	}
 }
 
+// BenchmarkCSRMulVecDot is BenchmarkCSCMulVec's product as PCG now
+// takes it: the row gather over the same matrix plus the xᵀ·A·x the
+// scatter form needs a separate Dot pass for.
+func BenchmarkCSRMulVecDot(b *testing.B) {
+	a := randCSC(rng.New(1), 20000, 20000, 200000).ToCSR()
+	x := randVec(rng.New(12), a.Cols)
+	y := make([]float64, a.Rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = a.MulVecDot(y, x)
+	}
+}
+
 var sink float64
 
 func BenchmarkDot(b *testing.B) {

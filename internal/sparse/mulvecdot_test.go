@@ -1,0 +1,115 @@
+package sparse_test
+
+import (
+	"math"
+	"testing"
+
+	"powerrchol/internal/cases"
+	"powerrchol/internal/rng"
+	"powerrchol/internal/sparse"
+	"powerrchol/internal/testmat"
+)
+
+// checkMulVecDot asserts that the row-gather MulVecDot, at both index
+// widths, reproduces the scatter CSC.MulVec followed by Dot bit for
+// bit, and that RowView's rows are exactly ToCSR's. It reports whether
+// RowView shared a's arrays.
+func checkMulVecDot(t *testing.T, name string, a *sparse.CSC, r *rng.Rand) (shared bool) {
+	t.Helper()
+	n := a.Rows
+	x := make([]float64, n)
+	for i := range x {
+		switch r.Intn(8) {
+		case 0:
+			x[i] = 0 // the scatter skips zero columns; the gather does not
+		case 1:
+			x[i] = math.Copysign(0, -1)
+		default:
+			x[i] = 2*r.Float64() - 1
+		}
+	}
+	want := make([]float64, n)
+	a.MulVec(want, x)
+	wantDot := sparse.Dot(x, want)
+
+	rows := a.RowView()
+	ref := a.ToCSR()
+	sameInts(t, name+": RowView RowPtr", rows.RowPtr, ref.RowPtr)
+	sameInts(t, name+": RowView ColIdx", rows.ColIdx, ref.ColIdx)
+	sameBits(t, name+": RowView Val", rows.Val, ref.Val)
+
+	got := make([]float64, n)
+	gotDot := rows.MulVecDot(got, x)
+	sameBits(t, name+": wide y", got, want)
+	sameBits(t, name+": wide xᵀy", []float64{gotDot}, []float64{wantDot})
+
+	rows32, err := sparse.CompactCSR(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got32 := make([]float64, n)
+	gotDot32 := rows32.MulVecDot(got32, x)
+	sameBits(t, name+": compact y", got32, want)
+	sameBits(t, name+": compact xᵀy", []float64{gotDot32}, []float64{wantDot})
+	return n > 0 && len(a.RowIdx) > 0 && &rows.ColIdx[0] == &a.RowIdx[0]
+}
+
+// TestMulVecDotMatchesScatter pins the row-gather kernel against the
+// scatter SpMV plus Dot on every benchmark case (bitwise symmetric: the
+// rows are shared), on a parallel-edge star and on a hand-built matrix
+// (both asymmetric in their bits: the rows are a transposed copy).
+func TestMulVecDotMatchesScatter(t *testing.T) {
+	r := rng.New(61)
+	shared := 0
+	for _, c := range cases.All() {
+		p, err := c.Build(0.2)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if checkMulVecDot(t, c.Name, p.Sys.ToCSC(), r) {
+			shared++
+		}
+	}
+	t.Logf("%d of %d cases are bitwise symmetric (rows shared)", shared, len(cases.All()))
+
+	star := testmat.ParallelStarSDDM(rng.New(5), 39, 3).ToCSC()
+	if checkMulVecDot(t, "star", star, r) {
+		t.Fatal("star: RowView shared the arrays of a matrix that is not bitwise symmetric")
+	}
+
+	// Column-major [[4 1 0] [2 5 0] [0 0 3]]: A(0,1) = 1 but A(1,0) = 2.
+	hand := &sparse.CSC{
+		Rows: 3, Cols: 3,
+		ColPtr: []int{0, 2, 4, 5},
+		RowIdx: []int{0, 1, 0, 1, 2},
+		Val:    []float64{4, 2, 1, 5, 3},
+	}
+	if checkMulVecDot(t, "hand-built", hand, r) {
+		t.Fatal("hand-built: RowView shared the arrays of an asymmetric matrix")
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: bit drift at %d: %x vs %x (%g vs %g)",
+				what, i, math.Float64bits(got[i]), math.Float64bits(want[i]), got[i], want[i])
+		}
+	}
+}
+
+func sameInts(t *testing.T, what string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %d, want %d", what, i, got[i], want[i])
+		}
+	}
+}

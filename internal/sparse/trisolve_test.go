@@ -67,3 +67,26 @@ func TestUpperSolveConsistentWithTransposeSolve(t *testing.T) {
 		}
 	}
 }
+
+// UpperSolve solves U·x = b in place for an upper triangular CSC matrix
+// with the diagonal as the LAST entry of each column: no solver needs
+// it, so it lives here as the independent reference LowerTransposeSolve
+// is checked against.
+func UpperSolve(u *CSC, x []float64) {
+	n := u.Cols
+	x = x[:n]
+	colPtr := u.ColPtr
+	end := colPtr[n]
+	for j := n - 1; j >= 0; j-- {
+		p := colPtr[j]
+		xj := x[j] / u.Val[end-1]
+		x[j] = xj
+		rows := u.RowIdx[p : end-1]
+		vals := u.Val[p : end-1]
+		vals = vals[:len(rows)]
+		for k, i := range rows {
+			x[i] -= vals[k] * xj
+		}
+		end = p
+	}
+}

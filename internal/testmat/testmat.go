@@ -95,6 +95,29 @@ func PathSDDM(n int, w float64) *graph.SDDM {
 	return s
 }
 
+// ParallelStarSDDM returns a star on spokes+1 nodes, hub 0, with
+// `parallel` parallel edges of random weight per spoke, added round by
+// round, and slack 1 at the hub. Assembly sums the parallel edges of a
+// spoke in edge order in the spoke's short column but in the order
+// sort.Sort leaves them in the hub's long, unsorted one, so
+// the assembled matrix comes out symmetric only up to rounding: the
+// case that forces row-gather kernels onto a transposed copy.
+func ParallelStarSDDM(r *rng.Rand, spokes, parallel int) *graph.SDDM {
+	g := graph.New(spokes+1, spokes*parallel)
+	for k := 0; k < parallel; k++ {
+		for v := 1; v <= spokes; v++ {
+			g.MustAddEdge(0, v, 0.1+r.Float64()*10)
+		}
+	}
+	d := make([]float64, spokes+1)
+	d[0] = 1
+	s, err := graph.NewSDDM(g, d)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // DenseCholesky factorizes an SPD dense matrix in place, returning the
 // lower factor, or an error on a non-positive pivot.
 func DenseCholesky(a [][]float64) ([][]float64, error) {

@@ -45,12 +45,13 @@ type Solver struct {
 	fold     func(b []float64) []float64
 	expand   func(x []float64) []float64
 	restrict func(x []float64) []float64
-	// mul multiplies by the assembled iteration matrix, stored wide or
-	// compact int32 per Options.CompactIndex; the two multiply to
-	// identical bits, so the width is invisible to solve results.
+	// mul multiplies by the assembled iteration matrix and returns
+	// xᵀ·A·x, gathering from its rows (sparse.CSR.MulVecDot), stored
+	// wide or compact int32 per Options.CompactIndex; the two multiply
+	// to identical bits, so the width is invisible to solve results.
 	// matNNZ and matIndexBytes size that storage. Exact setups assemble
 	// no matrix (mul is nil): they never iterate.
-	mul           func(y, x []float64)
+	mul           func(y, x []float64) float64
 	matNNZ        int
 	matIndexBytes int
 	m             pcg.Preconditioner
@@ -166,13 +167,16 @@ func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Opt
 		return s, nil
 	}
 	t0 := time.Now()
-	a := setup.Sys.ToCSC()
-	s.mul, s.matNNZ, s.matIndexBytes = a.MulVec, a.NNZ(), a.IndexBytes()
+	// The rows of a symmetric matrix are its columns: RowView shares
+	// the assembled arrays and copies only an A that assembly left
+	// asymmetric in its last bits.
+	a := setup.Sys.ToCSC().RowView()
+	s.mul, s.matNNZ, s.matIndexBytes = a.MulVecDot, a.NNZ(), a.IndexBytes()
 	if opt.CompactIndex != IndexWide {
-		a32, cerr := sparse.CompactCSC(a)
+		a32, cerr := sparse.CompactCSR(a)
 		switch {
 		case cerr == nil:
-			s.mul, s.matNNZ, s.matIndexBytes = a32.MulVec, a32.NNZ(), a32.IndexBytes()
+			s.mul, s.matNNZ, s.matIndexBytes = a32.MulVecDot, a32.NNZ(), a32.IndexBytes()
 		case opt.CompactIndex == IndexCompact:
 			return nil, cerr
 		}
@@ -283,7 +287,7 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 		x0 = s.restrict(x0)
 	}
 	t0 := time.Now()
-	pres, err := pcg.SolveFromOp(s.iter.N(), s.mul, rhs, x0, s.m, s.opt.pcgOptions(ctx))
+	pres, err := pcg.SolveFromDotOp(s.iter.N(), s.mul, rhs, x0, s.m, s.opt.pcgOptions(ctx))
 	res.Timings.Iterate = time.Since(t0)
 	if pres != nil {
 		fill(res, pres)
@@ -306,11 +310,11 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 // accurate to a few percent for the extreme eigenvalues after ~30
 // iterations on the matrices in this repository.
 func (s *Solver) ConditionEstimate(iters int) (float64, error) {
-	mul := s.mul
-	if mul == nil {
-		// Exact setups assemble no iteration matrix; the edge-list
-		// product is the same operator.
-		mul = s.iter.MulVec
+	// Exact setups assemble no iteration matrix; the edge-list product
+	// is the same operator.
+	mul := s.iter.MulVec
+	if s.mul != nil {
+		mul = func(y, x []float64) { s.mul(y, x) }
 	}
 	return pcg.ConditionEstimateOp(s.iter.N(), mul, s.m, iters, s.opt.Seed)
 }
