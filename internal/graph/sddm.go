@@ -46,16 +46,27 @@ func NewSDDM(g *Graph, d []float64) (*SDDM, error) {
 // the historical COO route — same entry placement order, same column
 // sort/merge tail).
 func (s *SDDM) ToCSC() *sparse.CSC {
-	a, err := s.assemble()
-	if err != nil {
-		// The counting pass and the placement pass iterate the same
-		// edge list; a mismatch is impossible for an in-variant SDDM.
-		panic("graph: SDDM assembly mismatch: " + err.Error())
-	}
+	a, _ := s.assemble()
 	return a
 }
 
-func (s *SDDM) assemble() (*sparse.CSC, error) {
+// RowView returns A's rows as s.ToCSC().RowView() does: the storage
+// PCG's MulVecDot gathers from. Assembly places each edge as a mirrored
+// pair, (u, v) and (v, u) with the same value in the same order, so A is
+// bitwise symmetric unless a long column merged parallel edges. The rows
+// of a symmetric A are its columns: the view shares the assembled arrays
+// without CSC.RowView's O(nnz) check, which runs only after such a merge.
+func (s *SDDM) RowView() *sparse.CSR {
+	a, mergedLong := s.assemble()
+	if mergedLong {
+		return a.RowView()
+	}
+	return &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.ColPtr, ColIdx: a.RowIdx, Val: a.Val}
+}
+
+// assemble builds A and reports whether a long column merged duplicate
+// entries (sparse.CSCBuilder.MergedLongColumn).
+func (s *SDDM) assemble() (a *sparse.CSC, mergedLong bool) {
 	g := s.G
 	counts := make([]int, g.N)
 	for i := range counts {
@@ -66,18 +77,23 @@ func (s *SDDM) assemble() (*sparse.CSC, error) {
 		counts[e.V]++
 	}
 	b, err := sparse.NewCSCBuilder(g.N, g.N, counts)
+	if err == nil {
+		diag := g.WeightedDegrees()
+		for i, d := range diag {
+			b.Set(i, i, d+s.D[i])
+		}
+		for _, e := range g.Edges {
+			b.Set(e.U, e.V, -e.W)
+			b.Set(e.V, e.U, -e.W)
+		}
+		a, err = b.Finish()
+	}
 	if err != nil {
-		return nil, err
+		// The counting pass and the placement pass iterate the same
+		// edge list; a mismatch is impossible for an in-variant SDDM.
+		panic("graph: SDDM assembly mismatch: " + err.Error())
 	}
-	diag := g.WeightedDegrees()
-	for i, d := range diag {
-		b.Set(i, i, d+s.D[i])
-	}
-	for _, e := range g.Edges {
-		b.Set(e.U, e.V, -e.W)
-		b.Set(e.V, e.U, -e.W)
-	}
-	return b.Finish()
+	return a, b.MergedLongColumn()
 }
 
 // SplitCSC decomposes a CSC matrix into SDDM form. It validates that A is

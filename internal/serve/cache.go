@@ -112,10 +112,9 @@ func (c *Cache) GetOrBuild(ctx context.Context, key uint64, build func(context.C
 		return nil, false, err
 	}
 	val.bytes = bytes
-	e.val = val
-	close(e.ready)
-
 	c.mu.Lock()
+	e.val = val // under mu: Invalidate reads it to match the entry
+	close(e.ready)
 	c.used += bytes
 	evicted := c.shedLocked(c.budget, e)
 	c.mu.Unlock()

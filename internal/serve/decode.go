@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,12 +13,20 @@ import (
 )
 
 // Request decoding is the service's untrusted-input boundary, so it is
-// hardened the same way the matrix readers are: byte-bounded reads
-// (io.LimitReader), declared sizes capped before any allocation keyed on
-// them, and every float checked finite. Both decoders are fuzz targets
+// hardened the same way the matrix readers are: every body is read once,
+// whole, up to its byte limit (readBody), and a longer body is a 413
+// whatever it holds and wherever the excess lies; declared
+// sizes are capped before any allocation keyed on them, and every float
+// is checked finite. Solve and study bodies are then decoded by
+// encoding/json. Grid ingest bodies, the large ones, go through a
+// single-pass scanner of their canonical form (ingest.go) that builds the
+// system straight from the bytes; any body outside that form, or failing
+// a check, goes to the encoding/json decode of the same bytes, which
+// stays the reference that decides it. Both decoders are fuzz targets
 // (see fuzz_test.go / `make fuzz`): for arbitrary input they must return
 // an error or a valid value, never panic, and never allocate
-// proportionally to a number the attacker merely declared.
+// proportionally to a number the attacker merely declared; the ingest
+// target also checks the scanner against the reference bit for bit.
 
 // ErrRequestTooLarge reports a request body that exceeded the configured
 // byte limit. Maps to 413 Request Entity Too Large.
@@ -151,8 +160,30 @@ type SystemRequest struct {
 // declaring n=10^9 with a tiny body is rejected on the declaration, not
 // trusted with a 8 GB allocation.
 func DecodeSystemRequest(r io.Reader, maxBytes int64, maxNodes int) (*graph.SDDM, error) {
+	body, err := readBody(r, -1, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSystem(body, maxNodes)
+}
+
+// decodeSystem builds the system an ingest body describes: by the
+// single-pass scan when the body is canonical and passes every check,
+// by the reference decode otherwise. The two agree bit for bit on every
+// body the scan accepts (FuzzDecodeSystemRequest), so the choice never
+// shows in a decision, a status or a fingerprint.
+func decodeSystem(body []byte, maxNodes int) (*graph.SDDM, error) {
+	if sys, ok := scanSystem(body, maxNodes); ok {
+		return sys, nil
+	}
+	return decodeSystemJSON(body, maxNodes)
+}
+
+// decodeSystemJSON is the reference ingest decode: encoding/json into a
+// SystemRequest, then the checks.
+func decodeSystemJSON(body []byte, maxNodes int) (*graph.SDDM, error) {
 	var req SystemRequest
-	if err := decodeJSON(r, maxBytes, &req); err != nil {
+	if err := unmarshalStrict(body, &req); err != nil {
 		return nil, err
 	}
 	if req.N < 1 {
@@ -204,31 +235,69 @@ func FormatFingerprint(fp uint64) string {
 	return strconv.FormatUint(fp, 16)
 }
 
-// decodeJSON decodes exactly one JSON value from at most maxBytes of r
-// into dst, rejecting unknown fields and trailing garbage. The limit is
-// enforced with one spare byte so "hit the limit" and "body is exactly
-// the limit" are distinguishable.
+// decodeJSON decodes exactly one JSON value from a body of at most
+// maxBytes read from r into dst (see unmarshalStrict).
 func decodeJSON(r io.Reader, maxBytes int64, dst any) error {
-	if maxBytes <= 0 {
-		maxBytes = 1 << 20
+	body, err := readBody(r, -1, maxBytes)
+	if err != nil {
+		return err
 	}
-	lr := &io.LimitedReader{R: r, N: maxBytes + 1}
-	dec := json.NewDecoder(lr)
+	return unmarshalStrict(body, dst)
+}
+
+// unmarshalStrict decodes the one JSON value body holds into dst,
+// rejecting unknown fields and trailing data.
+func unmarshalStrict(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		if lr.N <= 0 {
-			return ErrRequestTooLarge
-		}
 		return fmt.Errorf("serve: invalid request body: %w", err)
 	}
-	if lr.N <= 0 {
-		return ErrRequestTooLarge
-	}
-	// Reject trailing content after the value.
 	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("serve: trailing data after request body")
 	}
 	return nil
+}
+
+// presizeMax caps the buffer a declared body length reserves before any
+// byte arrives: a Content-Length is only a claim, so a body larger than
+// this grows its buffer as the bytes are actually read.
+const presizeMax = 1 << 20
+
+// readBody reads r to its end, at most maxBytes (1 MiB when maxBytes is
+// not positive). More than maxBytes is ErrRequestTooLarge, decided on
+// the byte count alone, before any parsing. size is the body's declared
+// length, or -1 when unknown: it sizes the buffer, never the limit.
+func readBody(r io.Reader, size, maxBytes int64) ([]byte, error) {
+	if maxBytes <= 0 {
+		maxBytes = 1 << 20
+	}
+	// One spare byte past the limit tells "the body is exactly the
+	// limit" from "the body is longer"; one past the declared size lets
+	// the final read see EOF without growing the buffer.
+	lr := &io.LimitedReader{R: r, N: maxBytes + 1}
+	c := int64(512)
+	if size >= 0 {
+		c = min(size+1, lr.N, presizeMax)
+	}
+	buf := make([]byte, 0, c)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)] //pglint:hotalloc geometric growth: O(log size) per body
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serve: invalid request body: %w", err)
+		}
+	}
+	if int64(len(buf)) > maxBytes {
+		return nil, ErrRequestTooLarge
+	}
+	return buf, nil
 }
 
 func isFinite(v float64) bool {

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"powerrchol/internal/graph"
 )
 
 // Fuzz targets for the service's untrusted-input boundary (wired into
@@ -42,6 +45,11 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSystemRequest is also the differential check of the
+// single-pass ingest scan: every input must get from DecodeSystemRequest
+// the decision, the 413-vs-400 class and, when accepted, the very system
+// (n, edges in order, weight and D bits) that the encoding/json
+// reference gives it.
 func FuzzDecodeSystemRequest(f *testing.F) {
 	f.Add([]byte(`{"n":3,"edges":[[0,1,2.0],[1,2,1.5]],"d":[0.1,0,0]}`))
 	f.Add([]byte(`{"n":2,"edges":[[0,1,1]]}`))
@@ -49,12 +57,31 @@ func FuzzDecodeSystemRequest(f *testing.F) {
 	f.Add([]byte(`{"n":2,"edges":[[0,0,1]]}`))
 	f.Add([]byte(`{"n":`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"n":4,"edges":[[0,1,1e-3],[1,2,2.5E+2],[2,3,0.1],[3,0,5e-324]],"d":[0,1e-7,3,-0]}`))
+	f.Add([]byte(" {\n\t\"n\" : 2 ,\r\"edges\" : [ [ 0 , 1 , 1 ] ] , \"d\" : [ 0 , 1 ] } \n"))
+	f.Add([]byte(`{"n":3,"edges":[[0.0,2e0,1],[-0,1,1E-3],[1,2,123456789012345678]]}`))
+	f.Add([]byte(`{"N":2,"EDGES":[[0,1,1]]}`))
+	f.Add([]byte(`{"n":2,"edges":[[0,1,1,"x"]],"d":[null,1]}`))
+	f.Add([]byte(`{"n":2,"n":3,"edges":null}`))
+	f.Add([]byte(`{"n":2,"edges":[[0,1,1]],"d":[]}`))
+	f.Add([]byte(`{"n":01,"edges":[[0,1,1e400]]}`))
+	f.Add([]byte(`{"n":2,"edges":[[null]]}`))
+	f.Add([]byte(`{"nn":2,"edgesx":[[0,1,1]],"dd":[1,1]}`))
+	f.Add([]byte(`{"n":4,"edges""d":[0,0,0,10]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxNodes = 64
-		sys, err := DecodeSystemRequest(bytes.NewReader(data), 1<<12, maxNodes)
+		const maxBytes, maxNodes = 1 << 12, 64
+		sys, err := DecodeSystemRequest(bytes.NewReader(data), maxBytes, maxNodes)
+		ref, refErr := referenceDecodeSystem(data, maxBytes, maxNodes)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decision differs from encoding/json: err=%v, reference err=%v", err, refErr)
+		}
+		if errors.Is(err, ErrRequestTooLarge) != errors.Is(refErr, ErrRequestTooLarge) {
+			t.Fatalf("status class differs from encoding/json: err=%v, reference err=%v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
+		sameSystem(t, "scan vs encoding/json", sys, ref)
 		if sys.N() < 1 || sys.N() > maxNodes {
 			t.Fatalf("decoder passed n=%d past cap %d", sys.N(), maxNodes)
 		}
@@ -74,4 +101,14 @@ func FuzzDecodeSystemRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceDecodeSystem is DecodeSystemRequest with the scan left out:
+// encoding/json decodes every body, as it did before the scan existed.
+func referenceDecodeSystem(data []byte, maxBytes int64, maxNodes int) (*graph.SDDM, error) {
+	body, err := readBody(bytes.NewReader(data), -1, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSystemJSON(body, maxNodes)
 }

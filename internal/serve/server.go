@@ -217,7 +217,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, ErrDraining.Error(), s.gate.RetryAfter())
 		return
 	}
-	sys, err := DecodeSystemRequest(r.Body, s.cfg.MaxIngestBytes, s.cfg.MaxNodes)
+	// DecodeSystemRequest, with the buffer presized from Content-Length.
+	body, err := readBody(r.Body, r.ContentLength, s.cfg.MaxIngestBytes)
+	var sys *graph.SDDM
+	if err == nil {
+		sys, err = decodeSystem(body, s.cfg.MaxNodes)
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, ErrRequestTooLarge) {

@@ -15,8 +15,9 @@ import "fmt"
 // the same compressColumns tail. A builder fed entries in the same order
 // as a COO accumulator therefore produces a bit-identical matrix.
 type CSCBuilder struct {
-	a    *CSC
-	next []int
+	a          *CSC
+	next       []int
+	mergedLong bool
 }
 
 // NewCSCBuilder prepares a rows×cols builder. colCounts[j] must be the
@@ -66,7 +67,8 @@ func (b *CSCBuilder) Set(i, j int, v float64) {
 
 // Finish validates that every counted slot was filled, sorts each
 // column by row index, merges duplicates (summing values) and returns
-// the matrix. The builder must not be used afterwards.
+// the matrix. The builder must not be used afterwards, except to ask
+// MergedLongColumn.
 func (b *CSCBuilder) Finish() (*CSC, error) {
 	for j := 0; j < b.a.Cols; j++ {
 		if b.next[j] != b.a.ColPtr[j+1] {
@@ -74,8 +76,17 @@ func (b *CSCBuilder) Finish() (*CSC, error) {
 				j, b.next[j]-b.a.ColPtr[j], b.a.ColPtr[j+1]-b.a.ColPtr[j])
 		}
 	}
-	compressColumns(b.a)
+	b.mergedLong = compressColumns(b.a)
 	a := b.a
 	b.a, b.next = nil, nil
 	return a, nil
 }
+
+// MergedLongColumn reports whether Finish merged duplicate entries in a
+// column longer than the insertion-sort cutoff, where sort.Sort's
+// arrangement of equal rows fixes the order a merged entry was summed
+// in. A caller that placed every off-diagonal entry (i, j) together
+// with a mirror (j, i) of the same value, in the same relative order,
+// gets a bitwise-symmetric matrix whenever this is false: every other
+// merged entry is summed in placement order, which the mirror shares.
+func (b *CSCBuilder) MergedLongColumn() bool { return b.mergedLong }

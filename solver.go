@@ -170,7 +170,7 @@ func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Opt
 	// The rows of a symmetric matrix are its columns: RowView shares
 	// the assembled arrays and copies only an A that assembly left
 	// asymmetric in its last bits.
-	a := setup.Sys.ToCSC().RowView()
+	a := setup.Sys.RowView()
 	s.mul, s.matNNZ, s.matIndexBytes = a.MulVecDot, a.NNZ(), a.IndexBytes()
 	if opt.CompactIndex != IndexWide {
 		a32, cerr := sparse.CompactCSR(a)
