@@ -12,6 +12,12 @@ import (
 // the remaining row indices are unsorted, which the triangular solves in
 // package sparse permit.
 //
+// A factor from Factorize has its columns in schedule order, not in
+// elimination order: Factorize relabels L as Q·L·Qᵀ so that equal-length
+// columns sit next to each other, and Perm is the caller's ordering
+// composed with that relabeling (DESIGN.md §16). Apply computes the same
+// bits in either order.
+//
 // L lives in exactly one of two storages: wide (L, int indices) or
 // compact (L32, int32 indices) — the paper-scale memory diet, since at
 // 1e7+ nodes the index arrays rival the float64 values. Every compact
@@ -21,21 +27,20 @@ import (
 //
 // Apply is safe for concurrent callers: scratch vectors are drawn from a
 // pool per call, and all other state (L/L32, Perm, the optional level
-// schedule) is read-only after construction. All randomness is confined
-// to Factorize; no RNG state survives into the solve phase.
+// boundaries) is read-only after construction. All randomness is
+// confined to Factorize; no RNG state survives into the solve phase.
 type Factor struct {
 	N    int
 	L    *sparse.CSC   // wide index storage; nil when L32 is set
 	L32  *sparse.CSC32 // compact index storage; nil when L is set
 	Perm []int         // Perm[newIdx] = oldIdx; nil means identity
 
-	// tri/tri32 (matching the active storage), when non-nil, is a
-	// level-scheduled parallel triangular solver built by Parallelize.
-	// It is set once before the factor is shared and never mutated
-	// afterwards.
-	tri        *sparse.TriSolver
-	tri32      *sparse.TriSolver32
-	triWorkers int
+	// levels, when non-nil, are the level boundaries Parallelize found
+	// for L's columns, and workers > 1 the goroutines the triangular
+	// solves split each wide level across. They are set once before the
+	// factor is shared and never mutated afterwards.
+	levels  []int
+	workers int
 
 	pool sync.Pool // of []float64, length N
 }
@@ -82,7 +87,7 @@ func (f *Factor) wideL() *sparse.CSC {
 // CompactIndices converts the factor to compact index storage in place,
 // failing with an error wrapping sparse.ErrIndexOverflow when it does
 // not fit. The value array is shared, not copied, and an existing level
-// schedule is rebuilt for the new storage (same schedule, same bits).
+// schedule carries over: levels depend on structure, not index width.
 // Already-compact factors return nil unchanged. This is the conversion
 // route for factorizations that build wide (e.g. exact Cholesky).
 func (f *Factor) CompactIndices() error {
@@ -94,10 +99,6 @@ func (f *Factor) CompactIndices() error {
 		return err
 	}
 	f.L32, f.L = l32, nil
-	if f.tri != nil {
-		f.tri = nil
-		f.tri32 = sparse.NewTriSolver32(l32)
-	}
 	return nil
 }
 
@@ -108,31 +109,44 @@ func (f *Factor) WidenIndices() {
 		return
 	}
 	f.L, f.L32 = f.L32.Wide(), nil
-	if f.tri32 != nil {
-		f.tri32 = nil
-		f.tri = sparse.NewTriSolver(f.L)
-	}
 }
 
-// Parallelize precomputes a level schedule for L so that Apply runs its
-// two triangular solves across `workers` goroutines. The parallel solves
-// are bitwise identical to the serial ones (same per-row operation
-// order), so enabling parallelism never changes results. Call it once,
-// before the factor is shared between goroutines; workers <= 1 disables
-// the parallel path again.
+// Parallelize lets Apply run its two triangular solves across `workers`
+// goroutines, one level of L's columns at a time. The parallel solves
+// are bitwise identical to the serial ones, so enabling parallelism
+// never changes results. It needs L in level order: a factor
+// Factorize did not build (exact Cholesky, IChol, a deserialized
+// factor) is put into schedule order first, which changes L and Perm
+// but not Apply's bits. Below sparse.ParThreshold columns, where the
+// solves would run serially anyway, it builds nothing. Call it once,
+// before the factor is shared between goroutines; workers <= 1
+// disables the parallel path again.
 func (f *Factor) Parallelize(workers int) {
-	if workers <= 1 {
-		f.tri, f.tri32, f.triWorkers = nil, nil, 0
+	f.levels, f.workers = nil, 0
+	// Schedules number columns in int32, like the elimination graph.
+	if workers <= 1 || f.N < sparse.ParThreshold || f.N > sparse.MaxIndex32 {
 		return
 	}
+	var lev []int32
+	var maxLev int32
 	if f.L32 != nil {
-		if f.tri32 == nil {
-			f.tri32 = sparse.NewTriSolver32(f.L32)
-		}
-	} else if f.tri == nil {
-		f.tri = sparse.NewTriSolver(f.L)
+		lev, maxLev = chainLevels(f.L32.ColPtr, f.L32.RowIdx)
+	} else {
+		lev, maxLev = chainLevels(f.L.ColPtr, f.L.RowIdx)
 	}
-	f.triWorkers = workers
+	levels := make([]int, maxLev+2)
+	inOrder := true
+	for j, l := range lev {
+		levels[l+1]++
+		inOrder = inOrder && (j == 0 || lev[j-1] <= l)
+	}
+	for k := 1; k < len(levels); k++ {
+		levels[k] += levels[k-1]
+	}
+	if !inOrder {
+		f.reschedule(lev, maxLev)
+	}
+	f.levels, f.workers = levels, workers
 }
 
 func (f *Factor) getWork() []float64 {
@@ -154,19 +168,12 @@ func (f *Factor) Apply(z, r []float64) {
 	} else {
 		sparse.PermuteVecInto(w, r, f.Perm)
 	}
-	switch {
-	case f.tri32 != nil && f.triWorkers > 1:
-		f.tri32.LowerSolve(w, f.triWorkers)
-		f.tri32.LowerTransposeSolve(w, f.triWorkers)
-	case f.tri != nil && f.triWorkers > 1:
-		f.tri.LowerSolve(w, f.triWorkers)
-		f.tri.LowerTransposeSolve(w, f.triWorkers)
-	case f.L32 != nil:
-		sparse.LowerSolve32(f.L32, w)
-		sparse.LowerTransposeSolve32(f.L32, w)
-	default:
-		sparse.LowerSolve(f.L, w)
-		sparse.LowerTransposeSolve(f.L, w)
+	if f.L32 != nil {
+		sparse.LowerSolveLevels32(f.L32, w, f.levels, f.workers)
+		sparse.LowerTransposeSolveLevels32(f.L32, w, f.levels, f.workers)
+	} else {
+		sparse.LowerSolveLevels(f.L, w, f.levels, f.workers)
+		sparse.LowerTransposeSolveLevels(f.L, w, f.levels, f.workers)
 	}
 	if f.Perm == nil {
 		copy(z, w)
@@ -176,8 +183,10 @@ func (f *Factor) Apply(z, r []float64) {
 	f.pool.Put(w)
 }
 
-// ProductCSC assembles L·Lᵀ (in the permuted ordering) as a CSC matrix.
-// Quadratic-ish in fill; intended for tests on small matrices.
+// ProductCSC assembles L·Lᵀ as a CSC matrix in the ordering of Perm: it
+// approximates P·A·Pᵀ for the composed Perm, not for the ordering
+// Factorize was given. Quadratic-ish in fill; intended for tests on
+// small matrices.
 func (f *Factor) ProductCSC() *sparse.CSC {
 	l := f.wideL()
 	coo := sparse.NewCOO(f.N, f.N, 4*l.NNZ())

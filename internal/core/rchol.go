@@ -87,7 +87,7 @@ type Options struct {
 	// zero value) keeps the historical 64-bit storage; IndexCompact
 	// builds int32 storage directly — never materializing wide index
 	// arrays — and fails past the 2^31 boundary; IndexAuto builds
-	// compact and widens mid-build if the factor outgrows int32.
+	// compact unless the factor outgrows int32 entry counts.
 	// Index width never changes the floating-point work, so factors of
 	// both widths solve to identical bits.
 	CompactIndex sparse.IndexMode
@@ -115,12 +115,45 @@ type halfedge struct {
 
 // Factorize runs the selected randomized Cholesky variant on the SDDM s
 // eliminated in the order given by perm (perm[newIdx] = oldIdx; nil for
-// natural order) and returns the factor of P·A·Pᵀ ≈ L·Lᵀ.
+// natural order) and returns the factor of P·A·Pᵀ ≈ L·Lᵀ. The factor's
+// columns come back in schedule order (schedule.go), with Perm composed
+// to match; perm itself is never modified.
 func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
-	n := s.N()
-	if n == 0 {
+	if s.N() == 0 {
 		return &Factor{N: 0, L: sparse.NewCSC(0, 0, 0)}, nil
 	}
+	e, err := eliminate(s, perm, opt)
+	if err != nil {
+		return nil, err
+	}
+	return e.schedule(perm), nil
+}
+
+// elimination is the factor as Factorize emits it, column k being
+// elimination step k: column k's entries are ents[colPtr[k]:colPtr[k+1]],
+// diagonal first. lev[k] is column k's level (schedule.go) and maxLev
+// the largest; compact says which index width the factor takes.
+type elimination struct {
+	colPtr  []int
+	ents    []entry
+	compact bool
+	lev     []int32
+	maxLev  int32
+}
+
+// entry is one stored entry of L as eliminate emits it. Rows fit in
+// int32 like every node index of the elimination graph, so one layout
+// serves both index widths, and a column's rows and values share cache
+// lines when schedule copies it.
+type entry struct {
+	row int32
+	val float64
+}
+
+// eliminate runs the factorization proper for Factorize, on an SDDM of
+// at least one node.
+func eliminate(s *graph.SDDM, perm []int, opt Options) (*elimination, error) {
+	n := s.N()
 	if perm != nil {
 		if err := sparse.CheckPerm(perm, n); err != nil {
 			return nil, err
@@ -153,30 +186,26 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 		}
 	}
 
-	// Factor storage, appended column by column. Compact mode appends
-	// int32 row indices directly — the wide arrays are never built — and
-	// colPtr stays wide until the end (n+1 ints, negligible next to the
-	// nnz-sized RowIdx) so a mid-build widen under IndexAuto is cheap.
-	compact := false
-	switch opt.CompactIndex {
-	case sparse.IndexCompact:
-		if n > sparse.MaxIndex32 {
-			return nil, fmt.Errorf("%w: n=%d", sparse.ErrIndexOverflow, n)
-		}
-		compact = true
-	case sparse.IndexAuto:
-		compact = n <= sparse.MaxIndex32
+	// Factor storage, appended column by column. The reservation is a
+	// quarter above 2m+n, which LT-RChol's factor overshoots by 14–17%
+	// on power grids, so it never grows; schedule copies the factor
+	// into exact-size arrays of the requested index width, so the
+	// headroom is never retained.
+	if opt.CompactIndex == sparse.IndexCompact && n > sparse.MaxIndex32 {
+		return nil, fmt.Errorf("%w: n=%d", sparse.ErrIndexOverflow, n)
 	}
 	m := s.G.M()
 	colPtr := make([]int, 1, n+1)
-	var rowIdx []int
-	var rowIdx32 []int32
-	if compact {
-		rowIdx32 = make([]int32, 0, 2*m+n)
-	} else {
-		rowIdx = make([]int, 0, 2*m+n)
+	ents := make([]entry, 0, 2*m+n+(2*m+n)/4)
+
+	// lev[k] is, until column k is emitted, the level of the last column
+	// so far with an entry in row k (-1 if none); from then on it is
+	// column k's own level.
+	lev := make([]int32, n)
+	for i := range lev {
+		lev[i] = -1
 	}
-	val := make([]float64, 0, 2*m+n)
+	var maxLev int32
 
 	r := rng.New(opt.Seed)
 	cs := newCountingSorter(buckets)
@@ -207,10 +236,17 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 		deg := len(nbr)
 		wts = wts[:deg] // proves len(wts) == len(nbr) to the compiler: no per-element bounds checks below
 
+		// Column k's level is one past the last column to touch row k or
+		// any row of column k: the row-chain rule of schedule.go.
 		wsum := 0.0
-		for _, w := range wts {
+		lk := lev[k]
+		for i, w := range wts {
 			wsum += w
+			lk = max(lk, lev[nbr[i]])
 		}
+		lk++
+		lev[k] = lk
+		maxLev = max(maxLev, lk)
 		dk := wsum + d[k]
 		if opt.PivotPerturb != nil {
 			dk = opt.PivotPerturb(k, dk)
@@ -220,42 +256,20 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 		}
 
 		// Emit column k of L: diag first, then -w/sqrt(dk) per neighbor.
-		// The compact and wide branches append the same values in the
-		// same order; only the index element type differs.
 		sq := math.Sqrt(dk)
-		if compact && len(val)+deg+1 > sparse.MaxIndex32 {
-			if opt.CompactIndex == sparse.IndexCompact {
-				return nil, fmt.Errorf("%w: factor exceeds %d entries at elimination step %d",
-					sparse.ErrIndexOverflow, int(sparse.MaxIndex32), k)
-			}
-			// IndexAuto: widen mid-build and carry on. Values are
-			// untouched, so the result stays bit-identical to a
-			// wide-from-the-start factorization.
-			rowIdx = sparse.WidenIndexSlice(nil, rowIdx32)
-			rowIdx32 = nil
-			compact = false
+		if opt.CompactIndex == sparse.IndexCompact && len(ents)+deg+1 > sparse.MaxIndex32 {
+			return nil, fmt.Errorf("%w: factor exceeds %d entries at elimination step %d",
+				sparse.ErrIndexOverflow, int(sparse.MaxIndex32), k)
 		}
-		if compact {
-			rowIdx32 = append(rowIdx32, int32(k))
-			val = append(val, sq)
-			for i, v := range nbr {
-				//pglint:hotalloc rowIdx32 accumulates the factor itself; growth is amortized doubling over the whole factorization
-				rowIdx32 = append(rowIdx32, v)
-				//pglint:hotalloc same factor-output accumulation as rowIdx32 above
-				val = append(val, -wts[i]/sq)
-			}
-		} else {
-			rowIdx = append(rowIdx, k)
-			val = append(val, sq)
-			for i, v := range nbr {
-				//pglint:hotalloc rowIdx accumulates the factor itself; growth is amortized doubling over the whole factorization
-				rowIdx = append(rowIdx, int(v))
-				//pglint:hotalloc same factor-output accumulation as rowIdx above
-				val = append(val, -wts[i]/sq)
-			}
+		//pglint:hotalloc within the capacity reserved above: the factor's own storage
+		ents = append(ents, entry{int32(k), sq})
+		for i, v := range nbr {
+			//pglint:hotalloc ents accumulates the factor itself; growth, if any, is amortized doubling over the whole factorization
+			ents = append(ents, entry{v, -wts[i] / sq})
+			lev[v] = lk
 		}
 		//pglint:hotalloc within the n+1 capacity reserved above: never grows
-		colPtr = append(colPtr, len(val))
+		colPtr = append(colPtr, len(ents))
 
 		if deg == 0 {
 			continue
@@ -341,20 +355,8 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 		}
 	}
 
-	f := &Factor{N: n}
-	if compact {
-		cp, err := sparse.CompactIndexSlice(nil, colPtr)
-		if err != nil {
-			// Unreachable: colPtr values are bounded by len(val), which
-			// the overflow check above keeps within int32 range.
-			return nil, err
-		}
-		f.L32 = &sparse.CSC32{Rows: n, Cols: n, ColPtr: cp, RowIdx: rowIdx32, Val: val}
-	} else {
-		f.L = &sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
-	}
-	if perm != nil {
-		f.Perm = perm
-	}
-	return f, nil
+	// IndexAuto is compact unless the factor outgrew int32 entry counts.
+	compact := opt.CompactIndex == sparse.IndexCompact ||
+		opt.CompactIndex == sparse.IndexAuto && len(ents) <= sparse.MaxIndex32
+	return &elimination{colPtr: colPtr, ents: ents, compact: compact, lev: lev, maxLev: maxLev}, nil
 }

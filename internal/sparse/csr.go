@@ -5,10 +5,8 @@ import (
 	"math"
 )
 
-// CSR is a compressed sparse row matrix: the row-major copy of a
-// triangular factor that the level-scheduled solves (TriSolver,
-// TriSolver32) gather from, one contiguous row per unknown, and the
-// row view PCG multiplies by (MulVecDot).
+// CSR is a compressed sparse row matrix: the row view PCG multiplies
+// by (MulVecDot), one contiguous row per unknown.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int

@@ -16,11 +16,12 @@ import (
 // overflow-checked conversions that fail loudly at the 2^31 boundary
 // instead of wrapping.
 //
-// Kernel contract: every compact kernel (MulVecDot, the triangular
-// solves, TriSolver32) performs the identical floating-point
-// operations in the identical order as its wide counterpart, so
-// switching index width never changes a solve's bits. The equivalence
-// suite at the repo root pins this for every registered method.
+// Kernel contract: every compact kernel (MulVecDot, the serial and
+// level-scheduled triangular solves) performs the identical
+// floating-point operations in the identical order as its wide
+// counterpart, so switching index width never changes a solve's bits.
+// The equivalence suite at the repo root pins this for every
+// registered method.
 
 // MaxIndex32 is the largest dimension or entry count representable in
 // compact (int32) index storage.
@@ -200,34 +201,6 @@ func (a *CSC32) Check() error {
 		}
 	}
 	return nil
-}
-
-// ToCSR converts to compact CSR storage, same construction as CSC.ToCSR.
-func (a *CSC32) ToCSR() *CSR32 {
-	t := &CSR32{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int32, a.Rows+1),
-		ColIdx: make([]int32, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	for _, i := range a.RowIdx {
-		t.RowPtr[i+1]++
-	}
-	for i := 0; i < a.Rows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := append([]int32(nil), t.RowPtr[:a.Rows]...)
-	for j := 0; j < a.Cols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			q := next[i]
-			next[i]++
-			t.ColIdx[q] = int32(j)
-			t.Val[q] = a.Val[p]
-		}
-	}
-	return t
 }
 
 // CSR32 is the compact-index compressed sparse row matrix.

@@ -132,10 +132,10 @@ func randomCSC(rows, cols int, density float64, r *rng.Rand) *CSC {
 	return coo.ToCSC()
 }
 
-// TestCompactCSCKernelsBitwise: the compact kernels must reproduce the
-// wide ones bit for bit — the CSR conversion the compact triangular
-// solver builds on, and element access. (The compact multiply is
-// pinned by TestMulVecDotMatchesScatter.)
+// TestCompactCSCKernelsBitwise: the compact storage must reproduce the
+// wide one bit for bit — element access and widening. (The compact
+// multiply is pinned by TestMulVecDotMatchesScatter, the compact
+// triangular solves by TestTriSolve32Bitwise.)
 func TestCompactCSCKernelsBitwise(t *testing.T) {
 	r := rng.New(31)
 	for trial := 0; trial < 5; trial++ {
@@ -153,19 +153,6 @@ func TestCompactCSCKernelsBitwise(t *testing.T) {
 		}
 		if w, c := a.IndexBytes(), a32.IndexBytes(); w != 2*c {
 			t.Fatalf("index bytes not halved: wide %d, compact %d", w, c)
-		}
-
-		rw, rc := a.ToCSR(), a32.ToCSR()
-		assertSameBits(t, "ToCSR().Val", rw.Val, rc.Val)
-		for q, j := range rw.ColIdx {
-			if int(rc.ColIdx[q]) != j {
-				t.Fatalf("ToCSR ColIdx[%d]: wide %d, compact %d", q, j, rc.ColIdx[q])
-			}
-		}
-		for i, p := range rw.RowPtr {
-			if int(rc.RowPtr[i]) != p {
-				t.Fatalf("ToCSR RowPtr[%d]: wide %d, compact %d", i, p, rc.RowPtr[i])
-			}
 		}
 
 		for k := 0; k < 20; k++ {
@@ -205,13 +192,18 @@ func randomLowerCSC(n int, r *rng.Rand) *CSC {
 }
 
 // TestTriSolve32Bitwise: the compact triangular kernels — plain
-// LowerSolve32/LowerTransposeSolve32 and the level-scheduled
-// TriSolver32, serial and parallel — must all reproduce the wide
-// kernels bit for bit.
+// LowerSolve32/LowerTransposeSolve32 and the level-scheduled solves,
+// serial and parallel — must all reproduce the wide kernels bit for bit.
 func TestTriSolve32Bitwise(t *testing.T) {
 	r := rng.New(37)
-	for _, n := range []int{1, 7, 40, 150} {
-		l := randomLowerCSC(n, r)
+	for _, n := range []int{1, 7, 40, 150, ParThreshold + 40} {
+		var l *CSC
+		var levels []int // below ParThreshold the level solves run serially
+		if n < ParThreshold {
+			l = randomLowerCSC(n, r)
+		} else {
+			l, levels = randLevelLower(r, n, 6, 2*minParallel)
+		}
 		l32, err := CompactCSC(l)
 		if err != nil {
 			t.Fatal(err)
@@ -233,25 +225,14 @@ func TestTriSolve32Bitwise(t *testing.T) {
 		LowerTransposeSolve32(l32, tc)
 		assertSameBits(t, "LowerTransposeSolve32", tw, tc)
 
-		ts := NewTriSolver(l)
-		ts32 := NewTriSolver32(l32)
-		if ts.Levels() != ts32.Levels() {
-			t.Fatalf("n=%d: level counts differ: wide %d, compact %d", n, ts.Levels(), ts32.Levels())
-		}
 		for _, workers := range []int{1, 4} {
-			fw := append([]float64(nil), b...)
-			ts.LowerSolve(fw, workers)
 			fc := append([]float64(nil), b...)
-			ts32.LowerSolve(fc, workers)
-			assertSameBits(t, "TriSolver32.LowerSolve", fw, fc)
-			assertSameBits(t, "TriSolver32.LowerSolve vs plain", xw, fc)
+			LowerSolveLevels32(l32, fc, levels, workers)
+			assertSameBits(t, "LowerSolveLevels32", xw, fc)
 
-			bw := append([]float64(nil), b...)
-			ts.LowerTransposeSolve(bw, workers)
 			bc := append([]float64(nil), b...)
-			ts32.LowerTransposeSolve(bc, workers)
-			assertSameBits(t, "TriSolver32.LowerTransposeSolve", bw, bc)
-			assertSameBits(t, "TriSolver32.LowerTransposeSolve vs plain", tw, bc)
+			LowerTransposeSolveLevels32(l32, bc, levels, workers)
+			assertSameBits(t, "LowerTransposeSolveLevels32", tw, bc)
 		}
 	}
 }

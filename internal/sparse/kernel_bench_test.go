@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"sort"
 	"testing"
 
 	"powerrchol/internal/rng"
@@ -18,6 +19,67 @@ func benchLower(b *testing.B) (*CSC, []float64, []float64) {
 	x := randVec(r, 20000)
 	work := make([]float64, 20000)
 	return l, x, work
+}
+
+// lowerWithLengths builds a random lower factor whose column j has
+// length(j) off-diagonals, in random rows below the diagonal.
+func lowerWithLengths(r *rng.Rand, n int, length func(j int) int) *CSC {
+	l := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
+	for j := 0; j < n; j++ {
+		l.RowIdx = append(l.RowIdx, j)
+		l.Val = append(l.Val, 1+r.Float64())
+		seen := map[int]bool{}
+		for k := length(j); k > 0 && j+1 < n; k-- {
+			i := j + 1 + int(r.Uint64()%uint64(n-j-1))
+			if seen[i] {
+				continue
+			}
+			seen[i] = true
+			l.RowIdx = append(l.RowIdx, i)
+			l.Val = append(l.Val, 0.5*(2*r.Float64()-1))
+		}
+		l.ColPtr[j+1] = len(l.RowIdx)
+	}
+	return l
+}
+
+// BenchmarkLowerSolveColumnLengths times a forward plus a backward
+// solve on three random factors with the same number of entries (n =
+// 17,500, four off-diagonals per column on average): every column of
+// length four; lengths two to six mixed at random; and the same mix in
+// runs of equal length. The column loop's exit costs a misprediction
+// per column whenever neighbouring columns differ in length, which is
+// what core.Factorize's scheduled layout avoids.
+func BenchmarkLowerSolveColumnLengths(b *testing.B) {
+	const n = 17500
+	mixed := rng.New(21)
+	lens := make([]int, n)
+	for j := range lens {
+		lens[j] = 2 + mixed.Intn(5)
+	}
+	runs := append([]int(nil), lens...)
+	sort.Ints(runs)
+	for _, c := range []struct {
+		name   string
+		length func(j int) int
+	}{
+		{"uniform", func(int) int { return 4 }},
+		{"mixed", func(j int) int { return lens[j] }},
+		{"runs", func(j int) int { return runs[j] }},
+	} {
+		r := rng.New(22)
+		l := lowerWithLengths(r, n, c.length)
+		x := randVec(r, n)
+		work := make([]float64, n)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(work, x)
+				LowerSolve(l, work)
+				LowerTransposeSolve(l, work)
+			}
+		})
+	}
 }
 
 func BenchmarkLowerSolve(b *testing.B) {
@@ -65,21 +127,6 @@ func BenchmarkLowerTransposeSolve32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(work, x)
 		LowerTransposeSolve32(l32, work)
-	}
-}
-
-func BenchmarkTriSolver32LowerSolve(b *testing.B) {
-	l, x, work := benchLower(b)
-	l32, err := CompactCSC(l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := NewTriSolver32(l32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, x)
-		t.LowerSolve(work, benchWorkers)
 	}
 }
 

@@ -14,16 +14,15 @@ import (
 
 const benchWorkers = 4
 
-func BenchmarkTriSolverLowerSolve(b *testing.B) {
+func BenchmarkLowerSolveLevels(b *testing.B) {
 	r := rng.New(5)
-	l := randLower(r, 20000, 8)
-	t := NewTriSolver(l)
+	l, levels := randLevelLower(r, 20000, 8, 2*minParallel)
 	x := randVec(r, 20000)
 	work := make([]float64, 20000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, x)
-		t.LowerSolve(work, benchWorkers)
+		LowerSolveLevels(l, work, levels, benchWorkers)
 	}
 }

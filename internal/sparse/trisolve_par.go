@@ -3,215 +3,144 @@ package sparse
 import "sync"
 
 // Level-scheduled parallel triangular solves. A triangular solve looks
-// inherently sequential, but its dependency graph is the sparsity
-// structure of L: unknown j waits only on the unknowns appearing in row j
-// of L. Grouping unknowns into levels (all dependencies in strictly
-// earlier levels) exposes the parallelism; within a level every unknown
-// is computed independently in gather form, so there are no scatter races
-// and no atomic operations.
+// inherently sequential, but a factor whose columns are in level order
+// (core.Factorize's scheduled layout, DESIGN.md §16) splits into
+// consecutive column ranges — levels — whose columns share no row
+// index, diagonal included. The columns of one level then touch
+// disjoint entries of x in either direction: no column of a level
+// writes an entry another column of that level reads or writes, and
+// the backward gather reads only entries of later levels, already
+// final. So each level's columns can be split across workers and solved
+// by the serial kernels of trisolve.go, with no atomics and no copy of L.
 //
-// Determinism: each unknown is accumulated serially in a fixed order —
-// ascending column order for the forward solve (matching the scatter
-// order of LowerSolve) and storage order for the transpose solve
-// (matching LowerTransposeSolve) — so both parallel solves are bitwise
-// identical to their serial counterparts for every worker count.
+// Determinism: every x[i] receives the serial solve's operations in the
+// serial order. Forward contributions arrive level by level, hence in
+// ascending column order, since no level holds two columns with an
+// entry in row i; each backward sum runs over its column in stored
+// order. Both solves are bitwise identical to the serial ones for every
+// worker count.
 
 // ParThreshold is the dimension below which the level-scheduled solves
 // run serially: under ~8k unknowns the work per unknown (a few ns)
 // cannot amortize goroutine handoff.
 const ParThreshold = 8192
 
-// TriSolver precomputes the level schedule and a row-major (CSR) copy of
-// a lower-triangular factor L stored diag-first in CSC, enabling
-// parallel forward and transpose solves. The struct is read-only after
-// NewTriSolver and safe for concurrent use.
-type TriSolver struct {
-	l *CSC // the factor; transpose solves gather from it directly
+// minParallel is the narrowest level split across workers: handing a
+// few columns to another goroutine costs more than it saves. Narrower
+// levels run serially, each run of consecutive narrow levels in one
+// kernel call.
+const minParallel = 256
 
-	// CSR of L for the forward gather solve. Rows are sorted by column
-	// ascending; the diagonal entry is therefore last in each row.
-	rowPtr []int
-	colIdx []int
-	val    []float64
-
-	fOrder, fPtr []int // forward levels: rows fOrder[fPtr[k]:fPtr[k+1]]
-	bOrder, bPtr []int // backward (transpose) levels, same encoding
-
-	// minParallel: levels smaller than this run serially; spawning
-	// goroutines for a handful of rows costs more than it saves.
-	minParallel int
+// LowerSolveLevels solves L·x = b in place like LowerSolve, one level at
+// a time across workers goroutines. levels[k]..levels[k+1] is level k's
+// column range; the columns of one level must share no row index,
+// diagonal included. With nil levels, workers <= 1 or fewer than
+// ParThreshold columns it is LowerSolve. Bitwise identical to
+// LowerSolve either way.
+func LowerSolveLevels(l *CSC, x []float64, levels []int, workers int) {
+	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, false)
 }
 
-// NewTriSolver builds the level schedule for the lower-triangular CSC
-// factor l (diagonal first in each column, as produced by every
-// factorization in this repository).
-func NewTriSolver(l *CSC) *TriSolver {
-	n := l.Cols
-	t := &TriSolver{l: l, minParallel: 256}
-
-	csr := l.ToCSR()
-	t.rowPtr, t.colIdx, t.val = csr.RowPtr, csr.ColIdx, csr.Val
-
-	// Forward levels: lev[j] = 1 + max lev[i] over entries i<j of row j.
-	// Scanning columns ascending visits every dependency edge (i -> j,
-	// i < j) after lev[i] is final.
-	lev := make([]int, n)
-	maxLev := 0
-	for i := 0; i < n; i++ {
-		li := lev[i] + 1
-		for p := l.ColPtr[i] + 1; p < l.ColPtr[i+1]; p++ {
-			if j := l.RowIdx[p]; lev[j] < li {
-				lev[j] = li
-			}
-		}
-		if lev[i] > maxLev {
-			maxLev = lev[i]
-		}
-	}
-	t.fOrder, t.fPtr = levelSort(lev, maxLev)
-
-	// Backward levels for Lᵀ·x = b: unknown j depends on the entries
-	// i > j of column j, so scan columns descending.
-	for i := range lev {
-		lev[i] = 0
-	}
-	maxLev = 0
-	for j := n - 1; j >= 0; j-- {
-		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
-			if li := lev[l.RowIdx[p]] + 1; lev[j] < li {
-				lev[j] = li
-			}
-		}
-		if lev[j] > maxLev {
-			maxLev = lev[j]
-		}
-	}
-	t.bOrder, t.bPtr = levelSort(lev, maxLev)
-	return t
+// LowerSolveLevels32 is LowerSolveLevels for compact index storage.
+func LowerSolveLevels32(l *CSC32, x []float64, levels []int, workers int) {
+	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, false)
 }
 
-// levelSort buckets indices by level, preserving ascending index order
-// within a level, and returns the ordering plus level boundaries.
-func levelSort(lev []int, maxLev int) (order, ptr []int) {
-	n := len(lev)
-	ptr = make([]int, maxLev+2)
-	for _, l := range lev {
-		ptr[l+1]++
-	}
-	for l := 0; l <= maxLev; l++ {
-		ptr[l+1] += ptr[l]
-	}
-	order = make([]int, n)
-	next := append([]int(nil), ptr[:maxLev+1]...)
-	for i, l := range lev {
-		order[next[l]] = i
-		next[l]++
-	}
-	return order, ptr
+// LowerTransposeSolveLevels solves Lᵀ·x = b in place like
+// LowerTransposeSolve, one level at a time from the last across workers
+// goroutines, under the same conditions as LowerSolveLevels. Bitwise
+// identical to LowerTransposeSolve.
+func LowerTransposeSolveLevels(l *CSC, x []float64, levels []int, workers int) {
+	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, true)
 }
 
-// Levels reports the depth of the forward schedule (a parallelism
-// diagnostic: n/Levels is the average available width).
-func (t *TriSolver) Levels() int { return len(t.fPtr) - 1 }
+// LowerTransposeSolveLevels32 is LowerTransposeSolveLevels for compact
+// index storage.
+func LowerTransposeSolveLevels32(l *CSC32, x []float64, levels []int, workers int) {
+	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, true)
+}
 
-// LowerSolve solves L·x = b in place, level by level across `workers`
-// goroutines. Bitwise identical to sparse.LowerSolve.
-func (t *TriSolver) LowerSolve(x []float64, workers int) {
-	if workers <= 1 || t.l.Cols < ParThreshold {
-		LowerSolve(t.l, x)
+// solveLevels is the forward solve, or the transpose solve, behind the
+// four level-scheduled entry points.
+func solveLevels[I int | int32](colPtr, rowIdx []I, val, x []float64, levels []int, workers int, transpose bool) {
+	if levels == nil || workers <= 1 || len(colPtr)-1 < ParThreshold {
+		if transpose {
+			lowerTransposeSolve(colPtr, rowIdx, val, x, x)
+		} else {
+			lowerSolve(colPtr, rowIdx, val, x, x)
+		}
 		return
 	}
-	rowPtr, colIdx, val := t.rowPtr, t.colIdx, t.val
-	runLevels(t.fOrder, t.fPtr, t.minParallel, workers, func(j int) {
-		p := rowPtr[j]
-		end := rowPtr[j+1] - 1 // diagonal is last (rows sorted by column)
-		cols := colIdx[p:end]
-		vals := val[p:end]
-		vals = vals[:len(cols)]
-		s := x[j]
-		for k, c := range cols {
-			s -= vals[k] * x[c]
+	runLevels(levels, transpose, workers, func(lo, hi int) {
+		cols, xc := colPtr[lo:hi+1], x[lo:hi]
+		if transpose {
+			lowerTransposeSolve(cols, rowIdx, val, xc, x)
+		} else {
+			lowerSolve(cols, rowIdx, val, xc, x)
 		}
-		x[j] = s / val[end]
 	})
 }
 
-// LowerTransposeSolve solves Lᵀ·x = b in place, level by level across
-// `workers` goroutines. Bitwise identical to sparse.LowerTransposeSolve.
-func (t *TriSolver) LowerTransposeSolve(x []float64, workers int) {
-	if workers <= 1 || t.l.Cols < ParThreshold {
-		LowerTransposeSolve(t.l, x)
-		return
-	}
-	colPtr, rowIdx, val := t.l.ColPtr, t.l.RowIdx, t.l.Val
-	runLevels(t.bOrder, t.bPtr, t.minParallel, workers, func(j int) {
-		p := colPtr[j]
-		end := colPtr[j+1]
-		rows := rowIdx[p+1 : end]
-		vals := val[p+1 : end]
-		vals = vals[:len(rows)]
-		s := x[j]
-		for k := range vals {
-			s -= vals[k] * x[rows[k]]
-		}
-		x[j] = s / val[p]
-	})
-}
-
-// runLevels executes solve(j) for every j in order, one level at a
-// time; rows within a level are independent and split across workers.
-// It is the scheduling engine shared by TriSolver and TriSolver32 —
-// the schedule never touches index storage, so both widths reuse it.
+// runLevels calls solve on column ranges covering every level, one level
+// after another — from the last when reverse — so that every call of
+// one level finishes before any of the next starts. A level of at least
+// minParallel columns is split across workers; consecutive narrower
+// levels are merged into one serial call, which the serial order allows.
 //
 // Workers are spawned once per call — on the first level wide enough to
-// parallelize — and retired by closing the job channel after the last
-// level, instead of spawning fresh goroutines (and their closures) for
-// every level. A factor's schedule commonly has hundreds of levels, so
-// this turns O(levels × workers) goroutine launches per solve into
-// O(workers). Which worker executes which part is scheduling-dependent,
-// but parts never split a row and each row is accumulated serially in a
-// fixed order, so the result stays bitwise identical to the serial solve.
-func runLevels(order, ptr []int, minParallel, workers int, solve func(j int)) {
-	var jobs chan []int
+// split — and retired by closing the job channel after the last level.
+// Which worker solves which part is scheduling-dependent, but parts of a
+// level touch disjoint entries of x, so the result stays bitwise
+// identical to the serial solve.
+func runLevels(levels []int, reverse bool, workers int, solve func(lo, hi int)) {
+	var jobs chan [2]int
 	var wg sync.WaitGroup
-	worker := func(jobs <-chan []int) {
+	worker := func(jobs <-chan [2]int) {
 		for part := range jobs {
-			for _, j := range part {
-				solve(j)
-			}
+			solve(part[0], part[1])
 			wg.Done()
 		}
 	}
-	for k := 0; k+1 < len(ptr); k++ {
-		rows := order[ptr[k]:ptr[k+1]]
-		if len(rows) < minParallel {
-			for _, j := range rows {
-				solve(j)
+	var run [2]int // pending merged narrow levels; empty when run[0] == run[1]
+	nl := len(levels) - 1
+	for i := 0; i < nl; i++ {
+		k := i
+		if reverse {
+			k = nl - 1 - i
+		}
+		lo, hi := levels[k], levels[k+1]
+		if hi-lo < minParallel {
+			switch {
+			case run[0] == run[1]:
+				run = [2]int{lo, hi}
+			case reverse:
+				run[0] = lo
+			default:
+				run[1] = hi
 			}
 			continue
 		}
+		if run[0] < run[1] {
+			solve(run[0], run[1])
+			run = [2]int{}
+		}
 		if jobs == nil {
-			jobs = make(chan []int, workers)
+			jobs = make(chan [2]int, workers)
 			for w := 0; w < workers; w++ {
 				go worker(jobs)
 			}
 		}
-		nw := workers
-		if nw > len(rows) {
-			nw = len(rows)
-		}
+		nw := min(workers, hi-lo)
 		for w := 0; w < nw; w++ {
-			lo := len(rows) * w / nw
-			hi := len(rows) * (w + 1) / nw
-			if lo >= hi {
-				continue
-			}
 			wg.Add(1)
-			jobs <- rows[lo:hi]
+			jobs <- [2]int{lo + (hi-lo)*w/nw, lo + (hi-lo)*(w+1)/nw}
 		}
-		// The per-level barrier: every part of level k finishes before any
-		// row of level k+1 starts — that is the level schedule's contract.
+		// The per-level barrier: every part of this level finishes before
+		// any column of the next starts — the level schedule's contract.
 		wg.Wait()
+	}
+	if run[0] < run[1] {
+		solve(run[0], run[1])
 	}
 	if jobs != nil {
 		close(jobs)
