@@ -109,19 +109,23 @@ race:
 	$(GO) test -race -short ./...
 
 # Short-budget native fuzzing of the input boundaries: Matrix Market
-# parsing, SDDM construction, and factor deserialization. Each target runs
-# a few seconds — enough for regressions, not a soak; raise FUZZTIME for a
-# longer hunt.
+# and netlist parsing, SDDM construction, factor deserialization, the
+# service's request decoders and the solver Options. Each target runs a
+# few seconds — enough for regressions, not a soak; raise FUZZTIME for a
+# longer hunt. TestFuzzTargetsInMakefile fails when a Fuzz function of
+# the module is missing here.
 FUZZTIME ?= 5s
 fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzSolveOptions$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
-	$(GO) test -run='^$$' -fuzz='^FuzzIndexConvert$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzSplitCSC$$' -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFactor$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDirective$$' -fuzztime=$(FUZZTIME) ./internal/lint/directive
 	$(GO) test -run='^$$' -fuzz='^FuzzParseOptDirective$$' -fuzztime=$(FUZZTIME) ./internal/lint/optcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSolveRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSystemRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/powergrid
+	$(GO) test -run='^$$' -fuzz='^FuzzReadSolution$$' -fuzztime=$(FUZZTIME) ./internal/powergrid
 
 # soak runs the solve-service chaos suite under the race detector with a
 # stretched duration: fault-injected factorizations and preconditioners,
@@ -160,7 +164,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-json records one machine-readable point of the performance
-# trajectory: every registered method × case × index width, with
+# trajectory: every registered method × case, with
 # per-stage timings, allocation totals, peak heap and process RSS
 # (cmd/pgbench). BENCH_POINT numbers the point (BENCH_<n>.json, one per
 # growth step, committed); BENCH_SCALE trades fidelity for wall time —
@@ -170,9 +174,9 @@ BENCH_SCALE ?= 0.35
 bench-json:
 	$(GO) run ./cmd/pgbench -point $(BENCH_POINT) -scale $(BENCH_SCALE) -o BENCH_$(BENCH_POINT).json
 
-# bench-json-smoke is the CI gate: one case, two methods, both index
-# widths, validated by piping through the JSON decoder of the golden
-# schema test (go test ./cmd/pgbench) beforehand.
+# bench-json-smoke is the CI gate: one case, two methods, validated by
+# piping through the JSON decoder of the golden schema test
+# (go test ./cmd/pgbench) beforehand.
 bench-json-smoke:
 	$(GO) run ./cmd/pgbench -point 0 -scale 0.1 -cases ibmpg3 -methods powerrchol,direct -o /tmp/pgbench-smoke.json
 	$(GO) test ./cmd/pgbench

@@ -4,12 +4,11 @@
 // trajectory is a schema-versioned snapshot (BENCH_<n>.json, one per
 // growth step) holding per-stage wall time, PCG iteration counts,
 // allocation totals, peak heap and (on Linux) process RSS for every
-// method × case × index-mode combination, so regressions and the
-// memory-diet effect of compact (int32) index storage are diffable
-// across revisions.
+// method × case combination, so regressions are diffable across
+// revisions.
 //
 //	pgbench -point 6 -scale 0.15 -o BENCH_6.json
-//	pgbench -cases ibmpg3,thupg1 -methods powerrchol,direct -index wide
+//	pgbench -cases ibmpg3,thupg1 -methods powerrchol,direct
 //
 // Absolute times depend on the host; the fields meant for cross-revision
 // comparison are the iteration counts, factor sizes, index bytes and
@@ -35,7 +34,7 @@ import (
 
 // benchSchema identifies the report layout. Bump only on breaking field
 // changes; additive fields keep the version.
-const benchSchema = "powerrchol-bench/1"
+const benchSchema = "powerrchol-bench/2"
 
 // report is one trajectory point. Field order is the emission order.
 type report struct {
@@ -66,14 +65,13 @@ type envInfo struct {
 // benchConfig is the flag set that produced the report, embedded so a
 // point is reproducible from its own header.
 type benchConfig struct {
-	Scale      float64  `json:"scale"`
-	Tol        float64  `json:"tol"`
-	MaxIter    int      `json:"max_iter"`
-	Seed       uint64   `json:"seed"`
-	Workers    int      `json:"workers"`
-	Cases      []string `json:"-"`
-	Methods    []string `json:"-"`
-	IndexModes []string `json:"index_modes"`
+	Scale   float64  `json:"scale"`
+	Tol     float64  `json:"tol"`
+	MaxIter int      `json:"max_iter"`
+	Seed    uint64   `json:"seed"`
+	Workers int      `json:"workers"`
+	Cases   []string `json:"-"`
+	Methods []string `json:"-"`
 	// Workloads toggles the per-case study measurements (transient and
 	// Monte Carlo).
 	Workloads bool `json:"workloads"`
@@ -87,13 +85,12 @@ type caseInfo struct {
 	NNZ  int    `json:"nnz"`
 }
 
-// runResult is one method × case × index-mode measurement. Durations are
+// runResult is one method × case measurement. Durations are
 // integer nanoseconds; memory counters are deltas across the solve
 // except HeapPeakBytes (sampled maximum of the live heap during it).
 type runResult struct {
-	Case      string `json:"case"`
-	Method    string `json:"method"`
-	IndexMode string `json:"index_mode"`
+	Case   string `json:"case"`
+	Method string `json:"method"`
 
 	ReorderNS   int64 `json:"reorder_ns"`
 	FactorizeNS int64 `json:"factorize_ns"`
@@ -162,7 +159,6 @@ func run(argv []string, stdout io.Writer) error {
 	scale := fs.Float64("scale", 0.15, "case scale factor (1.0 = full benchmark size)")
 	caseList := fs.String("cases", "all", "comma-separated case names, or 'all' / 'powergrid'")
 	methodList := fs.String("methods", "all", "comma-separated method names, or 'all'")
-	indexList := fs.String("index", "wide,compact", "comma-separated index modes to measure: wide|compact|auto")
 	tol := fs.Float64("tol", 1e-6, "relative residual tolerance")
 	maxIter := fs.Int("maxiter", 500, "PCG iteration cap")
 	seed := fs.Uint64("seed", 2024, "randomized factorization seed")
@@ -173,15 +169,14 @@ func run(argv []string, stdout io.Writer) error {
 	}
 
 	cfg := benchConfig{
-		Scale:      *scale,
-		Tol:        *tol,
-		MaxIter:    *maxIter,
-		Seed:       *seed,
-		Workers:    *workers,
-		Cases:      splitList(*caseList),
-		Methods:    splitList(*methodList),
-		IndexModes: splitList(*indexList),
-		Workloads:  *workloads,
+		Scale:     *scale,
+		Tol:       *tol,
+		MaxIter:   *maxIter,
+		Seed:      *seed,
+		Workers:   *workers,
+		Cases:     splitList(*caseList),
+		Methods:   splitList(*methodList),
+		Workloads: *workloads,
 	}
 	rep, err := runBench(cfg, os.Stderr)
 	if err != nil {
@@ -229,8 +224,8 @@ func writeReport(w io.Writer, rep *report) error {
 	return err
 }
 
-// runBench builds the selected cases once and measures every method ×
-// index-mode combination on each. Per-run failures (non-convergence, an
+// runBench builds the selected cases once and measures every method on
+// each. Per-run failures (non-convergence, an
 // indefinite preconditioner) are recorded in the result's Error field,
 // not returned: one weak baseline must not sink the trajectory point.
 // progress receives one line per case; pass io.Discard to silence it.
@@ -240,10 +235,6 @@ func runBench(cfg benchConfig, progress io.Writer) (*report, error) {
 		return nil, err
 	}
 	selMethods, err := selectMethods(cfg.Methods)
-	if err != nil {
-		return nil, err
-	}
-	modes, err := parseIndexModes(cfg.IndexModes)
 	if err != nil {
 		return nil, err
 	}
@@ -266,12 +257,10 @@ func runBench(cfg benchConfig, progress io.Writer) (*report, error) {
 		rep.Cases = append(rep.Cases, caseInfo{
 			ID: c.ID, Name: c.Name, Kind: c.Kind, N: p.Sys.N(), NNZ: p.NNZ(),
 		})
-		fmt.Fprintf(progress, "pgbench: %s n=%d nnz=%d (%d methods × %d index modes)\n",
-			c.Name, p.Sys.N(), p.NNZ(), len(selMethods), len(modes))
+		fmt.Fprintf(progress, "pgbench: %s n=%d nnz=%d (%d methods)\n",
+			c.Name, p.Sys.N(), p.NNZ(), len(selMethods))
 		for _, mi := range selMethods {
-			for _, mode := range modes {
-				rep.Results = append(rep.Results, runOne(p, mi, mode, cfg))
-			}
+			rep.Results = append(rep.Results, runOne(p, mi, cfg))
 		}
 		if cfg.Workloads {
 			rep.Workloads = append(rep.Workloads, runWorkloads(c.Name, p, cfg)...)
@@ -329,42 +318,20 @@ func selectMethods(names []string) ([]powerrchol.MethodInfo, error) {
 	return out, nil
 }
 
-func parseIndexModes(names []string) ([]powerrchol.IndexMode, error) {
-	if len(names) == 0 {
-		return []powerrchol.IndexMode{powerrchol.IndexWide}, nil
-	}
-	out := make([]powerrchol.IndexMode, 0, len(names))
-	for _, name := range names {
-		switch name {
-		case "wide":
-			out = append(out, powerrchol.IndexWide)
-		case "compact":
-			out = append(out, powerrchol.IndexCompact)
-		case "auto":
-			out = append(out, powerrchol.IndexAuto)
-		default:
-			return nil, fmt.Errorf("unknown index mode %q (want wide, compact or auto)", name)
-		}
-	}
-	return out, nil
-}
-
 // runOne measures a single solve. The allocation counters are deltas of
 // runtime.MemStats across the solve after a fresh GC; the heap peak is
 // the maximum live heap a concurrent sampler observed during it.
-func runOne(p *cases.Problem, mi powerrchol.MethodInfo, mode powerrchol.IndexMode, cfg benchConfig) runResult {
+func runOne(p *cases.Problem, mi powerrchol.MethodInfo, cfg benchConfig) runResult {
 	rr := runResult{
-		Case:      p.Name,
-		Method:    mi.Name,
-		IndexMode: mode.String(),
+		Case:   p.Name,
+		Method: mi.Name,
 	}
 	opt := powerrchol.Options{
-		Method:       mi.Method,
-		Tol:          cfg.Tol,
-		MaxIter:      cfg.MaxIter,
-		Seed:         cfg.Seed,
-		Workers:      cfg.Workers,
-		CompactIndex: mode,
+		Method:  mi.Method,
+		Tol:     cfg.Tol,
+		MaxIter: cfg.MaxIter,
+		Seed:    cfg.Seed,
+		Workers: cfg.Workers,
 	}
 
 	runtime.GC()
@@ -534,9 +501,8 @@ func deterministicSubset(rep *report) *report {
 	out.Results = make([]runResult, len(rep.Results))
 	for i, rr := range rep.Results {
 		out.Results[i] = runResult{
-			Case:      rr.Case,
-			Method:    rr.Method,
-			IndexMode: rr.IndexMode,
+			Case:   rr.Case,
+			Method: rr.Method,
 		}
 	}
 	out.Workloads = make([]workloadResult, len(rep.Workloads))

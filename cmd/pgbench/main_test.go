@@ -9,32 +9,28 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"powerrchol"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenConfig is the fixed configuration the schema golden pins: one
-// tiny case, the headline method plus the direct baseline, both index
-// widths. Everything it produces outside the deterministic subset is
+// tiny case, the headline method plus the direct baseline. Everything it produces outside the deterministic subset is
 // zeroed before comparison.
 func goldenConfig() benchConfig {
 	return benchConfig{
-		Scale:      0.1,
-		Tol:        1e-6,
-		MaxIter:    500,
-		Seed:       2024,
-		Cases:      []string{"ibmpg3"},
-		Methods:    []string{"powerrchol", "direct"},
-		IndexModes: []string{"wide", "compact"},
-		Workloads:  true,
+		Scale:     0.1,
+		Tol:       1e-6,
+		MaxIter:   500,
+		Seed:      2024,
+		Cases:     []string{"ibmpg3"},
+		Methods:   []string{"powerrchol", "direct"},
+		Workloads: true,
 	}
 }
 
 // TestReportSchemaGolden pins the deterministic subset of the JSON
 // report — schema version, config encoding, case inventory and the
-// method × case × index-mode result grid — to a golden file. Timings
+// method × case result grid — to a golden file. Timings
 // and memory counters are volatile by nature and excluded; renaming or
 // removing any pinned field is a schema break and must bump benchSchema.
 func TestReportSchemaGolden(t *testing.T) {
@@ -65,55 +61,33 @@ func TestReportSchemaGolden(t *testing.T) {
 
 // TestReportFieldsPopulated checks that the volatile fields the golden
 // cannot pin are actually measured: a solve takes time, allocates, and
-// reports its factor's index footprint halved under compact storage.
+// reports its factor's size and index footprint.
 func TestReportFieldsPopulated(t *testing.T) {
 	rep, err := runBench(goldenConfig(), io.Discard)
 	if err != nil {
 		t.Fatalf("runBench: %v", err)
 	}
-	if len(rep.Results) != 4 {
-		t.Fatalf("got %d results, want 4 (2 methods × 2 index modes)", len(rep.Results))
+	if len(rep.Results) != 2 {
+		t.Fatalf("got %d results, want 2 (one per method)", len(rep.Results))
 	}
-	byKey := map[string]runResult{}
 	for _, rr := range rep.Results {
 		if rr.Error != "" {
-			t.Errorf("%s/%s/%s failed: %s", rr.Case, rr.Method, rr.IndexMode, rr.Error)
+			t.Errorf("%s/%s failed: %s", rr.Case, rr.Method, rr.Error)
 		}
 		if !rr.Converged {
-			t.Errorf("%s/%s/%s did not converge", rr.Case, rr.Method, rr.IndexMode)
+			t.Errorf("%s/%s did not converge", rr.Case, rr.Method)
 		}
 		if rr.TotalNS <= 0 || rr.TotalNS != rr.ReorderNS+rr.FactorizeNS+rr.IterateNS {
-			t.Errorf("%s/%s/%s: total_ns %d does not sum stages %d+%d+%d",
-				rr.Case, rr.Method, rr.IndexMode, rr.TotalNS, rr.ReorderNS, rr.FactorizeNS, rr.IterateNS)
+			t.Errorf("%s/%s: total_ns %d does not sum stages %d+%d+%d",
+				rr.Case, rr.Method, rr.TotalNS, rr.ReorderNS, rr.FactorizeNS, rr.IterateNS)
 		}
 		if rr.Allocs == 0 || rr.AllocBytes == 0 || rr.HeapPeakBytes == 0 {
-			t.Errorf("%s/%s/%s: memory counters not populated: allocs=%d alloc_bytes=%d heap_peak=%d",
-				rr.Case, rr.Method, rr.IndexMode, rr.Allocs, rr.AllocBytes, rr.HeapPeakBytes)
+			t.Errorf("%s/%s: memory counters not populated: allocs=%d alloc_bytes=%d heap_peak=%d",
+				rr.Case, rr.Method, rr.Allocs, rr.AllocBytes, rr.HeapPeakBytes)
 		}
 		if rr.FactorNNZ == 0 || rr.FactorIndexBytes == 0 {
-			t.Errorf("%s/%s/%s: factor fields not populated: nnz=%d index_bytes=%d",
-				rr.Case, rr.Method, rr.IndexMode, rr.FactorNNZ, rr.FactorIndexBytes)
-		}
-		byKey[rr.Method+"/"+rr.IndexMode] = rr
-	}
-	for _, m := range []string{"powerrchol", "direct"} {
-		wide, compact := byKey[m+"/wide"], byKey[m+"/compact"]
-		// Identical factor, half the index bytes: nnz equal and
-		// wide bytes = 2 × compact bytes exactly (both layouts store
-		// nnz row indices + n+1 column pointers).
-		if wide.FactorNNZ != compact.FactorNNZ {
-			t.Errorf("%s: factor nnz differs across index modes: wide %d, compact %d",
-				m, wide.FactorNNZ, compact.FactorNNZ)
-		}
-		if wide.FactorIndexBytes != 2*compact.FactorIndexBytes {
-			t.Errorf("%s: index bytes not halved: wide %d, compact %d",
-				m, wide.FactorIndexBytes, compact.FactorIndexBytes)
-		}
-		// The compact solve performs the identical float ops: same
-		// iteration count and residual to the last bit.
-		if wide.Iterations != compact.Iterations || wide.Residual != compact.Residual { //pglint:float-exact bitwise-identity contract across index widths
-			t.Errorf("%s: solve differs across index modes: wide (%d iters, %g), compact (%d iters, %g)",
-				m, wide.Iterations, wide.Residual, compact.Iterations, compact.Residual)
+			t.Errorf("%s/%s: factor fields not populated: nnz=%d index_bytes=%d",
+				rr.Case, rr.Method, rr.FactorNNZ, rr.FactorIndexBytes)
 		}
 	}
 	if rep.Env.GoVersion == "" || rep.Env.NumCPU == 0 {
@@ -159,7 +133,7 @@ func TestRunWritesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	err := run([]string{
 		"-point", "6", "-o", path, "-scale", "0.1",
-		"-cases", "ibmpg3", "-methods", "powerrchol", "-index", "compact",
+		"-cases", "ibmpg3", "-methods", "powerrchol",
 	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -181,8 +155,8 @@ func TestRunWritesFile(t *testing.T) {
 	if rep.Point != 6 {
 		t.Errorf("point = %d, want 6", rep.Point)
 	}
-	if len(rep.Results) != 1 || rep.Results[0].IndexMode != "compact" {
-		t.Errorf("results = %+v, want one compact powerrchol entry", rep.Results)
+	if len(rep.Results) != 1 || rep.Results[0].Method != "powerrchol" {
+		t.Errorf("results = %+v, want one powerrchol entry", rep.Results)
 	}
 	if rep.Created == "" {
 		t.Errorf("created timestamp missing")
@@ -197,16 +171,6 @@ func TestSelectorErrors(t *testing.T) {
 	}
 	if _, err := selectMethods([]string{"nosuchmethod"}); err == nil {
 		t.Errorf("selectMethods accepted an unknown method")
-	}
-	if _, err := parseIndexModes([]string{"int16"}); err == nil {
-		t.Errorf("parseIndexModes accepted an unknown mode")
-	}
-	modes, err := parseIndexModes([]string{"wide", "compact", "auto"})
-	if err != nil || len(modes) != 3 {
-		t.Fatalf("parseIndexModes(wide,compact,auto) = %v, %v", modes, err)
-	}
-	if modes[0] != powerrchol.IndexWide || modes[1] != powerrchol.IndexCompact || modes[2] != powerrchol.IndexAuto {
-		t.Errorf("parseIndexModes order wrong: %v", modes)
 	}
 	if got := splitList(" a, b ,,c "); strings.Join(got, "|") != "a|b|c" {
 		t.Errorf("splitList = %v", got)

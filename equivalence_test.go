@@ -324,106 +324,6 @@ func TestTransformNoneStripsDefaults(t *testing.T) {
 	}
 }
 
-// TestIndexWidthEquivalence: the compact (int32) index mode must be
-// invisible in solve results. For every method × ordering the one-shot
-// Solve under IndexCompact and IndexAuto must reproduce the wide solve
-// bit for bit — same iterate, same iteration count, same |L| — while
-// the factor's index storage drops to exactly half the bytes. Any
-// drift means a compact kernel reordered a float operation.
-func TestIndexWidthEquivalence(t *testing.T) {
-	s, b, _ := testProblem(t)
-	for _, mi := range Methods() {
-		for _, o := range orderingsFor(mi) {
-			name := fmt.Sprintf("%s/%v", mi.Name, o)
-			wide, err := Solve(s, b, equivalenceOpt(mi.Method, o))
-			if err != nil {
-				t.Errorf("%s: wide Solve: %v", name, err)
-				continue
-			}
-			for _, mode := range []IndexMode{IndexCompact, IndexAuto} {
-				opt := equivalenceOpt(mi.Method, o)
-				opt.CompactIndex = mode
-				compact, err := Solve(s, b, opt)
-				if err != nil {
-					t.Errorf("%s/%v: compact Solve: %v", name, mode, err)
-					continue
-				}
-				if compact.Iterations != wide.Iterations {
-					t.Errorf("%s/%v: compact took %d iterations, wide %d",
-						name, mode, compact.Iterations, wide.Iterations)
-				}
-				if compact.FactorNNZ != wide.FactorNNZ {
-					t.Errorf("%s/%v: compact |L|=%d, wide |L|=%d",
-						name, mode, compact.FactorNNZ, wide.FactorNNZ)
-				}
-				if wide.FactorIndexBytes > 0 && compact.FactorIndexBytes*2 != wide.FactorIndexBytes {
-					t.Errorf("%s/%v: index bytes not halved: compact %d, wide %d",
-						name, mode, compact.FactorIndexBytes, wide.FactorIndexBytes)
-				}
-				assertBitwise(t, fmt.Sprintf("%s/%v index-width equivalence", name, mode), compact.X, wide.X)
-			}
-		}
-	}
-}
-
-// TestIndexWidthEquivalencePrepared: the prepared front-end under
-// IndexCompact — where both the factor and the iteration matrix live in
-// int32 storage — must
-// agree bitwise with the wide prepared Solver, cold and warm starts
-// alike. This round-trip is also the tripwire guarding the seed-state
-// contract: a compact build that consumed randomness differently would
-// change the iterate here before it ever reached seedstate.golden.
-func TestIndexWidthEquivalencePrepared(t *testing.T) {
-	s, b, _ := testProblem(t)
-	for _, mi := range Methods() {
-		name := mi.Name
-		wideSolver, err := NewSolver(s, equivalenceOpt(mi.Method, OrderDefault))
-		if err != nil {
-			t.Errorf("%s: wide NewSolver: %v", name, err)
-			continue
-		}
-		opt := equivalenceOpt(mi.Method, OrderDefault)
-		opt.CompactIndex = IndexCompact
-		compactSolver, err := NewSolver(s, opt)
-		if err != nil {
-			t.Errorf("%s: compact NewSolver: %v", name, err)
-			continue
-		}
-		if w, c := wideSolver.FactorIndexBytes(), compactSolver.FactorIndexBytes(); w > 0 && c*2 != w {
-			t.Errorf("%s: prepared index bytes not halved: compact %d, wide %d", name, c, w)
-		}
-		wide, err := wideSolver.Solve(b)
-		if err != nil {
-			t.Errorf("%s: wide prepared Solve: %v", name, err)
-			continue
-		}
-		compact, err := compactSolver.Solve(b)
-		if err != nil {
-			t.Errorf("%s: compact prepared Solve: %v", name, err)
-			continue
-		}
-		assertBitwise(t, name+" prepared index-width equivalence", compact.X, wide.X)
-
-		// Warm start: perturb the solution and resolve; both widths
-		// must walk the identical trajectory.
-		x0 := make([]float64, len(wide.X))
-		for i, v := range wide.X {
-			x0[i] = v * 0.9
-		}
-		wideWarm, werr := wideSolver.SolveFrom(b, x0)
-		compactWarm, cerr := compactSolver.SolveFrom(b, x0)
-		if werr != nil || cerr != nil {
-			t.Errorf("%s: warm solves: wide %v, compact %v", name, werr, cerr)
-			continue
-		}
-		if compactWarm.Iterations != wideWarm.Iterations {
-			t.Errorf("%s: warm compact took %d iterations, wide %d",
-				name, compactWarm.Iterations, wideWarm.Iterations)
-		}
-		assertBitwise(t, name+" warm-start index-width equivalence", compactWarm.X, wideWarm.X)
-	}
-}
-
 // TestCancelEveryPreparedMethod: a pre-cancelled context must abort
 // NewSolverContext for every registered method — this is what forces
 // the transform/order/factorize stages of every composition (ichol,

@@ -117,7 +117,9 @@ func CombineFingerprint(sysFP uint64, opt Options) uint64 {
 	w.f64(o.RecoverFrac)
 	w.f64(o.DropTol)
 	w.f64(o.MergeFactor)
-	w.i64(int(o.CompactIndex))
+	// The retired index-width option's slot: keys of persisted prepared
+	// solvers must not drift, so it hashes as its old default forever.
+	w.i64(0)
 	w.i64(o.Retry.MaxAttempts)
 	w.b(o.Retry.Escalate)
 	return w.h.Sum64()

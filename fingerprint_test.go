@@ -81,7 +81,6 @@ func TestFingerprintSeparatesConfigurations(t *testing.T) {
 		{"tol", Options{Tol: 1e-9, Seed: 42}},
 		{"ordering", Options{Ordering: OrderAMD, Tol: 1e-8, Seed: 42}},
 		{"transform", Options{Transform: TransformFeGRASS, Tol: 1e-8, Seed: 42}},
-		{"index", Options{CompactIndex: IndexCompact, Tol: 1e-8, Seed: 42}},
 		{"retry", Options{Tol: 1e-8, Seed: 42, Retry: RetryPolicy{MaxAttempts: 3, Escalate: true}}},
 	}
 	for _, v := range variants {
@@ -132,34 +131,19 @@ func TestCombineFingerprintComposes(t *testing.T) {
 // budget and the bench report.
 func TestMemoryBytesSharedFormula(t *testing.T) {
 	s, b, _ := testProblem(t)
-	for _, mode := range []IndexMode{IndexWide, IndexCompact} {
-		opt := Options{Tol: 1e-8, Seed: 42, CompactIndex: mode}
-		solver, err := NewSolver(s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Solve(s, b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if solver.MemoryBytes() != res.MemoryBytes {
-			t.Fatalf("mode %v: Solver.MemoryBytes %d != Result.MemoryBytes %d",
-				mode, solver.MemoryBytes(), res.MemoryBytes)
-		}
-		if solver.MemoryBytes() <= 0 {
-			t.Fatalf("mode %v: non-positive memory estimate %d", mode, solver.MemoryBytes())
-		}
-	}
-	wide, err := NewSolver(s, Options{Tol: 1e-8, Seed: 42})
+	opt := Options{Tol: 1e-8, Seed: 42}
+	solver, err := NewSolver(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := NewSolver(s, Options{Tol: 1e-8, Seed: 42, CompactIndex: IndexCompact})
+	res, err := Solve(s, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compact.MemoryBytes() >= wide.MemoryBytes() {
-		t.Fatalf("compact index storage did not shrink the footprint: %d >= %d",
-			compact.MemoryBytes(), wide.MemoryBytes())
+	if solver.MemoryBytes() != res.MemoryBytes {
+		t.Fatalf("Solver.MemoryBytes %d != Result.MemoryBytes %d", solver.MemoryBytes(), res.MemoryBytes)
+	}
+	if solver.MemoryBytes() <= 0 {
+		t.Fatalf("non-positive memory estimate %d", solver.MemoryBytes())
 	}
 }

@@ -18,22 +18,14 @@ import (
 // composed with that relabeling (DESIGN.md §16). Apply computes the same
 // bits in either order.
 //
-// L lives in exactly one of two storages: wide (L, int indices) or
-// compact (L32, int32 indices) — the paper-scale memory diet, since at
-// 1e7+ nodes the index arrays rival the float64 values. Every compact
-// kernel performs the identical float operations in the identical
-// order, so the two storages solve to the same bits; the width is an
-// invisible implementation detail to callers of Apply.
-//
 // Apply is safe for concurrent callers: scratch vectors are drawn from a
-// pool per call, and all other state (L/L32, Perm, the optional level
+// pool per call, and all other state (L, Perm, the optional level
 // boundaries) is read-only after construction. All randomness is
 // confined to Factorize; no RNG state survives into the solve phase.
 type Factor struct {
 	N    int
-	L    *sparse.CSC   // wide index storage; nil when L32 is set
-	L32  *sparse.CSC32 // compact index storage; nil when L is set
-	Perm []int         // Perm[newIdx] = oldIdx; nil means identity
+	L    *sparse.CSC
+	Perm []int // Perm[newIdx] = oldIdx; nil means identity
 
 	// levels, when non-nil, are the level boundaries Parallelize found
 	// for L's columns, and workers > 1 the goroutines the triangular
@@ -46,70 +38,15 @@ type Factor struct {
 }
 
 // NNZ returns the number of stored entries of L (the paper's |L|).
-func (f *Factor) NNZ() int {
-	if f.L32 != nil {
-		return f.L32.NNZ()
-	}
-	return f.L.NNZ()
-}
+func (f *Factor) NNZ() int { return f.L.NNZ() }
 
-// IsCompact reports whether the factor uses compact (int32) index
-// storage.
-func (f *Factor) IsCompact() bool { return f.L32 != nil }
+// IsCompact reports whether the factor uses int32 index storage. Every
+// factor stores int indices, so it always returns false.
+func (f *Factor) IsCompact() bool { return false }
 
 // IndexBytes returns the bytes spent on index storage (column pointers
-// plus row indices) — the quantity compact storage halves. Diagnostic.
-func (f *Factor) IndexBytes() int {
-	if f.L32 != nil {
-		return f.L32.IndexBytes()
-	}
-	return f.L.IndexBytes()
-}
-
-// colLen returns the entry count of column k regardless of storage.
-func (f *Factor) colLen(k int) int {
-	if f.L32 != nil {
-		return int(f.L32.ColPtr[k+1] - f.L32.ColPtr[k])
-	}
-	return f.L.ColPtr[k+1] - f.L.ColPtr[k]
-}
-
-// wideL returns the factor matrix in wide storage, widening a copy of
-// the index arrays if needed. Diagnostic and test paths only; the solve
-// path never widens.
-func (f *Factor) wideL() *sparse.CSC {
-	if f.L != nil {
-		return f.L
-	}
-	return f.L32.Wide()
-}
-
-// CompactIndices converts the factor to compact index storage in place,
-// failing with an error wrapping sparse.ErrIndexOverflow when it does
-// not fit. The value array is shared, not copied, and an existing level
-// schedule carries over: levels depend on structure, not index width.
-// Already-compact factors return nil unchanged. This is the conversion
-// route for factorizations that build wide (e.g. exact Cholesky).
-func (f *Factor) CompactIndices() error {
-	if f.L32 != nil {
-		return nil
-	}
-	l32, err := sparse.CompactCSC(f.L)
-	if err != nil {
-		return err
-	}
-	f.L32, f.L = l32, nil
-	return nil
-}
-
-// WidenIndices converts the factor back to wide index storage in place.
-// It cannot fail; already-wide factors are unchanged.
-func (f *Factor) WidenIndices() {
-	if f.L != nil {
-		return
-	}
-	f.L, f.L32 = f.L32.Wide(), nil
-}
+// plus row indices). Diagnostic.
+func (f *Factor) IndexBytes() int { return f.L.IndexBytes() }
 
 // Parallelize lets Apply run its two triangular solves across `workers`
 // goroutines, one level of L's columns at a time. The parallel solves
@@ -127,13 +64,7 @@ func (f *Factor) Parallelize(workers int) {
 	if workers <= 1 || f.N < sparse.ParThreshold || f.N > sparse.MaxIndex32 {
 		return
 	}
-	var lev []int32
-	var maxLev int32
-	if f.L32 != nil {
-		lev, maxLev = chainLevels(f.L32.ColPtr, f.L32.RowIdx)
-	} else {
-		lev, maxLev = chainLevels(f.L.ColPtr, f.L.RowIdx)
-	}
+	lev, maxLev := chainLevels(f.L.ColPtr, f.L.RowIdx)
 	levels := make([]int, maxLev+2)
 	inOrder := true
 	for j, l := range lev {
@@ -168,13 +99,8 @@ func (f *Factor) Apply(z, r []float64) {
 	} else {
 		sparse.PermuteVecInto(w, r, f.Perm)
 	}
-	if f.L32 != nil {
-		sparse.LowerSolveLevels32(f.L32, w, f.levels, f.workers)
-		sparse.LowerTransposeSolveLevels32(f.L32, w, f.levels, f.workers)
-	} else {
-		sparse.LowerSolveLevels(f.L, w, f.levels, f.workers)
-		sparse.LowerTransposeSolveLevels(f.L, w, f.levels, f.workers)
-	}
+	sparse.LowerSolveLevels(f.L, w, f.levels, f.workers)
+	sparse.LowerTransposeSolveLevels(f.L, w, f.levels, f.workers)
 	if f.Perm == nil {
 		copy(z, w)
 	} else {
@@ -188,7 +114,7 @@ func (f *Factor) Apply(z, r []float64) {
 // Factorize was given. Quadratic-ish in fill; intended for tests on
 // small matrices.
 func (f *Factor) ProductCSC() *sparse.CSC {
-	l := f.wideL()
+	l := f.L
 	coo := sparse.NewCOO(f.N, f.N, 4*l.NNZ())
 	for k := 0; k < f.N; k++ {
 		for p := l.ColPtr[k]; p < l.ColPtr[k+1]; p++ {

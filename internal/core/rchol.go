@@ -83,14 +83,6 @@ type Options struct {
 	// validated. It exists solely for deterministic fault injection in
 	// tests (see internal/faultinject); production code leaves it nil.
 	PivotPerturb func(step int, pivot float64) float64
-	// CompactIndex selects the factor's index width. IndexWide (the
-	// zero value) keeps the historical 64-bit storage; IndexCompact
-	// builds int32 storage directly — never materializing wide index
-	// arrays — and fails past the 2^31 boundary; IndexAuto builds
-	// compact unless the factor outgrows int32 entry counts.
-	// Index width never changes the floating-point work, so factors of
-	// both widths solve to identical bits.
-	CompactIndex sparse.IndexMode
 }
 
 // cancelCheckStride is how many eliminations run between context polls:
@@ -132,19 +124,17 @@ func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 // elimination is the factor as Factorize emits it, column k being
 // elimination step k: column k's entries are ents[colPtr[k]:colPtr[k+1]],
 // diagonal first. lev[k] is column k's level (schedule.go) and maxLev
-// the largest; compact says which index width the factor takes.
+// the largest.
 type elimination struct {
-	colPtr  []int
-	ents    []entry
-	compact bool
-	lev     []int32
-	maxLev  int32
+	colPtr []int
+	ents   []entry
+	lev    []int32
+	maxLev int32
 }
 
 // entry is one stored entry of L as eliminate emits it. Rows fit in
-// int32 like every node index of the elimination graph, so one layout
-// serves both index widths, and a column's rows and values share cache
-// lines when schedule copies it.
+// int32 like every node index of the elimination graph, and a column's
+// rows and values share cache lines when schedule copies it.
 type entry struct {
 	row int32
 	val float64
@@ -154,6 +144,11 @@ type entry struct {
 // at least one node.
 func eliminate(s *graph.SDDM, perm []int, opt Options) (*elimination, error) {
 	n := s.N()
+	// The elimination graph and the factor's entries number nodes in
+	// int32: refuse a system past that before allocating anything.
+	if n > sparse.MaxIndex32 {
+		return nil, fmt.Errorf("core: %d nodes: %w", n, sparse.ErrIndexOverflow)
+	}
 	if perm != nil {
 		if err := sparse.CheckPerm(perm, n); err != nil {
 			return nil, err
@@ -189,11 +184,7 @@ func eliminate(s *graph.SDDM, perm []int, opt Options) (*elimination, error) {
 	// Factor storage, appended column by column. The reservation is a
 	// quarter above 2m+n, which LT-RChol's factor overshoots by 14–17%
 	// on power grids, so it never grows; schedule copies the factor
-	// into exact-size arrays of the requested index width, so the
-	// headroom is never retained.
-	if opt.CompactIndex == sparse.IndexCompact && n > sparse.MaxIndex32 {
-		return nil, fmt.Errorf("%w: n=%d", sparse.ErrIndexOverflow, n)
-	}
+	// into exact-size arrays, so the headroom is never retained.
 	m := s.G.M()
 	colPtr := make([]int, 1, n+1)
 	ents := make([]entry, 0, 2*m+n+(2*m+n)/4)
@@ -257,10 +248,6 @@ func eliminate(s *graph.SDDM, perm []int, opt Options) (*elimination, error) {
 
 		// Emit column k of L: diag first, then -w/sqrt(dk) per neighbor.
 		sq := math.Sqrt(dk)
-		if opt.CompactIndex == sparse.IndexCompact && len(ents)+deg+1 > sparse.MaxIndex32 {
-			return nil, fmt.Errorf("%w: factor exceeds %d entries at elimination step %d",
-				sparse.ErrIndexOverflow, int(sparse.MaxIndex32), k)
-		}
 		//pglint:hotalloc within the capacity reserved above: the factor's own storage
 		ents = append(ents, entry{int32(k), sq})
 		for i, v := range nbr {
@@ -355,8 +342,5 @@ func eliminate(s *graph.SDDM, perm []int, opt Options) (*elimination, error) {
 		}
 	}
 
-	// IndexAuto is compact unless the factor outgrew int32 entry counts.
-	compact := opt.CompactIndex == sparse.IndexCompact ||
-		opt.CompactIndex == sparse.IndexAuto && len(ents) <= sparse.MaxIndex32
-	return &elimination{colPtr: colPtr, ents: ents, compact: compact, lev: lev, maxLev: maxLev}, nil
+	return &elimination{colPtr: colPtr, ents: ents, lev: lev, maxLev: maxLev}, nil
 }

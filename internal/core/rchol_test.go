@@ -243,6 +243,20 @@ func TestFactorizeReportsSingular(t *testing.T) {
 	}
 }
 
+// TestFactorizeRejectsInt32Overflow: the elimination graph numbers
+// nodes in int32, so a system past MaxIndex32 nodes must fail with
+// ErrIndexOverflow up front instead of wrapping its row indices. The
+// system is a bare header: the check has to come before any n-sized
+// allocation for this test to run at all.
+func TestFactorizeRejectsInt32Overflow(t *testing.T) {
+	s := &graph.SDDM{G: &graph.Graph{N: sparse.MaxIndex32 + 1}}
+	for _, v := range allVariants {
+		if _, err := Factorize(s, nil, Options{Variant: v}); !errors.Is(err, sparse.ErrIndexOverflow) {
+			t.Fatalf("%v: got %v, want ErrIndexOverflow", v, err)
+		}
+	}
+}
+
 func TestFactorPreconditionerSolvesViaPCG(t *testing.T) {
 	r := rng.New(5)
 	s := testmat.GridSDDM(24, 24)

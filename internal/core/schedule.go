@@ -35,14 +35,8 @@ func (e *elimination) schedule(perm []int) *Factor {
 	n := len(e.lev)
 	ord, identity := e.order()
 	inv := e.lev // order leaves inv[j] = ord⁻¹[j] in place of the levels
-	f := &Factor{N: n}
-	if e.compact {
-		cp, ri, v := relabel[int32](e.colPtr, e.ents, ord, inv)
-		f.L32 = &sparse.CSC32{Rows: n, Cols: n, ColPtr: cp, RowIdx: ri, Val: v}
-	} else {
-		cp, ri, v := relabel[int](e.colPtr, e.ents, ord, inv)
-		f.L = &sparse.CSC{Rows: n, Cols: n, ColPtr: cp, RowIdx: ri, Val: v}
-	}
+	cp, ri, v := relabel(e.colPtr, e.ents, ord, inv)
+	f := &Factor{N: n, L: &sparse.CSC{Rows: n, Cols: n, ColPtr: cp, RowIdx: ri, Val: v}}
 	switch {
 	case identity:
 		f.Perm = perm
@@ -96,9 +90,9 @@ func (e *elimination) order() ([]int, bool) {
 // relabel copies the factor (colPtr, ents) into exact-size CSC arrays
 // in the column order ord, renaming row r to inv[r]. Each column keeps
 // its entries in stored order, diagonal first.
-func relabel[I int | int32](colPtr []int, ents []entry, ord []int, inv []int32) ([]I, []I, []float64) {
-	cp := make([]I, len(ord)+1)
-	ri := make([]I, len(ents))
+func relabel(colPtr []int, ents []entry, ord []int, inv []int32) ([]int, []int, []float64) {
+	cp := make([]int, len(ord)+1)
+	ri := make([]int, len(ents))
 	v := make([]float64, len(ents))
 	next := cp[1:]
 	q := 0
@@ -107,19 +101,18 @@ func relabel[I int | int32](colPtr []int, ents []entry, ord []int, inv []int32) 
 		src := ents[col[0]:col[1]]
 		dst, dv := ri[q:q+len(src)], v[q:q+len(src)]
 		for i, e := range src {
-			//pglint:hotalloc I is int or int32, each its own GC shape, so I(x) compiles to an integer conversion: nothing is boxed
-			dst[i] = I(inv[e.row])
+			dst[i] = int(inv[e.row])
 			dv[i] = e.val
 		}
 		q += len(src)
-		next[k] = I(q)
+		next[k] = q
 	}
 	return cp, ri, v
 }
 
 // chainLevels computes the level of every column of a lower-triangular
 // factor by the row-chain rule, as eliminate does while emitting L.
-func chainLevels[I int | int32](colPtr, rowIdx []I) ([]int32, int32) {
+func chainLevels(colPtr, rowIdx []int) ([]int32, int32) {
 	n := len(colPtr) - 1
 	lev := make([]int32, n)
 	for i := range lev {
@@ -147,13 +140,13 @@ func chainLevels[I int | int32](colPtr, rowIdx []I) ([]int32, int32) {
 // reschedule puts the columns of f into schedule order given their
 // levels: Parallelize's route for a factor Factorize did not build.
 func (f *Factor) reschedule(lev []int32, maxLev int32) {
-	l := f.wideL()
+	l := f.L
 	val := l.Val[:len(l.RowIdx)]
 	ents := make([]entry, len(l.RowIdx))
 	for p, r := range l.RowIdx {
 		ents[p] = entry{int32(r), val[p]}
 	}
-	e := &elimination{colPtr: l.ColPtr, ents: ents, compact: f.L32 != nil, lev: lev, maxLev: maxLev}
+	e := &elimination{colPtr: l.ColPtr, ents: ents, lev: lev, maxLev: maxLev}
 	g := e.schedule(f.Perm)
-	f.L, f.L32, f.Perm = g.L, g.L32, g.Perm
+	f.L, f.Perm = g.L, g.Perm
 }

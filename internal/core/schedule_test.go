@@ -22,13 +22,7 @@ func elimOrderFactor(t testing.TB, e *elimination, perm []int) *Factor {
 	for p, en := range e.ents {
 		l.RowIdx[p], l.Val[p] = int(en.row), en.val
 	}
-	f := &Factor{N: n, L: l, Perm: perm}
-	if e.compact {
-		if err := f.CompactIndices(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return f
+	return &Factor{N: n, L: l, Perm: perm}
 }
 
 // chainLevelsRef computes the schedule levels of a factor in elimination
@@ -102,8 +96,8 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 			t.Fatalf("positions %d, %d out of level order", k-1, k)
 		}
 	}
-	l := f.wideL()
-	if len(l.ColPtr) != n+1 || len(l.RowIdx) != e0.NNZ() || cap(l.RowIdx) != e0.NNZ() && f.L != nil {
+	l := f.L
+	if len(l.ColPtr) != n+1 || len(l.RowIdx) != e0.NNZ() || cap(l.RowIdx) != e0.NNZ() {
 		t.Fatalf("L′ has %d columns, %d entries (cap %d); want %d, %d exact", len(l.ColPtr)-1, len(l.RowIdx), cap(l.RowIdx), n, e0.NNZ())
 	}
 	for k := 0; k < n; k++ {
@@ -138,10 +132,18 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 }
 
 // TestScheduledApplyIsBitwise is the scheduled layout's contract: for
-// every variant, index width, ordering and worker count, Apply on the
-// factor Factorize returns equals Apply on the same factor in
-// elimination order bit for bit, and the schedule has the structure
-// the bitwise argument rests on.
+// every variant, ordering and worker count, Apply on the factor
+// Factorize returns equals Apply on the same factor in elimination
+// order bit for bit, and the schedule has the structure the bitwise
+// argument rests on.
+//
+// Each case has two leaves. "wide" runs that contract on the factor
+// Factorize returns, which stores int indices like every factor.
+// "auto" checks the layout Parallelize picks on its own for a factor
+// in elimination order: reschedule must reproduce Factorize's L′ and
+// Perm′ exactly. The leaf names are those of the index-width axis
+// (wide, compact int32, auto) the test had while the factor had two
+// index widths; the compact leaf went with the int32 storage.
 func TestScheduledApplyIsBitwise(t *testing.T) {
 	type system struct {
 		name string
@@ -157,7 +159,6 @@ func TestScheduledApplyIsBitwise(t *testing.T) {
 		// schedules and runs them.
 		{"grid100", testmat.GridSDDM(100, 100)},
 	}
-	modes := []sparse.IndexMode{sparse.IndexWide, sparse.IndexCompact, sparse.IndexAuto}
 	for _, sys := range systems {
 		n := sys.s.N()
 		perms := map[string][]int{"nil": nil, "alg4": order.Alg4(sys.s.G, 0, nil)}
@@ -170,13 +171,14 @@ func TestScheduledApplyIsBitwise(t *testing.T) {
 				continue
 			}
 			for _, v := range allVariants {
-				for _, mode := range modes {
-					name := fmt.Sprintf("%s/%s/%v/%v", sys.name, pname, v, mode)
-					opt := Options{Variant: v, Seed: 3, CompactIndex: mode}
-					t.Run(name, func(t *testing.T) {
-						checkScheduledApply(t, sys.s, perm, opt)
-					})
-				}
+				name := fmt.Sprintf("%s/%s/%v", sys.name, pname, v)
+				opt := Options{Variant: v, Seed: 3}
+				t.Run(name+"/wide", func(t *testing.T) {
+					checkScheduledApply(t, sys.s, perm, opt)
+				})
+				t.Run(name+"/auto", func(t *testing.T) {
+					checkRescheduledLayout(t, sys.s, perm, opt)
+				})
 			}
 		}
 	}
@@ -192,7 +194,7 @@ func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 		t.Fatal(err)
 	}
 	ref := elimOrderFactor(t, e, perm)
-	e0 := ref.wideL()
+	e0 := ref.L
 	lev := append([]int32(nil), e.lev...)
 	f := e.schedule(perm)
 	checkSchedule(t, f, e0, lev, e.lev, perm)
@@ -201,16 +203,13 @@ func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 			t.Fatal("Factorize rewrote the caller's perm")
 		}
 	}
-	if (opt.CompactIndex != sparse.IndexWide) != f.IsCompact() {
-		t.Fatalf("index width %v gave compact=%v", opt.CompactIndex, f.IsCompact())
-	}
 
 	// Factorize is eliminate followed by schedule.
 	g, err := Factorize(s, perm, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gl, fl := g.wideL(), f.wideL()
+	gl, fl := g.L, f.L
 	for i := range fl.Val {
 		if math.Float64bits(gl.Val[i]) != math.Float64bits(fl.Val[i]) || gl.RowIdx[i] != fl.RowIdx[i] {
 			t.Fatal("Factorize differs from eliminate + schedule")
@@ -237,6 +236,59 @@ func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 	checkSameApply(t, "rescheduled", ref, in, want)
 }
 
+// checkRescheduledLayout: reschedule, Parallelize's route for a factor
+// Factorize did not build, lays the elimination-order factor out
+// exactly as Factorize does, whatever the system's size, and the
+// relabeled factor applies with the same bits, serially and in
+// parallel.
+func checkRescheduledLayout(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
+	e, err := eliminate(s, perm, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := elimOrderFactor(t, e, perm)
+	g := elimOrderFactor(t, e, perm)
+	g.reschedule(chainLevels(g.L.ColPtr, g.L.RowIdx))
+	f, err := Factorize(s, perm, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, gl := f.L, g.L
+	if len(gl.ColPtr) != len(fl.ColPtr) || len(gl.RowIdx) != len(fl.RowIdx) || len(gl.Val) != len(fl.Val) {
+		t.Fatalf("rescheduled L′ has %d columns, %d entries; Factorize's %d, %d", len(gl.ColPtr)-1, len(gl.RowIdx), len(fl.ColPtr)-1, len(fl.RowIdx))
+	}
+	for k := range fl.ColPtr {
+		if gl.ColPtr[k] != fl.ColPtr[k] {
+			t.Fatalf("rescheduled ColPtr[%d] = %d, Factorize's %d", k, gl.ColPtr[k], fl.ColPtr[k])
+		}
+	}
+	for p := range fl.RowIdx {
+		if gl.RowIdx[p] != fl.RowIdx[p] || math.Float64bits(gl.Val[p]) != math.Float64bits(fl.Val[p]) {
+			t.Fatalf("rescheduled L′ differs from Factorize's at entry %d", p)
+		}
+	}
+	if (g.Perm == nil) != (f.Perm == nil) || len(g.Perm) != len(f.Perm) {
+		t.Fatalf("rescheduled Perm′ nil=%v, Factorize's nil=%v", g.Perm == nil, f.Perm == nil)
+	}
+	for k := range f.Perm {
+		if g.Perm[k] != f.Perm[k] {
+			t.Fatalf("rescheduled Perm′[%d] = %d, Factorize's %d", k, g.Perm[k], f.Perm[k])
+		}
+	}
+
+	r := rng.New(5)
+	in := make([]float64, g.N)
+	for i := range in {
+		in[i] = r.Float64() - 0.5
+	}
+	want := make([]float64, g.N)
+	ref.Apply(want, in)
+	for _, workers := range []int{0, 2} {
+		g.Parallelize(workers)
+		checkSameApply(t, fmt.Sprintf("workers=%d: rescheduled", workers), g, in, want)
+	}
+}
+
 func checkSameApply(t *testing.T, what string, f *Factor, in, want []float64) {
 	t.Helper()
 	got := make([]float64, f.N)
@@ -257,21 +309,19 @@ func TestParallelizeBelowThresholdBuildsNothing(t *testing.T) {
 	if s.N() >= sparse.ParThreshold {
 		t.Fatalf("grid of %d nodes is not below the threshold %d", s.N(), sparse.ParThreshold)
 	}
-	for _, mode := range []sparse.IndexMode{sparse.IndexWide, sparse.IndexCompact} {
-		f, err := Factorize(s, order.Alg4(s.G, 0, nil), Options{Variant: VariantLT, Seed: 4, CompactIndex: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := make([]float64, f.N)
-		for i := range in {
-			in[i] = float64(i%7) - 3
-		}
-		want := make([]float64, f.N)
-		f.Apply(want, in)
-		f.Parallelize(4)
-		if f.levels != nil || f.workers != 0 {
-			t.Fatalf("%v: Parallelize(4) on n=%d retained a schedule (%d levels, %d workers)", mode, f.N, len(f.levels), f.workers)
-		}
-		checkSameApply(t, mode.String()+" Parallelize(4)", f, in, want)
+	f, err := Factorize(s, order.Alg4(s.G, 0, nil), Options{Variant: VariantLT, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	in := make([]float64, f.N)
+	for i := range in {
+		in[i] = float64(i%7) - 3
+	}
+	want := make([]float64, f.N)
+	f.Apply(want, in)
+	f.Parallelize(4)
+	if f.levels != nil || f.workers != 0 {
+		t.Fatalf("Parallelize(4) on n=%d retained a schedule (%d levels, %d workers)", f.N, len(f.levels), f.workers)
+	}
+	checkSameApply(t, "Parallelize(4)", f, in, want)
 }

@@ -48,44 +48,25 @@ func (f *Factor) WriteTo(w io.Writer) (int64, error) {
 	if err := put(hasPerm); err != nil {
 		return written, err
 	}
-	// Indices are written as uint64 regardless of the in-memory width,
-	// so compact and wide factors serialize to identical bytes — the
-	// on-disk format (and its goldens) is index-width independent.
+	// Indices are written as uint64 whatever the in-memory int width,
+	// so the on-disk format (and its goldens) is index-width independent.
 	buf := make([]uint64, 0, f.N+1)
-	var vals []float64
-	if f.L32 != nil {
-		for _, v := range f.L32.ColPtr {
-			//pglint:hotalloc serialization path, runs once per factor; capacity reserved for ColPtr above
-			buf = append(buf, uint64(v))
-		}
-		if err := put(buf); err != nil {
-			return written, err
-		}
-		buf = buf[:0]
-		for _, v := range f.L32.RowIdx {
-			//pglint:hotalloc serialization path, runs once per factor; growth to nnz is amortized doubling
-			buf = append(buf, uint64(v))
-		}
-		vals = f.L32.Val
-	} else {
-		for _, v := range f.L.ColPtr {
-			//pglint:hotalloc serialization path, runs once per factor; capacity reserved for ColPtr above
-			buf = append(buf, uint64(v))
-		}
-		if err := put(buf); err != nil {
-			return written, err
-		}
-		buf = buf[:0]
-		for _, v := range f.L.RowIdx {
-			//pglint:hotalloc serialization path, runs once per factor; growth to nnz is amortized doubling
-			buf = append(buf, uint64(v))
-		}
-		vals = f.L.Val
+	for _, v := range f.L.ColPtr {
+		//pglint:hotalloc serialization path, runs once per factor; capacity reserved for ColPtr above
+		buf = append(buf, uint64(v))
 	}
 	if err := put(buf); err != nil {
 		return written, err
 	}
-	if err := put(vals); err != nil {
+	buf = buf[:0]
+	for _, v := range f.L.RowIdx {
+		//pglint:hotalloc serialization path, runs once per factor; growth to nnz is amortized doubling
+		buf = append(buf, uint64(v))
+	}
+	if err := put(buf); err != nil {
+		return written, err
+	}
+	if err := put(f.L.Val); err != nil {
 		return written, err
 	}
 	if f.Perm != nil {

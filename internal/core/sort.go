@@ -74,14 +74,14 @@ type countingSorter struct {
 	idTmp   []int32
 }
 
+// newCountingSorter sizes nothing up front: sort uses at most 4·d
+// buckets, so count grows with the degrees it meets and a huge Buckets
+// setting costs no memory.
 func newCountingSorter(buckets int) *countingSorter {
 	if buckets < 1 {
 		buckets = 1
 	}
-	return &countingSorter{
-		buckets: buckets,
-		count:   make([]int, buckets+1),
-	}
+	return &countingSorter{buckets: buckets}
 }
 
 // sort reorders (w, id) approximately ascending: neighbor j lands in
@@ -131,6 +131,9 @@ func (cs *countingSorter) sort(w []float64, id []int32) {
 	if cap(cs.wTmp) < d {
 		cs.wTmp = make([]float64, d)
 		cs.idTmp = make([]int32, d)
+	}
+	if len(cs.count) < b {
+		cs.count = make([]int, b)
 	}
 	wt, it := cs.wTmp[:d], cs.idTmp[:d]
 	cnt := cs.count

@@ -49,7 +49,7 @@ func statsFromFactor(f *Factor) Stats {
 	st := Stats{N: f.N}
 	degrees := make([]int, f.N)
 	for k := 0; k < f.N; k++ {
-		d := f.colLen(k) - 1
+		d := f.L.ColPtr[k+1] - f.L.ColPtr[k] - 1
 		degrees[k] = d
 		st.TotalDegree += d
 		if d > st.MaxDegree {

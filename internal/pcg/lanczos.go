@@ -22,7 +22,7 @@ func ConditionEstimate(a *sparse.CSC, m Preconditioner, iters int, seed uint64) 
 
 // ConditionEstimateOp is ConditionEstimate for an implicit operator
 // y = A·x, for callers that keep the system in a non-CSC representation
-// (e.g. compact-index storage).
+// (e.g. the prepared solver's row view).
 func ConditionEstimateOp(n int, mul func(y, x []float64), m Preconditioner, iters int, seed uint64) (float64, error) {
 	if n == 0 {
 		return 1, nil

@@ -30,7 +30,6 @@ import (
 	"powerrchol/internal/core"
 	"powerrchol/internal/graph"
 	"powerrchol/internal/pcg"
-	"powerrchol/internal/sparse"
 )
 
 // Config is the pipeline-level view of the public Options: everything
@@ -53,13 +52,6 @@ type Config struct {
 	// after factorization, so Apply can run them across goroutines
 	// (bitwise identical to the serial solves).
 	Workers int
-
-	// CompactIndex selects the index width of factor storage. The
-	// randomized factorizers build compact (int32) storage directly;
-	// factorizations that build wide (complete Cholesky, IChol) convert
-	// afterwards. IndexCompact fails past the 2^31 boundary, IndexAuto
-	// falls back to wide. Index width never changes solve results.
-	CompactIndex sparse.IndexMode
 
 	Retry RetryPolicy
 
@@ -89,8 +81,7 @@ type Setup struct {
 	// FactorNNZ is |L| (0 for the matrix-free preconditioners).
 	FactorNNZ int
 	// FactorIndexBytes is the factor's index-array footprint in bytes
-	// (ColPtr + RowIdx) — the storage the compact index modes halve; 0
-	// for the matrix-free preconditioners.
+	// (ColPtr + RowIdx); 0 for the matrix-free preconditioners.
 	FactorIndexBytes int
 	// Fold and Expand map right-hand sides into and solutions out of the
 	// transformed space, Restrict maps warm-start guesses in; nil means
@@ -245,18 +236,6 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 	if err != nil {
 		return nil, att, err
 	}
-	if r.cfg.CompactIndex != sparse.IndexWide {
-		// The randomized factorizers already built compact storage; this
-		// converts the wide-building factorizations (Cholesky, IChol).
-		if f, ok := m.(*core.Factor); ok && !f.IsCompact() {
-			if cerr := f.CompactIndices(); cerr != nil {
-				if r.cfg.CompactIndex == sparse.IndexCompact {
-					return nil, att, cerr
-				}
-				// IndexAuto: the factor outgrew int32; stay wide.
-			}
-		}
-	}
 	factorize := time.Since(t0)
 
 	if r.cfg.Workers > 1 {
@@ -303,7 +282,6 @@ func (r *Runner) factorizerFor(rg rung, attempt int) Factorizer {
 		seed:    rg.seed,
 		buckets: r.cfg.Buckets,
 		samples: r.cfg.Samples,
-		index:   r.cfg.CompactIndex,
 		attempt: attempt,
 		hook:    r.cfg.FactorOpts,
 	}

@@ -27,12 +27,18 @@ import (
 // a solve with recovery disabled.
 type RetryPolicy struct {
 	// MaxAttempts bounds the total number of attempts, the first
-	// included. 0 or 1 means a single attempt (no recovery).
+	// included. 0 or 1 means a single attempt (no recovery); at most
+	// MaxRetryAttempts.
 	MaxAttempts int
 	// Escalate lets the later attempts switch methods down the ladder
 	// (LT-RChol → RChol → direct Cholesky) instead of only reseeding.
 	Escalate bool
 }
+
+// MaxRetryAttempts is the largest RetryPolicy.MaxAttempts a solve
+// accepts: attemptPlan lays every rung out up front, so the bound keeps
+// a plan's memory small whatever the caller asks for.
+const MaxRetryAttempts = 1 << 10
 
 // rung is one step of the recovery ladder: a concrete factorization
 // configuration for a solve attempt.

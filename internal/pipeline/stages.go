@@ -21,7 +21,6 @@ import (
 	"powerrchol/internal/order"
 	"powerrchol/internal/pcg"
 	"powerrchol/internal/rng"
-	"powerrchol/internal/sparse"
 )
 
 // Orderer computes the fill-reducing permutation for the factorization
@@ -148,7 +147,6 @@ type randomizedFactorizer struct {
 	seed    uint64
 	buckets int
 	samples int
-	index   sparse.IndexMode
 	attempt int
 	hook    func(attempt int, o core.Options) core.Options
 }
@@ -159,12 +157,11 @@ func (f randomizedFactorizer) Name() string {
 func (randomizedFactorizer) Exact() bool { return false }
 func (f randomizedFactorizer) Factorize(ctx context.Context, sys *graph.SDDM, perm []int) (pcg.Preconditioner, int, error) {
 	copt := core.Options{
-		Variant:      f.variant,
-		Buckets:      f.buckets,
-		Seed:         f.seed,
-		Samples:      f.samples,
-		CompactIndex: f.index,
-		Ctx:          ctx,
+		Variant: f.variant,
+		Buckets: f.buckets,
+		Seed:    f.seed,
+		Samples: f.samples,
+		Ctx:     ctx,
 	}
 	if f.hook != nil {
 		copt = f.hook(f.attempt, copt)

@@ -92,17 +92,6 @@ func bitwiseSymmetric(a *CSC) bool {
 	return true
 }
 
-// CompactCSR converts a to compact index storage, failing like
-// CompactCSC (a CSR's arrays are the CSC of its transpose). The value
-// slice is shared, not copied.
-func CompactCSR(a *CSR) (*CSR32, error) {
-	t, err := CompactCSC(&CSC{Rows: a.Cols, Cols: a.Rows, ColPtr: a.RowPtr, RowIdx: a.ColIdx, Val: a.Val})
-	if err != nil {
-		return nil, err
-	}
-	return &CSR32{Rows: a.Rows, Cols: a.Cols, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}, nil
-}
-
 // MulVecDot computes y = A·x for a square A and returns xᵀ·y. Each
 // y[i] is a register sum over row i in ascending column order — the
 // very additions the scatter CSC.MulVec makes into y[i] as its column
@@ -116,25 +105,17 @@ func (a *CSR) MulVecDot(y, x []float64) float64 {
 	return mulVecDot(a.RowPtr, a.ColIdx, a.Val, y, x)
 }
 
-// MulVecDot is the compact-index form of CSR.MulVecDot, bitwise equal
-// to it.
-//
-//pgopt:noescape one SpMV and pᵀAp per PCG iteration
-func (a *CSR32) MulVecDot(y, x []float64) float64 {
-	return mulVecDot(a.RowPtr, a.ColIdx, a.Val, y, x)
-}
-
 // errMulVecDotLengths is mulVecDot's panic value: a preallocated error,
 // so the panic path moves nothing to the heap (//pgopt:noescape).
 var errMulVecDotLengths = errors.New("sparse: MulVecDot operand lengths differ")
 
-// mulVecDot is the row-gather kernel behind both index widths. With
-// the operand lengths checked up front, only the row pointer, the row
+// mulVecDot is the row-gather kernel behind MulVecDot. With the
+// operand lengths checked up front, only the row pointer, the row
 // windows and the data-dependent x gather stay bounds-checked
 // (pgoptcheck rule bce).
 //
 //pgopt:noescape one SpMV and pᵀAp per PCG iteration
-func mulVecDot[I int | int32](rowPtr, colIdx []I, val, y, x []float64) float64 {
+func mulVecDot(rowPtr, colIdx []int, val, y, x []float64) float64 {
 	if len(x) != len(y) || len(rowPtr) != len(y)+1 {
 		panic(errMulVecDotLengths)
 	}

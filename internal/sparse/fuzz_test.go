@@ -2,8 +2,6 @@ package sparse
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"testing"
 )
 
@@ -37,57 +35,6 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		}
 		if b.Rows != a.Rows || b.Cols != a.Cols || b.NNZ() != a.NNZ() {
 			t.Fatalf("round trip changed shape")
-		}
-	})
-}
-
-// FuzzIndexConvert: differential check of the wide→compact index
-// conversion at the 2^31 boundary. The fuzzer's bytes are decoded as
-// int64 index values; CompactIndexSlice must accept exactly the slices
-// whose every value lies in [0, 2^31), wrap ErrIndexOverflow otherwise,
-// and round-trip accepted slices through WidenIndexSlice losslessly.
-func FuzzIndexConvert(f *testing.F) {
-	seed := func(vals ...int64) []byte {
-		buf := make([]byte, 8*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-		}
-		return buf
-	}
-	f.Add(seed())
-	f.Add(seed(0, 1, 2, 3))
-	f.Add(seed(MaxIndex32))
-	f.Add(seed(MaxIndex32 + 1))
-	f.Add(seed(0, MaxIndex32, -1))
-	f.Add(seed(1 << 40))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		src := make([]int, len(data)/8)
-		ok := true
-		for i := range src {
-			v := int64(binary.LittleEndian.Uint64(data[8*i:]))
-			src[i] = int(v)
-			if v < 0 || v > MaxIndex32 {
-				ok = false
-			}
-		}
-		got, err := CompactIndexSlice(nil, src)
-		if ok != (err == nil) {
-			t.Fatalf("CompactIndexSlice(%v) err = %v, want ok=%v", src, err, ok)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrIndexOverflow) {
-				t.Fatalf("error %v does not wrap ErrIndexOverflow", err)
-			}
-			return
-		}
-		back := WidenIndexSlice(nil, got)
-		if len(back) != len(src) {
-			t.Fatalf("round trip changed length: %d vs %d", len(back), len(src))
-		}
-		for i := range src {
-			if back[i] != src[i] {
-				t.Fatalf("round trip lost %d at %d (got %d)", src[i], i, back[i])
-			}
 		}
 	})
 }

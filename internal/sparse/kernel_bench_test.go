@@ -102,34 +102,6 @@ func BenchmarkLowerTransposeSolve(b *testing.B) {
 	}
 }
 
-func BenchmarkLowerSolve32(b *testing.B) {
-	l, x, work := benchLower(b)
-	l32, err := CompactCSC(l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, x)
-		LowerSolve32(l32, work)
-	}
-}
-
-func BenchmarkLowerTransposeSolve32(b *testing.B) {
-	l, x, work := benchLower(b)
-	l32, err := CompactCSC(l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, x)
-		LowerTransposeSolve32(l32, work)
-	}
-}
-
 func BenchmarkCSCMulVec(b *testing.B) {
 	a := randCSC(rng.New(1), 20000, 20000, 200000)
 	x := randVec(rng.New(12), a.Cols)

@@ -15,6 +15,20 @@ import (
 // byte-identical to the in-memory COO path on every file both accept,
 // and the builder underneath it must allocate only the final matrix.
 
+// randomCSC builds a dense-ish random rectangular matrix for the kernel
+// identity checks.
+func randomCSC(rows, cols int, density float64, r *rng.Rand) *CSC {
+	coo := NewCOO(rows, cols, rows*cols/2)
+	for j := 0; j < cols; j++ {
+		for i := 0; i < rows; i++ {
+			if r.Float64() < density {
+				coo.Add(i, j, r.Float64()*2-1)
+			}
+		}
+	}
+	return coo.ToCSC()
+}
+
 // assertSameCSC asserts full byte identity: same shape, same index
 // arrays, same value bits.
 func assertSameCSC(t *testing.T, what string, want, got *CSC) {

@@ -95,19 +95,14 @@ func randLevelLower(r *rng.Rand, n, maxExtra, maxWidth int) (*CSC, []int) {
 	return l, levels
 }
 
-// TestLevelSolvesBitwiseEqualSerial: the level-scheduled solves, wide
-// and compact, reproduce the serial solves bit for bit for every worker
-// count. Sizes straddle ParThreshold: the small ones take the serial
-// fallback, the large ones split wide levels across workers and merge
+// TestLevelSolvesBitwiseEqualSerial: the level-scheduled solves
+// reproduce the serial solves bit for bit for every worker count. Sizes
+// straddle ParThreshold: the small ones take the serial fallback, the large ones split wide levels across workers and merge
 // runs of narrow ones.
 func TestLevelSolvesBitwiseEqualSerial(t *testing.T) {
 	r := rng.New(16)
 	for _, n := range []int{0, 1, 2, 37, 400, ParThreshold + 513, 3 * ParThreshold} {
 		l, levels := randLevelLower(r, n, 9, 2*minParallel)
-		l32, err := CompactCSC(l)
-		if err != nil {
-			t.Fatal(err)
-		}
 		b := randVec(r, n)
 
 		want := append([]float64(nil), b...)
@@ -118,16 +113,10 @@ func TestLevelSolvesBitwiseEqualSerial(t *testing.T) {
 			got := append([]float64(nil), b...)
 			LowerSolveLevels(l, got, levels, w)
 			bitwiseEqual(t, "LowerSolveLevels", got, want)
-			got = append(got[:0], b...)
-			LowerSolveLevels32(l32, got, levels, w)
-			bitwiseEqual(t, "LowerSolveLevels32", got, want)
 
 			got = append(got[:0], b...)
 			LowerTransposeSolveLevels(l, got, levels, w)
 			bitwiseEqual(t, "LowerTransposeSolveLevels", got, wantT)
-			got = append(got[:0], b...)
-			LowerTransposeSolveLevels32(l32, got, levels, w)
-			bitwiseEqual(t, "LowerTransposeSolveLevels32", got, wantT)
 		}
 	}
 }

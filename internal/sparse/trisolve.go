@@ -2,11 +2,9 @@ package sparse
 
 // The triangular solves in this file are the inner kernel of every
 // factorization-based preconditioner: applying M⁻¹ = L⁻ᵀ·L⁻¹ costs one
-// forward and one backward solve per PCG iteration. One generic kernel
-// per direction serves both index widths and both the serial solves
-// and the level-scheduled ones (trisolve_par.go), which run it on
-// column ranges. Go stencils int and int32 as separate GC shapes, so
-// each width compiles to its own code.
+// forward and one backward solve per PCG iteration. One kernel per
+// direction serves both the serial solves and the level-scheduled ones
+// (trisolve_par.go), which run it on column ranges.
 //
 // Each kernel walks the column pointer without re-indexing it: CSC
 // column pointers are contiguous, so one column's end is the next
@@ -41,14 +39,6 @@ func LowerSolve(l *CSC, x []float64) {
 	lowerSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
 }
 
-// LowerSolve32 is LowerSolve for compact (int32) index storage, bitwise
-// identical to LowerSolve on the widened matrix.
-//
-//pgopt:noescape compact-factor forward solve, once per PCG iteration
-func LowerSolve32(l *CSC32, x []float64) {
-	lowerSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
-}
-
 // LowerTransposeSolve solves Lᵀ·x = b in place for the same storage layout
 // as LowerSolve (lower triangular CSC, diagonal first per column). Row i of
 // Lᵀ is column i of L, so the backward substitution is a per-column dot
@@ -59,14 +49,6 @@ func LowerTransposeSolve(l *CSC, x []float64) {
 	lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
 }
 
-// LowerTransposeSolve32 is LowerTransposeSolve for compact (int32)
-// index storage, bitwise identical to it on the widened matrix.
-//
-//pgopt:noescape compact-factor backward solve, once per PCG iteration
-func LowerTransposeSolve32(l *CSC32, x []float64) {
-	lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
-}
-
 // lowerSolve is the forward scatter over the columns whose pointers are
 // colPtr — the factor's own, or a window ColPtr[lo:hi+1] of it — with
 // xc = x[lo:hi] their unknowns: column j divides xc[j] by its diagonal,
@@ -74,7 +56,7 @@ func LowerTransposeSolve32(l *CSC32, x []float64) {
 // row i.
 //
 //pgopt:noescape applied once per PCG iteration
-func lowerSolve[I int | int32](colPtr, rowIdx []I, val, xc, x []float64) {
+func lowerSolve(colPtr, rowIdx []int, val, xc, x []float64) {
 	n := len(colPtr) - 1
 	xc = xc[:n]
 	p := colPtr[0]
@@ -113,7 +95,7 @@ func lowerSolve[I int | int32](colPtr, rowIdx []I, val, xc, x []float64) {
 // divides by its diagonal.
 //
 //pgopt:noescape applied once per PCG iteration
-func lowerTransposeSolve[I int | int32](colPtr, rowIdx []I, val, xc, x []float64) {
+func lowerTransposeSolve(colPtr, rowIdx []int, val, xc, x []float64) {
 	n := len(colPtr) - 1
 	xc = xc[:n]
 	end := colPtr[n]

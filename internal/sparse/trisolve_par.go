@@ -41,11 +41,6 @@ func LowerSolveLevels(l *CSC, x []float64, levels []int, workers int) {
 	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, false)
 }
 
-// LowerSolveLevels32 is LowerSolveLevels for compact index storage.
-func LowerSolveLevels32(l *CSC32, x []float64, levels []int, workers int) {
-	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, false)
-}
-
 // LowerTransposeSolveLevels solves Lᵀ·x = b in place like
 // LowerTransposeSolve, one level at a time from the last across workers
 // goroutines, under the same conditions as LowerSolveLevels. Bitwise
@@ -54,15 +49,9 @@ func LowerTransposeSolveLevels(l *CSC, x []float64, levels []int, workers int) {
 	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, true)
 }
 
-// LowerTransposeSolveLevels32 is LowerTransposeSolveLevels for compact
-// index storage.
-func LowerTransposeSolveLevels32(l *CSC32, x []float64, levels []int, workers int) {
-	solveLevels(l.ColPtr, l.RowIdx, l.Val, x, levels, workers, true)
-}
-
 // solveLevels is the forward solve, or the transpose solve, behind the
-// four level-scheduled entry points.
-func solveLevels[I int | int32](colPtr, rowIdx []I, val, x []float64, levels []int, workers int, transpose bool) {
+// two level-scheduled entry points.
+func solveLevels(colPtr, rowIdx []int, val, x []float64, levels []int, workers int, transpose bool) {
 	if levels == nil || workers <= 1 || len(colPtr)-1 < ParThreshold {
 		if transpose {
 			lowerTransposeSolve(colPtr, rowIdx, val, x, x)

@@ -133,30 +133,9 @@ const (
 // TransformByName resolves the CLI spelling of a transform stage.
 func TransformByName(name string) (Transform, error) { return pipeline.TransformByName(name) }
 
-// IndexMode selects the index width of the solver's factor and
-// iteration-matrix storage. At paper scale (1e7+ nodes) the index
-// arrays rival the float64 values in memory; compact (int32) storage
-// halves them. Index width never changes solve results: every compact
-// kernel performs the identical floating-point operations in the
-// identical order as its wide counterpart.
-type IndexMode = sparse.IndexMode
-
-const (
-	// IndexWide is the default 64-bit index storage, byte-for-byte the
-	// behaviour of every earlier revision.
-	IndexWide = sparse.IndexWide
-	// IndexCompact requires int32 index storage; a system or factor
-	// past the 2^31-entry boundary fails with an error wrapping
-	// ErrIndexOverflow instead of silently widening.
-	IndexCompact = sparse.IndexCompact
-	// IndexAuto uses int32 storage when the problem fits and falls back
-	// to wide storage when it does not.
-	IndexAuto = sparse.IndexAuto
-)
-
-// ErrIndexOverflow reports a matrix or factor whose dimensions or entry
-// count exceed compact (int32) index storage; returned (wrapped) by
-// solves configured with IndexCompact on systems past the 2^31 boundary.
+// ErrIndexOverflow reports a system with more nodes than the
+// randomized factorization's int32 node numbering can hold (2^31-1);
+// the factorization returns it wrapped before it allocates anything.
 var ErrIndexOverflow = sparse.ErrIndexOverflow
 
 // RetryPolicy governs the bounded recovery ladder of the randomized
@@ -198,13 +177,6 @@ type Options struct {
 	// solve returns the same Result for every Workers value, on both
 	// front ends.
 	Workers int
-
-	// CompactIndex selects int32 index storage for the factor and the
-	// iteration matrix (default IndexWide — the historical layout).
-	// IndexCompact halves index memory and fails past the 2^31-entry
-	// boundary; IndexAuto falls back to wide storage instead. Solve
-	// results are bitwise identical across index modes.
-	CompactIndex IndexMode
 
 	// Retry is the automatic recovery policy. The zero value disables
 	// recovery (single attempt — today's behaviour); see RetryPolicy.
@@ -263,10 +235,10 @@ func (o *Options) validate() error {
 		return fmt.Errorf("powerrchol: negative Samples %d", o.Samples)
 	case o.Retry.MaxAttempts < 0:
 		return fmt.Errorf("powerrchol: negative Retry.MaxAttempts %d", o.Retry.MaxAttempts)
+	case o.Retry.MaxAttempts > pipeline.MaxRetryAttempts:
+		return fmt.Errorf("powerrchol: Retry.MaxAttempts %d exceeds %d", o.Retry.MaxAttempts, pipeline.MaxRetryAttempts)
 	case math.IsNaN(o.HeavyFactor) || o.HeavyFactor < 0:
 		return fmt.Errorf("powerrchol: HeavyFactor %g is not a valid threshold", o.HeavyFactor)
-	case o.CompactIndex < IndexWide || o.CompactIndex > IndexAuto:
-		return fmt.Errorf("powerrchol: unknown CompactIndex mode %v", o.CompactIndex)
 	}
 	return nil
 }
@@ -275,19 +247,18 @@ func (o *Options) validate() error {
 // Config.
 func (o Options) pipelineConfig() pipeline.Config {
 	cfg := pipeline.Config{
-		Method:       o.Method,
-		Ordering:     o.Ordering,
-		Transform:    o.Transform,
-		Seed:         o.Seed,
-		Buckets:      o.Buckets,
-		Samples:      o.Samples,
-		HeavyFactor:  o.HeavyFactor,
-		RecoverFrac:  o.RecoverFrac,
-		DropTol:      o.DropTol,
-		MergeFactor:  o.MergeFactor,
-		Workers:      o.Workers,
-		CompactIndex: o.CompactIndex,
-		Retry:        o.Retry,
+		Method:      o.Method,
+		Ordering:    o.Ordering,
+		Transform:   o.Transform,
+		Seed:        o.Seed,
+		Buckets:     o.Buckets,
+		Samples:     o.Samples,
+		HeavyFactor: o.HeavyFactor,
+		RecoverFrac: o.RecoverFrac,
+		DropTol:     o.DropTol,
+		MergeFactor: o.MergeFactor,
+		Workers:     o.Workers,
+		Retry:       o.Retry,
 	}
 	if o.Hooks != nil {
 		cfg.FactorOpts = o.Hooks.FactorOpts
@@ -333,8 +304,8 @@ type Result struct {
 	// FactorNNZ is |L| (0 for AMG-family methods).
 	FactorNNZ int
 	// FactorIndexBytes is the factor's index-array footprint in bytes
-	// (column pointers + row indices) — halved by the compact index
-	// modes; 0 for the matrix-free preconditioners.
+	// (column pointers + row indices); 0 for the matrix-free
+	// preconditioners.
 	FactorIndexBytes int
 	// MemoryBytes estimates the solver-state footprint of this solve:
 	// factor values + indices, iteration-matrix storage (none for an

@@ -10,7 +10,6 @@ import (
 	"powerrchol/internal/graph"
 	"powerrchol/internal/pcg"
 	"powerrchol/internal/pipeline"
-	"powerrchol/internal/sparse"
 )
 
 // Solver is a prepared solver: the reordering and preconditioner are
@@ -46,9 +45,7 @@ type Solver struct {
 	expand   func(x []float64) []float64
 	restrict func(x []float64) []float64
 	// mul multiplies by the assembled iteration matrix and returns
-	// xᵀ·A·x, gathering from its rows (sparse.CSR.MulVecDot), stored
-	// wide or compact int32 per Options.CompactIndex; the two multiply
-	// to identical bits, so the width is invisible to solve results.
+	// xᵀ·A·x, gathering from its rows (sparse.CSR.MulVecDot).
 	// matNNZ and matIndexBytes size that storage. Exact setups assemble
 	// no matrix (mul is nil): they never iterate.
 	mul           func(y, x []float64) float64
@@ -172,16 +169,6 @@ func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Opt
 	// asymmetric in its last bits.
 	a := setup.Sys.RowView()
 	s.mul, s.matNNZ, s.matIndexBytes = a.MulVecDot, a.NNZ(), a.IndexBytes()
-	if opt.CompactIndex != IndexWide {
-		a32, cerr := sparse.CompactCSR(a)
-		switch {
-		case cerr == nil:
-			s.mul, s.matNNZ, s.matIndexBytes = a32.MulVecDot, a32.NNZ(), a32.IndexBytes()
-		case opt.CompactIndex == IndexCompact:
-			return nil, cerr
-		}
-		// IndexAuto past the boundary: keep the wide matrix.
-	}
 	s.setupAssemble = time.Since(t0)
 	return s, nil
 }
@@ -198,8 +185,8 @@ func (s *Solver) N() int { return s.sys.N() }
 func (s *Solver) FactorNNZ() int { return s.factorNNZ }
 
 // FactorIndexBytes reports the factor's index-array footprint in bytes
-// (column pointers + row indices) — halved by the compact index modes;
-// 0 for the matrix-free preconditioners.
+// (column pointers + row indices); 0 for the matrix-free
+// preconditioners.
 func (s *Solver) FactorIndexBytes() int { return s.factorIndexBytes }
 
 // MemoryBytes reports the retained footprint of the prepared solver in

@@ -165,7 +165,7 @@ func TestConditionEstimateOrdersPreconditioners(t *testing.T) {
 // assembly is symmetric only up to rounding, the prepared solver's
 // row-gather multiply runs on a transposed copy, and its answer must
 // still be bitwise the plain pcg.SolveFromOp run with the scatter
-// CSC.MulVec and the same preconditioner, at both index widths.
+// CSC.MulVec and the same preconditioner.
 func TestSolverMatchesScatterPCGOnAsymmetricStar(t *testing.T) {
 	sys := testmat.ParallelStarSDDM(rng.New(5), 39, 3)
 	r := rng.New(17)
@@ -173,28 +173,26 @@ func TestSolverMatchesScatterPCGOnAsymmetricStar(t *testing.T) {
 	for i := range b {
 		b[i] = r.Float64() - 0.5
 	}
-	for _, mode := range []IndexMode{IndexWide, IndexCompact} {
-		s, err := NewSolver(sys, Options{Tol: 1e-10, Seed: 3, CompactIndex: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a := s.iter.ToCSC(); &a.RowView().ColIdx[0] == &a.RowIdx[0] {
-			t.Fatal("the star assembled bitwise symmetric: the test no longer reaches the transposed rows")
-		}
-		got, err := s.Solve(b)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		want, err := pcg.SolveFromOp(s.iter.N(), s.iter.ToCSC().MulVec, b, nil, s.m, s.opt.pcgOptions(nil))
-		if err != nil {
-			t.Fatalf("%v: reference: %v", mode, err)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("%v: %d iterations, scatter reference %d", mode, got.Iterations, want.Iterations)
-		}
-		assertBitwise(t, mode.String()+" X", got.X, want.X)
-		assertBitwise(t, mode.String()+" History", got.History, want.History)
+	s, err := NewSolver(sys, Options{Tol: 1e-10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if a := s.iter.ToCSC(); &a.RowView().ColIdx[0] == &a.RowIdx[0] {
+		t.Fatal("the star assembled bitwise symmetric: the test no longer reaches the transposed rows")
+	}
+	got, err := s.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pcg.SolveFromOp(s.iter.N(), s.iter.ToCSC().MulVec, b, nil, s.m, s.opt.pcgOptions(nil))
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	if got.Iterations != want.Iterations {
+		t.Fatalf("%d iterations, scatter reference %d", got.Iterations, want.Iterations)
+	}
+	assertBitwise(t, "X", got.X, want.X)
+	assertBitwise(t, "History", got.History, want.History)
 }
 
 // TestWarmSolveAllocationBudget: with PCG's scratch vectors recycled
