@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"powerrchol/internal/graph"
+	"powerrchol/internal/pcg"
+	"powerrchol/internal/powergrid"
 	"powerrchol/internal/rng"
 	"powerrchol/internal/sparse"
 	"powerrchol/internal/testmat"
@@ -92,28 +95,38 @@ func checkFrontEnds(t *testing.T, name string, s *graph.SDDM, b []float64, opt O
 }
 
 // TestWorkersNeverChangeAnswers pins the Workers contract the solver
-// fingerprint relies on (Workers is not part of the key): on a system
+// fingerprint relies on (Workers is not part of the key): on systems
 // large enough for the level-scheduled triangular solves to run in
 // parallel, a one-shot Solve returns the same bits for every Workers
-// value, and the prepared Solver returns them too.
+// value, and the prepared Solver returns them too. The uniform grid's
+// factor has no level wide enough to split; the three-layer power
+// grid's has several, so its solves do run runLevels' workers. An
+// absurd Workers must neither exhaust memory nor change a bit.
 func TestWorkersNeverChangeAnswers(t *testing.T) {
-	s := testmat.GridSDDM(100, 100)
-	if s.N() < sparse.ParThreshold {
-		t.Fatalf("grid of %d nodes is below the parallel threshold %d", s.N(), sparse.ParThreshold)
+	g, err := powergrid.Generate(powergrid.Spec{Name: "workers", NX: 80, NY: 80, Layers: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := rng.New(45)
-	b := make([]float64, s.N())
-	for i := range b {
-		b[i] = r.Float64() - 0.5
-	}
-	for _, m := range []Method{MethodPowerRChol, MethodPowerRush} {
-		serial, err := Solve(s, b, Options{Method: m, Seed: 9})
-		if err != nil {
-			t.Fatalf("%v serial: %v", m, err)
+	for _, s := range []*graph.SDDM{testmat.GridSDDM(100, 100), g.Sys} {
+		if s.N() < sparse.ParThreshold {
+			t.Fatalf("system of %d nodes is below the parallel threshold %d", s.N(), sparse.ParThreshold)
 		}
-		for _, workers := range []int{2, 4} {
-			checkFrontEnds(t, fmt.Sprintf("%v/workers=%d", m, workers), s, b,
-				Options{Method: m, Seed: 9, Workers: workers}, serial)
+		r := rng.New(45)
+		b := make([]float64, s.N())
+		for i := range b {
+			b[i] = r.Float64() - 0.5
+		}
+		for _, m := range []Method{MethodPowerRChol, MethodPowerRush} {
+			serial, err := Solve(s, b, Options{Method: m, Seed: 9})
+			if err != nil {
+				t.Fatalf("%v serial: %v", m, err)
+			}
+			// 1<<40 asks for more goroutines than any level has columns:
+			// runLevels spawns no more than the widest level needs.
+			for _, workers := range []int{2, 4, 1 << 40} {
+				checkFrontEnds(t, fmt.Sprintf("n=%d/%v/workers=%d", s.N(), m, workers), s, b,
+					Options{Method: m, Seed: 9, Workers: workers}, serial)
+			}
 		}
 	}
 }
@@ -341,6 +354,86 @@ func TestCancelEveryPreparedMethod(t *testing.T) {
 		}
 		if _, err := NewSolverContext(ctx, s, opt); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: NewSolverContext under cancelled ctx: got %v, want context.Canceled", mi.Name, err)
+		}
+	}
+}
+
+// applyOnly hides every method of a preconditioner but Apply.
+type applyOnly struct{ pcg.Preconditioner }
+
+// TestWrappedPreconditionerKeepsBits: a preconditioner without ApplyDot
+// (the factor behind a WrapPrecond hook that exposes only Apply) takes
+// PCG's Apply-then-Dot route, which must return the bits of the
+// factor's own ApplyDot route, cold and warm, prepared and one-shot.
+func TestWrappedPreconditionerKeepsBits(t *testing.T) {
+	s, b, _ := testProblem(t)
+	opt := equivalenceOpt(MethodPowerRChol, OrderDefault)
+	wrappedOpt := opt
+	wrappedOpt.Hooks = &FaultHooks{WrapPrecond: func(_ int, m pcg.Preconditioner) pcg.Preconditioner {
+		return applyOnly{m}
+	}}
+	plain, err := NewSolver(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := plain.m.(interface{ ApplyDot(z, r []float64) float64 }); !ok {
+		t.Fatalf("the unwrapped preconditioner %T has no ApplyDot", plain.m)
+	}
+	wrapped, err := NewSolver(s, wrappedOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cold, err := plain.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wrapped.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "cold", got.X, cold.X)
+	oneShot, err := Solve(s, b, wrappedOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "one-shot", oneShot.X, cold.X)
+
+	b2 := append([]float64(nil), b...)
+	for i := range b2 {
+		b2[i] *= 1.01
+	}
+	warm, err := plain.SolveFrom(b2, cold.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = wrapped.SolveFrom(b2, cold.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != warm.Iterations || warm.Iterations == 0 {
+		t.Fatalf("warm: %d iterations wrapped, %d unwrapped", got.Iterations, warm.Iterations)
+	}
+	assertBitwise(t, "warm", got.X, warm.X)
+}
+
+// TestNonFiniteWarmStartIsInputError: SolveFrom with a NaN or ±Inf in
+// x0 fails with an input error, not pcg.ErrIndefinite — with the
+// recovery ladder armed too, since the operator is not at fault.
+func TestNonFiniteWarmStartIsInputError(t *testing.T) {
+	s, b, _ := testProblem(t)
+	opt := equivalenceOpt(MethodPowerRChol, OrderDefault)
+	opt.Retry = RetryPolicy{MaxAttempts: 4, Escalate: true}
+	solver, err := NewSolver(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x0 := make([]float64, s.N())
+		x0[7] = v
+		_, err := solver.SolveFrom(b, x0)
+		if err == nil || errors.Is(err, pcg.ErrIndefinite) || !strings.Contains(err.Error(), "initial guess") {
+			t.Fatalf("x0 with %g: err = %v, want a non-finite initial guess error", v, err)
 		}
 	}
 }

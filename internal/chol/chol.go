@@ -178,8 +178,6 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 		N: n,
 		L: &sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val},
 	}
-	if perm != nil {
-		f.Perm = perm
-	}
+	f.SetPerm(perm)
 	return f, nil
 }

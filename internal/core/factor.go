@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 
 	"powerrchol/internal/sparse"
@@ -19,13 +20,17 @@ import (
 // bits in either order.
 //
 // Apply is safe for concurrent callers: scratch vectors are drawn from a
-// pool per call, and all other state (L, Perm, the optional level
-// boundaries) is read-only after construction. All randomness is
-// confined to Factorize; no RNG state survives into the solve phase.
+// pool per call, and all other state (L, the permutation and its
+// inverse, the optional level boundaries) is read-only after
+// construction. All randomness is confined to Factorize; no RNG state
+// survives into the solve phase.
 type Factor struct {
-	N    int
-	L    *sparse.CSC
-	Perm []int // Perm[newIdx] = oldIdx; nil means identity
+	N int
+	L *sparse.CSC
+
+	// perm[newIdx] = oldIdx, nil for the identity, and inv its inverse,
+	// which Apply gathers its result through. SetPerm sets both.
+	perm, inv []int
 
 	// levels, when non-nil, are the level boundaries Parallelize found
 	// for L's columns, and workers > 1 the goroutines the triangular
@@ -39,6 +44,20 @@ type Factor struct {
 
 // NNZ returns the number of stored entries of L (the paper's |L|).
 func (f *Factor) NNZ() int { return f.L.NNZ() }
+
+// Perm returns the factor's permutation, Perm()[newIdx] = oldIdx, or
+// nil for the identity. The slice is shared; callers must not mutate it.
+func (f *Factor) Perm() []int { return f.perm }
+
+// SetPerm sets the factor's permutation (nil for the identity) and
+// keeps its inverse for Apply. perm is retained, not copied. Like
+// Parallelize, call it before the factor is shared.
+func (f *Factor) SetPerm(perm []int) {
+	f.perm, f.inv = perm, nil
+	if perm != nil {
+		f.inv = sparse.InvPerm(perm)
+	}
+}
 
 // IsCompact reports whether the factor uses int32 index storage. Every
 // factor stores int indices, so it always returns false.
@@ -81,9 +100,9 @@ func (f *Factor) Parallelize(workers int) {
 }
 
 func (f *Factor) getWork() []float64 {
-	//pglint:pool-escapes checkout helper: Apply owns the buffer and recycles it via putWork on its only exit
+	//pglint:pool-escapes checkout helper: ApplyDot owns the buffer and recycles it via Put on its only exit
 	if w, ok := f.pool.Get().([]float64); ok && len(w) == f.N {
-		//pglint:poolescape checkout helper: ownership transfers to Apply, which recycles via putWork on its only exit
+		//pglint:poolescape checkout helper: ownership transfers to ApplyDot, which recycles via Put on its only exit
 		return w
 	}
 	return make([]float64, f.N)
@@ -91,22 +110,64 @@ func (f *Factor) getWork() []float64 {
 
 // Apply computes z = Pᵀ·L⁻ᵀ·L⁻¹·P·r, the preconditioning operation of
 // PowerRChol step 4. z and r must have length N and may alias. Apply is
-// safe for concurrent use by multiple goroutines.
-func (f *Factor) Apply(z, r []float64) {
+// safe for concurrent use by multiple goroutines. It is ApplyDot with
+// the dot discarded.
+func (f *Factor) Apply(z, r []float64) { f.ApplyDot(z, r) }
+
+// ApplyDot is Apply returning rᵀz as well: PCG's rᵀz, taken in the pass
+// that writes z. z is gathered through the inverse permutation, z[i] =
+// w[inv[i]], so the writes run in index order, and the dot accumulates
+// r[i]·z[i] in ascending i, which is sparse.Dot(r, z)'s order: the
+// result is bitwise Apply followed by sparse.Dot(r, z). Each r[i] is
+// read before z[i] is written, so with z aliasing r the dot is still
+// taken over r's input values.
+func (f *Factor) ApplyDot(z, r []float64) float64 {
 	w := f.getWork()
-	if f.Perm == nil {
+	if f.perm == nil {
 		copy(w, r)
 	} else {
-		sparse.PermuteVecInto(w, r, f.Perm)
+		sparse.PermuteVecInto(w, r, f.perm)
 	}
 	sparse.LowerSolveLevels(f.L, w, f.levels, f.workers)
 	sparse.LowerTransposeSolveLevels(f.L, w, f.levels, f.workers)
-	if f.Perm == nil {
-		copy(z, w)
-	} else {
-		sparse.UnpermuteVecInto(z, w, f.Perm)
-	}
+	dot := gatherDot(z, r, w, f.inv)
 	f.pool.Put(w)
+	return dot
+}
+
+// errApplyLengths is gatherDot's panic value: a preallocated error, so
+// the panic path moves nothing to the heap (//pgopt:noescape).
+var errApplyLengths = errors.New("core: Apply operand lengths differ from the factor's")
+
+// gatherDot sets z[i] = w[inv[i]] (z = w for a nil inv) and returns
+// Σ r[i]·z[i] in ascending i, reading r[i] before writing z[i]. With
+// the lengths checked up front, only the data-dependent w gather stays
+// bounds-checked (pgoptcheck rule bce).
+//
+//pgopt:noescape the exit pass of every preconditioner application
+func gatherDot(z, r, w []float64, inv []int) float64 {
+	if len(z) != len(w) || len(r) != len(w) {
+		panic(errApplyLengths)
+	}
+	var dot float64
+	if inv == nil {
+		for i, v := range w {
+			ri := r[i]
+			z[i] = v
+			dot += ri * v
+		}
+		return dot
+	}
+	if len(inv) != len(w) {
+		panic(errApplyLengths)
+	}
+	for i, k := range inv {
+		v := w[k]
+		ri := r[i]
+		z[i] = v
+		dot += ri * v
+	}
+	return dot
 }
 
 // ProductCSC assembles L·Lᵀ as a CSC matrix in the ordering of Perm: it

@@ -38,16 +38,16 @@ func (e *elimination) schedule(perm []int) *Factor {
 	cp, ri, v := relabel(e.colPtr, e.ents, ord, inv)
 	f := &Factor{N: n, L: &sparse.CSC{Rows: n, Cols: n, ColPtr: cp, RowIdx: ri, Val: v}}
 	switch {
-	case identity:
-		f.Perm = perm
+	case identity: // the relabeling leaves perm as it is
 	case perm == nil:
-		f.Perm = ord
+		perm = ord
 	default:
 		for k, j := range ord {
 			ord[k] = perm[j]
 		}
-		f.Perm = ord
+		perm = ord
 	}
+	f.SetPerm(perm)
 	return f
 }
 
@@ -147,6 +147,6 @@ func (f *Factor) reschedule(lev []int32, maxLev int32) {
 		ents[p] = entry{int32(r), val[p]}
 	}
 	e := &elimination{colPtr: l.ColPtr, ents: ents, lev: lev, maxLev: maxLev}
-	g := e.schedule(f.Perm)
-	f.L, f.Perm = g.L, g.Perm
+	g := e.schedule(f.perm)
+	f.L, f.perm, f.inv = g.L, g.perm, g.inv
 }

@@ -22,7 +22,9 @@ func elimOrderFactor(t testing.TB, e *elimination, perm []int) *Factor {
 	for p, en := range e.ents {
 		l.RowIdx[p], l.Val[p] = int(en.row), en.val
 	}
-	return &Factor{N: n, L: l, Perm: perm}
+	f := &Factor{N: n, L: l}
+	f.SetPerm(perm)
+	return f
 }
 
 // chainLevelsRef computes the schedule levels of a factor in elimination
@@ -111,8 +113,8 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 			}
 		}
 	}
-	if f.Perm != nil {
-		if err := sparse.CheckPerm(f.Perm, n); err != nil {
+	if f.perm != nil {
+		if err := sparse.CheckPerm(f.perm, n); err != nil {
 			t.Fatalf("Perm′: %v", err)
 		}
 	}
@@ -122,8 +124,8 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 			want = perm[j]
 		}
 		got := k
-		if f.Perm != nil {
-			got = f.Perm[k]
+		if f.perm != nil {
+			got = f.perm[k]
 		}
 		if got != want {
 			t.Fatalf("Perm′[%d] = %d, want Perm[ord[%d]] = %d", k, got, k, want)
@@ -267,12 +269,12 @@ func checkRescheduledLayout(t *testing.T, s *graph.SDDM, perm []int, opt Options
 			t.Fatalf("rescheduled L′ differs from Factorize's at entry %d", p)
 		}
 	}
-	if (g.Perm == nil) != (f.Perm == nil) || len(g.Perm) != len(f.Perm) {
-		t.Fatalf("rescheduled Perm′ nil=%v, Factorize's nil=%v", g.Perm == nil, f.Perm == nil)
+	if (g.perm == nil) != (f.perm == nil) || len(g.perm) != len(f.perm) {
+		t.Fatalf("rescheduled Perm′ nil=%v, Factorize's nil=%v", g.perm == nil, f.perm == nil)
 	}
-	for k := range f.Perm {
-		if g.Perm[k] != f.Perm[k] {
-			t.Fatalf("rescheduled Perm′[%d] = %d, Factorize's %d", k, g.Perm[k], f.Perm[k])
+	for k := range f.perm {
+		if g.perm[k] != f.perm[k] {
+			t.Fatalf("rescheduled Perm′[%d] = %d, Factorize's %d", k, g.perm[k], f.perm[k])
 		}
 	}
 

@@ -42,7 +42,7 @@ func (f *Factor) WriteTo(w io.Writer) (int64, error) {
 		return written, err
 	}
 	hasPerm := uint8(0)
-	if f.Perm != nil {
+	if f.perm != nil {
 		hasPerm = 1
 	}
 	if err := put(hasPerm); err != nil {
@@ -69,9 +69,9 @@ func (f *Factor) WriteTo(w io.Writer) (int64, error) {
 	if err := put(f.L.Val); err != nil {
 		return written, err
 	}
-	if f.Perm != nil {
+	if f.perm != nil {
 		buf = buf[:0]
-		for _, v := range f.Perm {
+		for _, v := range f.perm {
 			//pglint:hotalloc serialization path, runs once per factor; buf already sized by the RowIdx pass
 			buf = append(buf, uint64(v))
 		}
@@ -211,7 +211,7 @@ func ReadFactor(r io.Reader) (*Factor, error) {
 		if err := sparse.CheckPerm(perm, n); err != nil {
 			return nil, fmt.Errorf("core: corrupt permutation: %w", err)
 		}
-		f.Perm = perm
+		f.SetPerm(perm)
 	}
 	return f, nil
 }

@@ -36,8 +36,8 @@ func TestFactorSerializationRoundTrip(t *testing.T) {
 			t.Fatal("factor data changed in round trip")
 		}
 	}
-	for i := range f.Perm {
-		if f.Perm[i] != g.Perm[i] {
+	for i := range f.perm {
+		if f.perm[i] != g.perm[i] {
 			t.Fatal("permutation changed in round trip")
 		}
 	}
@@ -71,7 +71,7 @@ func TestFactorSerializationNoPerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Perm != nil {
+	if g.perm != nil {
 		t.Fatal("phantom permutation appeared")
 	}
 }

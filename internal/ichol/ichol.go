@@ -79,9 +79,7 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int, opt Option
 	for try := 0; ; try++ {
 		f, err := factorizeShifted(ctx, work, opt, shift)
 		if err == nil {
-			if perm != nil {
-				f.Perm = perm
-			}
+			f.SetPerm(perm)
 			return f, nil
 		}
 		if try >= opt.MaxShiftRetries {

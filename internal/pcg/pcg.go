@@ -19,6 +19,24 @@ type Preconditioner interface {
 	Apply(z, r []float64)
 }
 
+// dotPreconditioner is a Preconditioner that also returns rᵀz from the
+// pass that writes z (core.Factor.ApplyDot), bitwise equal to Apply
+// followed by sparse.Dot(r, z). PCG takes rᵀz from it when m has it.
+type dotPreconditioner interface {
+	ApplyDot(z, r []float64) float64
+}
+
+// applyDot sets z = M⁻¹·r and returns rᵀz: in m's own pass when m is a
+// dotPreconditioner, otherwise as Apply followed by sparse.Dot(r, z).
+// The bits are the same either way.
+func applyDot(m Preconditioner, z, r []float64) float64 {
+	if md, ok := m.(dotPreconditioner); ok {
+		return md.ApplyDot(z, r)
+	}
+	m.Apply(z, r)
+	return sparse.Dot(r, z)
+}
+
 // Identity is the no-op preconditioner (plain CG).
 type Identity struct{}
 
@@ -183,12 +201,12 @@ func getScratch(n int) *scratch {
 
 // iterate is the PCG loop proper, over a fresh iterate x and the
 // working set s. Pooled vectors arrive dirty, so each is written before
-// it is read: r from b, z by the preconditioner, p from z, ap by the
-// multiply, spare by an out-of-place update. The iterate double-buffers
-// between x and s.spare, so the result may land in either; s.spare is
-// kept pointing at whichever buffer the result does not take, so
-// exactly one iterate buffer leaves with the Result and the other
-// stays in the set.
+// it is read: r from b (and A·x0), z by the preconditioner, p from z,
+// ap by the multiply, spare by an out-of-place update. The iterate
+// double-buffers between x and s.spare, so the result may land in
+// either; s.spare is kept pointing at whichever buffer the result does
+// not take, so exactly one iterate buffer leaves with the Result and
+// the other stays in the set.
 func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner, opt Options, s *scratch) (*Result, error) {
 	if opt.Tol == 0 {
 		opt.Tol = 1e-6
@@ -210,7 +228,6 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 	if len(z) != len(r) || len(p) != len(r) {
 		panic(errLengths) // proves the loop's z and p accesses in bounds
 	}
-	copy(r, b)
 
 	bnorm := sparse.Norm2(b)
 	if math.IsNaN(bnorm) || math.IsInf(bnorm, 0) {
@@ -219,19 +236,23 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 	if bnorm == 0 {
 		return &Result{X: x, Converged: true}, nil
 	}
-	if x0 != nil {
+	if x0 == nil {
+		copy(r, b)
+	} else {
 		copy(x, x0)
-		mul(ap, x) // r = b - A·x0
-		sparse.AxpyTo(r, r, -1, ap)
-		if rel := sparse.Norm2(r) / bnorm; rel < opt.Tol {
+		mul(ap, x)
+		rr := residual(r, b, ap)
+		if math.IsNaN(rr) || math.IsInf(rr, 0) {
+			return nil, fmt.Errorf("pcg: initial guess gives a non-finite residual b - A·x0")
+		}
+		if rel := math.Sqrt(rr) / bnorm; rel < opt.Tol {
 			return &Result{X: x, Converged: true, Residual: rel}, nil
 		}
 	}
 
 	res := &Result{}
-	m.Apply(z, r)
+	rz := applyDot(m, z, r)
 	copy(p, z)
-	rz := sparse.Dot(r, z)
 	if rz <= 0 || math.IsNaN(rz) {
 		return nil, fmt.Errorf("%w: r'z = %g at start", ErrIndefinite, rz)
 	}
@@ -314,8 +335,7 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 			winBest[k] = best
 		}
 
-		m.Apply(z, r)
-		rzNew := sparse.Dot(r, z)
+		rzNew := applyDot(m, z, r)
 		if rzNew <= 0 || math.IsNaN(rzNew) {
 			return nil, fmt.Errorf("%w: r'z = %g at iteration %d", ErrIndefinite, rzNew, iter)
 		}
@@ -340,6 +360,26 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 // bounds checks (pgoptcheck rule bce); a preallocated error makes the
 // panic path allocate nothing (//pgopt:noescape).
 var errLengths = errors.New("pcg: vector lengths differ")
+
+// residual sets r = b − ap, the warm start's r₀ = b − A·x0, and
+// returns ‖r‖² in a single pass. Per element and in accumulation order
+// these are exactly the float operations of copy(r, b),
+// sparse.AxpyTo(r, r, −1, ap) and sparse.Norm2(r) (less its square
+// root): b + (−1)·ap rounds as b − ap, since (−1)·ap is exact.
+//
+//pgopt:noescape one fused vector pass per warm start
+func residual(r, b, ap []float64) float64 {
+	if len(r) != len(b) || len(ap) != len(b) {
+		panic(errLengths)
+	}
+	var rr float64
+	for i, bi := range b {
+		ri := bi - ap[i]
+		r[i] = ri
+		rr += ri * ri
+	}
+	return rr
+}
 
 // update takes one CG step in a single pass: xNext = x + α·p (xNext
 // may be x) and r += (−α)·ap, returning the new ‖r‖². Per element and

@@ -402,15 +402,16 @@ func TestNewCSCAndNNZ(t *testing.T) {
 func TestPermuteVecHelpers(t *testing.T) {
 	x := []float64{10, 20, 30}
 	perm := []int{2, 0, 1} // new i <- old perm[i]
-	y := PermuteVec(x, perm)
+	y := make([]float64, 3)
+	PermuteVecInto(y, x, perm)
 	if y[0] != 30 || y[1] != 10 || y[2] != 20 {
-		t.Fatalf("PermuteVec = %v", y)
+		t.Fatalf("PermuteVecInto = %v", y)
 	}
 	z := make([]float64, 3)
-	UnpermuteVecInto(z, y, perm)
+	PermuteVecInto(z, y, InvPerm(perm))
 	for i := range x {
 		if z[i] != x[i] {
-			t.Fatalf("UnpermuteVecInto = %v", z)
+			t.Fatalf("PermuteVecInto through InvPerm = %v", z)
 		}
 	}
 	id := IdentityPerm(3)

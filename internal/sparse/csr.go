@@ -14,34 +14,14 @@ type CSR struct {
 	Val        []float64
 }
 
-// ToCSR converts a CSC matrix to CSR. For a symmetric matrix this equals
-// a transpose-free relabeling; for general matrices it is an explicit
-// transpose of the storage, preserving the operator.
+// ToCSR converts a CSC matrix to CSR. A's rows are the columns of its
+// transpose, so this is Transpose with the arrays renamed: rows in
+// ascending order, each with ascending column indices. For a symmetric
+// matrix this equals a transpose-free relabeling; for general matrices
+// it is an explicit transpose of the storage, preserving the operator.
 func (a *CSC) ToCSR() *CSR {
-	t := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	for _, i := range a.RowIdx {
-		t.RowPtr[i+1]++
-	}
-	for i := 0; i < a.Rows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := append([]int(nil), t.RowPtr[:a.Rows]...)
-	for j := 0; j < a.Cols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			q := next[i]
-			next[i]++
-			t.ColIdx[q] = j
-			t.Val[q] = a.Val[p]
-		}
-	}
-	return t
+	t := a.Transpose()
+	return &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
 }
 
 // NNZ returns the stored entry count.
@@ -114,6 +94,14 @@ var errMulVecDotLengths = errors.New("sparse: MulVecDot operand lengths differ")
 // windows and the data-dependent x gather stay bounds-checked
 // (pgoptcheck rule bce).
 //
+// Like the triangular solves (trisolve.go), it takes a row's first
+// unrolled entries in straight-line code, each behind its own length
+// test, and loops only over the rest: power-grid rows hold two to five
+// entries and their lengths change from row to row, so a loop exit
+// would mispredict on most rows. Each prefix term is the loop's
+// `s += vals[k]·x[cols[k]]` in the loop's order, from the same +0, so
+// y and the dot are bitwise those of the plain loop.
+//
 //pgopt:noescape one SpMV and pᵀAp per PCG iteration
 func mulVecDot(rowPtr, colIdx []int, val, y, x []float64) float64 {
 	if len(x) != len(y) || len(rowPtr) != len(y)+1 {
@@ -125,9 +113,22 @@ func mulVecDot(rowPtr, colIdx []int, val, y, x []float64) float64 {
 		end := rowPtr[i+1]
 		cols := colIdx[p:end]
 		vals := val[p:end]
+		m := len(cols)
 		var s float64
-		for k, j := range cols {
-			s += vals[k] * x[j]
+		if m > 0 {
+			s += vals[0] * x[cols[0]]
+		}
+		if m > 1 {
+			s += vals[1] * x[cols[1]]
+		}
+		if m > 2 {
+			s += vals[2] * x[cols[2]]
+		}
+		if m > 3 {
+			s += vals[3] * x[cols[3]]
+		}
+		for k := unrolled; k < m; k++ {
+			s += vals[k] * x[cols[k]]
 		}
 		y[i] = s
 		dot += xi * s

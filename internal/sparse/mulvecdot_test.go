@@ -2,9 +2,11 @@ package sparse_test
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"powerrchol/internal/cases"
+	"powerrchol/internal/powergrid"
 	"powerrchol/internal/rng"
 	"powerrchol/internal/sparse"
 	"powerrchol/internal/testmat"
@@ -47,7 +49,8 @@ func checkMulVecDot(t *testing.T, name string, a *sparse.CSC, r *rng.Rand) (shar
 // TestMulVecDotMatchesScatter pins the row-gather kernel against the
 // scatter SpMV plus Dot on every benchmark case (bitwise symmetric: the
 // rows are shared), on a parallel-edge star and on a hand-built matrix
-// (both asymmetric in their bits: the rows are a transposed copy).
+// (both asymmetric in their bits: the rows are a transposed copy), and
+// on rows of every length around the straight-line prefix.
 func TestMulVecDotMatchesScatter(t *testing.T) {
 	r := rng.New(61)
 	shared := 0
@@ -77,6 +80,68 @@ func TestMulVecDotMatchesScatter(t *testing.T) {
 	if checkMulVecDot(t, "hand-built", hand, r) {
 		t.Fatal("hand-built: RowView shared the arrays of an asymmetric matrix")
 	}
+
+	// Every row length around the kernel's straight-line prefix, 0 to 9
+	// entries, in runs of equal length and mixed: against the scatter
+	// and against the plain row loop.
+	const n, maxLen = 600, 9
+	mixed := make([]int, n)
+	for i := range mixed {
+		mixed[i] = r.Intn(maxLen + 1)
+	}
+	runs := append([]int(nil), mixed...)
+	sort.Ints(runs)
+	for _, c := range []struct {
+		name string
+		lens []int
+	}{{"mixed rows", mixed}, {"row runs", runs}} {
+		rows := rowsWithLengths(r, c.lens)
+		a := (&sparse.CSC{Rows: n, Cols: n, ColPtr: rows.RowPtr, RowIdx: rows.ColIdx, Val: rows.Val}).Transpose()
+		checkMulVecDot(t, c.name, a, r)
+
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 2*r.Float64() - 1
+		}
+		want := make([]float64, n)
+		wantDot := loopMulVecDot(rows, want, x)
+		got := make([]float64, n)
+		gotDot := rows.MulVecDot(got, x)
+		sameBits(t, c.name+": y against the loop", got, want)
+		sameBits(t, c.name+": xᵀy against the loop", []float64{gotDot}, []float64{wantDot})
+	}
+}
+
+// rowsWithLengths builds a square CSR whose row i holds lens[i] entries
+// in distinct ascending columns.
+func rowsWithLengths(r *rng.Rand, lens []int) *sparse.CSR {
+	n := len(lens)
+	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for i, m := range lens {
+		row := r.Perm(n)[:m]
+		sort.Ints(row)
+		for _, j := range row {
+			a.ColIdx = append(a.ColIdx, j)
+			a.Val = append(a.Val, 2*r.Float64()-1)
+		}
+		a.RowPtr[i+1] = len(a.ColIdx)
+	}
+	return a
+}
+
+// loopMulVecDot is MulVecDot as a plain row loop: the reference the
+// straight-line prefix must match bit for bit.
+func loopMulVecDot(a *sparse.CSR, y, x []float64) float64 {
+	var dot float64
+	for i := 0; i < a.Rows; i++ {
+		var s float64
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			s += a.Val[p] * x[a.ColIdx[p]]
+		}
+		y[i] = s
+		dot += x[i] * s
+	}
+	return dot
 }
 
 func sameBits(t *testing.T, what string, got, want []float64) {
@@ -103,3 +168,30 @@ func sameInts(t *testing.T, what string, got, want []int) {
 		}
 	}
 }
+
+// BenchmarkCSRMulVecDotGrid is BenchmarkCSRMulVecDot on the matrix PCG
+// multiplies by in the transient workload's shape: a generated
+// three-layer grid (100x100 bottom layer, n = 17,500) whose rows hold
+// two to five entries, with lengths changing from row to row. The
+// random matrix of BenchmarkCSRMulVecDot has about ten entries per row,
+// past the kernel's straight-line prefix.
+func BenchmarkCSRMulVecDotGrid(b *testing.B) {
+	g, err := powergrid.Generate(powergrid.Spec{Name: "bench", NX: 100, NY: 100, Layers: 3, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := g.Sys.RowView()
+	r := rng.New(12)
+	x := make([]float64, a.Cols)
+	for i := range x {
+		x[i] = 2*r.Float64() - 1
+	}
+	y := make([]float64, a.Rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDot = a.MulVecDot(y, x)
+	}
+}
+
+var sinkDot float64

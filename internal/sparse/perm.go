@@ -47,34 +47,17 @@ func PermuteSym(a *CSC, perm []int) *CSC {
 	return coo.ToCSC()
 }
 
-// PermuteVec scatters x into a fresh vector y with y[newIdx] = x[perm[newIdx]].
-func PermuteVec(x []float64, perm []int) []float64 {
-	y := make([]float64, len(x))
-	for newIdx, oldIdx := range perm {
-		y[newIdx] = x[oldIdx]
-	}
-	return y
-}
-
-// PermuteVecInto is PermuteVec writing into caller storage. The dense
-// operand is resliced to the permutation's length up front, so only the
-// data-dependent side of the gather keeps its bounds check.
+// PermuteVecInto gathers x into caller storage: y[newIdx] =
+// x[perm[newIdx]]. The dense operand is resliced to the permutation's
+// length up front, so only the data-dependent side of the gather keeps
+// its bounds check. With InvPerm(perm) in place of perm it undoes
+// itself.
 //
 //pgopt:noescape,inline runs on every preconditioner application when the factor is permuted
 func PermuteVecInto(y, x []float64, perm []int) {
 	y = y[:len(perm)]
 	for newIdx, oldIdx := range perm {
 		y[newIdx] = x[oldIdx]
-	}
-}
-
-// UnpermuteVecInto inverts PermuteVecInto: y[perm[newIdx]] = x[newIdx].
-//
-//pgopt:noescape,inline runs on every preconditioner application when the factor is permuted
-func UnpermuteVecInto(y, x []float64, perm []int) {
-	x = x[:len(perm)]
-	for newIdx, oldIdx := range perm {
-		y[oldIdx] = x[newIdx]
 	}
 }
 

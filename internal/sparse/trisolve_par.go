@@ -78,10 +78,17 @@ func solveLevels(colPtr, rowIdx []int, val, x []float64, levels []int, workers i
 //
 // Workers are spawned once per call — on the first level wide enough to
 // split — and retired by closing the job channel after the last level.
-// Which worker solves which part is scheduling-dependent, but parts of a
-// level touch disjoint entries of x, so the result stays bitwise
-// identical to the serial solve.
+// No level is split into more parts than it has columns, so no more
+// workers are spawned than the widest level has columns, whatever
+// workers asks for. Which worker solves which part is
+// scheduling-dependent, but parts of a level touch disjoint entries of
+// x, so the result stays bitwise identical to the serial solve.
 func runLevels(levels []int, reverse bool, workers int, solve func(lo, hi int)) {
+	widest := 0
+	for k := 1; k < len(levels); k++ {
+		widest = max(widest, levels[k]-levels[k-1])
+	}
+	workers = min(workers, widest)
 	var jobs chan [2]int
 	var wg sync.WaitGroup
 	worker := func(jobs <-chan [2]int) {
