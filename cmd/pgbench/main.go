@@ -162,7 +162,7 @@ func run(argv []string, stdout io.Writer) error {
 	tol := fs.Float64("tol", 1e-6, "relative residual tolerance")
 	maxIter := fs.Int("maxiter", 500, "PCG iteration cap")
 	seed := fs.Uint64("seed", 2024, "randomized factorization seed")
-	workers := fs.Int("workers", 0, "parallel kernel workers (0 = serial, the paper's configuration)")
+	workers := fs.Int("workers", 0, "parallel solve workers (0 = serial solves, the paper's configuration)")
 	workloads := fs.Bool("workloads", true, "measure the many-solve workload studies (transient, Monte Carlo) per case")
 	if err := fs.Parse(argv); err != nil {
 		return err

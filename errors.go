@@ -14,6 +14,11 @@ import (
 // Result is still populated so callers can inspect the partial solve.
 var ErrNotConverged = errors.New("powerrchol: PCG did not converge within the iteration limit")
 
+// ErrInvalidOptions is the sentinel matched by errors.Is when a front
+// end (Solve*, NewSolver*, CompilePlan) rejects its Options before any
+// work: an out-of-range setting, or an unknown Method or Transform.
+var ErrInvalidOptions = pipeline.ErrInvalidOptions
+
 // NotConvergedError reports a solve that ran out of iterations. It
 // matches errors.Is(err, ErrNotConverged).
 type NotConvergedError struct {

@@ -2,6 +2,7 @@ package powerrchol
 
 import (
 	"context"
+	"errors"
 	"io/fs"
 	"math"
 	"os"
@@ -20,7 +21,8 @@ import (
 // fixed systems. Every input must end in a solution or an error, never
 // a panic. MaxIter and Samples are work budgets, so they arrive as
 // small integers to keep each input fast; negative values still reach
-// validation.
+// validation, and every configuration validate or the method registry
+// rejects must come back as an error wrapping ErrInvalidOptions.
 func FuzzSolveOptions(f *testing.F) {
 	systems := []*graph.SDDM{
 		testmat.GridSDDM(6, 5),
@@ -58,11 +60,28 @@ func FuzzSolveOptions(f *testing.F) {
 			Workers:     workers,
 			Retry:       RetryPolicy{MaxAttempts: attempts, Escalate: escalate},
 		}
+		// A rejected configuration must be typed as such on every front
+		// end; validate normalizes in place, so it checks a copy.
+		v := opt
+		_, planErr := CompilePlan(opt)
+		if v.validate() != nil && planErr == nil {
+			t.Fatalf("CompilePlan(%+v) accepted options validate rejects", opt)
+		}
+		invalid := planErr != nil
+		if invalid && !errors.Is(planErr, ErrInvalidOptions) {
+			t.Fatalf("CompilePlan(%+v) = %v, want an error wrapping ErrInvalidOptions", opt, planErr)
+		}
 		res, err := SolveContext(context.Background(), s, b, opt)
+		if invalid && !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("SolveContext(%+v) = %v, want an error wrapping ErrInvalidOptions", opt, err)
+		}
 		if err == nil && (res == nil || len(res.X) != s.N()) {
 			t.Fatalf("SolveContext(%+v) returned no error and no solution", opt)
 		}
 		solver, err := NewSolver(s, opt)
+		if invalid && !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("NewSolver(%+v) = %v, want an error wrapping ErrInvalidOptions", opt, err)
+		}
 		if err != nil {
 			return
 		}

@@ -60,7 +60,8 @@ func (f *Factor) SetPerm(perm []int) {
 }
 
 // IsCompact reports whether the factor uses int32 index storage. Every
-// factor stores int indices, so it always returns false.
+// factor stores int indices, so it always returns false. It stays for
+// the benchmark replica (cmd/pgperf), which sizes index traffic by it.
 func (f *Factor) IsCompact() bool { return false }
 
 // IndexBytes returns the bytes spent on index storage (column pointers

@@ -30,6 +30,7 @@ import (
 	"powerrchol/internal/core"
 	"powerrchol/internal/graph"
 	"powerrchol/internal/pcg"
+	"powerrchol/internal/sparse"
 )
 
 // Config is the pipeline-level view of the public Options: everything
@@ -50,7 +51,9 @@ type Config struct {
 
 	// Workers > 1 level-schedules the factor's triangular solves right
 	// after factorization, so Apply can run them across goroutines
-	// (bitwise identical to the serial solves).
+	// (bitwise identical to the serial solves). It does not govern
+	// set-up: the iteration matrix is always assembled beside ordering
+	// and factorization.
 	Workers int
 
 	Retry RetryPolicy
@@ -71,6 +74,10 @@ type Setup struct {
 	// Sys is the system PCG iterates on: the input system, or the
 	// contracted one when the plan carries a contraction.
 	Sys *graph.SDDM
+	// Mat is Sys assembled in the row form PCG gathers from
+	// (graph.SDDM.RowView); nil for exact setups, which never iterate.
+	// Rungs of one Runner that iterate on the same system share it.
+	Mat *sparse.CSR
 	// M is the preconditioner, already level-scheduled (Workers) and
 	// hook-wrapped.
 	M pcg.Preconditioner
@@ -90,9 +97,13 @@ type Setup struct {
 	Expand   func(x []float64) []float64
 	Restrict func(x []float64) []float64
 	// Reorder (transform + ordering) and Factorize are this rung's
-	// per-stage setup timings.
+	// per-stage setup timings. Assemble is the time spent waiting for
+	// Mat once factorization was done: assembly runs beside ordering
+	// and factorization, so only the part it outlasts them by is
+	// charged, and the three spans still partition the rung's wall time.
 	Reorder   time.Duration
 	Factorize time.Duration
+	Assemble  time.Duration
 }
 
 // Runner walks a plan: Next builds rungs until one factorizes, the
@@ -107,7 +118,43 @@ type Runner struct {
 	plan      []rung
 	next      int
 	trail     []Attempt
-	pending   Attempt // attempt record of the setup Next last returned
+	pending   Attempt   // attempt record of the setup Next last returned
+	asm       *assembly // the last iteration matrix started, reused by later rungs on its system
+}
+
+// assembly builds one system's iteration matrix on a helper goroutine.
+// The matrix is a pure function of the system, so building it beside
+// ordering and factorization changes no bit of any answer.
+type assembly struct {
+	sys   *graph.SDDM
+	done  chan struct{}
+	mat   *sparse.CSR
+	fault any // a panic of the helper, raised again by wait
+}
+
+// rowView is the helper's work, a variable so that tests can make it
+// outlast factorization.
+var rowView = (*graph.SDDM).RowView
+
+func startAssembly(sys *graph.SDDM) *assembly {
+	a := &assembly{sys: sys, done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		defer func() { a.fault = recover() }()
+		a.mat = rowView(sys)
+	}()
+	return a
+}
+
+// wait joins the helper and returns its matrix. It may be called any
+// number of times. A panic of the helper is raised on the caller, as
+// it would have been had the caller assembled the matrix itself.
+func (a *assembly) wait() *sparse.CSR {
+	<-a.done
+	if a.fault != nil {
+		panic(a.fault)
+	}
+	return a.mat
 }
 
 // Plan is a compiled setup plan: the method registry resolution,
@@ -208,7 +255,10 @@ func (r *Runner) Next(ctx context.Context) (*Setup, error) {
 	return nil, errors.New("powerrchol: attempt plan exhausted")
 }
 
-// buildRung runs one rung's transform → order → factorize chain.
+// buildRung runs one rung's transform → order → factorize chain. Unless
+// the rung is exact, the iteration matrix is assembled on a helper
+// goroutine meanwhile (or reused from an earlier rung on the same
+// system); the helper is joined before buildRung returns, on every path.
 func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) {
 	rg := r.plan[i]
 	att := Attempt{Method: rg.method, Ordering: rg.ordering, Seed: rg.seed}
@@ -223,6 +273,16 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 	if err != nil {
 		return nil, att, err
 	}
+	fac := r.factorizerFor(rg, i)
+	exact := fac.Exact() && tr.Precond == tr.Iterate
+	var asm *assembly
+	if !exact {
+		if r.asm == nil || r.asm.sys != tr.Iterate {
+			r.asm = startAssembly(tr.Iterate)
+		}
+		asm = r.asm
+		defer asm.wait()
+	}
 	var perm []int
 	if r.spec.Ordered {
 		ord := OrdererFor(rg.ordering, r.cfg.HeavyFactor)
@@ -231,7 +291,6 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 	reorder := time.Since(t0)
 
 	t0 = time.Now()
-	fac := r.factorizerFor(rg, i)
 	m, nnz, err := fac.Factorize(ctx, tr.Precond, perm)
 	if err != nil {
 		return nil, att, err
@@ -250,12 +309,20 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 	if r.cfg.WrapPrecond != nil {
 		m = r.cfg.WrapPrecond(i, m)
 	}
+	var mat *sparse.CSR
+	var assemble time.Duration
+	if asm != nil {
+		t0 = time.Now()
+		mat = asm.wait()
+		assemble = time.Since(t0)
+	}
 	return &Setup{
 		Method:           rg.method,
 		Ordering:         rg.ordering,
 		Sys:              tr.Iterate,
+		Mat:              mat,
 		M:                m,
-		Exact:            fac.Exact() && tr.Precond == tr.Iterate,
+		Exact:            exact,
 		FactorNNZ:        nnz,
 		FactorIndexBytes: idxBytes,
 		Fold:             tr.Fold,
@@ -263,6 +330,7 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 		Restrict:         tr.Restrict,
 		Reorder:          reorder,
 		Factorize:        factorize,
+		Assemble:         assemble,
 	}, att, nil
 }
 

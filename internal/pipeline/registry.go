@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -124,11 +125,16 @@ var specs = map[Method]*Spec{
 	},
 }
 
+// ErrInvalidOptions is wrapped by every rejection of a configuration:
+// an unknown method or transform here, and the public Options' range
+// checks in the root package, which re-exports it.
+var ErrInvalidOptions = errors.New("powerrchol: invalid options")
+
 // specFor resolves a method to its registered spec.
 func specFor(m Method) (*Spec, error) {
 	s, ok := specs[m]
 	if !ok {
-		return nil, fmt.Errorf("powerrchol: unknown method %v", m)
+		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidOptions, m)
 	}
 	return s, nil
 }
@@ -190,5 +196,5 @@ func transformerFor(spec *Spec, cfg Config) (Transformer, error) {
 	case TransformMerge:
 		return mergeTransformer{factor: cfg.MergeFactor}, nil
 	}
-	return nil, fmt.Errorf("powerrchol: unknown transform %v", cfg.Transform)
+	return nil, fmt.Errorf("%w: unknown transform %v", ErrInvalidOptions, cfg.Transform)
 }

@@ -169,13 +169,15 @@ type Options struct {
 	DropTol float64
 	// MergeFactor overrides the PowerRush contraction threshold.
 	MergeFactor float64
-	// Workers enables goroutine parallelism when > 1. The paper's
+	// Workers enables solve-phase parallelism when > 1. The paper's
 	// experiments are single-core; this is an opt-in extension. It
 	// level-schedules the factor's triangular solves across Workers
 	// goroutines and sizes the Solver.SolveBatch worker pool (0 means
 	// runtime.NumCPU() there). Neither changes a bit of any answer: a
 	// solve returns the same Result for every Workers value, on both
-	// front ends.
+	// front ends. Set-up does not read it: every non-exact setup
+	// assembles the iteration matrix on one helper goroutine beside
+	// ordering and factorization, whatever Workers is.
 	Workers int
 
 	// Retry is the automatic recovery policy. The zero value disables
@@ -213,8 +215,9 @@ const (
 )
 
 // validate normalizes the zero-value defaults and rejects out-of-range
-// settings up front, before any reordering or factorization work. Every
-// public entry point (Solve*, NewSolver) funnels through it.
+// settings up front, before any reordering or factorization work, with
+// an error wrapping ErrInvalidOptions. Every public entry point (Solve*,
+// NewSolver) funnels through it.
 func (o *Options) validate() error {
 	if o.Tol == 0 {
 		o.Tol = 1e-6
@@ -224,21 +227,21 @@ func (o *Options) validate() error {
 	}
 	switch {
 	case math.IsNaN(o.Tol) || o.Tol <= 0:
-		return fmt.Errorf("powerrchol: Tol %g is not a positive tolerance", o.Tol)
+		return fmt.Errorf("%w: Tol %g is not a positive tolerance", ErrInvalidOptions, o.Tol)
 	case o.MaxIter < 0:
-		return fmt.Errorf("powerrchol: negative MaxIter %d", o.MaxIter)
+		return fmt.Errorf("%w: negative MaxIter %d", ErrInvalidOptions, o.MaxIter)
 	case o.Workers < 0:
-		return fmt.Errorf("powerrchol: negative Workers %d", o.Workers)
+		return fmt.Errorf("%w: negative Workers %d", ErrInvalidOptions, o.Workers)
 	case o.Buckets < 0:
-		return fmt.Errorf("powerrchol: negative Buckets %d", o.Buckets)
+		return fmt.Errorf("%w: negative Buckets %d", ErrInvalidOptions, o.Buckets)
 	case o.Samples < 0:
-		return fmt.Errorf("powerrchol: negative Samples %d", o.Samples)
+		return fmt.Errorf("%w: negative Samples %d", ErrInvalidOptions, o.Samples)
 	case o.Retry.MaxAttempts < 0:
-		return fmt.Errorf("powerrchol: negative Retry.MaxAttempts %d", o.Retry.MaxAttempts)
+		return fmt.Errorf("%w: negative Retry.MaxAttempts %d", ErrInvalidOptions, o.Retry.MaxAttempts)
 	case o.Retry.MaxAttempts > pipeline.MaxRetryAttempts:
-		return fmt.Errorf("powerrchol: Retry.MaxAttempts %d exceeds %d", o.Retry.MaxAttempts, pipeline.MaxRetryAttempts)
+		return fmt.Errorf("%w: Retry.MaxAttempts %d exceeds %d", ErrInvalidOptions, o.Retry.MaxAttempts, pipeline.MaxRetryAttempts)
 	case math.IsNaN(o.HeavyFactor) || o.HeavyFactor < 0:
-		return fmt.Errorf("powerrchol: HeavyFactor %g is not a valid threshold", o.HeavyFactor)
+		return fmt.Errorf("%w: HeavyFactor %g is not a valid threshold", ErrInvalidOptions, o.HeavyFactor)
 	}
 	return nil
 }
@@ -341,8 +344,9 @@ func Solve(sys *graph.SDDM, b []float64, opt Options) (*Result, error) {
 // bit. The only thing added here is the solve-time ladder: a
 // recoverable iteration failure (indefiniteness, stagnation,
 // divergence) moves on to the next rung. Result.Timings carries the
-// rung's setup in Reorder and Factorize, and its iteration-matrix
-// assembly inside Iterate (the paper's T_i).
+// rung's setup in Reorder and Factorize, and inside Iterate (the
+// paper's T_i) the time spent waiting for its iteration matrix, which
+// is assembled beside ordering and factorization.
 func SolveContext(ctx context.Context, sys *graph.SDDM, b []float64, opt Options) (*Result, error) {
 	if len(b) != sys.N() {
 		return nil, fmt.Errorf("powerrchol: rhs has length %d, want %d", len(b), sys.N())

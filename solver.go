@@ -133,10 +133,11 @@ func NewSolverFromPlan(ctx context.Context, sys *graph.SDDM, plan *SolverPlan) (
 }
 
 // newSolver builds the Runner's next rung into a Solver: the pipeline
-// setup, then the iteration matrix PCG multiplies with (none for exact
-// setups). It is the one constructor behind NewSolver and every rung of
-// the one-shot Solve, and reports setup failures the way both front
-// ends return them: SolveError-wrapped for ladder plans, raw otherwise,
+// setup and the iteration matrix PCG multiplies with, which the Runner
+// assembled beside ordering and factorization (none for exact setups).
+// It is the one constructor behind NewSolver and every rung of the
+// one-shot Solve, and reports setup failures the way both front ends
+// return them: SolveError-wrapped for ladder plans, raw otherwise,
 // context errors always unwrapped.
 func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Options) (*Solver, error) {
 	setup, err := r.Next(ctx)
@@ -157,19 +158,13 @@ func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Opt
 		exact:            setup.Exact,
 		setupReorder:     setup.Reorder,
 		setupFactorize:   setup.Factorize,
+		setupAssemble:    setup.Assemble,
 		factorNNZ:        setup.FactorNNZ,
 		factorIndexBytes: setup.FactorIndexBytes,
 	}
-	if s.exact {
-		return s, nil
+	if a := setup.Mat; a != nil {
+		s.mul, s.matNNZ, s.matIndexBytes = a.MulVecDot, a.NNZ(), a.IndexBytes()
 	}
-	t0 := time.Now()
-	// The rows of a symmetric matrix are its columns: RowView shares
-	// the assembled arrays and copies only an A that assembly left
-	// asymmetric in its last bits.
-	a := setup.Sys.RowView()
-	s.mul, s.matNNZ, s.matIndexBytes = a.MulVecDot, a.NNZ(), a.IndexBytes()
-	s.setupAssemble = time.Since(t0)
 	return s, nil
 }
 
