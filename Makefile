@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build fmt test pgperf-test vet lint lint-list lint-sarif lint-summaries optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench bench-json bench-json-smoke cover tables examples clean
+.PHONY: all check build fmt test pgperf-test vet lint lint-list lint-sarif optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench bench-json bench-json-smoke cover tables examples clean
 
 all: check
 
@@ -23,13 +23,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# pglint is the in-repo determinism/numerical-safety/concurrency analyzer
-# suite (internal/lint, DESIGN.md §9): banned ambient randomness/time,
-# map-order-dependent iteration, exact float comparison, sync.Pool leaks,
-# severed error chains, context flow, hot-loop allocations, goroutine
-# leaks, pooled-buffer escapes, mutex discipline, atomic/plain access
-# mixes, determinism taint, and blocking goroutine sends — the last four
-# exchanging cross-package function summaries as go vet analysis facts.
+# pglint is the in-repo determinism/numerical-safety analyzer suite
+# (internal/lint, DESIGN.md §9), ten analyzers: banned ambient
+# randomness/time, map-order-dependent iteration, exact float comparison,
+# sync.Pool leaks, severed error chains, context flow, hot-loop
+# allocations, goroutine leaks, pooled-buffer escapes and blocking
+# goroutine sends (the last reading cross-package send summaries as go
+# vet analysis facts).
 # The build is unconditional but cheap:
 # Go's build cache makes an unchanged rebuild a near no-op, and pglint
 # answers `go vet`'s -V=full probe with a hash of its own binary, so vet's
@@ -49,22 +49,10 @@ lint: pglint-build
 lint-list: pglint-build
 	-$(GO) vet -vettool=$(abspath $(PGLINT)) ./...
 
-# lint-sarif runs pglint in driver mode: SARIF 2.1.0 report for GitHub
-# code scanning plus the checked-in baseline gate — findings already in
-# .pglint-baseline.json are reported but do not fail the build; new ones
-# do. Refresh the baseline (after triage, deliberately) with
-# `bin/pglint -sarif -update-baseline`.
+# lint-sarif runs pglint in driver mode: a SARIF 2.1.0 report for GitHub
+# code scanning, failing the build on any finding.
 lint-sarif: pglint-build
-	./$(PGLINT) -sarif -o pglint.sarif -baseline .pglint-baseline.json ./...
-
-# lint-summaries warms go vet's per-package result cache — including the
-# serialized pgfacts function summaries (.vetx files) the
-# concurrency/determinism analyzers exchange — over the library packages.
-# CI runs it as its own step before lint-sarif so the fact files are
-# built once per run and show up as a distinct, cacheable timing; locally
-# it is never needed (make lint does the same work and caches it).
-lint-summaries: pglint-build
-	$(GO) vet -vettool=$(abspath $(PGLINT)) ./internal/... ./cmd/...
+	./$(PGLINT) -sarif -o pglint.sarif ./...
 
 # pgoptcheck is the compiler-diagnostics contract gate (internal/lint/
 # optcheck, DESIGN.md §13): it compiles the hot kernel packages with

@@ -4,20 +4,18 @@
 //	pglint -V=full             print the tool fingerprint (binary sha256)
 //	                           that `go vet` keys its result cache on
 //	pglint -sarif [pkgs...]    driver mode: re-invoke `go vet -vettool=self
-//	                           -json`, diff findings against
-//	                           .pglint-baseline.json, write SARIF 2.1.0
+//	                           -json`, write SARIF 2.1.0, exit 1 on any
+//	                           finding
 //	pglint <unitchecker args>  vettool mode (what `go vet -vettool=` calls)
 //
 // The usual entry points are `make lint` (vettool mode over ./...) and
 // `make lint-sarif` (driver mode; CI uploads the log to code scanning).
-// It runs the thirteen analyzers of internal/lint — bannedimport,
-// maprange, floateq, poolleak, errwrapcheck, ctxflow, hotalloc,
-// goroleak, poolescape, lockcheck, atomicmix, detflow, sendblock — with
-// findings suppressed only by per-line //pglint:<name> <reason>
-// annotations. The concurrency/determinism analyzers exchange
-// cross-package function summaries as analysis facts, which `go vet`
-// serializes per package and feeds to dependents automatically. See
-// DESIGN.md §9.
+// It runs the ten analyzers of internal/lint — bannedimport, maprange,
+// floateq, poolleak, errwrapcheck, ctxflow, hotalloc, goroleak,
+// poolescape, sendblock — with findings suppressed only by per-line
+// //pglint:<name> <reason> annotations. sendblock reads cross-package
+// send summaries as analysis facts, which `go vet` serializes per
+// package and feeds to dependents automatically. See DESIGN.md §9.
 package main
 
 import (
@@ -80,12 +78,10 @@ func printVersion() error {
 }
 
 // sarifMain is the driver mode: run the suite over the requested
-// packages, write a SARIF log, and gate on the baseline.
+// packages, write a SARIF log, and fail on any finding.
 func sarifMain(args []string) int {
 	fs := flag.NewFlagSet("pglint -sarif", flag.ExitOnError)
 	out := fs.String("o", "pglint.sarif", "write the SARIF log here ('-' for stdout)")
-	basePath := fs.String("baseline", ".pglint-baseline.json", "baseline file; findings listed there do not fail the run")
-	update := fs.Bool("update-baseline", false, "rewrite the baseline to accept all current findings and exit 0")
 	fs.Parse(args)
 	pkgs := fs.Args()
 	if len(pkgs) == 0 {
@@ -120,27 +116,11 @@ func sarifMain(args []string) int {
 		return 2
 	}
 
-	if *update {
-		if err := sarif.FromFindings(findings).WriteFile(*basePath); err != nil {
-			fmt.Fprintf(os.Stderr, "pglint: %v\n", err)
-			return 2
-		}
-		fmt.Printf("pglint: baseline %s updated with %d finding(s)\n", *basePath, len(findings))
-		return 0
-	}
-
-	baseline, err := sarif.LoadBaseline(*basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pglint: %v\n", err)
-		return 2
-	}
-	baselined, fresh := baseline.Split(findings)
-
 	var rules []sarif.Rule
 	for _, a := range lint.Analyzers() {
 		rules = append(rules, sarif.Rule{ID: a.Name, Doc: a.Doc})
 	}
-	log := sarif.NewLog(rules, findings, baselined)
+	log := sarif.NewLog(rules, findings, nil)
 	var w io.Writer = os.Stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
@@ -156,13 +136,12 @@ func sarifMain(args []string) int {
 		return 2
 	}
 
-	fmt.Fprintf(os.Stderr, "pglint: %d finding(s), %d baselined, %d new\n",
-		len(findings), len(findings)-len(fresh), len(fresh))
-	for _, f := range fresh {
-		fmt.Fprintf(os.Stderr, "  NEW %s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Rule, f.Message)
+	fmt.Fprintf(os.Stderr, "pglint: %d finding(s)\n", len(findings))
+	for _, f := range findings {
+		fmt.Fprintf(os.Stderr, "  %s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Rule, f.Message)
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "pglint: new findings not in %s — fix them or, if intentional, annotate //pglint:<rule> <reason> (baseline updates: pglint -sarif -update-baseline)\n", *basePath)
+	if len(findings) > 0 {
+		fmt.Fprintln(os.Stderr, "pglint: fix each finding or, if intentional, annotate //pglint:<rule> <reason>")
 		return 1
 	}
 	return 0

@@ -76,6 +76,13 @@ func Reasonless(b []float64) error {
 	return SolveContext(ctx, b)
 }
 
+// Flagged: a suppression naming an analyzer the suite no longer has
+// silences nothing, so it must not linger as if it did.
+func Retired(b []float64) error {
+	//pglint:lockcheck fixture: mutex discipline is checked at run time // want `pglint:lockcheck does not name any pglint directive`
+	return Solve(b)
+}
+
 // ---- Rule 4: numeric loops must reach a cancellation check ----
 
 // SolveContext is the carrying workhorse; its loop checks Err each pass.

@@ -73,7 +73,7 @@ func Parse(text string) []Directive {
 		reason = strings.TrimSpace(reason)
 		// //pglint:a,b <reason> suppresses both a and b with one written
 		// justification — one line can trip two analyzers (a map-order
-		// accumulation is both a maprange and a detflow finding).
+		// float compare is both a maprange and a floateq finding).
 		for _, name := range strings.Split(names, ",") {
 			out = append(out, Directive{Name: name, Reason: reason})
 		}

@@ -71,18 +71,18 @@ func TestParse(t *testing.T) {
 		},
 		{
 			name: "comma-joined names share one reason",
-			text: "//pglint:lockcheck,detflow handoff is fenced by wg.Wait",
+			text: "//pglint:maprange,floateq keys are sorted before the compare",
 			want: []Directive{
-				{Name: "lockcheck", Reason: "handoff is fenced by wg.Wait"},
-				{Name: "detflow", Reason: "handoff is fenced by wg.Wait"},
+				{Name: "maprange", Reason: "keys are sorted before the compare"},
+				{Name: "floateq", Reason: "keys are sorted before the compare"},
 			},
 		},
 		{
 			name: "comma-joined reasonless pair stays reasonless",
-			text: "//pglint:maprange,detflow",
+			text: "//pglint:maprange,floateq",
 			want: []Directive{
 				{Name: "maprange", Reason: ""},
-				{Name: "detflow", Reason: ""},
+				{Name: "floateq", Reason: ""},
 			},
 		},
 		{
@@ -96,9 +96,9 @@ func TestParse(t *testing.T) {
 		},
 		{
 			name: "trailing comma yields an empty name (ReportUnknown flags it)",
-			text: "//pglint:lockcheck, reason",
+			text: "//pglint:goroleak, reason",
 			want: []Directive{
-				{Name: "lockcheck", Reason: "reason"},
+				{Name: "goroleak", Reason: "reason"},
 				{Name: "", Reason: "reason"},
 			},
 		},
@@ -131,7 +131,7 @@ func FuzzParseDirective(f *testing.F) {
 	f.Add("//pglint:maprange keys are sorted")
 	f.Add("//pglint:hotalloc")
 	f.Add("//pglint:a x //pglint:b y")
-	f.Add("//pglint:lockcheck,detflow one reason, two analyzers")
+	f.Add("//pglint:maprange,floateq one reason, two analyzers")
 	f.Add("//pglint:a,,b commas all the way down")
 	f.Add("//pglint:,")
 	f.Add("//pglint:goroleak reason\r\n")

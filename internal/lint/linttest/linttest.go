@@ -12,7 +12,7 @@
 // package it imports (transitively) is analyzed first with the same
 // analyzer graph, and the object/package facts those runs export are
 // visible to the target through ImportObjectFact/ImportPackageFact. The
-// cross-package summary analyzers (ssalite/summary, atomicmix) are
+// cross-package summary analyzer (ssalite/summary) and sendblock are
 // therefore testable against multi-package fixtures.
 package linttest
 

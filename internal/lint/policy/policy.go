@@ -63,9 +63,7 @@ var orchestration = []string{
 	"cmd/pgserved",
 	// The prepared-solve session layer and the workload studies built on
 	// it (transient, Monte Carlo): they own the RHS-stream machinery —
-	// batch dispatchers, ensemble fan-out, ctx-polled step loops — and
-	// their study statistics carry the same bitwise-per-seed contract
-	// the kernels do, so detflow sweeps them too.
+	// batch dispatchers, ensemble fan-out, ctx-polled step loops.
 	"internal/session",
 	"internal/workload",
 	"cmd/pgstudy",
@@ -131,21 +129,6 @@ func HotPackages() []string {
 // timings), but swept by the ctxflow loop-cancellation rule and the
 // hotalloc loop-allocation rules all the same.
 func Orchestration(path string) bool { return inSet(path, orchestration) }
-
-// Deterministic reports whether the determinism-taint rules (detflow)
-// bind at path: the numeric kernels (bitwise replayable per seed by
-// contract), the orchestration layer (it assembles Result values and
-// feeds the fingerprint referee), and the module-root API package whose
-// Result types carry the reproducibility guarantee to callers. Binaries
-// and examples stay out: they format and print, they do not produce
-// contract-bearing values.
-func Deterministic(path string) bool {
-	if Numeric(path) || Orchestration(path) {
-		return true
-	}
-	rel := Rel(path)
-	return rel == path && Library(path)
-}
 
 // Library reports whether the package at path is library code, i.e. code
 // that must receive its context from the caller rather than minting one

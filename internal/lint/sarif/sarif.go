@@ -1,14 +1,11 @@
 // Package sarif turns `go vet -json` output from the pglint vettool into
-// a SARIF 2.1.0 log, and diffs findings against a checked-in baseline.
+// a SARIF 2.1.0 log.
 //
 // The pipeline is: `pglint -sarif` re-invokes `go vet -vettool=<self>
-// -json ./...`, feeds the stream to ParseVetJSON, partitions the findings
-// with Baseline.Split, and writes NewLog's output where CI can upload it
-// to GitHub code scanning. Findings present in the baseline are reported
-// with baselineState "unchanged" and do not fail the run; anything new
-// fails it. Baseline keys are (rule, repo-relative file, message) — line
-// numbers are deliberately excluded so unrelated edits above a baselined
-// finding do not churn the file.
+// -json ./...`, feeds the stream to ParseVetJSON, and writes NewLog's
+// output where CI can upload it to GitHub code scanning; any finding
+// fails the run. pgoptcheck writes its log through NewLog too, marking
+// the findings its own baseline sanctions as "unchanged".
 package sarif
 
 import (
@@ -17,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -203,8 +199,9 @@ type Region struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// NewLog builds a SARIF 2.1.0 log for the pglint run. baselined marks
-// which findings (by index) were already in the baseline.
+// NewLog builds a SARIF 2.1.0 log. baselined marks which findings (by
+// index) the caller's baseline already sanctions; pglint has no baseline
+// and passes nil, so all its findings are "new".
 func NewLog(rules []Rule, findings []Finding, baselined []bool) *Log {
 	drv := Driver{
 		Name:           "pglint",
@@ -249,94 +246,4 @@ func (l *Log) Write(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	enc.SetEscapeHTML(false)
 	return enc.Encode(l)
-}
-
-// Baseline is the checked-in set of accepted findings
-// (.pglint-baseline.json). Keys ignore line numbers so edits elsewhere in
-// a file do not invalidate entries.
-type Baseline struct {
-	Version  int             `json:"version"`
-	Findings []BaselineEntry `json:"findings"`
-}
-
-type BaselineEntry struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Message string `json:"message"`
-}
-
-// LoadBaseline reads path; a missing file is an empty baseline.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &Baseline{Version: 1}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-func key(rule, file, message string) string {
-	return rule + "\x00" + file + "\x00" + message
-}
-
-// Split partitions findings: baselined[i] reports whether findings[i] is
-// covered by the baseline; fresh collects the ones that are not.
-func (b *Baseline) Split(findings []Finding) (baselined []bool, fresh []Finding) {
-	known := make(map[string]bool, len(b.Findings))
-	for _, e := range b.Findings {
-		known[key(e.Rule, e.File, e.Message)] = true
-	}
-	baselined = make([]bool, len(findings))
-	for i, f := range findings {
-		if known[key(f.Rule, f.File, f.Message)] {
-			baselined[i] = true
-		} else {
-			fresh = append(fresh, f)
-		}
-	}
-	return baselined, fresh
-}
-
-// FromFindings builds a baseline accepting exactly the given findings
-// (deduplicated, sorted) — the -update-baseline path.
-func FromFindings(findings []Finding) *Baseline {
-	seen := make(map[string]bool)
-	b := &Baseline{Version: 1, Findings: []BaselineEntry{}}
-	for _, f := range findings {
-		k := key(f.Rule, f.File, f.Message)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		b.Findings = append(b.Findings, BaselineEntry{Rule: f.Rule, File: f.File, Message: f.Message})
-	}
-	sort.Slice(b.Findings, func(i, j int) bool {
-		a, c := b.Findings[i], b.Findings[j]
-		if a.File != c.File {
-			return a.File < c.File
-		}
-		if a.Rule != c.Rule {
-			return a.Rule < c.Rule
-		}
-		return a.Message < c.Message
-	})
-	return b
-}
-
-// WriteFile writes the baseline as indented JSON.
-func (b *Baseline) WriteFile(path string) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(b); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

@@ -1,54 +1,90 @@
 package lint_test
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"powerrchol/internal/lint"
+	"powerrchol/internal/lint/sarif"
 )
 
 // repoRoot walks up from this file to the directory holding go.mod.
-func repoRoot(t *testing.T) string {
-	t.Helper()
+func repoRoot() (string, error) {
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {
-		t.Fatal("cannot locate caller")
+		return "", errors.New("cannot locate caller")
 	}
 	dir := filepath.Dir(file)
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
+			return dir, nil
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			t.Fatal("go.mod not found above internal/lint")
+			return "", errors.New("go.mod not found above internal/lint")
 		}
 		dir = parent
 	}
 }
 
-func buildPglint(t *testing.T, root string) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "pglint")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/pglint")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building pglint: %v\n%s", err, out)
+// pglint is built at most once per test binary and shared by the tests
+// below; TestMain removes it.
+var pglint struct {
+	once      sync.Once
+	root, bin string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if pglint.bin != "" {
+		os.RemoveAll(filepath.Dir(pglint.bin))
 	}
-	return bin
+	os.Exit(code)
+}
+
+// buildPglint returns the repository root and the path of a freshly
+// built pglint binary.
+func buildPglint(t *testing.T) (root, bin string) {
+	t.Helper()
+	pglint.once.Do(func() {
+		if pglint.root, pglint.err = repoRoot(); pglint.err != nil {
+			return
+		}
+		dir, err := os.MkdirTemp("", "pglint")
+		if err != nil {
+			pglint.err = err
+			return
+		}
+		pglint.bin = filepath.Join(dir, "pglint")
+		cmd := exec.Command("go", "build", "-o", pglint.bin, "./cmd/pglint")
+		cmd.Dir = pglint.root
+		if out, err := cmd.CombinedOutput(); err != nil {
+			pglint.err = errors.New(err.Error() + "\n" + string(out))
+		}
+	})
+	if pglint.err != nil {
+		t.Fatalf("building pglint: %v", pglint.err)
+	}
+	return pglint.root, pglint.bin
 }
 
 // TestPglintRepoClean is the tier-1 version of `make lint`: the whole
-// repository must pass the thirteen pglint analyzers, so a new violation
-// fails `go test ./...` even on machines that never run the Makefile.
+// repository must pass every pglint analyzer, so a new violation fails
+// `go test ./...` even on machines that never run the Makefile.
 func TestPglintRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pglint smoke test compiles the full repo; skipped in -short (race gate) runs")
 	}
-	root := repoRoot(t)
-	bin := buildPglint(t, root)
+	root, bin := buildPglint(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -57,17 +93,19 @@ func TestPglintRepoClean(t *testing.T) {
 }
 
 // TestPglintCatchesViolation proves the vettool actually bites: a scratch
-// module planted with one deliberate violation per analyzer — all
-// thirteen — must fail `go vet -vettool` with every finding present. The
-// scratch package sits at internal/core so the policy tables classify it
-// as numeric, hot, deterministic, and library code, arming every rule at
-// once.
+// module planted with one deliberate violation per registered analyzer
+// must fail `pglint -sarif` (the `make lint-sarif` gate), and each
+// analyzer must report its own finding. The planted set is keyed by
+// analyzer name and must equal lint.Analyzers(), so registering an
+// analyzer without planting a violation for it fails here, and so does
+// a planted violation whose analyzer is no longer registered. The scratch
+// package sits at internal/core so the policy tables classify it as
+// numeric, hot and library code, arming every rule at once.
 func TestPglintCatchesViolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short runs")
 	}
-	root := repoRoot(t)
-	bin := buildPglint(t, root)
+	_, bin := buildPglint(t)
 
 	mod := t.TempDir()
 	write := func(rel, content string) {
@@ -172,58 +210,6 @@ func Spin(n int) {
 	}()
 }
 `)
-	// lockcheck: the miss path returns with b.mu still held
-	write("internal/core/lock.go", `package core
-
-import "sync"
-
-type Box struct {
-	mu sync.Mutex
-	v  int
-}
-
-func (b *Box) Take() (int, bool) {
-	b.mu.Lock()
-	if b.v == 0 {
-		return 0, false
-	}
-	v := b.v
-	b.mu.Unlock()
-	return v, true
-}
-`)
-	// atomicmix: atomic increment, plain read
-	write("internal/core/atomic.go", `package core
-
-import "sync/atomic"
-
-type Hits struct {
-	n int64
-}
-
-func (h *Hits) Inc() {
-	atomic.AddInt64(&h.n, 1)
-}
-
-func (h *Hits) Snapshot() int64 {
-	return h.n
-}
-`)
-	// detflow: map-order float accumulation stored into a Result field
-	write("internal/core/det.go", `package core
-
-type Result struct {
-	Norm float64
-}
-
-func Fill(r *Result, m map[string]float64) {
-	s := 0.0
-	for _, v := range m {
-		s += v
-	}
-	r.Norm = s
-}
-`)
 	// sendblock: unbuffered bare send in a goroutine (loop-free body, so
 	// goroleak alone would accept it — this is exactly its gap)
 	write("internal/core/send.go", `package core
@@ -234,30 +220,53 @@ func Notify(ch chan int) {
 	}()
 }
 `)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	wants := map[string]string{
+		"bannedimport": "import of math/rand is banned",
+		"maprange":     "range over map is order-dependent",
+		"floateq":      "between computed floats",
+		"poolleak":     "without a Put",
+		"errwrapcheck": "severing the errors.Is/As chain",
+		"ctxflow":      "context.Background in library code",
+		"hotalloc":     "make in an innermost loop of a hot kernel",
+		"goroleak":     "tie the goroutine to a WaitGroup",
+		"poolescape":   "is returned before Put",
+		"sendblock":    "channel send in a goroutine has no non-blocking evidence",
+	}
+	var registered, planted []string
+	for _, a := range lint.Analyzers() {
+		registered = append(registered, a.Name)
+	}
+	for name := range wants {
+		planted = append(planted, name)
+	}
+	sort.Strings(registered)
+	sort.Strings(planted)
+	if strings.Join(registered, ",") != strings.Join(planted, ",") {
+		t.Fatalf("planted violations cover %v, but lint.Analyzers() registers %v", planted, registered)
+	}
+
+	cmd := exec.Command(bin, "-sarif", "-o", "-", "./...")
 	cmd.Dir = mod
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("pglint passed a module with deliberate violations:\n%s", out)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("pglint -sarif on a module with deliberate violations: err = %v, want exit status 1\n%s", err, stderr.String())
 	}
-	wants := []string{
-		"import of math/rand is banned",                            // bannedimport
-		"range over map is order-dependent",                        // maprange
-		"between computed floats",                                  // floateq
-		"without a Put",                                            // poolleak
-		"severing the errors.Is/As chain",                          // errwrapcheck
-		"context.Background in library code",                       // ctxflow
-		"make in an innermost loop of a hot kernel",                // hotalloc
-		"tie the goroutine to a WaitGroup",                         // goroleak
-		"is returned before Put",                                   // poolescape
-		"is not unlocked on every path to return",                  // lockcheck
-		"but plainly here",                                         // atomicmix
-		"determinism-tainted value reaches",                        // detflow
-		"channel send in a goroutine has no non-blocking evidence", // sendblock
+	var log sarif.Log
+	if err := json.Unmarshal(out, &log); err != nil || len(log.Runs) != 1 {
+		t.Fatalf("decoding the SARIF log (runs = %d): %v\n%s", len(log.Runs), err, out)
 	}
-	for _, want := range wants {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("vet output missing %q:\n%s", want, out)
+	for name, want := range wants {
+		found := false
+		for _, r := range log.Runs[0].Results {
+			if r.RuleID == name && strings.Contains(r.Message.Text, want) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no %s finding containing %q:\n%s", name, want, stderr.String())
 		}
 	}
 }

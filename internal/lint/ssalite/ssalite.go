@@ -1,5 +1,5 @@
 // Package ssalite builds the function-level IR the contract analyzers
-// (ctxflow, hotalloc, goroleak, poolescape) share.
+// (ctxflow, hotalloc, goroleak, poolescape, sendblock) share.
 //
 // The real golang.org/x/tools/go/ssa + buildssa pair is not shipped in
 // the Go toolchain's cmd/vendor tree (vet never needs it), and this

@@ -148,23 +148,3 @@ func (ev *Evidence) NonBlockingSend(send *ast.SendStmt, sel *ast.SelectStmt) (bo
 	}
 	return true, "all make sites buffered"
 }
-
-// Buffered reports whether every known make site for the channel
-// expression is buffered (capacity evidence without a send statement,
-// for callers reasoning about receives or handoffs).
-func (ev *Evidence) Buffered(ch ast.Expr) bool {
-	obj := ev.objOf(ch)
-	if obj == nil {
-		return false
-	}
-	sites := ev.sites[obj]
-	if len(sites) == 0 {
-		return false
-	}
-	for _, s := range sites {
-		if !s.buffered {
-			return false
-		}
-	}
-	return true
-}

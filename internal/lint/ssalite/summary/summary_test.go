@@ -10,8 +10,7 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// TestLookupConcurrent shares one Index between goroutines the way
-// lockcheck, atomicmix, detflow and sendblock share it under go vet, each
+// TestLookupConcurrent shares one Index between goroutines, each
 // resolving callees of packages whose facts are decoded on first use. Run
 // under -race it fails on any unguarded write to the lazy import table.
 func TestLookupConcurrent(t *testing.T) {
@@ -27,7 +26,7 @@ func TestLookupConcurrent(t *testing.T) {
 			fns = append(fns, fn)
 			fact.Funcs = append(fact.Funcs, NamedSummary{
 				Name: fn.FullName(),
-				Sum:  FuncSummary{Blocking: j%2 == 0, BlockReason: fn.FullName()},
+				Sum:  FuncSummary{MayBlockSend: j%2 == 0, SendReason: fn.FullName()},
 			})
 		}
 		facts[pkg] = fact
@@ -53,7 +52,7 @@ func TestLookupConcurrent(t *testing.T) {
 			for k := range fns {
 				fn := fns[(k+g*funcs)%len(fns)]
 				s, ok := ix.Lookup(fn)
-				if !ok || s.BlockReason != fn.FullName() {
+				if !ok || s.SendReason != fn.FullName() {
 					errs <- fmt.Errorf("goroutine %d: Lookup(%s) = %+v, %v", g, fn.FullName(), s, ok)
 					return
 				}
