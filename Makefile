@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build fmt test pgperf-test vet lint lint-list lint-sarif optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench bench-json bench-json-smoke cover tables examples clean
+.PHONY: all check build fmt test pgperf-test vet lint lint-list lint-sarif optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench cover tables examples clean
 
 all: check
 
@@ -150,24 +150,6 @@ load:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-json records one machine-readable point of the performance
-# trajectory: every registered method × case, with
-# per-stage timings, allocation totals, peak heap and process RSS
-# (cmd/pgbench). BENCH_POINT numbers the point (BENCH_<n>.json, one per
-# growth step, committed); BENCH_SCALE trades fidelity for wall time —
-# 0.35 runs the full grid in well under a minute on a laptop.
-BENCH_POINT ?= 10
-BENCH_SCALE ?= 0.35
-bench-json:
-	$(GO) run ./cmd/pgbench -point $(BENCH_POINT) -scale $(BENCH_SCALE) -o BENCH_$(BENCH_POINT).json
-
-# bench-json-smoke is the CI gate: one case, two methods, validated by
-# piping through the JSON decoder of the golden schema test
-# (go test ./cmd/pgbench) beforehand.
-bench-json-smoke:
-	$(GO) run ./cmd/pgbench -point 0 -scale 0.1 -cases ibmpg3 -methods powerrchol,direct -o /tmp/pgbench-smoke.json
-	$(GO) test ./cmd/pgbench
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

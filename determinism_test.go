@@ -87,8 +87,15 @@ func TestSeedStateGolden(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("%s nnz=%d iters=%d xbits=%016x",
 			c.label, res.FactorNNZ, res.Iterations, FingerprintVector(res.X)))
 	}
-	got := strings.Join(lines, "\n") + "\n"
-	golden := filepath.Join("testdata", "seedstate.golden")
+	compareGolden(t, "seedstate.golden", strings.Join(lines, "\n")+"\n",
+		"seed-state fingerprints changed — the refactor altered what a seed produces")
+}
+
+// compareGolden checks got against testdata/<name>, or rewrites that
+// file under -update.
+func compareGolden(t *testing.T, name, got, what string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -103,7 +110,7 @@ func TestSeedStateGolden(t *testing.T) {
 		t.Fatalf("missing golden (generate with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("seed-state fingerprints changed — the refactor altered what a seed produces.\n got:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("%s.\n got:\n%s\nwant:\n%s", what, got, want)
 	}
 }
 

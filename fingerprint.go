@@ -1,8 +1,6 @@
 package powerrchol
 
 import (
-	"hash"
-	"hash/fnv"
 	"math"
 
 	"powerrchol/internal/graph"
@@ -16,20 +14,26 @@ import (
 // rely on. They are identity keys, not cryptographic digests: use them to
 // recognize a grid or a configuration, not to authenticate one.
 
-// fpWriter accumulates fixed-width little-endian words into an FNV-64a
-// state. One scratch buffer, no allocation per field.
-type fpWriter struct {
-	h   hash.Hash64
-	buf [8]byte
-}
+// The FNV-64a parameters (hash/fnv's offset basis and prime).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-func newFPWriter() *fpWriter { return &fpWriter{h: fnv.New64a()} }
+// fpWriter is an FNV-64a state fed fixed-width little-endian words. It
+// hashes inline, byte by byte exactly as hash/fnv's New64a does over
+// the same encoding, without an interface call or a buffer per word.
+type fpWriter struct{ h uint64 }
+
+func newFPWriter() fpWriter { return fpWriter{h: fnvOffset64} }
 
 func (w *fpWriter) u64(v uint64) {
+	h := w.h
 	for i := 0; i < 8; i++ {
-		w.buf[i] = byte(v >> (8 * i))
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
 	}
-	w.h.Write(w.buf[:])
+	w.h = h
 }
 
 func (w *fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
@@ -41,7 +45,11 @@ func (w *fpWriter) b(v bool) {
 		w.u64(0)
 	}
 }
-func (w *fpWriter) tag(s string) { w.h.Write([]byte(s)) }
+func (w *fpWriter) tag(s string) {
+	for i := 0; i < len(s); i++ {
+		w.h = (w.h ^ uint64(s[i])) * fnvPrime64
+	}
+}
 
 // FingerprintVector hashes the exact bit patterns of a float64 vector:
 // FNV-64a over each element's little-endian encoding. Two vectors
@@ -54,7 +62,7 @@ func FingerprintVector(x []float64) uint64 {
 	for _, v := range x {
 		w.f64(v)
 	}
-	return w.h.Sum64()
+	return w.h
 }
 
 // FingerprintSystem hashes an SDDM as stored: the dimension, every edge
@@ -76,7 +84,7 @@ func FingerprintSystem(sys *graph.SDDM) uint64 {
 	for _, d := range sys.D {
 		w.f64(d)
 	}
-	return w.h.Sum64()
+	return w.h
 }
 
 // Fingerprint returns the identity of a prepared solver before building
@@ -122,7 +130,7 @@ func CombineFingerprint(sysFP uint64, opt Options) uint64 {
 	w.i64(0)
 	w.i64(o.Retry.MaxAttempts)
 	w.b(o.Retry.Escalate)
-	return w.h.Sum64()
+	return w.h
 }
 
 // Fingerprint reports the identity of this prepared solver — the

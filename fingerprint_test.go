@@ -1,9 +1,12 @@
 package powerrchol
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"powerrchol/internal/rng"
 	"powerrchol/internal/testmat"
 )
 
@@ -27,6 +30,48 @@ func TestFingerprintVectorMatchesBits(t *testing.T) {
 	}
 	if FingerprintVector(nil) != FingerprintVector([]float64{}) {
 		t.Fatal("nil and empty vectors fingerprint differently")
+	}
+}
+
+// TestFPWriterMatchesHashFNV: the inline writer is FNV-64a, bit for
+// bit what hash/fnv's New64a returns over the same little-endian words
+// and tag bytes, in random interleavings.
+func TestFPWriterMatchesHashFNV(t *testing.T) {
+	r := rng.New(5)
+	var buf [8]byte
+	for trial := 0; trial < 500; trial++ {
+		w := newFPWriter()
+		ref := fnv.New64a()
+		for k := r.Intn(24); k > 0; k-- {
+			if r.Intn(4) == 0 {
+				tag := make([]byte, r.Intn(12))
+				for i := range tag {
+					tag[i] = byte(r.Intn(256))
+				}
+				w.tag(string(tag))
+				ref.Write(tag)
+				continue
+			}
+			v := r.Uint64()
+			w.u64(v)
+			binary.LittleEndian.PutUint64(buf[:], v)
+			ref.Write(buf[:])
+		}
+		if w.h != ref.Sum64() {
+			t.Fatalf("trial %d: inline FNV-64a %016x, hash/fnv %016x", trial, w.h, ref.Sum64())
+		}
+	}
+	x := make([]float64, 1000)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	ref := fnv.New64a()
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		ref.Write(buf[:])
+	}
+	if got := FingerprintVector(x); got != ref.Sum64() {
+		t.Fatalf("FingerprintVector %016x, hash/fnv %016x", got, ref.Sum64())
 	}
 }
 

@@ -99,9 +99,29 @@ func checkBitwise(x, ref []float64) error {
 	return nil
 }
 
+// probeLive sends one honest request after the chaos has ended, with a
+// deadline far above a solve's cost. It must be served, bitwise equal to
+// its referee: under chaos a 504 is legal, so a dispatcher wedged during
+// the run shows only here.
+func probeLive(t *testing.T, h http.Handler, grid string, n int, refs [][]float64) {
+	t.Helper()
+	status, body := solveViaHandler(h, grid, testRHS(n, 1000), 10_000)
+	if status != http.StatusOK {
+		t.Fatalf("post-chaos probe: status %d: %s", status, body)
+	}
+	var out SolveResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("post-chaos probe: %v", err)
+	}
+	if err := checkBitwise(out.X, refs[0]); err != nil {
+		t.Fatalf("post-chaos probe: %v", err)
+	}
+}
+
 // runSoak drives the chaos mix against cfg for the soak duration and
-// enforces the three invariants: bitwise-correct 200s against refs, no
-// stuck client, no leaked goroutine after shutdown.
+// enforces the four invariants: bitwise-correct 200s against refs, no
+// stuck client, a service that still answers once the chaos is over,
+// and no leaked goroutine after shutdown.
 func runSoak(t *testing.T, cfg Config, refs [][]float64, nx int) {
 	base := runtime.NumGoroutine()
 
@@ -213,6 +233,7 @@ func runSoak(t *testing.T, cfg Config, refs [][]float64, nx int) {
 	if ok.Load() == 0 {
 		t.Fatal("soak made no successful solves")
 	}
+	probeLive(t, handler, grid, n, refs)
 	st := s.Stats()
 	t.Logf("soak: %d bitwise-verified ok, %d rejected; admitted=%d shed=%d timeouts=%d solve_errs=%d rebuilds=%d batches=%d batched=%d",
 		ok.Load(), rejected.Load(), st.Admitted, st.Shed, st.Timeouts, st.SolveErrs, st.Rebuilds, st.Batches, st.BatchedRHS)
@@ -350,6 +371,7 @@ func TestSoakOverloadSheds(t *testing.T) {
 		t.Fatal("16 clients against 1 slot + 2 queue never shed — admission control inert")
 	}
 	t.Logf("overload: %d ok, %d shed (429), %d refused (503)", ok.Load(), shed.Load(), refused.Load())
+	probeLive(t, handler, grid, n, refs)
 	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer scancel()
 	if err := s.Shutdown(sctx); err != nil {

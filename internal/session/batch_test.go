@@ -126,23 +126,58 @@ func TestBatcherStopRejectsSubmits(t *testing.T) {
 	bt.Stop() // idempotent
 }
 
+// TestBatcherPreCancelledMember: a request the dispatcher has accepted
+// but whose client hangs up before its window is solved still gets its
+// one response, without stranding the dispatcher. The width callback,
+// which runWindow calls only after it has accepted the request, holds
+// the window open until the client has given up; a live request must
+// then still be served.
 func TestBatcherPreCancelledMember(t *testing.T) {
 	sess := newTestSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	bt := NewBatcher(sess, staticWidth(4), nil)
+	accepted := make(chan struct{})
+	release := make(chan struct{})
+	var gate sync.Once
+	width := func() int {
+		gate.Do(func() {
+			close(accepted)
+			<-release
+		})
+		return 4
+	}
+	bt := NewBatcher(sess, width, nil)
 	bt.Start(ctx)
-	defer bt.Stop()
 
 	dead, kill := context.WithCancel(context.Background())
+	submitted := make(chan error, 1)
+	go func() {
+		_, _, err := bt.Submit(dead, testRHS(12*12, 2))
+		submitted <- err
+	}()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dispatcher never accepted the request")
+	}
 	kill()
-	if _, _, err := bt.Submit(dead, testRHS(12*12, 2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled submit = %v, want Canceled", err)
+	err := <-submitted
+	close(release)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled submit = %v, want Canceled", err)
 	}
-	// A live request still gets served after the dead one.
-	if _, _, err := bt.Submit(ctx, testRHS(12*12, 3)); err != nil {
-		t.Fatalf("live submit after cancelled one: %v", err)
+
+	// A stuck dispatcher cannot be stopped, so the test stops it only
+	// once the live request has proved it free.
+	live, liveCancel := context.WithTimeout(ctx, 5*time.Second)
+	defer liveCancel()
+	b := testRHS(12*12, 3)
+	res, _, err := bt.Submit(live, b)
+	if err != nil {
+		t.Fatalf("live submit after a cancelled member: %v (the dispatcher is stuck answering it)", err)
 	}
+	bt.Stop()
+	checkBitwise(t, sess, "live request", res.X, b)
 }
 
 // TestBatcherWindowTakesWaitingRequests: a window is its first request

@@ -313,7 +313,7 @@ type Result struct {
 	// MemoryBytes estimates the solver-state footprint of this solve:
 	// factor values + indices, iteration-matrix storage (none for an
 	// exact solve) and solve scratch — the MemoryBytes of the Solver
-	// that produced it, so the pgbench trajectory reports the number the
+	// that produced it, so a one-shot solve reports the number the
 	// pgserved cache budgets against.
 	MemoryBytes int
 	Timings     Timings

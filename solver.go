@@ -188,9 +188,9 @@ func (s *Solver) FactorIndexBytes() int { return s.factorIndexBytes }
 // bytes: factor values and index arrays, the assembled iteration matrix
 // (values plus indices), and the scratch vectors one solve draws from the
 // shared pools. It is the eviction weight of the pgserved prepared-factor
-// cache and the memory_bytes column of the pgbench trajectory — one
-// formula (solverMemoryBytes) for both, so the budget the service
-// enforces is the number the benchmarks report. Matrix-free
+// cache and pgperf's powerrchol.memory_mb — one formula
+// (solverMemoryBytes) for both and for Result.MemoryBytes, so the budget
+// the service enforces is the number the benchmark reports. Matrix-free
 // preconditioners (AMG, Jacobi, SSOR) contribute only their iteration
 // matrix and scratch; their hierarchy/diagonal storage is not counted.
 func (s *Solver) MemoryBytes() int {
