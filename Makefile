@@ -24,12 +24,10 @@ vet:
 	$(GO) vet ./...
 
 # pglint is the in-repo determinism/numerical-safety analyzer suite
-# (internal/lint, DESIGN.md §9), ten analyzers: banned ambient
+# (internal/lint, DESIGN.md §9), nine analyzers: banned ambient
 # randomness/time, map-order-dependent iteration, exact float comparison,
 # sync.Pool leaks, severed error chains, context flow, hot-loop
-# allocations, goroutine leaks, pooled-buffer escapes and blocking
-# goroutine sends (the last reading cross-package send summaries as go
-# vet analysis facts).
+# allocations, goroutine leaks and pooled-buffer escapes.
 # The build is unconditional but cheap:
 # Go's build cache makes an unchanged rebuild a near no-op, and pglint
 # answers `go vet`'s -V=full probe with a hash of its own binary, so vet's
@@ -97,8 +95,8 @@ race:
 	$(GO) test -race -short ./...
 
 # Short-budget native fuzzing of the input boundaries: Matrix Market
-# and netlist parsing, SDDM construction, factor deserialization, the
-# service's request decoders and the solver Options. Each target runs a
+# and netlist parsing, SDDM construction, the service's request
+# decoders and the solver Options. Each target runs a
 # few seconds — enough for regressions, not a soak; raise FUZZTIME for a
 # longer hunt. TestFuzzTargetsInMakefile fails when a Fuzz function of
 # the module is missing here.
@@ -107,7 +105,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveOptions$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzSplitCSC$$' -fuzztime=$(FUZZTIME) ./internal/graph
-	$(GO) test -run='^$$' -fuzz='^FuzzReadFactor$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDirective$$' -fuzztime=$(FUZZTIME) ./internal/lint/directive
 	$(GO) test -run='^$$' -fuzz='^FuzzParseOptDirective$$' -fuzztime=$(FUZZTIME) ./internal/lint/optcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSolveRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve

@@ -10,12 +10,10 @@
 //
 // The usual entry points are `make lint` (vettool mode over ./...) and
 // `make lint-sarif` (driver mode; CI uploads the log to code scanning).
-// It runs the ten analyzers of internal/lint — bannedimport, maprange,
+// It runs the nine analyzers of internal/lint — bannedimport, maprange,
 // floateq, poolleak, errwrapcheck, ctxflow, hotalloc, goroleak,
-// poolescape, sendblock — with findings suppressed only by per-line
-// //pglint:<name> <reason> annotations. sendblock reads cross-package
-// send summaries as analysis facts, which `go vet` serializes per
-// package and feeds to dependents automatically. See DESIGN.md §9.
+// poolescape — with findings suppressed only by per-line
+// //pglint:<name> <reason> annotations. See DESIGN.md §9.
 package main
 
 import (

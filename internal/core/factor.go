@@ -72,12 +72,11 @@ func (f *Factor) IndexBytes() int { return f.L.IndexBytes() }
 // goroutines, one level of L's columns at a time. The parallel solves
 // are bitwise identical to the serial ones, so enabling parallelism
 // never changes results. It needs L in level order: a factor
-// Factorize did not build (exact Cholesky, IChol, a deserialized
-// factor) is put into schedule order first, which changes L and Perm
-// but not Apply's bits. Below sparse.ParThreshold columns, where the
-// solves would run serially anyway, it builds nothing. Call it once,
-// before the factor is shared between goroutines; workers <= 1
-// disables the parallel path again.
+// Factorize did not build (exact Cholesky, IChol) is put into schedule
+// order first, which changes L and Perm but not Apply's bits. Below
+// sparse.ParThreshold columns, where the solves would run serially
+// anyway, it builds nothing. Call it once, before the factor is shared
+// between goroutines; workers <= 1 disables the parallel path again.
 func (f *Factor) Parallelize(workers int) {
 	f.levels, f.workers = nil, 0
 	// Schedules number columns in int32, like the elimination graph.

@@ -80,6 +80,7 @@ func Reasonless(b []float64) error {
 // silences nothing, so it must not linger as if it did.
 func Retired(b []float64) error {
 	//pglint:lockcheck fixture: mutex discipline is checked at run time // want `pglint:lockcheck does not name any pglint directive`
+	//pglint:sendblock fixture: blocking sends are caught by the batcher and soak tests // want `pglint:sendblock does not name any pglint directive`
 	return Solve(b)
 }
 

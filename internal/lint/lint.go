@@ -1,20 +1,18 @@
 // Package lint aggregates the pglint analyzer suite.
 //
 // pglint is this repository's compile-time determinism, numerical-safety
-// and contract gate: ten golang.org/x/tools/go/analysis analyzers
+// and contract gate: nine golang.org/x/tools/go/analysis analyzers
 // enforcing invariants the test suite can only sample — no ambient
 // randomness or clock in the kernels, no map-order-dependent iteration,
 // no exact float comparison, no sync.Pool scratch leaks or aliasing
 // escapes, no severed error or context chains, no allocations in hot
-// inner loops, no unterminated goroutines, and no library goroutine
-// parked forever on an unprovable send. The first five (bannedimport,
-// maprange, floateq, poolleak, errwrapcheck) work on the AST and CFG;
-// the contract analyzers (ctxflow, hotalloc, goroleak, poolescape,
-// sendblock) share the ssalite function IR, and sendblock also reads
-// the cross-package send summaries of ssalite/summary, exported as
-// analysis facts. Mutex discipline, atomic access and the bitwise answer
-// contract are left to the race detector, the determinism and
-// equivalence suites and the service soak.
+// inner loops, and no unterminated goroutines. The first five
+// (bannedimport, maprange, floateq, poolleak, errwrapcheck) work on the
+// AST and CFG; the other four (ctxflow, hotalloc, goroleak, poolescape)
+// share the ssalite function IR. Mutex discipline, atomic access,
+// blocking channel sends and the bitwise answer contract are left to
+// the race detector, the batcher and soak tests, and the determinism
+// and equivalence suites.
 // Run it via `make lint`, which is `go vet -vettool=bin/pglint ./...`,
 // or `make lint-sarif` for the SARIF log CI uploads.
 // Suppressions are per-line //pglint:<name> <reason> annotations (one
@@ -35,7 +33,6 @@ import (
 	"powerrchol/internal/lint/maprange"
 	"powerrchol/internal/lint/poolescape"
 	"powerrchol/internal/lint/poolleak"
-	"powerrchol/internal/lint/sendblock"
 )
 
 func init() {
@@ -56,7 +53,6 @@ func Analyzers() []*analysis.Analyzer {
 		hotalloc.Analyzer,
 		goroleak.Analyzer,
 		poolescape.Analyzer,
-		sendblock.Analyzer,
 	}
 }
 
@@ -73,6 +69,5 @@ func DirectiveNames() []string {
 		hotalloc.DirectiveName,
 		goroleak.DirectiveName,
 		poolescape.DirectiveName,
-		sendblock.DirectiveName,
 	}
 }

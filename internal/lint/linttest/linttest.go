@@ -7,13 +7,8 @@
 // directions: every diagnostic needs a matching want on its line, and
 // every want must be hit.
 //
-// Facts flow across fixture packages the way they do under the
-// unitchecker: before a target package is analyzed, every fixture-local
-// package it imports (transitively) is analyzed first with the same
-// analyzer graph, and the object/package facts those runs export are
-// visible to the target through ImportObjectFact/ImportPackageFact. The
-// cross-package summary analyzer (ssalite/summary) and sendblock are
-// therefore testable against multi-package fixtures.
+// Fixture-local imports are type-checked but not analyzed: no pglint
+// analyzer exports facts of its own, so only the target package runs.
 package linttest
 
 import (
@@ -25,7 +20,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"runtime"
 	"sort"
@@ -133,63 +127,20 @@ func loadFixture(srcdir, path string) (*fixturePkg, error) {
 }
 
 // Run loads each fixture package beneath dir/src and checks a's
-// diagnostics against the fixtures' want comments. Fixture-local imports
-// of each package are analyzed first so their exported facts are
-// available to the target, mirroring the unitchecker's dependency-order
-// fact flow.
+// diagnostics against the fixtures' want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	for _, path := range pkgpaths {
 		path := path
 		t.Run(path, func(t *testing.T) {
 			t.Helper()
-			srcdir := filepath.Join(dir, "src")
-			fp, err := loadFixture(srcdir, path)
+			fp, err := loadFixture(filepath.Join(dir, "src"), path)
 			if err != nil {
 				t.Fatalf("loading fixture %s: %v", path, err)
 			}
-			facts := newFactStore()
-			analyzed := map[*types.Package]bool{}
-			diags := runAnalyzer(t, a, fp, srcdir, facts, analyzed, true)
-			checkWants(t, fp, diags)
+			checkWants(t, fp, runAnalyzer(t, a, fp))
 		})
 	}
-}
-
-// A factStore is the in-memory stand-in for the unitchecker's vetx
-// files: facts exported while analyzing one fixture package are imported
-// by the packages that depend on it. Object identity is shared across
-// packages because every fixture is type-checked against the same
-// fileset and importer cache.
-type factStore struct {
-	obj map[objFactKey]analysis.Fact
-	pkg map[pkgFactKey]analysis.Fact
-}
-
-type objFactKey struct {
-	obj types.Object
-	t   reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
-	t   reflect.Type
-}
-
-func newFactStore() *factStore {
-	return &factStore{obj: map[objFactKey]analysis.Fact{}, pkg: map[pkgFactKey]analysis.Fact{}}
-}
-
-// copyFact copies src into the pointer dst (both *T for the same fact
-// type T), the same contract ImportObjectFact documents.
-func copyFact(dst, src analysis.Fact) bool {
-	dv := reflect.ValueOf(dst)
-	sv := reflect.ValueOf(src)
-	if dv.Type() != sv.Type() || dv.Kind() != reflect.Ptr {
-		return false
-	}
-	dv.Elem().Set(sv.Elem())
-	return true
 }
 
 // TestdataDir returns the caller's testdata directory.
@@ -202,26 +153,10 @@ func TestdataDir(t *testing.T) string {
 	return filepath.Join(filepath.Dir(file), "testdata")
 }
 
-// runAnalyzer analyzes fp with a's full Requires closure, after first
-// analyzing (reporting nothing) every fixture-local dependency so its
-// facts are in the store. collect is true only for the target package.
-func runAnalyzer(t *testing.T, a *analysis.Analyzer, fp *fixturePkg, srcdir string, facts *factStore, analyzed map[*types.Package]bool, collect bool) []analysis.Diagnostic {
+// runAnalyzer analyzes fp with a's full Requires closure and returns
+// a's own diagnostics.
+func runAnalyzer(t *testing.T, a *analysis.Analyzer, fp *fixturePkg) []analysis.Diagnostic {
 	t.Helper()
-	if analyzed[fp.pkg] {
-		return nil
-	}
-	analyzed[fp.pkg] = true
-	for _, imp := range fp.pkg.Imports() {
-		if !isDir(filepath.Join(srcdir, imp.Path())) {
-			continue // stdlib: no facts to compute
-		}
-		dep, err := loadFixture(srcdir, imp.Path())
-		if err != nil {
-			t.Fatalf("loading fixture dependency %s: %v", imp.Path(), err)
-		}
-		runAnalyzer(t, a, dep, srcdir, facts, analyzed, false)
-	}
-
 	results := map[*analysis.Analyzer]interface{}{}
 	var diags []analysis.Diagnostic
 	var exec func(a *analysis.Analyzer, root bool)
@@ -232,10 +167,6 @@ func runAnalyzer(t *testing.T, a *analysis.Analyzer, fp *fixturePkg, srcdir stri
 		for _, req := range a.Requires {
 			exec(req, false)
 		}
-		factTypes := map[reflect.Type]bool{}
-		for _, f := range a.FactTypes {
-			factTypes[reflect.TypeOf(f)] = true
-		}
 		pass := &analysis.Pass{
 			Analyzer:   a,
 			Fset:       fset,
@@ -245,44 +176,17 @@ func runAnalyzer(t *testing.T, a *analysis.Analyzer, fp *fixturePkg, srcdir stri
 			TypesSizes: types.SizesFor("gc", runtime.GOARCH),
 			ResultOf:   results,
 			Report: func(d analysis.Diagnostic) {
-				if root && collect {
+				if root {
 					diags = append(diags, d)
 				}
 			},
 			ReadFile: os.ReadFile,
-			ImportObjectFact: func(obj types.Object, f analysis.Fact) bool {
-				got, ok := facts.obj[objFactKey{obj, reflect.TypeOf(f)}]
-				return ok && copyFact(f, got)
-			},
-			ImportPackageFact: func(pkg *types.Package, f analysis.Fact) bool {
-				got, ok := facts.pkg[pkgFactKey{pkg, reflect.TypeOf(f)}]
-				return ok && copyFact(f, got)
-			},
-			ExportObjectFact: func(obj types.Object, f analysis.Fact) {
-				facts.obj[objFactKey{obj, reflect.TypeOf(f)}] = f
-			},
-			ExportPackageFact: func(f analysis.Fact) {
-				facts.pkg[pkgFactKey{fp.pkg, reflect.TypeOf(f)}] = f
-			},
-			AllObjectFacts: func() []analysis.ObjectFact {
-				var out []analysis.ObjectFact
-				for k, f := range facts.obj {
-					if factTypes[k.t] {
-						out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-					}
-				}
-				return out
-			},
-			AllPackageFacts: func() []analysis.PackageFact {
-				var out []analysis.PackageFact
-				for k, f := range facts.pkg {
-					if factTypes[k.t] {
-						out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-					}
-				}
-				return out
-			},
-			Module: &analysis.Module{Path: "example.com"},
+			// ctrlflow exports no-return facts and imports them for
+			// callees in other packages. Dependencies are not analyzed
+			// here, so there is nothing to import or keep.
+			ImportObjectFact: func(types.Object, analysis.Fact) bool { return false },
+			ExportObjectFact: func(types.Object, analysis.Fact) {},
+			Module:           &analysis.Module{Path: "example.com"},
 		}
 		res, err := a.Run(pass)
 		if err != nil {

@@ -210,16 +210,6 @@ func Spin(n int) {
 	}()
 }
 `)
-	// sendblock: unbuffered bare send in a goroutine (loop-free body, so
-	// goroleak alone would accept it — this is exactly its gap)
-	write("internal/core/send.go", `package core
-
-func Notify(ch chan int) {
-	go func() {
-		ch <- 1
-	}()
-}
-`)
 	wants := map[string]string{
 		"bannedimport": "import of math/rand is banned",
 		"maprange":     "range over map is order-dependent",
@@ -230,7 +220,6 @@ func Notify(ch chan int) {
 		"hotalloc":     "make in an innermost loop of a hot kernel",
 		"goroleak":     "tie the goroutine to a WaitGroup",
 		"poolescape":   "is returned before Put",
-		"sendblock":    "channel send in a goroutine has no non-blocking evidence",
 	}
 	var registered, planted []string
 	for _, a := range lint.Analyzers() {

@@ -1,12 +1,12 @@
 // Package ssalite builds the function-level IR the contract analyzers
-// (ctxflow, hotalloc, goroleak, poolescape, sendblock) share.
+// (ctxflow, hotalloc, goroleak, poolescape) share.
 //
 // The real golang.org/x/tools/go/ssa + buildssa pair is not shipped in
 // the Go toolchain's cmd/vendor tree (vet never needs it), and this
 // module vendors exclusively from that tree, so ssalite reconstructs the
 // slice of SSA the analyzers actually consume on top of what the
-// toolchain does vendor: go/types for resolution and go/cfg (via the
-// ctrlflow pass) for control flow. Per function it materializes
+// toolchain does vendor: go/types for resolution. Per function it
+// materializes
 //
 //   - the loop forest with nesting depth and innermost flags,
 //   - every call site with its statically resolved callee and signature,
@@ -27,14 +27,11 @@ import (
 	"reflect"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/cfg"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name:       "ssalite",
 	Doc:        "build the per-function IR (loops, calls, allocations, captures) shared by the pglint contract analyzers",
-	Requires:   []*analysis.Analyzer{ctrlflow.Analyzer},
 	ResultType: reflect.TypeOf(new(Program)),
 	Run:        build,
 }
@@ -67,7 +64,6 @@ type Function struct {
 	Lit    *ast.FuncLit  // nil for declarations
 	Body   *ast.BlockStmt
 	Sig    *types.Signature
-	CFG    *cfg.CFG
 	Parent *Function // enclosing function, nil for declarations
 
 	Loops    []*Loop
@@ -76,17 +72,6 @@ type Function struct {
 	FreeVars []*types.Var // variables a literal captures from enclosing scopes
 
 	nested []*Function // child literals, registered by Program.add
-}
-
-// Name returns a diagnostic-friendly name.
-func (f *Function) Name() string {
-	if f.Decl != nil {
-		return f.Decl.Name.Name
-	}
-	if f.Parent != nil {
-		return "func literal in " + f.Parent.Name()
-	}
-	return "func literal"
 }
 
 // A Loop is one for/range statement of a function.
@@ -105,7 +90,6 @@ type Call struct {
 	Sig    *types.Signature // callee signature when the type checker knows it
 	Loop   *Loop            // innermost enclosing loop, nil if straight-line
 	Go     bool             // the call is the operand of a go statement
-	Defer  bool             // the call is the operand of a defer statement
 }
 
 // AllocKind classifies a heap allocation site.
@@ -146,7 +130,6 @@ type Alloc struct {
 }
 
 func build(pass *analysis.Pass) (interface{}, error) {
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 	p := &Program{
 		byBody: map[*ast.BlockStmt]*Function{},
 		byObj:  map[*types.Func]*Function{},
@@ -164,8 +147,7 @@ func build(pass *analysis.Pass) (interface{}, error) {
 					f.Sig, _ = sig.Type().(*types.Signature)
 					p.byObj[sig] = f
 				}
-				f.CFG = cfgs.FuncDecl(fn)
-				p.add(pass, f)
+				p.add(f)
 				return false // newFunction walked the body, literals included
 			case *ast.FuncLit:
 				// A literal outside any function declaration (package-level
@@ -173,30 +155,22 @@ func build(pass *analysis.Pass) (interface{}, error) {
 				f := newFunction(pass, fn.Body, nil)
 				f.Lit = fn
 				f.Sig, _ = pass.TypesInfo.TypeOf(fn).(*types.Signature)
-				f.CFG = cfgs.FuncLit(fn)
 				f.FreeVars = freeVars(pass, fn)
-				p.add(pass, f)
+				p.add(f)
 				return false
 			}
 			return true
 		})
 	}
-	// Literal CFGs are registered after the walk so nested literals found
-	// by newFunction get theirs too.
-	for _, f := range p.Funcs {
-		if f.Lit != nil && f.CFG == nil {
-			f.CFG = cfgs.FuncLit(f.Lit)
-		}
-	}
 	return p, nil
 }
 
 // add registers f and every nested literal Function hanging off it.
-func (p *Program) add(pass *analysis.Pass, f *Function) {
+func (p *Program) add(f *Function) {
 	p.Funcs = append(p.Funcs, f)
 	p.byBody[f.Body] = f
 	for _, sub := range f.nested {
-		p.add(pass, sub)
+		p.add(sub)
 	}
 }
 
@@ -256,7 +230,7 @@ func newFunction(pass *analysis.Pass, body *ast.BlockStmt, parent *Function) *Fu
 				return false
 
 			case *ast.GoStmt:
-				f.addCall(pass, x.Call, cur(), true, false)
+				f.addCall(pass, x.Call, cur(), true)
 				for _, arg := range x.Call.Args {
 					walk(arg)
 				}
@@ -264,7 +238,7 @@ func newFunction(pass *analysis.Pass, body *ast.BlockStmt, parent *Function) *Fu
 				return false
 
 			case *ast.DeferStmt:
-				f.addCall(pass, x.Call, cur(), false, true)
+				f.addCall(pass, x.Call, cur(), false)
 				for _, arg := range x.Call.Args {
 					walk(arg)
 				}
@@ -272,7 +246,7 @@ func newFunction(pass *analysis.Pass, body *ast.BlockStmt, parent *Function) *Fu
 				return false
 
 			case *ast.CallExpr:
-				f.addCall(pass, x, cur(), false, false)
+				f.addCall(pass, x, cur(), false)
 				return true
 
 			case *ast.CompositeLit:
@@ -301,7 +275,7 @@ func newFunction(pass *analysis.Pass, body *ast.BlockStmt, parent *Function) *Fu
 	return f
 }
 
-func (f *Function) addCall(pass *analysis.Pass, call *ast.CallExpr, loop *Loop, isGo, isDefer bool) {
+func (f *Function) addCall(pass *analysis.Pass, call *ast.CallExpr, loop *Loop, isGo bool) {
 	// Builtins become Alloc entries; conversions may become Box.
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -314,7 +288,7 @@ func (f *Function) addCall(pass *analysis.Pass, call *ast.CallExpr, loop *Loop, 
 		f.addConversionAlloc(pass, call, loop)
 		return
 	}
-	c := &Call{Expr: call, Loop: loop, Go: isGo, Defer: isDefer}
+	c := &Call{Expr: call, Loop: loop, Go: isGo}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		c.Callee, _ = pass.TypesInfo.Uses[fun].(*types.Func)

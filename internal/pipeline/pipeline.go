@@ -196,10 +196,6 @@ func Compile(cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// Rungs reports how many attempts the plan lays out (1 without
-// recovery; the full ladder depth with it).
-func (p *Plan) Rungs() int { return len(p.rungs) }
-
 // NewRunner stamps a runner for sys out of the compiled plan. The
 // runner starts at the first rung with an empty trail; the plan's rung
 // slice is shared read-only across runners.
