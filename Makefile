@@ -1,56 +1,28 @@
 GO ?= go
 
-.PHONY: all check build fmt test pgperf-test vet lint lint-list lint-sarif optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench cover tables examples clean
+.PHONY: all check build fmt test pgperf-test vet optcheck optcheck-build optcheck-diff race fuzz soak load study-smoke bench cover tables examples clean
 
 all: check
 
 # check is the default CI gate: tier-1 build+tests, the pgperf benchmark
-# module's tests, gofmt cleanliness, vet, pglint, the compiler-diagnostics contract gate
-# (pgoptcheck), the race detector over the short case set, a short-budget
-# fuzz pass, and a short-horizon pgstudy run of both workload studies.
-check: build fmt vet lint optcheck test pgperf-test race fuzz study-smoke
+# module's tests, gofmt cleanliness, vet, the compiler-diagnostics
+# contract gate (pgoptcheck), the race detector over the short case set,
+# a short-budget fuzz pass, and a short-horizon pgstudy run of both
+# workload studies.
+check: build fmt vet optcheck test pgperf-test race fuzz study-smoke
 
 build:
 	$(GO) build ./...
 
-# fmt fails if gofmt would rewrite any Go file outside vendor/, listing
-# the offenders; `gofmt -w <file>` fixes one.
+# fmt fails if gofmt would rewrite any Go file, listing the offenders;
+# `gofmt -w <file>` fixes one.
 GOFMT ?= gofmt
 fmt:
-	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path './vendor/*')); \
+	@out=$$($(GOFMT) -l $$(find . -name '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needs to rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
-
-# pglint is the in-repo determinism/numerical-safety analyzer suite
-# (internal/lint, DESIGN.md §9), nine analyzers: banned ambient
-# randomness/time, map-order-dependent iteration, exact float comparison,
-# sync.Pool leaks, severed error chains, context flow, hot-loop
-# allocations, goroutine leaks and pooled-buffer escapes.
-# The build is unconditional but cheap:
-# Go's build cache makes an unchanged rebuild a near no-op, and pglint
-# answers `go vet`'s -V=full probe with a hash of its own binary, so vet's
-# result cache stays correct across rebuilds without Makefile-side
-# dependency tracking.
-PGLINT := bin/pglint
-
-.PHONY: pglint-build
-pglint-build:
-	$(GO) build -o $(PGLINT) ./cmd/pglint
-
-lint: pglint-build
-	$(GO) vet -vettool=$(abspath $(PGLINT)) ./...
-
-# lint-list prints every finding without failing the build: the triage
-# view for judging a new analyzer or sweeping after a big refactor.
-lint-list: pglint-build
-	-$(GO) vet -vettool=$(abspath $(PGLINT)) ./...
-
-# lint-sarif runs pglint in driver mode: a SARIF 2.1.0 report for GitHub
-# code scanning, failing the build on any finding.
-lint-sarif: pglint-build
-	./$(PGLINT) -sarif -o pglint.sarif ./...
 
 # pgoptcheck is the compiler-diagnostics contract gate (internal/lint/
 # optcheck, DESIGN.md §13): it compiles the hot kernel packages with
@@ -105,7 +77,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveOptions$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzSplitCSC$$' -fuzztime=$(FUZZTIME) ./internal/graph
-	$(GO) test -run='^$$' -fuzz='^FuzzParseDirective$$' -fuzztime=$(FUZZTIME) ./internal/lint/directive
 	$(GO) test -run='^$$' -fuzz='^FuzzParseOptDirective$$' -fuzztime=$(FUZZTIME) ./internal/lint/optcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSolveRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSystemRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
@@ -165,5 +136,5 @@ examples:
 	$(GO) run ./examples/sddsolve
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt pglint.sarif pgopt.sarif
+	rm -f cover.out test_output.txt bench_output.txt pgopt.sarif
 	rm -rf bin

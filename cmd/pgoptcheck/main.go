@@ -1,7 +1,7 @@
-// pgoptcheck is the compiler-diagnostics contract gate: where pglint
-// guards what the source says, pgoptcheck guards what the compiler
-// decided. It compiles the hot kernel packages (internal/lint/policy's
-// hot surface by default) with `-gcflags='-m=2 -d=ssa/check_bce/debug=1'`,
+// pgoptcheck is the compiler-diagnostics contract gate: it guards what
+// the compiler decided. It compiles the hot kernel packages
+// (internal/lint/policy's hot surface by default) with
+// `-gcflags='-m=2 -d=ssa/check_bce/debug=1'`,
 // parses the bounds-check, escape-analysis and inlining diagnostics,
 // and reconciles them against the declared optimization contract:
 //
@@ -28,11 +28,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"powerrchol/internal/lint/optcheck"
-	"powerrchol/internal/lint/sarif"
 )
 
 func main() {
@@ -111,33 +109,16 @@ func run(args []string) int {
 	return 0
 }
 
-// writeSARIF reuses the pglint SARIF 2.1.0 emitter: optcheck findings
-// map onto it with the function name folded into the message (the
-// emitter's baseline keys are not used — the counted optcheck gate
-// decides coverage, passed in as the baselined vector).
+// writeSARIF writes the gate's findings as a SARIF 2.1.0 log to path
+// ('-' for stdout); covered marks the findings the baseline sanctions.
 func writeSARIF(path string, findings []optcheck.Finding, covered []bool) error {
-	var rules []sarif.Rule
-	docs := optcheck.RuleDocs()
-	for _, id := range []string{optcheck.RuleBCE, optcheck.RuleEscape, optcheck.RuleInline, optcheck.RuleDirective, optcheck.RuleSkew} {
-		rules = append(rules, sarif.Rule{ID: id, Doc: docs[id]})
+	if path == "-" {
+		return optcheck.WriteSARIF(os.Stdout, findings, covered)
 	}
-	sfs := make([]sarif.Finding, len(findings))
-	for i, f := range findings {
-		msg := fmt.Sprintf("%s: %s (%d site(s))", f.Func, f.Message, f.Count)
-		for _, d := range f.Detail {
-			msg += "\n" + d
-		}
-		sfs[i] = sarif.Finding{Rule: f.Rule, File: f.File, Line: f.Line, Message: msg}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	log := sarif.NewLog(rules, sfs, covered)
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return log.Write(w)
+	defer f.Close()
+	return optcheck.WriteSARIF(f, findings, covered)
 }

@@ -304,6 +304,7 @@ func runBatch(ctx context.Context, sys *graph.SDDM, b []float64, opt powerrchol.
 	st := solver.SetupTimings()
 	fmt.Printf("reorder   %12v\n", st.Reorder)
 	fmt.Printf("factorize %12v   |L| = %d\n", st.Factorize, solver.FactorNNZ())
+	fmt.Printf("assemble  %12v\n", st.Iterate)
 
 	rhs := make([][]float64, count)
 	for k := range rhs {

@@ -66,9 +66,7 @@ type Preconditioner struct {
 }
 
 func (p *Preconditioner) getScratch() *scratch {
-	//pglint:pool-escapes checkout helper: Apply owns the scratch and returns it via putScratch on its only exit
 	if s, ok := p.pool.Get().(*scratch); ok {
-		//pglint:poolescape checkout helper: ownership transfers to Apply, which recycles via putScratch on its only exit
 		return s
 	}
 	s := &scratch{

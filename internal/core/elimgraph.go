@@ -121,7 +121,6 @@ func (g *elimGraph) spill(nd *elimNode, he halfedge) {
 			g.free = g.pool[blk].next
 		} else {
 			if int(g.used) == len(g.pool) {
-				//pglint:hotalloc the overflow pool doubles only when the live overflow outgrows its n/m-based initial size, O(log) times per factorization at worst
 				pool := make([]elimBlock, 2*len(g.pool))
 				copy(pool, g.pool)
 				g.pool = pool
@@ -154,9 +153,7 @@ func (g *elimGraph) gather(u int, pos, nbr []int32, wts []float64) ([]int32, []f
 				wts[p] += he.w
 			} else {
 				pos[he.to] = int32(len(nbr))
-				//pglint:hotalloc nbr/wts are per-factorization scratch reset with [:0]; growth stops at the max live degree
 				nbr = append(nbr, he.to)
-				//pglint:hotalloc same scratch discipline as nbr above
 				wts = append(wts, he.w)
 			}
 		}

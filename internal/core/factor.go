@@ -100,9 +100,7 @@ func (f *Factor) Parallelize(workers int) {
 }
 
 func (f *Factor) getWork() []float64 {
-	//pglint:pool-escapes checkout helper: ApplyDot owns the buffer and recycles it via Put on its only exit
 	if w, ok := f.pool.Get().([]float64); ok && len(w) == f.N {
-		//pglint:poolescape checkout helper: ownership transfers to ApplyDot, which recycles via Put on its only exit
 		return w
 	}
 	return make([]float64, f.N)

@@ -248,14 +248,11 @@ func eliminate(s *graph.SDDM, perm []int, opt Options) (*elimination, error) {
 
 		// Emit column k of L: diag first, then -w/sqrt(dk) per neighbor.
 		sq := math.Sqrt(dk)
-		//pglint:hotalloc within the capacity reserved above: the factor's own storage
 		ents = append(ents, entry{int32(k), sq})
 		for i, v := range nbr {
-			//pglint:hotalloc ents accumulates the factor itself; growth, if any, is amortized doubling over the whole factorization
 			ents = append(ents, entry{v, -wts[i] / sq})
 			lev[v] = lk
 		}
-		//pglint:hotalloc within the n+1 capacity reserved above: never grows
 		colPtr = append(colPtr, len(ents))
 
 		if deg == 0 {
@@ -284,11 +281,8 @@ func eliminate(s *graph.SDDM, perm []int, opt Options) (*elimination, error) {
 
 		// Prefix sums of sorted weights (Eq. 4).
 		if cap(pfs) < deg {
-			//pglint:hotalloc scratch doubling past the max live degree seen so far; O(log) times per factorization
 			pfs = make([]float64, 2*deg)
-			//pglint:hotalloc same doubling as pfs
 			tgt = make([]float64, 2*deg)
-			//pglint:hotalloc same doubling as pfs
 			loc = make([]int, 2*deg)
 		}
 		pfs = pfs[:deg]

@@ -250,7 +250,7 @@ func factorizeShifted(ctx context.Context, a *sparse.CSC, opt Options, shift flo
 	rowIdx := make([]int, nnz)
 	val := make([]float64, nnz)
 	q := 0
-	for j, c := range cols { //pglint:ctxflow O(nnz) assembly copy; the factorization loop above already polls on the same columns
+	for j, c := range cols {
 		colPtr[j] = q
 		for _, e := range c {
 			rowIdx[q] = e.row

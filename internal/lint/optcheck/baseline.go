@@ -9,9 +9,8 @@ import (
 )
 
 // Baseline is the checked-in set of sanctioned residual findings
-// (.pgopt-baseline.json). Unlike the pglint baseline — which the tree
-// keeps empty by policy — the optcheck baseline legitimately carries
-// entries: a CSC constructor allocates, a Matrix Market parser bounds-
+// (.pgopt-baseline.json). It legitimately carries entries: a CSC
+// constructor allocates, a Matrix Market parser bounds-
 // checks its input, and pinning those sites is exactly how the gate
 // distinguishes "the residue we audited" from "a regression". Entries
 // carry the per-function site count, so the gate catches a function

@@ -8,7 +8,7 @@ import (
 
 // Rule identifiers. Findings are keyed (rule, file, func, message);
 // line numbers are carried for display but excluded from baseline keys,
-// the same stability rule as the pglint baseline.
+// so unrelated edits that shift lines leave the baseline valid.
 const (
 	// RuleBCE: a contracted function compiles with a retained bounds
 	// check (IsInBounds / IsSliceInBounds). Every function of a

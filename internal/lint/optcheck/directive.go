@@ -1,8 +1,8 @@
 // Package optcheck is the compiler-diagnostics contract checker behind
 // cmd/pgoptcheck.
 //
-// pglint (internal/lint) guards source-level contracts; optcheck guards
-// the compiler's decisions. It compiles the hot kernel packages with
+// optcheck guards the compiler's decisions about the hot kernels, which
+// no runtime test observes. It compiles the hot kernel packages with
 // `-gcflags='-m=2 -d=ssa/check_bce/debug=1'`, parses the resulting
 // escape-analysis, bounds-check-elimination and inlining diagnostics
 // into structured findings keyed (rule, file, func, message), and
@@ -28,14 +28,12 @@ package optcheck
 import "strings"
 
 // Prefix is the annotation marker, with no space after // — the same
-// convention as //go: and //pglint: directives, so gofmt leaves it
-// alone.
+// convention as //go: directives, so gofmt leaves it alone.
 const Prefix = "//pgopt:"
 
 // Contract names the per-function optimization contracts the grammar
-// accepts. Unlike //pglint: directives (which suppress findings), a
-// //pgopt: directive ASSERTS a compiler behavior; the reason documents
-// why the function needs it.
+// accepts. A //pgopt: directive ASSERTS a compiler behavior; the reason
+// documents why the function needs it.
 const (
 	ContractNoBCE    = "nobce"    // no bounds checks beyond the baselined count
 	ContractNoEscape = "noescape" // no local escapes to the heap
@@ -59,8 +57,7 @@ type Directive struct {
 // fuzz-tested without a token.FileSet; it tolerates CRLF line endings
 // and trailing whitespace, splits multi-directive comments at each
 // //pgopt: marker, and expands comma lists (//pgopt:nobce,noescape
-// <reason>) into one Directive per name sharing the reason — the same
-// grammar as the //pglint: parser it mirrors.
+// <reason>) into one Directive per name sharing the reason.
 func ParseDirectives(text string) []Directive {
 	if !strings.HasPrefix(text, Prefix) {
 		return nil

@@ -14,7 +14,7 @@ import (
 
 // A Func is one function declaration on the contract surface: its
 // canonical name (matching the compiler's inlining diagnostics, e.g.
-// "(*TriSolver).LowerSolve"), its line span, and the contracts declared
+// "(*Factor).ApplyDot"), its line span, and the contracts declared
 // on it. Function literals nested inside the declaration attribute to
 // it positionally — a bounds check inside a worker closure is a finding
 // against the method that spawned the closure.
@@ -46,8 +46,7 @@ type Surface struct {
 	// Problems are malformed //pgopt: annotations: unknown contract
 	// names, missing reasons, or directives not attached to a function
 	// declaration. They are reported as findings (rule "directive") so a
-	// typo cannot silently disarm a contract — the same janitor rule
-	// ctxflow applies to //pglint: directives.
+	// typo cannot silently disarm a contract.
 	Problems []Finding
 }
 

@@ -6,7 +6,7 @@ func TestRel(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"powerrchol/internal/core", "internal/core"},
 		{"example.com/internal/order", "internal/order"},
-		{"powerrchol/cmd/pglint", "cmd/pglint"},
+		{"powerrchol/cmd/pgoptcheck", "cmd/pgoptcheck"},
 		{"powerrchol", "powerrchol"},
 		{"example.com/sprinternal/x", "example.com/sprinternal/x"}, // no false match mid-segment
 	} {
@@ -18,23 +18,20 @@ func TestRel(t *testing.T) {
 
 func TestClassification(t *testing.T) {
 	for _, tc := range []struct {
-		path            string
-		numeric, randOK bool
+		path string
+		hot  bool
 	}{
-		{"powerrchol/internal/core", true, false},
-		{"powerrchol/internal/core/sub", true, false},
-		{"powerrchol/internal/order", true, false},
-		{"powerrchol/internal/rng", true, true},
-		{"powerrchol/internal/bench", false, false},
-		{"powerrchol", false, false},
-		{"powerrchol/cmd/pgsolve", false, false},
-		{"powerrchol/internal/corex", false, false}, // prefix must respect path segments
+		{"powerrchol/internal/core", true},
+		{"powerrchol/internal/core/sub", true},
+		{"example.com/internal/sparse", true},
+		{"powerrchol/internal/order", false},
+		{"powerrchol/internal/bench", false},
+		{"powerrchol", false},
+		{"powerrchol/cmd/pgsolve", false},
+		{"powerrchol/internal/corex", false}, // prefix must respect path segments
 	} {
-		if got := Numeric(tc.path); got != tc.numeric {
-			t.Errorf("Numeric(%q) = %v, want %v", tc.path, got, tc.numeric)
-		}
-		if got := RandSanctioned(tc.path); got != tc.randOK {
-			t.Errorf("RandSanctioned(%q) = %v, want %v", tc.path, got, tc.randOK)
+		if got := Hot(tc.path); got != tc.hot {
+			t.Errorf("Hot(%q) = %v, want %v", tc.path, got, tc.hot)
 		}
 	}
 }

@@ -157,7 +157,7 @@ func TestRestrictInvertsExpand(t *testing.T) {
 	for r, v := range c.Restrict(x) {
 		found := false
 		for i, ri := range c.Rep {
-			if ri == r && x[i] == v { //pglint:float-exact restriction copies a member's value verbatim
+			if ri == r && x[i] == v {
 				found = true
 			}
 		}

@@ -185,9 +185,7 @@ type scratch struct {
 }
 
 func getScratch(n int) *scratch {
-	//pglint:pool-escapes checkout helper: SolveFromDotOp owns the set and recycles it via Put on its only exit
 	if s, ok := scratchPool.Get().(*scratch); ok && len(s.r) == n {
-		//pglint:poolescape checkout helper: ownership transfers to SolveFromDotOp, which recycles via Put on its only exit
 		return s
 	}
 	return &scratch{

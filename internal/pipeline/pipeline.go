@@ -231,14 +231,14 @@ func (r *Runner) Next(ctx context.Context) (*Setup, error) {
 	for r.next < len(r.plan) {
 		i := r.next
 		r.next++
-		setup, att, err := r.buildRung(ctx, i) //pglint:hotalloc per-attempt setup, bounded by Retry.MaxAttempts; the allocations are the product
+		setup, att, err := r.buildRung(ctx, i)
 		if err != nil {
 			if ctxDone(err) {
 				return nil, err
 			}
 			att.Err = err.Error()
 			if r.spec.Ladder {
-				r.trail = append(r.trail, att) //pglint:hotalloc one append per failed attempt, bounded by Retry.MaxAttempts
+				r.trail = append(r.trail, att)
 			}
 			if r.next < len(r.plan) && recoverable(err) {
 				continue

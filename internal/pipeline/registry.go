@@ -156,7 +156,7 @@ type MethodInfo struct {
 func Methods() []MethodInfo {
 	out := make([]MethodInfo, 0, len(specs))
 	for _, s := range specs {
-		out = append(out, MethodInfo{ //pglint:hotalloc registry table, built once per listing and bounded by len(specs)
+		out = append(out, MethodInfo{
 			Method:    s.Method,
 			Name:      s.Method.String(),
 			Ordering:  s.DefaultOrdering,

@@ -214,7 +214,6 @@ type System struct {
 // pinVoltage records one voltage source into the pinned-node map,
 // rejecting conflicting pins of the same node.
 func (nl *Netlist) pinVoltage(fixed map[int]float64, v VoltageSource) error {
-	//pglint:float-exact duplicate-source check: two cards pinning one node conflict unless they parsed to the identical voltage
 	if prev, ok := fixed[v.Node]; ok && prev != v.Volts {
 		return fmt.Errorf("powergrid: node %s pinned to both %g and %g",
 			nl.names[v.Node], prev, v.Volts)

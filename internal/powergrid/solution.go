@@ -73,7 +73,6 @@ func CompareSolutions(a, b map[string]float64) (float64, error) {
 		return 0, fmt.Errorf("powergrid: solutions have %d vs %d nodes", len(a), len(b))
 	}
 	var maxDiff float64
-	//pglint:ordered-irrelevant max over |Δv| is commutative; only the node named in a missing-node error varies with order
 	for name, va := range a {
 		vb, ok := b[name]
 		if !ok {

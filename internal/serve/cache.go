@@ -177,7 +177,7 @@ func (c *Cache) shedLocked(target int64, keep *cacheEntry) []*Prepared {
 		c.removeLocked(e)
 		c.evictions.Add(1)
 		if e.val != nil {
-			out = append(out, e.val) //pglint:hotalloc eviction batch, bounded by cache entry count
+			out = append(out, e.val)
 		}
 	}
 	return out

@@ -201,7 +201,7 @@ func decodeSystemJSON(body []byte, maxNodes int) (*graph.SDDM, error) {
 	for i, e := range req.Edges {
 		uf, vf, w := e[0], e[1], e[2]
 		u, v := int(uf), int(vf)
-		if float64(u) != uf || float64(v) != vf { //pglint:float-exact integer-valuedness check on wire endpoints, not a rounding comparison
+		if float64(u) != uf || float64(v) != vf {
 			return nil, fmt.Errorf("serve: edge %d has non-integer endpoints", i)
 		}
 		if err := g.AddEdge(u, v, w); err != nil {
@@ -283,7 +283,7 @@ func readBody(r io.Reader, size, maxBytes int64) ([]byte, error) {
 	buf := make([]byte, 0, c)
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)] //pglint:hotalloc geometric growth: O(log size) per body
+			buf = append(buf, 0)[:len(buf)]
 		}
 		n, err := lr.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]

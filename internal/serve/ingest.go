@@ -54,12 +54,10 @@ func scanSystem(body []byte, maxNodes int) (*graph.SDDM, bool) {
 	for s.next(',') {
 		switch {
 		case g == nil && d == nil && s.key(`"edges"`):
-			//pglint:hotalloc once per body: a second "edges" member declines the scan
 			if g = s.edges(n); g == nil {
 				return nil, false
 			}
 		case d == nil && s.key(`"d"`):
-			//pglint:hotalloc once per body: a second "d" member declines the scan
 			if d = s.diag(n); d == nil {
 				return nil, false
 			}
@@ -136,7 +134,7 @@ func (s *ingestScanner) diag(n int) []float64 {
 		if !ok || len(d) == n {
 			return nil
 		}
-		d = append(d, x) //pglint:hotalloc never grows: the capacity above bounds the values the bytes can hold
+		d = append(d, x)
 		if !s.next(',') {
 			break
 		}
@@ -159,7 +157,7 @@ func (s *ingestScanner) endpoint() (int, bool) {
 	}
 	f, err := strconv.ParseFloat(string(lit), 64)
 	u := int(f)
-	if err != nil || float64(u) != f { //pglint:float-exact integer-valuedness check on wire endpoints, not a rounding comparison
+	if err != nil || float64(u) != f {
 		return 0, false
 	}
 	return u, true

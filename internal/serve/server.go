@@ -157,7 +157,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		}
 		// Stop waits for the in-flight window; detach it from the
 		// evicting request's latency path.
-		go p.Batch.Stop() //pglint:goroleak Stop blocks only on the current batch window draining, then returns; bounded by the window's solve deadline
+		go p.Batch.Stop()
 	})
 	return s
 }
@@ -377,7 +377,6 @@ func (s *Server) solve(ctx context.Context, level Level, g grid, b []float64) (*
 	// after a poisoned-entry invalidation. The per-pass allocations below
 	// are annotated against that bound.
 	for attempt := 0; ; attempt++ {
-		//pglint:hotalloc resolve-or-build of the cached solver, at most twice per request (rebuild-once)
 		p, hit, err := s.cache.GetOrBuild(ctx, g.key, func(bctx context.Context) (*Prepared, int64, error) {
 			opt := s.cfg.Options
 			opt.Retry = level.RetryFor(opt.Retry)
@@ -395,7 +394,6 @@ func (s *Server) solve(ctx context.Context, level Level, g grid, b []float64) (*
 		if err != nil {
 			return nil, 0, false, err
 		}
-		//pglint:hotalloc one request envelope per submit, at most twice per request (rebuild-once)
 		res, width, err := p.Batch.Submit(ctx, b)
 		if errors.Is(err, session.ErrBatcherStopped) {
 			// Concurrent eviction stopped the batcher after we resolved
@@ -418,7 +416,6 @@ func (s *Server) solve(ctx context.Context, level Level, g grid, b []float64) (*
 		}
 		// Numeric failure: drop the poisoned entry so the next request
 		// re-factorizes, and retry this request once on the rebuild.
-		//pglint:hotalloc poisoned-entry eviction, at most once per request
 		s.cache.Invalidate(g.key, p)
 		if attempt > 0 {
 			return nil, 0, hit, err

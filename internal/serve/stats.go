@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +62,7 @@ type Stats struct {
 }
 
 func (m *metrics) snapshot() Stats {
+	q := m.lat.quantiles(0.50, 0.99)
 	return Stats{
 		Admitted:   m.admitted.Load(),
 		Shed:       m.shed.Load(),
@@ -73,8 +74,8 @@ func (m *metrics) snapshot() Stats {
 		BatchedRHS: m.batched.Load(),
 		Rebuilds:   m.rebuilds.Load(),
 		Studies:    m.studies.Load(),
-		P50Micros:  m.lat.quantile(0.50).Microseconds(),
-		P99Micros:  m.lat.quantile(0.99).Microseconds(),
+		P50Micros:  q[0].Microseconds(),
+		P99Micros:  q[1].Microseconds(),
 	}
 }
 
@@ -102,21 +103,25 @@ func (r *latencyRing) record(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// quantile reports the p-quantile (0 ≤ p ≤ 1) of the recorded window,
-// 0 when nothing has been recorded yet.
-func (r *latencyRing) quantile(p float64) time.Duration {
+// quantiles reports the p-quantile (0 ≤ p ≤ 1) of the recorded window
+// for each p, read from one sorted copy of the window; every quantile
+// is 0 when nothing has been recorded yet.
+func (r *latencyRing) quantiles(ps ...float64) []time.Duration {
 	r.mu.Lock()
 	n := r.next
 	if r.full {
 		n = len(r.buf)
 	}
-	scratch := make([]time.Duration, n)
-	copy(scratch, r.buf[:n])
+	sorted := make([]time.Duration, n)
+	copy(sorted, r.buf[:n])
 	r.mu.Unlock()
+	out := make([]time.Duration, len(ps))
 	if n == 0 {
-		return 0
+		return out
 	}
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	idx := int(p * float64(n-1))
-	return scratch[idx]
+	slices.Sort(sorted)
+	for i, p := range ps {
+		out[i] = sorted[int(p*float64(n-1))]
+	}
+	return out
 }

@@ -93,7 +93,6 @@ func (bt *Batcher) Start(ctx context.Context) {
 			case <-bt.stopped:
 				return
 			case first := <-bt.reqs:
-				//pglint:hotalloc per-window setup (ctx, member list) is amortized over the whole batch it dispatches
 				bt.runWindow(ctx, first)
 			}
 		}
@@ -145,7 +144,6 @@ drain:
 	for len(members) < width {
 		select {
 		case r := <-bt.reqs:
-			//pglint:hotalloc capacity is reserved at the width bound above; the append never grows
 			members = append(members, r)
 		default:
 			break drain
@@ -166,7 +164,7 @@ func (bt *Batcher) solve(ctx context.Context, members []*solveReq) {
 			m.resp <- solveResp{err: err}
 			continue
 		}
-		live = append(live, m) //pglint:hotalloc in-place filter over members[:0], never grows past the window width
+		live = append(live, m)
 	}
 	if len(live) == 0 {
 		return
@@ -181,7 +179,6 @@ func (bt *Batcher) solve(ctx context.Context, members []*solveReq) {
 	watchDone := make(chan struct{})
 	var gone atomic.Int64
 	for _, m := range live {
-		//pglint:hotalloc one watcher goroutine per batch member, bounded by the MaxBatch knob
 		go func(mctx context.Context) {
 			select {
 			case <-mctx.Done():

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,14 +74,17 @@ func checkBitwise(t *testing.T, sess *Session, label string, x, b []float64) {
 
 // TestBatcherBitwiseEqualsSolve is the batching contract: answers served
 // through a micro-batch window are bit-for-bit the answers of one-shot
-// solves on the same solver.
+// solves on the same solver. Once every request is answered and the
+// batcher stopped, no goroutine of it may outlive it — not the
+// dispatcher, and not a window's member watchers — though the members'
+// contexts are still live.
 func TestBatcherBitwiseEqualsSolve(t *testing.T) {
 	sess := newTestSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	base := runtime.NumGoroutine()
 	bt := NewBatcher(sess, staticWidth(8), nil)
 	bt.Start(ctx)
-	defer bt.Stop()
 
 	const k = 6
 	n := 12 * 12
@@ -99,6 +103,14 @@ func TestBatcherBitwiseEqualsSolve(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	bt.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > base {
+		t.Errorf("%d goroutines outlive the stopped batcher (%d before it started)", g-base, base)
+	}
 	for i := 0; i < k; i++ {
 		if errs[i] != nil {
 			t.Fatalf("submit %d: %v", i, errs[i])

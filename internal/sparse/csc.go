@@ -126,7 +126,6 @@ func (a *CSC) IsSymmetric(tol float64) bool {
 func (a *CSC) Dense() [][]float64 {
 	d := make([][]float64, a.Rows)
 	for i := range d {
-		//pglint:hotalloc test-only dense expansion, never on a solve path
 		d[i] = make([]float64, a.Cols)
 	}
 	for j := 0; j < a.Cols; j++ {

@@ -24,7 +24,7 @@ func TestCSRMatchesCSC(t *testing.T) {
 				if p > c.RowPtr[i] && c.ColIdx[p-1] > j {
 					return false
 				}
-				if c.Val[p] != a.At(i, j) { //pglint:float-exact ToCSR copies values verbatim
+				if c.Val[p] != a.At(i, j) {
 					return false
 				}
 			}

@@ -138,7 +138,6 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	// count fails at the truncation check instead of exhausting memory.
 	coo := NewCOO(h.rows, h.cols, min(h.nnz, 1<<20)*2)
 	err = scanMMEntries(br, h, func(i, j int, v float64) {
-		//pglint:hotalloc matrix ingest, runs once per file; COO capacity is reserved from the header nnz
 		coo.Add(i, j, v)
 	})
 	if err != nil {

@@ -2,7 +2,9 @@ package sparse
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"powerrchol/internal/rng"
 )
@@ -98,8 +100,19 @@ func randLevelLower(r *rng.Rand, n, maxExtra, maxWidth int) (*CSC, []int) {
 // TestLevelSolvesBitwiseEqualSerial: the level-scheduled solves
 // reproduce the serial solves bit for bit for every worker count. Sizes
 // straddle ParThreshold: the small ones take the serial fallback, the large ones split wide levels across workers and merge
-// runs of narrow ones.
+// runs of narrow ones. Every worker a solve spawns is retired before it
+// returns.
 func TestLevelSolvesBitwiseEqualSerial(t *testing.T) {
+	base := runtime.NumGoroutine()
+	defer func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > base {
+			t.Errorf("%d solve workers outlive their solves", g-base)
+		}
+	}()
 	r := rng.New(16)
 	for _, n := range []int{0, 1, 2, 37, 400, ParThreshold + 513, 3 * ParThreshold} {
 		l, levels := randLevelLower(r, n, 9, 2*minParallel)

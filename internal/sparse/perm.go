@@ -40,7 +40,6 @@ func PermuteSym(a *CSC, perm []int) *CSC {
 	for j := 0; j < n; j++ {
 		nj := inv[j]
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			//pglint:hotalloc one-time symmetric permutation; COO capacity is reserved at a.NNZ() above
 			coo.Add(inv[a.RowIdx[p]], nj, a.Val[p])
 		}
 	}

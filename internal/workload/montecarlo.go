@@ -292,14 +292,14 @@ func MonteCarlo(ctx context.Context, sys *graph.SDDM, b []float64, spec MCSpec, 
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("workload: mc cancelled at sample %d: %w", i, err)
 		}
-		_, fp, _ := sm.sample(i) //pglint:hotalloc stream replay, one fingerprint pass per sample, bounded by sample count
+		_, fp, _ := sm.sample(i)
 		g, ok := groups[fp]
 		if !ok {
-			g = &mcGroup{fp: fp, first: i} //pglint:hotalloc one group header per distinct topology, bounded by sample count
+			g = &mcGroup{fp: fp, first: i}
 			groups[fp] = g
-			order = append(order, g) //pglint:hotalloc group list, bounded by sample count
+			order = append(order, g)
 		}
-		g.members = append(g.members, i) //pglint:hotalloc member list, bounded by sample count
+		g.members = append(g.members, i)
 	}
 	res.Groups = len(order)
 	res.ReuseHits = spec.Samples - res.Groups
@@ -325,7 +325,7 @@ func MonteCarlo(ctx context.Context, sys *graph.SDDM, b []float64, spec MCSpec, 
 		res.SetupTime += sess.Solver().SetupTimings().Total()
 		rhs := make([][]float64, len(g.members))
 		for j, m := range g.members {
-			_, _, rhs[j] = sm.sample(m) //pglint:hotalloc RHS materialization, one vector per ensemble member, bounded by sample count
+			_, _, rhs[j] = sm.sample(m)
 		}
 		results, err := sess.Ensemble(ctx, rhs)
 		if err != nil {
@@ -359,7 +359,6 @@ func MonteCarlo(ctx context.Context, sys *graph.SDDM, b []float64, spec MCSpec, 
 	inv := 1 / float64(spec.Samples)
 	res.Mean = make([]float64, n)
 	res.Std = make([]float64, n)
-	//pglint:ctxflow one arithmetic pass over n floats after all solves finished, no cancellation point needed
 	for i := 0; i < n; i++ {
 		mean := sum[i] * inv
 		res.Mean[i] = mean
@@ -382,10 +381,9 @@ func MonteCarlo(ctx context.Context, sys *graph.SDDM, b []float64, spec MCSpec, 
 	sorted := make([]float64, len(res.WorstDrop))
 	copy(sorted, res.WorstDrop)
 	sort.Float64s(sorted)
-	//pglint:ctxflow handful of quantile lookups after all solves finished, no cancellation point needed
 	for _, p := range spec.Quantiles {
 		idx := int(math.Round(p * float64(len(sorted)-1)))
-		res.Quantiles = append(res.Quantiles, Quantile{P: p, V: sorted[idx]}) //pglint:hotalloc quantile list, bounded by the handful of requested quantiles
+		res.Quantiles = append(res.Quantiles, Quantile{P: p, V: sorted[idx]})
 	}
 	res.StatsFP = combineFP(
 		combineFP(powerrchol.FingerprintVector(res.Mean), powerrchol.FingerprintVector(res.Std)),

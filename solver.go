@@ -168,9 +168,12 @@ func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Opt
 	return s, nil
 }
 
-// SetupTimings reports the one-time reorder and factorization cost.
+// SetupTimings reports the one-time set-up cost: reordering, factorization,
+// and in Iterate the wait for the iteration matrix's assembly, which a
+// one-shot Solve also counts in Timings.Iterate. Total() is the whole
+// set-up.
 func (s *Solver) SetupTimings() Timings {
-	return Timings{Reorder: s.setupReorder, Factorize: s.setupFactorize}
+	return Timings{Reorder: s.setupReorder, Factorize: s.setupFactorize, Iterate: s.setupAssemble}
 }
 
 // N reports the system dimension (the length Solve expects of b).

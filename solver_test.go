@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"powerrchol/internal/pcg"
 	"powerrchol/internal/rng"
@@ -45,6 +46,14 @@ func TestSolverReusesFactorAcrossRHS(t *testing.T) {
 	}
 	if st := solver.SetupTimings(); st.Reorder < 0 || st.Factorize <= 0 {
 		t.Fatalf("setup timings not recorded: %+v", st)
+	}
+	// The wait for the iteration matrix's assembly is set-up too, counted
+	// in Iterate as a one-shot Solve counts it: Total() is the whole
+	// set-up. A fixed wait, so the check cannot pass on a zero reading.
+	solver.setupAssemble = 3 * time.Millisecond
+	st := solver.SetupTimings()
+	if want := solver.setupReorder + solver.setupFactorize + 3*time.Millisecond; st.Iterate != 3*time.Millisecond || st.Total() != want {
+		t.Fatalf("SetupTimings() = %+v, want the 3ms assembly wait in Iterate and Total() = %v", st, want)
 	}
 }
 
@@ -195,50 +204,68 @@ func TestSolverMatchesScatterPCGOnAsymmetricStar(t *testing.T) {
 	assertBitwise(t, "History", got.History, want.History)
 }
 
-// TestWarmSolveAllocationBudget: with PCG's scratch vectors recycled
-// by the Solver, a warm solve allocates its returned X and little
-// else — under two n-vectors of bytes per call, where drawing fresh
-// scratch costs six.
+// TestWarmSolveAllocationBudget: with PCG's scratch vectors and the
+// preconditioner's work vectors recycled through their pools, a warm
+// solve allocates its returned X and little else — under two n-vectors
+// of bytes per call, where drawing fresh PCG scratch costs six and a
+// preconditioner that drew its work vectors fresh would allocate at
+// least one n-vector per iteration. The methods reach every sync.Pool
+// of the library: core.Factor's (PowerRChol), amg.Preconditioner's,
+// pcg.SSOR's, and pcg's shared scratch pool behind all three.
 func TestWarmSolveAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops recycled items at random under the race detector")
 	}
 	sys := testmat.GridSDDM(100, 100)
 	n := sys.N()
-	s, err := NewSolver(sys, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := make([]float64, n)
 	r := rng.New(23)
 	for i := range b {
 		b[i] = r.Float64() - 0.5
 	}
-	res, err := s.Solve(b)
-	if err != nil {
-		t.Fatal(err)
+	// The warm solves start from the answer for b but solve a nudged b,
+	// so every one of them iterates and applies the preconditioner.
+	nudged := make([]float64, n)
+	for i, v := range b {
+		nudged[i] = v * (1 + 3e-5*(r.Float64()-0.5))
 	}
-	x0 := res.X
-	solve := func() {
-		if _, err := s.SolveFrom(b, x0); err != nil {
+	for _, m := range []Method{MethodPowerRChol, MethodAMG, MethodSSOR} {
+		s, err := NewSolver(sys, Options{Method: m, Seed: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	solve() // warm the pools
+		res, err := s.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x0 := res.X
+		iters := 0
+		solve := func() {
+			res, err := s.SolveFrom(nudged, x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = res.Iterations
+		}
+		solve() // warm the pools
+		if iters == 0 {
+			t.Fatalf("%v: the warm solve did not iterate", m)
+		}
 
-	const runs = 20
-	allocs := testing.AllocsPerRun(runs, solve)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		solve()
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
-	budget := uint64(2 * 8 * n)
-	t.Logf("warm SolveFrom: %.0f allocations, %d bytes per call (budget %d)", allocs, perCall, budget)
-	if perCall >= budget {
-		t.Errorf("warm SolveFrom allocates %d bytes per call, want < %d (two n-vectors): PCG scratch no longer recycled?", perCall, budget)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			solve()
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+		budget := uint64(2 * 8 * n)
+		t.Logf("%v warm SolveFrom: %d iterations, %d allocations, %d bytes per call (budget %d)",
+			m, iters, (after.Mallocs-before.Mallocs)/runs, perCall, budget)
+		if perCall >= budget {
+			t.Errorf("%v: warm SolveFrom allocates %d bytes per call, want < %d (two n-vectors): PCG or preconditioner scratch no longer recycled?", m, perCall, budget)
+		}
 	}
 }
 
