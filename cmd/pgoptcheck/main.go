@@ -1,15 +1,11 @@
-// pgoptcheck is the compiler-diagnostics contract gate: it guards what
-// the compiler decided. It compiles the hot kernel packages
-// (internal/lint/policy's hot surface by default) with
-// `-gcflags='-m=2 -d=ssa/check_bce/debug=1'`,
-// parses the bounds-check, escape-analysis and inlining diagnostics,
-// and reconciles them against the declared optimization contract:
-//
-//   - every function in a hot package must keep its retained
-//     bounds-check count at or below the entry committed in
-//     .pgopt-baseline.json (rule bce);
-//   - //pgopt:noescape functions must not heap-allocate (rule escape);
-//   - //pgopt:inline functions must stay inlinable (rule inline).
+// pgoptcheck is the counted bounds-check gate: it guards what the
+// compiler decided about the hot kernel packages (internal/chol, core,
+// pcg and sparse by default). It compiles them with
+// `-gcflags='-m -d=ssa/check_bce/debug=1'`, parses the retained
+// bounds-check sites, and fails when a function keeps more of them
+// than its entry committed in .pgopt-baseline.json sanctions (rule
+// bce). A build that reports no bounds check at all is refused as
+// toolchain skew, not passed as clean.
 //
 // Modes:
 //
@@ -84,9 +80,8 @@ func run(args []string) int {
 		}
 	}
 
-	s := report.Stats
-	fmt.Fprintf(os.Stderr, "pgoptcheck: %d finding(s) (%d baselined, %d new); compiler kept %d bounds check(s), %d escape(s), refused %d inline(s) across the surface\n",
-		len(findings), len(findings)-len(delta.Fresh), len(delta.Fresh), s.BoundsChecks, s.Escapes+s.MovedToHeap, s.CannotInline)
+	fmt.Fprintf(os.Stderr, "pgoptcheck: %d finding(s) (%d baselined, %d new); compiler kept %d bounds check(s) across the surface\n",
+		len(findings), len(findings)-len(delta.Fresh), len(delta.Fresh), report.BoundsChecks)
 
 	if *diff {
 		for _, f := range delta.Improved {
@@ -98,12 +93,9 @@ func run(args []string) int {
 	}
 	for _, f := range delta.Fresh {
 		fmt.Fprintf(os.Stderr, "  NEW %s\n", f.String())
-		for _, d := range f.Detail {
-			fmt.Fprintf(os.Stderr, "      %s\n", d)
-		}
 	}
 	if len(delta.Fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "pgoptcheck: the compiler no longer optimizes the contracted surface — restore the optimization (bounds hints, stack scratch, smaller function) or, after review, sanction it: pgoptcheck -update-baseline\n")
+		fmt.Fprintf(os.Stderr, "pgoptcheck: the compiler keeps bounds checks the baseline does not sanction — restore the elimination (bounds hints, carried pointers, operand windows) or, after review, sanction it: pgoptcheck -update-baseline\n")
 		return 1
 	}
 	return 0

@@ -93,7 +93,9 @@ func FuzzSolveOptions(f *testing.F) {
 }
 
 // TestFuzzTargetsInMakefile: every fuzz target in the module must be
-// run by `make fuzz`, with its package, so none goes unfuzzed in CI.
+// run by `make fuzz`, with its package, so none goes unfuzzed in CI;
+// and every `make fuzz` line must name a target that exists there, since
+// `go test -fuzz` on a pattern that matches nothing passes silently.
 func TestFuzzTargetsInMakefile(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -106,10 +108,16 @@ func TestFuzzTargetsInMakefile(t *testing.T) {
 	if end := strings.Index(recipe, "\n\n"); end >= 0 {
 		recipe = recipe[:end]
 	}
+	// lines holds each line of the recipe as "target package"; listed
+	// maps it to whether the walk below found that target declared in
+	// that package.
+	var lines []string
 	listed := map[string]bool{}
 	line := regexp.MustCompile(`(?m)-fuzz='\^(Fuzz\w+)\$\$'.* (\.\S*)$`)
 	for _, m := range line.FindAllStringSubmatch(recipe, -1) {
-		listed[m[1]+" "+filepath.Clean(m[2])] = true
+		key := m[1] + " " + filepath.Clean(m[2])
+		lines = append(lines, key)
+		listed[key] = false
 	}
 	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 	found := 0
@@ -118,7 +126,7 @@ func TestFuzzTargetsInMakefile(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if path == "vendor" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != "." {
@@ -135,9 +143,11 @@ func TestFuzzTargetsInMakefile(t *testing.T) {
 		}
 		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
 			found++
-			if key := m[1] + " " + filepath.Dir(path); !listed[key] {
+			key := m[1] + " " + filepath.Dir(path)
+			if _, ok := listed[key]; !ok {
 				t.Errorf("%s in %s is not run by `make fuzz`", m[1], filepath.Dir(path))
 			}
+			listed[key] = true
 		}
 		return nil
 	})
@@ -146,5 +156,11 @@ func TestFuzzTargetsInMakefile(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("found no fuzz targets: the walk is broken")
+	}
+	for _, key := range lines {
+		if !listed[key] {
+			target, pkg, _ := strings.Cut(key, " ")
+			t.Errorf("`make fuzz` runs %s in %s, which declares no such fuzz target", target, pkg)
+		}
 	}
 }

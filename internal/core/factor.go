@@ -134,15 +134,13 @@ func (f *Factor) ApplyDot(z, r []float64) float64 {
 }
 
 // errApplyLengths is gatherDot's panic value: a preallocated error, so
-// the panic path moves nothing to the heap (//pgopt:noescape).
+// the panic path moves nothing to the heap (TestKernelsDoNotAllocate).
 var errApplyLengths = errors.New("core: Apply operand lengths differ from the factor's")
 
 // gatherDot sets z[i] = w[inv[i]] (z = w for a nil inv) and returns
 // Σ r[i]·z[i] in ascending i, reading r[i] before writing z[i]. With
 // the lengths checked up front, only the data-dependent w gather stays
 // bounds-checked (pgoptcheck rule bce).
-//
-//pgopt:noescape the exit pass of every preconditioner application
 func gatherDot(z, r, w []float64, inv []int) float64 {
 	if len(z) != len(w) || len(r) != len(w) {
 		panic(errApplyLengths)

@@ -9,10 +9,10 @@ import (
 )
 
 // Baseline is the checked-in set of sanctioned residual findings
-// (.pgopt-baseline.json). It legitimately carries entries: a CSC
-// constructor allocates, a Matrix Market parser bounds-
-// checks its input, and pinning those sites is exactly how the gate
-// distinguishes "the residue we audited" from "a regression". Entries
+// (.pgopt-baseline.json). It legitimately carries entries: a gather
+// through a row index and a Matrix Market parser bounds-check their
+// input, and pinning those sites is exactly how the gate distinguishes
+// "the residue we audited" from "a regression". Entries
 // carry the per-function site count, so the gate catches a function
 // whose bounds-check count GROWS, not only one that appears: shrinking
 // is always allowed (and -diff reports it so the baseline can be

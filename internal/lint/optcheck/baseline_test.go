@@ -10,7 +10,7 @@ func TestBaselineSplit(t *testing.T) {
 	b := &Baseline{Version: 1, Findings: []BaselineEntry{
 		{Rule: RuleBCE, File: "a.go", Func: "F", Message: "Found IsInBounds", Count: 3},
 		{Rule: RuleBCE, File: "b.go", Func: "G", Message: "Found IsInBounds", Count: 2},
-		{Rule: RuleEscape, File: "c.go", Func: "H", Message: "w escapes to heap", Count: 1},
+		{Rule: RuleBCE, File: "c.go", Func: "H", Message: "Found IsSliceInBounds", Count: 1},
 	}}
 	findings := []Finding{
 		{Rule: RuleBCE, File: "a.go", Func: "F", Message: "Found IsInBounds", Count: 3}, // exactly covered

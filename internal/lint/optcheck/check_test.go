@@ -8,8 +8,8 @@ import (
 
 // writeSurface materializes the given repo-relative files in a temp
 // root and parses them into a Surface. The import path is derived from
-// the directory, so files under internal/sparse (etc.) pick up the
-// policy.Hot implicit nobce contract exactly like the real module.
+// the directory, so files under internal/sparse (etc.) join the hot
+// surface exactly like the real module's.
 func writeSurface(t *testing.T, files map[string]string) *Surface {
 	t.Helper()
 	root := t.TempDir()
@@ -36,17 +36,14 @@ func writeSurface(t *testing.T, files map[string]string) *Surface {
 
 const kernelSrc = `package sparse
 
-// LowerSolve is a hot kernel: implicit nobce via policy.
-//
-//pgopt:noescape scratch must stay on the caller's stack
+// LowerSolve is a hot kernel.
 func LowerSolve(x []float64) {
 	for i := range x {
 		x[i] *= 2
 	}
 }
 
-//pgopt:inline one call per iteration
-func Dot(x, y []float64) float64 {
+func (m *Mat) Dot(x, y []float64) float64 {
 	var s float64
 	for i, v := range x {
 		s += v * y[i]
@@ -59,35 +56,27 @@ func plain(x []float64) float64 { return x[0] }
 
 func TestSurfaceContracts(t *testing.T) {
 	s := writeSurface(t, map[string]string{"internal/sparse/k.go": kernelSrc})
-	fns := s.Funcs()
-	if len(fns) != 3 {
-		t.Fatalf("got %d funcs, want 3", len(fns))
-	}
-	byName := make(map[string]*Func)
-	for _, fn := range fns {
-		byName[fn.Name] = fn
-	}
-	ls := byName["LowerSolve"]
-	if ls == nil || !ls.Contracted(ContractNoBCE) || !ls.Contracted(ContractNoEscape) {
-		t.Fatalf("LowerSolve contracts = %+v, want implicit nobce + declared noescape", ls)
-	}
-	if byName["plain"] == nil || !byName["plain"].Contracted(ContractNoBCE) {
-		t.Fatal("plain func in a hot package must carry the implicit nobce contract")
-	}
-	if byName["plain"].Contracted(ContractInline) {
-		t.Fatal("plain func must not inherit a neighbor's inline contract")
-	}
-	if !byName["Dot"].Contracted(ContractInline) {
-		t.Fatal("Dot must carry the declared inline contract")
-	}
-	if got := s.FuncAt("internal/sparse/k.go", ls.Start+1); got != ls {
-		t.Fatalf("FuncAt inside LowerSolve = %v", got)
-	}
-	if got := s.FuncAt("internal/sparse/k.go", 1); got != nil {
-		t.Fatalf("FuncAt package clause = %v, want nil", got)
-	}
-	if !s.HotFile("internal/sparse/k.go") {
-		t.Fatal("k.go must be a hot file")
+	const file = "internal/sparse/k.go"
+	for _, tc := range []struct {
+		line int
+		want string // "" for no function
+	}{
+		{1, ""},            // package clause
+		{3, ""},            // doc comment: spans start at the func keyword
+		{4, "LowerSolve"},  // func line
+		{6, "LowerSolve"},  // body
+		{8, "LowerSolve"},  // closing brace
+		{9, ""},            // between declarations
+		{10, "(*Mat).Dot"}, // pointer receiver
+		{18, "plain"},      // one-line function
+	} {
+		got := ""
+		if fn := s.FuncAt(file, tc.line); fn != nil {
+			got = fn.Name
+		}
+		if got != tc.want {
+			t.Errorf("FuncAt(%s, %d) = %q, want %q", file, tc.line, got, tc.want)
+		}
 	}
 }
 
@@ -96,99 +85,73 @@ func TestSurfaceColdPackageHasNoImplicitContract(t *testing.T) {
 
 func Parse(x []float64) float64 { return x[0] }
 `})
-	fn := s.Funcs()[0]
-	if fn.Contracted(ContractNoBCE) {
-		t.Fatal("non-hot numeric package must not carry the implicit nobce contract")
+	if fn := s.FuncAt("internal/powergrid/p.go", 3); fn != nil {
+		t.Fatalf("non-hot package joined the surface: %+v", fn)
 	}
 }
 
-func TestSurfaceMalformedDirectives(t *testing.T) {
-	s := writeSurface(t, map[string]string{"internal/sparse/bad.go": `package sparse
-
-//pgopt:fastpath because I said so
-func A() {}
-
-//pgopt:inline
-func B() {}
-
-//pgopt:noescape floating annotation with no declaration below
-
-var x int
-`})
-	if len(s.Problems) != 3 {
-		t.Fatalf("got %d problems, want 3: %+v", len(s.Problems), s.Problems)
-	}
-	for _, p := range s.Problems {
-		if p.Rule != RuleDirective {
-			t.Errorf("problem rule = %q, want %q", p.Rule, RuleDirective)
+func TestRel(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"powerrchol/internal/core", "internal/core"},
+		{"example.com/internal/order", "internal/order"},
+		{"powerrchol/cmd/pgoptcheck", "cmd/pgoptcheck"},
+		{"powerrchol", "powerrchol"},
+		{"example.com/sprinternal/x", "example.com/sprinternal/x"}, // no false match mid-segment
+	} {
+		if got := modRel(tc.in); got != tc.want {
+			t.Errorf("modRel(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
-	// Malformed directives must not arm contracts.
-	for _, fn := range s.Funcs() {
-		if fn.Contracted(ContractInline) || fn.Contracted(ContractNoEscape) {
-			t.Errorf("malformed directive armed a contract on %s: %+v", fn.Name, fn.Contracts)
+}
+
+func TestClassification(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		hot  bool
+	}{
+		{"powerrchol/internal/core", true},
+		{"powerrchol/internal/core/sub", true},
+		{"example.com/internal/sparse", true},
+		{"powerrchol/internal/order", false},
+		{"powerrchol/internal/bench", false},
+		{"powerrchol", false},
+		{"powerrchol/cmd/pgsolve", false},
+		{"powerrchol/internal/corex", false}, // prefix must respect path segments
+	} {
+		if got := isHot(tc.path); got != tc.hot {
+			t.Errorf("isHot(%q) = %v, want %v", tc.path, got, tc.hot)
 		}
 	}
 }
 
 func TestCheckAttributionAndAggregation(t *testing.T) {
 	s := writeSurface(t, map[string]string{"internal/sparse/k.go": kernelSrc})
-	var lsStart int
-	for _, fn := range s.Funcs() {
-		if fn.Name == "LowerSolve" {
-			lsStart = fn.Start
-		}
-	}
 	file := "internal/sparse/k.go"
+	ls := s.FuncAt(file, 4)
 	diags := []Diag{
 		// Two same-message bounds checks in LowerSolve: one finding, count 2.
-		{File: file, Line: lsStart + 1, Col: 3, Kind: DiagBoundsCheck, Message: "Found IsInBounds"},
-		{File: file, Line: lsStart + 2, Col: 3, Kind: DiagBoundsCheck, Message: "Found IsInBounds"},
-		// An escape in the noescape function.
-		{File: file, Line: lsStart + 1, Col: 3, Kind: DiagEscape, Message: "x escapes to heap", Detail: []string{"flow: ..."}},
-		// Inline verdicts: Dot refused, LowerSolve fine (not contracted inline).
-		{File: file, Line: 1, Col: 1, Kind: DiagCannotInline, Message: "cannot inline Dot: function too complex: cost 99 exceeds budget 80", FuncName: "Dot"},
-		// Positionally inside Dot but named after another function: ignored.
-		{File: file, Line: 1, Col: 1, Kind: DiagCanInline, Message: "can inline LowerSolve with cost 9 as: ...", FuncName: "LowerSolve"},
+		{File: file, Line: ls.Start + 2, Col: 3, Message: "Found IsInBounds"},
+		{File: file, Line: ls.Start + 1, Col: 3, Message: "Found IsInBounds"},
+		// A different message in the same function: its own finding.
+		{File: file, Line: ls.Start + 1, Col: 9, Message: "Found IsSliceInBounds"},
+		// Between two declarations: attributed to neither.
+		{File: file, Line: ls.End + 1, Col: 1, Message: "Found IsInBounds"},
 		// A diagnostic outside any surface file: ignored.
-		{File: "internal/other/x.go", Line: 3, Col: 1, Kind: DiagBoundsCheck, Message: "Found IsInBounds"},
+		{File: "internal/other/x.go", Line: 3, Col: 1, Message: "Found IsInBounds"},
 		// Autogenerated wrappers: ignored.
-		{File: "<autogenerated>", Line: 1, Kind: DiagBoundsCheck, Message: "Found IsInBounds"},
+		{File: "<autogenerated>", Line: 1, Message: "Found IsInBounds"},
 	}
-	// The named-function guard: attach the inline verdicts to their spans.
-	for i := range diags {
-		if diags[i].FuncName == "Dot" || diags[i].FuncName == "LowerSolve" {
-			for _, fn := range s.Funcs() {
-				if fn.Name == diags[i].FuncName {
-					diags[i].Line = fn.Start
-				}
-			}
-		}
+	findings, err := Check(s, diags)
+	if err != nil {
+		t.Fatal(err)
 	}
-	findings, _ := Check(s, diags)
-	byRule := make(map[string][]Finding)
-	for _, f := range findings {
-		byRule[f.Rule] = append(byRule[f.Rule], f)
+	if len(findings) != 2 {
+		t.Fatalf("findings = %+v, want 2", findings)
 	}
-	if n := len(byRule[RuleBCE]); n != 1 {
-		t.Fatalf("bce findings = %d (%+v), want 1 aggregated", n, byRule[RuleBCE])
+	if f := findings[0]; f.Rule != RuleBCE || f.Func != "LowerSolve" || f.Message != "Found IsInBounds" || f.Count != 2 || f.Line != ls.Start+1 {
+		t.Errorf("first finding = %+v, want 2 IsInBounds sites on LowerSolve from line %d", f, ls.Start+1)
 	}
-	if f := byRule[RuleBCE][0]; f.Count != 2 || f.Func != "LowerSolve" || f.Line != f.Line {
-		t.Errorf("bce finding = %+v, want count 2 on LowerSolve", f)
-	}
-	if n := len(byRule[RuleEscape]); n != 1 {
-		t.Fatalf("escape findings = %d, want 1", n)
-	}
-	if f := byRule[RuleEscape][0]; len(f.Detail) != 1 {
-		t.Errorf("escape detail lost: %+v", f)
-	}
-	if n := len(byRule[RuleInline]); n != 1 {
-		t.Fatalf("inline findings = %d, want 1", n)
-	}
-	if f := byRule[RuleInline][0]; f.Func != "Dot" || len(f.Detail) != 1 || f.Detail[0] != "function too complex: cost 99 exceeds budget 80" {
-		t.Errorf("inline finding = %+v", f)
-	}
-	if n := len(byRule[RuleSkew]); n != 0 {
-		t.Fatalf("unexpected skew findings: %+v", byRule[RuleSkew])
+	if f := findings[1]; f.Func != "LowerSolve" || f.Message != "Found IsSliceInBounds" || f.Count != 1 {
+		t.Errorf("second finding = %+v, want 1 IsSliceInBounds site on LowerSolve", f)
 	}
 }

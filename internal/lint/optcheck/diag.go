@@ -8,149 +8,35 @@ import (
 	"strings"
 )
 
-// DiagKind classifies one compiler diagnostic line family.
-type DiagKind int
-
-const (
-	DiagOther DiagKind = iota
-	// DiagBoundsCheck is a `-d=ssa/check_bce/debug=1` site: the compiler
-	// kept an IsInBounds or IsSliceInBounds check in the generated code.
-	DiagBoundsCheck
-	// DiagEscape is an `-m=2` escape: a value escapes to the heap, with
-	// the full reason chain attached as Detail lines.
-	DiagEscape
-	// DiagMovedToHeap is the `moved to heap: x` form: a local variable's
-	// storage itself was heap-moved.
-	DiagMovedToHeap
-	// DiagCanInline records a positive inlining decision for a function
-	// declared at the diagnostic position.
-	DiagCanInline
-	// DiagCannotInline records a refused inlining decision, with the
-	// compiler's reason in Message.
-	DiagCannotInline
-	// DiagInlineCall records a call site the compiler inlined.
-	DiagInlineCall
-)
-
-func (k DiagKind) String() string {
-	switch k {
-	case DiagBoundsCheck:
-		return "bounds-check"
-	case DiagEscape:
-		return "escape"
-	case DiagMovedToHeap:
-		return "moved-to-heap"
-	case DiagCanInline:
-		return "can-inline"
-	case DiagCannotInline:
-		return "cannot-inline"
-	case DiagInlineCall:
-		return "inline-call"
-	}
-	return "other"
-}
-
-// A Diag is one parsed compiler diagnostic.
+// A Diag is one retained bounds check reported by
+// `-d=ssa/check_bce/debug=1`: the compiler kept an IsInBounds or
+// IsSliceInBounds check at this position.
 type Diag struct {
 	File    string // as printed by the compiler (cwd-relative when built from the module root)
 	Line    int
 	Col     int
-	Kind    DiagKind
-	Message string // first line, position prefix stripped
-	// FuncName is the function the compiler named in an inlining
-	// diagnostic ("can inline NAME …" / "cannot inline NAME: …"); empty
-	// for the other kinds, whose attribution is positional.
-	FuncName string
-	// Detail carries the -m=2 escape reason chain ("flow:" / "from"
-	// lines) attached to a DiagEscape.
-	Detail []string
+	Message string // "Found IsInBounds" or "Found IsSliceInBounds"
 }
 
-// ParseDiagnostics reads the stderr of a `go build -gcflags='-m=2
-// -d=ssa/check_bce/debug=1'` invocation and returns the structured
-// diagnostics. Lines it does not recognize ("leaking param", "does not
-// escape", package headers, …) are classified DiagOther and kept, so
-// callers can distinguish "the compiler said nothing interesting" from
-// "the format changed under us" (see Stats and the skew tests).
-//
-// The -m=2 stream prints each escape twice — once with a trailing colon
-// followed by the indented flow chain, once plain — and the parser
-// folds the pair into a single DiagEscape carrying the chain.
+// ParseDiagnostics reads the stderr of a `go build
+// -gcflags='-m -d=ssa/check_bce/debug=1'` invocation and returns its
+// retained bounds checks. Every other line — package headers, and the
+// escape-analysis and inlining reports -m adds — is skipped.
 func ParseDiagnostics(r io.Reader) ([]Diag, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 
 	var out []Diag
-	// seen folds the duplicated escape forms: keyed pos + normalized
-	// message, value is the index in out.
-	seen := make(map[string]int)
-
 	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		file, ln, col, msg, ok := splitDiagLine(sc.Text())
+		if ok && (msg == "Found IsInBounds" || msg == "Found IsSliceInBounds") {
+			out = append(out, Diag{File: file, Line: ln, Col: col, Message: msg})
 		}
-		file, ln, col, msg, ok := splitDiagLine(line)
-		if !ok {
-			// A line without a position prefix: not part of the diagnostic
-			// stream (linker chatter, build errors surface elsewhere).
-			out = append(out, Diag{Kind: DiagOther, Message: line})
-			continue
-		}
-		if strings.HasPrefix(msg, " ") {
-			// Indented continuation: the -m=2 escape reason chain. Attach to
-			// the escape this position opened.
-			key := file + ":" + strconv.Itoa(ln) + ":" + strconv.Itoa(col)
-			if i, ok := seen[key]; ok {
-				out[i].Detail = append(out[i].Detail, strings.TrimRight(msg, " "))
-			}
-			continue
-		}
-		d := Diag{File: file, Line: ln, Col: col, Message: msg}
-		switch {
-		case msg == "Found IsInBounds" || msg == "Found IsSliceInBounds":
-			d.Kind = DiagBoundsCheck
-		case strings.HasSuffix(msg, "escapes to heap") || strings.HasSuffix(msg, "escapes to heap:"):
-			d.Kind = DiagEscape
-			d.Message = strings.TrimSuffix(msg, ":")
-			key := file + ":" + strconv.Itoa(ln) + ":" + strconv.Itoa(col)
-			if i, ok := seen[key]; ok && out[i].Message == d.Message {
-				continue // plain duplicate of the explained form
-			}
-			seen[key] = len(out)
-		case strings.HasPrefix(msg, "moved to heap: "):
-			d.Kind = DiagMovedToHeap
-		case strings.HasPrefix(msg, "can inline "):
-			d.Kind = DiagCanInline
-			d.FuncName = inlineFuncName(strings.TrimPrefix(msg, "can inline "))
-		case strings.HasPrefix(msg, "cannot inline "):
-			d.Kind = DiagCannotInline
-			d.FuncName = inlineFuncName(strings.TrimPrefix(msg, "cannot inline "))
-		case strings.HasPrefix(msg, "inlining call to "):
-			d.Kind = DiagInlineCall
-			d.FuncName = strings.TrimPrefix(msg, "inlining call to ")
-		default:
-			d.Kind = DiagOther
-		}
-		out = append(out, d)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("optcheck: reading compiler diagnostics: %w", err)
 	}
 	return out, nil
-}
-
-// inlineFuncName extracts the function name from the tail of a
-// can/cannot-inline message: the name runs to " with cost" (can) or to
-// the first ": " (cannot).
-func inlineFuncName(rest string) string {
-	if i := strings.Index(rest, " with cost "); i >= 0 {
-		return rest[:i]
-	}
-	if i := strings.Index(rest, ": "); i >= 0 {
-		return rest[:i]
-	}
-	return strings.TrimSuffix(rest, ":")
 }
 
 // splitDiagLine parses "path:line:col: message" (column optional —
@@ -203,49 +89,4 @@ func splitPosn(posn string) (file string, line, col int, ok bool) {
 		return "", 0, 0, false
 	}
 	return file, line, col, true
-}
-
-// Stats summarizes a diagnostic stream by kind — the skew sentinel. A
-// healthy `-m=2 -d=ssa/check_bce/debug=1` build of any non-trivial
-// package produces inlining decisions and escape analysis; if a future
-// toolchain renames those message families this histogram goes to zero
-// and RunPackages refuses to report a (false) clean bill.
-type Stats struct {
-	BoundsChecks  int
-	Escapes       int
-	MovedToHeap   int
-	CanInline     int
-	CannotInline  int
-	InlineCalls   int
-	Unrecognized  int
-	TotalPosLines int
-}
-
-// Summarize computes the kind histogram of a parsed stream.
-func Summarize(diags []Diag) Stats {
-	var s Stats
-	for _, d := range diags {
-		if d.File != "" {
-			s.TotalPosLines++
-		}
-		switch d.Kind {
-		case DiagBoundsCheck:
-			s.BoundsChecks++
-		case DiagEscape:
-			s.Escapes++
-		case DiagMovedToHeap:
-			s.MovedToHeap++
-		case DiagCanInline:
-			s.CanInline++
-		case DiagCannotInline:
-			s.CannotInline++
-		case DiagInlineCall:
-			s.InlineCalls++
-		default:
-			if d.File != "" {
-				s.Unrecognized++
-			}
-		}
-	}
-	return s
 }

@@ -2,15 +2,18 @@ package optcheck
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 )
 
-// goldenStream reads the committed compiler-diagnostics capture:
-// the stderr of `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`
-// over testdata/fixture.go.src (go1.24 format), with one specimen of
-// every diagnostic family the parser recognizes.
+// goldenStream reads the committed compiler-diagnostics capture: the
+// stderr of `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'` over
+// testdata/fixture.go.src (go1.24 format). Besides its two bounds
+// checks it carries a specimen of every -m=2 line family — inlining
+// verdicts, escape chains, "does not escape" — which the parser must
+// skip.
 func goldenStream(t *testing.T) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/diag_go1.24_golden.txt")
@@ -30,78 +33,16 @@ func parse(t *testing.T, data []byte) []Diag {
 }
 
 // TestParseDiagnosticsGolden pins the parser against the committed
-// toolchain capture: the kind histogram and the structure of each
-// family must come out exactly as recorded.
+// toolchain capture: exactly its two bounds checks come out, in stream
+// order, with their positions.
 func TestParseDiagnosticsGolden(t *testing.T) {
 	diags := parse(t, goldenStream(t))
-	s := Summarize(diags)
-	want := Stats{
-		BoundsChecks: 2,
-		Escapes:      2, // v (with chain) and make([]float64, n); plain duplicates folded
-		MovedToHeap:  1,
-		CanInline:    4, // Sum, Boxed, Escapes, Caller
-		CannotInline: 1, // TooBig
-		InlineCalls:  1, // Sum into Caller
+	want := []Diag{
+		{File: "internal/sparse/fixture.go", Line: 56, Col: 12, Message: "Found IsInBounds"},
+		{File: "internal/sparse/fixture.go", Line: 10, Col: 10, Message: "Found IsInBounds"},
 	}
-	if s.BoundsChecks != want.BoundsChecks || s.Escapes != want.Escapes ||
-		s.MovedToHeap != want.MovedToHeap || s.CanInline != want.CanInline ||
-		s.CannotInline != want.CannotInline || s.InlineCalls != want.InlineCalls {
-		t.Fatalf("golden stats = %+v, want %+v", s, want)
-	}
-	// "does not escape" / "leaking param" lines are kept as Other with
-	// their positions, so a format change surfaces as Unrecognized growth
-	// rather than silent loss.
-	if s.Unrecognized == 0 {
-		t.Fatalf("golden stream should retain unrecognized positional lines, got %+v", s)
-	}
-
-	var vEscape, cannot *Diag
-	for i := range diags {
-		d := &diags[i]
-		if d.Kind == DiagEscape && strings.HasPrefix(d.Message, "v escapes") {
-			if vEscape != nil {
-				t.Fatalf("duplicate escape for v not folded: %+v and %+v", vEscape, d)
-			}
-			vEscape = d
-		}
-		if d.Kind == DiagCannotInline {
-			cannot = d
-		}
-	}
-	if vEscape == nil {
-		t.Fatal("no escape diagnostic for v")
-	}
-	if vEscape.Message != "v escapes to heap" {
-		t.Errorf("escape message = %q, want trailing colon stripped", vEscape.Message)
-	}
-	if len(vEscape.Detail) != 3 {
-		t.Errorf("escape chain for v has %d lines, want 3 (flow + 2 from): %q", len(vEscape.Detail), vEscape.Detail)
-	}
-	if vEscape.File != "internal/sparse/fixture.go" || vEscape.Line != 17 || vEscape.Col != 2 {
-		t.Errorf("escape position = %s:%d:%d, want internal/sparse/fixture.go:17:2", vEscape.File, vEscape.Line, vEscape.Col)
-	}
-	if cannot == nil {
-		t.Fatal("no cannot-inline diagnostic")
-	}
-	if cannot.FuncName != "TooBig" {
-		t.Errorf("cannot-inline func = %q, want TooBig", cannot.FuncName)
-	}
-	if !strings.Contains(cannot.Message, "function too complex") {
-		t.Errorf("cannot-inline message = %q", cannot.Message)
-	}
-}
-
-func TestInlineFuncName(t *testing.T) {
-	cases := []struct{ rest, want string }{
-		{"Sum with cost 17 as: func([]float64, []int) float64 { ... }", "Sum"},
-		{"TooBig: function too complex: cost 90 exceeds budget 80", "TooBig"},
-		{"(*TriSolver).LowerSolve with cost 70 as: method(...)", "(*TriSolver).LowerSolve"},
-		{"(*SSOR).Apply: unhandled op DEFER", "(*SSOR).Apply"},
-	}
-	for _, tc := range cases {
-		if got := inlineFuncName(tc.rest); got != tc.want {
-			t.Errorf("inlineFuncName(%q) = %q, want %q", tc.rest, got, tc.want)
-		}
+	if len(diags) != len(want) || diags[0] != want[0] || diags[1] != want[1] {
+		t.Fatalf("golden stream parsed to %+v, want %+v", diags, want)
 	}
 }
 
@@ -130,61 +71,30 @@ func TestSplitDiagLine(t *testing.T) {
 	}
 }
 
-// TestFormatSkewRefusesFalseClean feeds the parser a stream in a
-// hypothetical future format where every message family was renamed.
-// The requirement is NOT that parsing fails — unknown lines are kept as
-// Other — but that the outcome is distinguishable from a clean build:
-// zero inlining verdicts (the exact condition Run refuses on) plus a
-// nonzero Unrecognized count, and Check turns the silence into a rule
-// "skew" finding for every //pgopt:inline function.
+// TestFormatSkewRefusesFalseClean feeds the parser the golden stream
+// in a hypothetical future format where the bounds-check report was
+// renamed. The outcome must be a refusal, not a clean bill: the parser
+// finds no bounds check, and Check turns that silence into
+// errNoBoundsChecks — the error Run returns for such a build.
 func TestFormatSkewRefusesFalseClean(t *testing.T) {
 	skewed := string(goldenStream(t))
 	for _, r := range [][2]string{
-		{"cannot inline", "refused to inline"},
-		{"can inline", "may inline"},
-		{"inlining call to", "inlined call of"},
 		{"Found IsInBounds", "Retained bounds check"},
 		{"Found IsSliceInBounds", "Retained slice bounds check"},
-		{"escapes to heap", "leaves the stack"},
-		{"moved to heap", "relocated to heap"},
 	} {
 		skewed = strings.ReplaceAll(skewed, r[0], r[1])
 	}
 	diags := parse(t, []byte(skewed))
-	s := Summarize(diags)
-	if s.CanInline+s.CannotInline != 0 {
-		t.Fatalf("renamed stream still yields inline verdicts: %+v", s)
+	if len(diags) != 0 {
+		t.Fatalf("renamed stream still recognized: %+v", diags)
 	}
-	if s.BoundsChecks != 0 || s.Escapes != 0 || s.MovedToHeap != 0 {
-		t.Fatalf("renamed stream still recognized: %+v", s)
+	surface := writeSurface(t, map[string]string{"internal/sparse/fixture.go": kernelSrc})
+	if findings, err := Check(surface, diags); !errors.Is(err, errNoBoundsChecks) {
+		t.Fatalf("Check on the skewed stream = %+v, %v; want errNoBoundsChecks", findings, err)
 	}
-	if s.Unrecognized == 0 || s.TotalPosLines == 0 {
-		t.Fatalf("skewed lines were dropped instead of retained: %+v", s)
-	}
-
-	// A surface with an inline-contracted function must convert the
-	// verdict silence into a skew finding.
-	surface := writeSurface(t, map[string]string{
-		"internal/sparse/fixture.go": `package sparse
-
-//pgopt:inline tiny accumulation helper
-func Sum(xs []float64, idx []int) float64 {
-	var s float64
-	for _, i := range idx {
-		s += xs[i]
-	}
-	return s
-}
-`,
-	})
-	findings, _ := Check(surface, diags)
-	var skew int
-	for _, f := range findings {
-		if f.Rule == RuleSkew && f.Func == "Sum" {
-			skew++
-		}
-	}
-	if skew != 1 {
-		t.Fatalf("want one skew finding for Sum, got findings %+v", findings)
+	// The same surface against the unskewed stream is a result, not an
+	// error.
+	if _, err := Check(surface, parse(t, goldenStream(t))); err != nil {
+		t.Fatalf("Check on the golden stream: %v", err)
 	}
 }

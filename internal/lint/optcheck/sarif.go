@@ -57,22 +57,15 @@ type sarifLocation struct {
 }
 
 // WriteSARIF writes findings as an indented SARIF 2.1.0 log for GitHub
-// code scanning: one rule per optcheck rule, one result per finding with
-// the function name, site count and detail folded into the message.
-// covered marks (by index) the findings the baseline sanctions; they
-// are reported "unchanged", the rest "new".
+// code scanning: the bce rule, and one result per finding with the
+// function name and site count in the message. covered marks (by
+// index) the findings the baseline sanctions; they are reported
+// "unchanged", the rest "new".
 func WriteSARIF(w io.Writer, findings []Finding, covered []bool) error {
-	drv := sarifDriver{Name: "pgoptcheck"}
-	docs := RuleDocs()
-	for _, id := range []string{RuleBCE, RuleEscape, RuleInline, RuleDirective, RuleSkew} {
-		drv.Rules = append(drv.Rules, sarifRule{ID: id, ShortDescription: sarifText{docs[id]}})
-	}
+	drv := sarifDriver{Name: "pgoptcheck", Rules: []sarifRule{{ID: RuleBCE, ShortDescription: sarifText{ruleDoc}}}}
 	results := make([]sarifResult, len(findings))
 	for i, f := range findings {
 		msg := fmt.Sprintf("%s: %s (%d site(s))", f.Func, f.Message, f.Count)
-		for _, d := range f.Detail {
-			msg += "\n" + d
-		}
 		r := sarifResult{RuleID: f.Rule, Level: "error", Message: sarifText{msg}, BaselineState: "new"}
 		if i < len(covered) && covered[i] {
 			r.BaselineState = "unchanged"

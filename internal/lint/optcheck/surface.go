@@ -8,72 +8,99 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"powerrchol/internal/lint/policy"
 )
 
-// A Func is one function declaration on the contract surface: its
-// canonical name (matching the compiler's inlining diagnostics, e.g.
-// "(*Factor).ApplyDot"), its line span, and the contracts declared
-// on it. Function literals nested inside the declaration attribute to
-// it positionally — a bounds check inside a worker closure is a finding
-// against the method that spawned the closure.
+// hotPackages lists the numeric packages whose inner loops are the
+// measured bottleneck of every solve: the sparse kernels, the
+// factorizations, and the PCG iteration. Every function in them owes
+// the bounds-check contract; subpackages inherit the classification.
+var hotPackages = []string{
+	"internal/chol",
+	"internal/core",
+	"internal/pcg",
+	"internal/sparse",
+}
+
+// modRel reduces an import path to its module-relative form so the same
+// table works for the real module ("powerrchol/internal/core") and for
+// test fixtures ("example.com/internal/core"). Paths that do not
+// contain an internal/ or cmd/ segment (the module root, examples) are
+// returned unchanged.
+func modRel(path string) string {
+	for _, marker := range []string{"internal/", "cmd/"} {
+		if i := strings.Index(path, marker); i >= 0 && (i == 0 || path[i-1] == '/') {
+			return path[i:]
+		}
+	}
+	return path
+}
+
+// isHot reports whether the package at path is a hot kernel package.
+func isHot(path string) bool {
+	rel := modRel(path)
+	for _, p := range hotPackages {
+		if rel == p || strings.HasPrefix(rel, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// A Func is one function declaration of a hot package: its canonical
+// name (the form the compiler prints, e.g. "(*Factor).ApplyDot") and
+// its line span. Function literals nested inside the declaration
+// attribute to it positionally — a bounds check inside a worker closure
+// is a finding against the method that spawned the closure.
 type Func struct {
-	Name      string
-	File      string            // repo-relative, slash-separated
-	Start     int               // line of the func keyword (doc comment excluded)
-	End       int               // line of the closing brace
-	Contracts map[string]string // contract name -> reason
+	Name  string
+	File  string // repo-relative, slash-separated
+	Start int    // line of the func keyword (doc comment excluded)
+	End   int    // line of the closing brace
 }
 
-// Contracted reports whether the function declares the named contract.
-func (f *Func) Contracted(name string) bool {
-	_, ok := f.Contracts[name]
-	return ok
-}
-
-// A Surface is the declared optimization contract of a set of packages:
-// every function span, the per-function //pgopt: contracts, and the
-// package-level defaults derived from internal/lint/policy (every
-// function of a policy.Hot package carries the nobce contract
-// implicitly).
+// A Surface is the contract surface: every function span of the hot
+// packages it was given.
 type Surface struct {
 	// byFile maps a repo-relative file path to its functions, sorted by
 	// start line.
 	byFile map[string][]*Func
-	// hotFile marks files that belong to a policy.Hot package.
-	hotFile map[string]bool
-	// Problems are malformed //pgopt: annotations: unknown contract
-	// names, missing reasons, or directives not attached to a function
-	// declaration. They are reported as findings (rule "directive") so a
-	// typo cannot silently disarm a contract.
-	Problems []Finding
 }
 
 // NewSurface returns an empty surface; add packages with AddPackage.
 func NewSurface() *Surface {
-	return &Surface{byFile: make(map[string][]*Func), hotFile: make(map[string]bool)}
+	return &Surface{byFile: make(map[string][]*Func)}
 }
 
 // AddPackage parses the listed files of one package and adds their
-// functions to the surface. importPath decides the policy defaults;
-// files are absolute or root-relative paths, and root anchors the
-// repo-relative names used in findings.
+// functions to the surface if importPath names a hot package; other
+// packages owe no contract and are skipped. Files are absolute or
+// root-relative paths, and root anchors the repo-relative names used in
+// findings.
 func (s *Surface) AddPackage(root, importPath string, files []string) error {
-	hot := policy.Hot(importPath)
+	if !isHot(importPath) {
+		return nil
+	}
 	fset := token.NewFileSet()
 	for _, file := range files {
 		abs := file
 		if !filepath.IsAbs(abs) {
 			abs = filepath.Join(root, abs)
 		}
-		af, err := parser.ParseFile(fset, abs, nil, parser.ParseComments)
+		af, err := parser.ParseFile(fset, abs, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return fmt.Errorf("optcheck: parsing %s: %w", file, err)
 		}
 		rel := relTo(root, abs)
-		s.hotFile[rel] = s.hotFile[rel] || hot
-		s.addFile(fset, rel, af, hot)
+		for _, decl := range af.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				s.byFile[rel] = append(s.byFile[rel], &Func{
+					Name:  funcDisplayName(fd),
+					File:  rel,
+					Start: fset.Position(fd.Pos()).Line, // excludes the doc comment
+					End:   fset.Position(fd.End()).Line,
+				})
+			}
+		}
 	}
 	for _, fns := range s.byFile {
 		sort.Slice(fns, func(i, j int) bool { return fns[i].Start < fns[j].Start })
@@ -81,91 +108,9 @@ func (s *Surface) AddPackage(root, importPath string, files []string) error {
 	return nil
 }
 
-func (s *Surface) addFile(fset *token.FileSet, rel string, af *ast.File, hot bool) {
-	// Index every //pgopt: comment by line so directives attached to a
-	// declaration can be consumed and strays reported.
-	type pending struct {
-		ds   []Directive
-		line int
-		used bool
-	}
-	var comments []*pending
-	byLine := make(map[int]*pending)
-	for _, cg := range af.Comments {
-		for _, c := range cg.List {
-			ds := ParseDirectives(c.Text)
-			if len(ds) == 0 {
-				continue
-			}
-			p := &pending{ds: ds, line: fset.Position(c.Pos()).Line}
-			comments = append(comments, p)
-			byLine[p.line] = p
-		}
-	}
-
-	for _, decl := range af.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		start := fset.Position(fd.Pos()).Line // excludes the doc comment
-		end := fset.Position(fd.End()).Line
-		fn := &Func{Name: funcDisplayName(fd), File: rel, Start: start, End: end}
-		if hot {
-			fn.Contracts = map[string]string{ContractNoBCE: "policy: hot kernel package"}
-		}
-		// Contracts attach from the doc comment block or from a trailing
-		// comment on the declaration line itself.
-		attach := func(p *pending) {
-			p.used = true
-			for _, d := range p.ds {
-				if !KnownContract(d.Name) {
-					s.Problems = append(s.Problems, Finding{
-						Rule: RuleDirective, File: rel, Func: fn.Name, Line: p.line, Count: 1,
-						Message: fmt.Sprintf("pgopt:%s does not name any contract (the grammar honors: %s)", d.Name, strings.Join(KnownContracts(), ", ")),
-					})
-					continue
-				}
-				if d.Reason == "" {
-					s.Problems = append(s.Problems, Finding{
-						Rule: RuleDirective, File: rel, Func: fn.Name, Line: p.line, Count: 1,
-						Message: fmt.Sprintf("pgopt:%s directive needs a reason: write //pgopt:%s <why this function needs the contract>", d.Name, d.Name),
-					})
-					continue
-				}
-				if fn.Contracts == nil {
-					fn.Contracts = make(map[string]string)
-				}
-				fn.Contracts[d.Name] = d.Reason
-			}
-		}
-		if fd.Doc != nil {
-			docStart := fset.Position(fd.Doc.Pos()).Line
-			for l := docStart; l < start; l++ {
-				if p, ok := byLine[l]; ok {
-					attach(p)
-				}
-			}
-		}
-		if p, ok := byLine[start]; ok {
-			attach(p)
-		}
-		s.byFile[rel] = append(s.byFile[rel], fn)
-	}
-
-	for _, p := range comments {
-		if !p.used {
-			s.Problems = append(s.Problems, Finding{
-				Rule: RuleDirective, File: rel, Func: "-", Line: p.line, Count: 1,
-				Message: "pgopt: directive is not attached to a function declaration (write it in the doc comment, or trailing on the func line)",
-			})
-		}
-	}
-}
-
-// funcDisplayName renders a declaration the way the compiler's inlining
-// diagnostics do: "Name", "T.Name" for value receivers, "(*T).Name" for
-// pointer receivers.
+// funcDisplayName renders a declaration the way the compiler does:
+// "Name", "T.Name" for value receivers, "(*T).Name" for pointer
+// receivers.
 func funcDisplayName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
@@ -204,24 +149,6 @@ func (s *Surface) FuncAt(file string, line int) *Func {
 		return fn
 	}
 	return nil
-}
-
-// HotFile reports whether file belongs to a policy.Hot package.
-func (s *Surface) HotFile(file string) bool { return s.hotFile[file] }
-
-// Funcs returns every function on the surface, ordered by file then
-// start line.
-func (s *Surface) Funcs() []*Func {
-	var files []string
-	for f := range s.byFile {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	var out []*Func
-	for _, f := range files {
-		out = append(out, s.byFile[f]...)
-	}
-	return out
 }
 
 func relTo(root, abs string) string {

@@ -62,8 +62,6 @@ func NewJacobi(a *sparse.CSC) (*Jacobi, error) {
 // Apply scales the residual by the inverse diagonal. Both operands are
 // resliced to the residual's length up front so the element accesses
 // carry no bounds checks (pgoptcheck rule bce).
-//
-//pgopt:noescape,inline one diagonal scaling per PCG iteration
 func (j *Jacobi) Apply(z, r []float64) {
 	z = z[:len(r)]
 	inv := j.InvDiag[:len(r)]
@@ -356,7 +354,7 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 // errLengths is the panic value of a length check that only a bug can
 // fail. Checking lengths up front lets the compiler drop per-element
 // bounds checks (pgoptcheck rule bce); a preallocated error makes the
-// panic path allocate nothing (//pgopt:noescape).
+// panic path allocate nothing (TestKernelsDoNotAllocate).
 var errLengths = errors.New("pcg: vector lengths differ")
 
 // residual sets r = b − ap, the warm start's r₀ = b − A·x0, and
@@ -364,8 +362,6 @@ var errLengths = errors.New("pcg: vector lengths differ")
 // these are exactly the float operations of copy(r, b),
 // sparse.AxpyTo(r, r, −1, ap) and sparse.Norm2(r) (less its square
 // root): b + (−1)·ap rounds as b − ap, since (−1)·ap is exact.
-//
-//pgopt:noescape one fused vector pass per warm start
 func residual(r, b, ap []float64) float64 {
 	if len(r) != len(b) || len(ap) != len(b) {
 		panic(errLengths)
@@ -385,8 +381,6 @@ func residual(r, b, ap []float64) float64 {
 // sparse.AxpyTo(xNext, x, α, p), sparse.AxpyTo(r, r, −α, ap) and
 // sparse.Norm2(r) (less its square root), so fusing them changes no
 // bit.
-//
-//pgopt:noescape one fused vector pass per PCG iteration
 func update(xNext, x, r, p, ap []float64, alpha float64) float64 {
 	if len(xNext) != len(p) || len(x) != len(p) || len(r) != len(p) || len(ap) != len(p) {
 		panic(errLengths)

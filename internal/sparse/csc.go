@@ -169,8 +169,6 @@ func (a *CSC) Transpose() *CSC {
 // The column walk carries each column's end into the next iteration and
 // scatters from a hoisted window, leaving only the data-dependent y
 // scatter checked (pgoptcheck rule bce).
-//
-//pgopt:noescape scatter-form SpMV used by residual checks and tests
 func (a *CSC) MulVec(y, x []float64) {
 	for i := range y {
 		y[i] = 0
@@ -195,8 +193,6 @@ func (a *CSC) MulVec(y, x []float64) {
 }
 
 // MulVecAdd computes y += alpha·A·x without zeroing y first.
-//
-//pgopt:noescape fused update form of MulVec, same walk
 func (a *CSC) MulVecAdd(y []float64, alpha float64, x []float64) {
 	n := a.Cols
 	x = x[:n]

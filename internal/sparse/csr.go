@@ -79,14 +79,12 @@ func bitwiseSymmetric(a *CSC) bool {
 // zero columns contribute only ±0 terms, which leave a sum that starts
 // at +0 unchanged). The returned dot accumulates x[i]·y[i] in
 // ascending i, Dot(x, y)'s order: one pass yields PCG's Ap and pᵀAp.
-//
-//pgopt:noescape one SpMV and pᵀAp per PCG iteration
 func (a *CSR) MulVecDot(y, x []float64) float64 {
 	return mulVecDot(a.RowPtr, a.ColIdx, a.Val, y, x)
 }
 
 // errMulVecDotLengths is mulVecDot's panic value: a preallocated error,
-// so the panic path moves nothing to the heap (//pgopt:noescape).
+// so the panic path moves nothing to the heap (TestKernelsDoNotAllocate).
 var errMulVecDotLengths = errors.New("sparse: MulVecDot operand lengths differ")
 
 // mulVecDot is the row-gather kernel behind MulVecDot. With the
@@ -101,8 +99,6 @@ var errMulVecDotLengths = errors.New("sparse: MulVecDot operand lengths differ")
 // would mispredict on most rows. Each prefix term is the loop's
 // `s += vals[k]·x[cols[k]]` in the loop's order, from the same +0, so
 // y and the dot are bitwise those of the plain loop.
-//
-//pgopt:noescape one SpMV and pᵀAp per PCG iteration
 func mulVecDot(rowPtr, colIdx []int, val, y, x []float64) float64 {
 	if len(x) != len(y) || len(rowPtr) != len(y)+1 {
 		panic(errMulVecDotLengths)

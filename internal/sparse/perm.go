@@ -51,8 +51,6 @@ func PermuteSym(a *CSC, perm []int) *CSC {
 // length up front, so only the data-dependent side of the gather keeps
 // its bounds check. With InvPerm(perm) in place of perm it undoes
 // itself.
-//
-//pgopt:noescape,inline runs on every preconditioner application when the factor is permuted
 func PermuteVecInto(y, x []float64, perm []int) {
 	y = y[:len(perm)]
 	for newIdx, oldIdx := range perm {

@@ -33,8 +33,6 @@ const unrolled = 4
 // triangular matrix stored in CSC with the diagonal as the FIRST entry of
 // each column. This layout is produced by all factorizations in this
 // repository.
-//
-//pgopt:noescape applied once per PCG iteration; must not heap-allocate on the solve path
 func LowerSolve(l *CSC, x []float64) {
 	lowerSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
 }
@@ -43,8 +41,6 @@ func LowerSolve(l *CSC, x []float64) {
 // as LowerSolve (lower triangular CSC, diagonal first per column). Row i of
 // Lᵀ is column i of L, so the backward substitution is a per-column dot
 // product.
-//
-//pgopt:noescape applied once per PCG iteration; must not heap-allocate on the solve path
 func LowerTransposeSolve(l *CSC, x []float64) {
 	lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
 }
@@ -54,8 +50,6 @@ func LowerTransposeSolve(l *CSC, x []float64) {
 // xc = x[lo:hi] their unknowns: column j divides xc[j] by its diagonal,
 // then subtracts its multiple of xc[j] from x[i] for every off-diagonal
 // row i.
-//
-//pgopt:noescape applied once per PCG iteration
 func lowerSolve(colPtr, rowIdx []int, val, xc, x []float64) {
 	n := len(colPtr) - 1
 	xc = xc[:n]
@@ -93,8 +87,6 @@ func lowerSolve(colPtr, rowIdx []int, val, xc, x []float64) {
 // as lowerSolve: column j, walked from the last, subtracts its entries'
 // products with the already final x[i] from xc[j] in stored order, then
 // divides by its diagonal.
-//
-//pgopt:noescape applied once per PCG iteration
 func lowerTransposeSolve(colPtr, rowIdx []int, val, xc, x []float64) {
 	n := len(colPtr) - 1
 	xc = xc[:n]

@@ -11,8 +11,6 @@ import "math"
 // reslice instead of mid-loop.
 
 // Dot returns xᵀ·y.
-//
-//pgopt:inline,noescape called per PCG iteration
 func Dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s float64
@@ -23,8 +21,6 @@ func Dot(x, y []float64) float64 {
 }
 
 // Norm2 returns the Euclidean norm of x.
-//
-//pgopt:inline,noescape called per PCG iteration for the residual test
 func Norm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
@@ -48,8 +44,6 @@ func NormInf(x []float64) float64 {
 }
 
 // Axpy computes y += alpha·x.
-//
-//pgopt:inline,noescape called per Lanczos step and by every residual check
 func Axpy(y []float64, alpha float64, x []float64) {
 	y = y[:len(x)]
 	for i, v := range x {

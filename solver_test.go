@@ -2,6 +2,7 @@ package powerrchol
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"testing"
 	"time"
@@ -212,6 +213,12 @@ func TestSolverMatchesScatterPCGOnAsymmetricStar(t *testing.T) {
 // least one n-vector per iteration. The methods reach every sync.Pool
 // of the library: core.Factor's (PowerRChol), amg.Preconditioner's,
 // pcg.SSOR's, and pcg's shared scratch pool behind all three.
+//
+// The malloc count must not grow with the iterations either: a kernel
+// of the iteration path that heap-allocates, however few bytes, adds a
+// malloc per iteration. A start farther from the answer iterates more,
+// and may allocate only what the preconditioner's apply already does
+// per call plus the doublings of Result.History.
 func TestWarmSolveAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops recycled items at random under the race detector")
@@ -224,12 +231,24 @@ func TestWarmSolveAllocationBudget(t *testing.T) {
 		b[i] = r.Float64() - 0.5
 	}
 	// The warm solves start from the answer for b but solve a nudged b,
-	// so every one of them iterates and applies the preconditioner.
+	// so every one of them iterates and applies the preconditioner; far
+	// is nudged a thousand times harder.
 	nudged := make([]float64, n)
+	far := make([]float64, n)
 	for i, v := range b {
-		nudged[i] = v * (1 + 3e-5*(r.Float64()-0.5))
+		u := r.Float64() - 0.5
+		nudged[i] = v * (1 + 3e-5*u)
+		far[i] = v * (1 + 3e-2*u)
 	}
-	for _, m := range []Method{MethodPowerRChol, MethodAMG, MethodSSOR} {
+	for _, tc := range []struct {
+		m Method
+		// perApply is the mallocs of one preconditioner application:
+		// sync.Pool.Put boxes the []float64 that core.Factor and
+		// pcg.SSOR recycle, a 24-byte slice header per call, while
+		// amg.Preconditioner recycles a pointer.
+		perApply int
+	}{{MethodPowerRChol, 1}, {MethodAMG, 0}, {MethodSSOR, 1}} {
+		m := tc.m
 		s, err := NewSolver(sys, Options{Method: m, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -239,32 +258,54 @@ func TestWarmSolveAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		x0 := res.X
-		iters := 0
-		solve := func() {
-			res, err := s.SolveFrom(nudged, x0)
-			if err != nil {
-				t.Fatal(err)
+		// measure warm-solves rhs from x0 and returns its iterations, the
+		// mean bytes per call, and the fewest mallocs of any call (a GC
+		// cycle that empties a pool can add a few to one call).
+		measure := func(rhs []float64) (iters int, bytes uint64, mallocs int) {
+			solve := func() {
+				res, err := s.SolveFrom(rhs, x0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				iters = res.Iterations
 			}
-			iters = res.Iterations
-		}
-		solve() // warm the pools
-		if iters == 0 {
-			t.Fatalf("%v: the warm solve did not iterate", m)
+			solve() // warm the pools
+			if iters == 0 {
+				t.Fatalf("%v: the warm solve did not iterate", m)
+			}
+			const runs = 10
+			mallocs = math.MaxInt
+			var before, after runtime.MemStats
+			for i := 0; i < runs; i++ {
+				runtime.ReadMemStats(&before)
+				solve()
+				runtime.ReadMemStats(&after)
+				bytes += after.TotalAlloc - before.TotalAlloc
+				mallocs = min(mallocs, int(after.Mallocs-before.Mallocs))
+			}
+			return iters, bytes / runs, mallocs
 		}
 
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			solve()
-		}
-		runtime.ReadMemStats(&after)
-		perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+		iters, perCall, mallocs := measure(nudged)
 		budget := uint64(2 * 8 * n)
 		t.Logf("%v warm SolveFrom: %d iterations, %d allocations, %d bytes per call (budget %d)",
-			m, iters, (after.Mallocs-before.Mallocs)/runs, perCall, budget)
+			m, iters, mallocs, perCall, budget)
 		if perCall >= budget {
 			t.Errorf("%v: warm SolveFrom allocates %d bytes per call, want < %d (two n-vectors): PCG or preconditioner scratch no longer recycled?", m, perCall, budget)
+		}
+
+		farIters, _, farMallocs := measure(far)
+		t.Logf("%v farther start: %d iterations, %d allocations per call", m, farIters, farMallocs)
+		// History's capacity doubles at most bits.Len(farIters) times, so
+		// a per-iteration malloc shows only when the far start iterates
+		// more often than that.
+		history := bits.Len(uint(farIters))
+		if extra := farIters - iters; extra <= history {
+			t.Fatalf("%v: the farther start iterates only %d times more (%d vs %d): too few to tell a per-iteration allocation from History's growth", m, extra, farIters, iters)
+		}
+		if allowed := mallocs + tc.perApply*(farIters-iters) + history; farMallocs > allowed {
+			t.Errorf("%v: %d allocations per call at %d iterations, %d at %d; want at most %d: a kernel of the iteration path allocates on every call",
+				m, farMallocs, farIters, mallocs, iters, allowed)
 		}
 	}
 }
