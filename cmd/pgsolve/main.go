@@ -195,7 +195,13 @@ func run() error {
 	}
 	fmt.Printf("reorder   %12v\n", res.Timings.Reorder)
 	fmt.Printf("factorize %12v   |L| = %d\n", res.Timings.Factorize, res.FactorNNZ)
-	fmt.Printf("iterate   %12v   %d iterations\n", res.Timings.Iterate, res.Iterations)
+	fmt.Printf("iterate   %12v   %d iterations", res.Timings.Iterate, res.Iterations)
+	if res.RitzMin > 0 {
+		// The Ritz values of the solve's own PCG coefficients bound
+		// κ(M⁻¹A) from below.
+		fmt.Printf(", κ ≥ %.3g", res.RitzMax/res.RitzMin)
+	}
+	fmt.Println()
 	fmt.Printf("total     %12v   residual %.3e converged=%v\n",
 		res.Timings.Total(), res.Residual, res.Converged)
 	if len(res.Attempts) > 1 {

@@ -60,7 +60,8 @@ func TestFrontEndEquivalence(t *testing.T) {
 }
 
 // checkFrontEnds solves b under opt through both front ends and checks
-// each bit for bit against want (and the iteration count and |L|).
+// each bit for bit against want, Ritz values included (and the
+// iteration count and |L|).
 func checkFrontEnds(t *testing.T, name string, s *graph.SDDM, b []float64, opt Options, want *Result) {
 	t.Helper()
 	oneShot, err := Solve(s, b, opt)
@@ -92,6 +93,9 @@ func checkFrontEnds(t *testing.T, name string, s *graph.SDDM, b []float64, opt O
 			name, prepared.MemoryBytes, oneShot.MemoryBytes, solver.MemoryBytes())
 	}
 	assertBitwise(t, name+" front-end equivalence", prepared.X, oneShot.X)
+	ritz := func(r *Result) []float64 { return []float64{r.RitzMin, r.RitzMax} }
+	assertBitwise(t, name+" one-shot Ritz values", ritz(oneShot), ritz(want))
+	assertBitwise(t, name+" prepared Ritz values", ritz(prepared), ritz(oneShot))
 }
 
 // TestWorkersNeverChangeAnswers pins the Workers contract the solver

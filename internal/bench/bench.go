@@ -49,6 +49,9 @@ type Metrics struct {
 	Factorize time.Duration // T_f
 	Iterate   time.Duration // T_i
 	Iters     int           // N_i
+	// Kappa is the solve's Ritz ratio RitzMax/RitzMin, a lower bound
+	// on κ(M⁻¹A); 0 when no iteration ran.
+	Kappa     float64
 	FactorNNZ int
 	Converged bool
 }
@@ -63,14 +66,18 @@ func Run(p *cases.Problem, opt powerrchol.Options) (Metrics, error) {
 	if err != nil && res == nil {
 		return Metrics{}, err
 	}
-	return Metrics{
+	m := Metrics{
 		Reorder:   res.Timings.Reorder,
 		Factorize: res.Timings.Factorize,
 		Iterate:   res.Timings.Iterate,
 		Iters:     res.Iterations,
 		FactorNNZ: res.FactorNNZ,
 		Converged: res.Converged,
-	}, nil
+	}
+	if res.RitzMin > 0 {
+		m.Kappa = res.RitzMax / res.RitzMin
+	}
+	return m, nil
 }
 
 func secs(d time.Duration) float64 { return d.Seconds() }

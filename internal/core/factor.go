@@ -39,7 +39,7 @@ type Factor struct {
 	levels  []int
 	workers int
 
-	pool sync.Pool // of []float64, length N
+	pool sync.Pool // of *[]float64, length N
 }
 
 // NNZ returns the number of stored entries of L (the paper's |L|).
@@ -99,11 +99,15 @@ func (f *Factor) Parallelize(workers int) {
 	f.levels, f.workers = levels, workers
 }
 
-func (f *Factor) getWork() []float64 {
-	if w, ok := f.pool.Get().([]float64); ok && len(w) == f.N {
+// getWork returns a work vector from the pool. The pool holds
+// pointers: putting the slice itself would box its header on the heap
+// on every Put, a malloc per application.
+func (f *Factor) getWork() *[]float64 {
+	if w, ok := f.pool.Get().(*[]float64); ok && len(*w) == f.N {
 		return w
 	}
-	return make([]float64, f.N)
+	w := make([]float64, f.N)
+	return &w
 }
 
 // Apply computes z = Pᵀ·L⁻ᵀ·L⁻¹·P·r, the preconditioning operation of
@@ -120,7 +124,8 @@ func (f *Factor) Apply(z, r []float64) { f.ApplyDot(z, r) }
 // read before z[i] is written, so with z aliasing r the dot is still
 // taken over r's input values.
 func (f *Factor) ApplyDot(z, r []float64) float64 {
-	w := f.getWork()
+	wp := f.getWork()
+	w := *wp
 	if f.perm == nil {
 		copy(w, r)
 	} else {
@@ -129,7 +134,7 @@ func (f *Factor) ApplyDot(z, r []float64) float64 {
 	sparse.LowerSolveLevels(f.L, w, f.levels, f.workers)
 	sparse.LowerTransposeSolveLevels(f.L, w, f.levels, f.workers)
 	dot := gatherDot(z, r, w, f.inv)
-	f.pool.Put(w)
+	f.pool.Put(wp)
 	return dot
 }
 

@@ -11,18 +11,19 @@ import (
 
 // ConditionEstimate estimates κ(M⁻¹A) — the quantity that governs PCG
 // convergence — by running `iters` steps of preconditioned CG on a random
-// right-hand side and extracting the extreme eigenvalues of the
-// associated Lanczos tridiagonal (built from the CG α/β coefficients).
-// The Ritz values converge to the extreme eigenvalues from the inside, so
-// the returned estimate is a (usually tight) lower bound on κ.
+// right-hand side and returning the ratio of the solve's extreme Ritz
+// values (Result.RitzMax/RitzMin). The Ritz values converge to the
+// extreme eigenvalues from the inside, so the estimate is a (usually
+// tight) lower bound on κ.
 func ConditionEstimate(a *sparse.CSC, m Preconditioner, iters int, seed uint64) (float64, error) {
-	mul := func(y, x []float64) { a.MulVec(y, x) }
-	return ConditionEstimateOp(a.Rows, mul, m, iters, seed)
+	return ConditionEstimateOp(a.Rows, a.MulVec, m, iters, seed)
 }
 
 // ConditionEstimateOp is ConditionEstimate for an implicit operator
 // y = A·x, for callers that keep the system in a non-CSC representation
-// (e.g. the prepared solver's row view).
+// (e.g. the prepared solver's row view). The solve stops early only
+// once the residual reaches rounding level: Lanczos vectors past that
+// point are numerical noise and produce spurious Ritz values.
 func ConditionEstimateOp(n int, mul func(y, x []float64), m Preconditioner, iters int, seed uint64) (float64, error) {
 	if n == 0 {
 		return 1, nil
@@ -33,83 +34,53 @@ func ConditionEstimateOp(n int, mul func(y, x []float64), m Preconditioner, iter
 	if iters > n {
 		iters = n
 	}
-	if m == nil {
-		m = Identity{}
+	res, err := SolveFromOp(n, mul, probeRHS(n, seed), nil, m, Options{Tol: 1e-14, MaxIter: iters})
+	if err != nil {
+		return 0, fmt.Errorf("pcg: ConditionEstimate: %w", err)
 	}
-	r := make([]float64, n)
-	rnd := rng.New(seed ^ 0xa5a5a5a5)
-	for i := range r {
-		r[i] = rnd.Float64() - 0.5
-	}
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	m.Apply(z, r)
-	copy(p, z)
-	rz := sparse.Dot(r, z)
-	// NaN fails every ordered comparison, so test non-finiteness explicitly
-	// or a poisoned preconditioner sails through the definiteness guard.
-	if math.IsNaN(rz) || math.IsInf(rz, 0) {
-		return 0, fmt.Errorf("pcg: non-finite r'z=%g in ConditionEstimate", rz)
-	}
-	if rz <= 0 {
-		return 0, errors.New("pcg: preconditioner not positive definite in ConditionEstimate")
-	}
-
-	rz0 := rz
-	var alphas, betas []float64
-	for k := 0; k < iters; k++ {
-		mul(ap, p)
-		pap := sparse.Dot(p, ap)
-		if math.IsNaN(pap) || math.IsInf(pap, 0) {
-			return 0, fmt.Errorf("pcg: non-finite curvature p'Ap=%g in ConditionEstimate", pap)
-		}
-		if pap <= 0 {
-			return 0, fmt.Errorf("pcg: operator not positive definite (p'Ap=%g)", pap)
-		}
-		alpha := rz / pap
-		sparse.Axpy(r, -alpha, ap)
-		m.Apply(z, r)
-		rzNew := sparse.Dot(r, z)
-		alphas = append(alphas, alpha)
-		// Stop once the residual reaches rounding level: Lanczos vectors
-		// past this point are numerical noise and produce spurious Ritz
-		// values (machine-epsilon² relative to the starting residual).
-		// Non-finite rz means the recurrence has collapsed (near-singular
-		// operator): truncate to the coefficients gathered so far.
-		if rzNew <= 1e-28*rz0 || rzNew <= 0 ||
-			math.IsNaN(rzNew) || math.IsInf(rzNew, 0) {
-			break
-		}
-		beta := rzNew / rz
-		betas = append(betas, beta)
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-
-	// Lanczos tridiagonal from the CG coefficients:
-	//   T[j,j]   = 1/α_j + β_{j-1}/α_{j-1}
-	//   T[j,j+1] = sqrt(β_j)/α_j
-	k := len(alphas)
-	diag := make([]float64, k)
-	off := make([]float64, k-1)
-	for j := 0; j < k; j++ {
-		diag[j] = 1 / alphas[j]
-		if j > 0 {
-			diag[j] += betas[j-1] / alphas[j-1]
-		}
-		if j < k-1 {
-			off[j] = math.Sqrt(betas[j]) / alphas[j]
-		}
-	}
-	lo, hi := tridiagExtremes(diag, off)
-	if lo <= 0 {
+	if !(res.RitzMin > 0) {
 		return 0, errors.New("pcg: non-positive Ritz value in ConditionEstimate")
 	}
-	return hi / lo, nil
+	return res.RitzMax / res.RitzMin, nil
+}
+
+// probeRHS is ConditionEstimate's seeded random right-hand side.
+func probeRHS(n int, seed uint64) []float64 {
+	b := make([]float64, n)
+	rnd := rng.New(seed ^ 0xa5a5a5a5)
+	for i := range b {
+		b[i] = rnd.Float64() - 0.5
+	}
+	return b
+}
+
+// ritzExtremes returns the extreme eigenvalues of the Lanczos
+// tridiagonal of the CG coefficients alpha[0:k] and beta[0:k-1],
+//
+//	T[j,j]   = 1/α_j + β_{j-1}/α_{j-1}
+//	T[j,j+1] = sqrt(β_j)/α_j
+//
+// or zeros for k = 0. It builds T in place, overwriting alpha with the
+// diagonal and beta with the off-diagonal: descending j reads only
+// entries below j, which are not yet overwritten.
+func ritzExtremes(alpha, beta []float64) (lo, hi float64) {
+	k := len(alpha)
+	if k == 0 {
+		return 0, 0
+	}
+	beta = beta[:k-1]
+	for j := k - 1; j >= 0; j-- {
+		a := alpha[j]
+		d := 1 / a
+		if j > 0 {
+			d += beta[j-1] / alpha[j-1]
+		}
+		if j < k-1 {
+			beta[j] = math.Sqrt(beta[j]) / a
+		}
+		alpha[j] = d
+	}
+	return tridiagExtremes(alpha, beta)
 }
 
 // tridiagExtremes returns the smallest and largest eigenvalues of the
@@ -155,9 +126,11 @@ func tridiagExtremes(diag, off []float64) (lo, hi float64) {
 		}
 		return c
 	}
+	// Bisect to a width relative to the bracket, so that the result
+	// does not depend on the matrix's scale.
 	bisect := func(target int) float64 {
 		a, b := gLo, gHi
-		for iter := 0; iter < 200 && b-a > 1e-12*(math.Abs(a)+math.Abs(b)+1); iter++ {
+		for iter := 0; iter < 200 && b-a > 1e-12*(math.Abs(a)+math.Abs(b)); iter++ {
 			mid := 0.5 * (a + b)
 			if count(mid) < target {
 				a = mid

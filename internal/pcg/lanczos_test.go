@@ -11,11 +11,7 @@ import (
 func TestConditionEstimateDiagonal(t *testing.T) {
 	// For a diagonal matrix the condition number is exactly max/min.
 	n := 50
-	c := sparse.NewCOO(n, n, n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, float64(i+1)) // eigenvalues 1..50
-	}
-	a := c.ToCSC()
+	a := diagonalSpectrum(n)
 	kappa, err := ConditionEstimate(a, nil, n, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -28,17 +24,7 @@ func TestConditionEstimateDiagonal(t *testing.T) {
 func TestConditionEstimateJacobiImproves(t *testing.T) {
 	// Jacobi normalizes a badly scaled diagonal-dominant matrix; the
 	// preconditioned κ must drop dramatically.
-	n := 80
-	c := sparse.NewCOO(n, n, 3*n)
-	for i := 0; i < n; i++ {
-		scale := math.Pow(10, float64(i%5))
-		c.Add(i, i, 2*scale)
-		if i+1 < n {
-			c.Add(i, i+1, -0.5*math.Min(scale, math.Pow(10, float64((i+1)%5))))
-			c.Add(i+1, i, -0.5*math.Min(scale, math.Pow(10, float64((i+1)%5))))
-		}
-	}
-	a := c.ToCSC()
+	a := scaledChain(80)
 	plain, err := ConditionEstimate(a, nil, 60, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +40,30 @@ func TestConditionEstimateJacobiImproves(t *testing.T) {
 	if prec > plain/10 {
 		t.Fatalf("Jacobi κ %g not much below plain κ %g", prec, plain)
 	}
+}
+
+// diagonalSpectrum is diag(1, 2, …, n), whose κ is exactly n.
+func diagonalSpectrum(n int) *sparse.CSC {
+	c := sparse.NewCOO(n, n, n)
+	for i := 0; i < n; i++ {
+		c.Add(i, i, float64(i+1))
+	}
+	return c.ToCSC()
+}
+
+// scaledChain is a diagonally dominant chain whose diagonal cycles
+// through 2, 20, …, 2·10⁴: badly scaled, which Jacobi undoes.
+func scaledChain(n int) *sparse.CSC {
+	c := sparse.NewCOO(n, n, 3*n)
+	for i := 0; i < n; i++ {
+		scale := math.Pow(10, float64(i%5))
+		c.Add(i, i, 2*scale)
+		if i+1 < n {
+			c.Add(i, i+1, -0.5*math.Min(scale, math.Pow(10, float64((i+1)%5))))
+			c.Add(i+1, i, -0.5*math.Min(scale, math.Pow(10, float64((i+1)%5))))
+		}
+	}
+	return c.ToCSC()
 }
 
 func TestConditionEstimateGrid(t *testing.T) {
@@ -88,6 +98,19 @@ func TestTridiagExtremes(t *testing.T) {
 	wantHi := 2 - 2*math.Cos(5*math.Pi/6)
 	if math.Abs(lo-wantLo) > 1e-9 || math.Abs(hi-wantHi) > 1e-9 {
 		t.Fatalf("eigenvalues (%g, %g), want (%g, %g)", lo, hi, wantLo, wantHi)
+	}
+	// The same matrix scaled by 1e-14: the eigenvalues scale with it.
+	// (CG on an operator of that scale has α ≈ 1e14 and such a T.)
+	const scale = 1e-14
+	for i := range d {
+		d[i] *= scale
+	}
+	for i := range e {
+		e[i] *= scale
+	}
+	lo, hi = tridiagExtremes(d, e)
+	if math.Abs(lo/scale-wantLo) > 1e-9 || math.Abs(hi/scale-wantHi) > 1e-9 {
+		t.Fatalf("scaled eigenvalues (%g, %g), want (%g, %g)", lo, hi, scale*wantLo, scale*wantHi)
 	}
 }
 
@@ -145,5 +168,54 @@ func TestConditionEstimateRejectsNaNPreconditioner(t *testing.T) {
 	}
 	if _, err := ConditionEstimate(c.ToCSC(), nanPrecond{}, 10, 1); err == nil {
 		t.Fatal("NaN-producing preconditioner accepted")
+	}
+}
+
+// TestConditionEstimateMatchesSeparateLoop: the estimate from iterate's
+// own coefficients agrees with the one the separate Lanczos loop it
+// replaced gave, on the matrices above. That loop ran the unfused
+// recurrence of referenceWarmPCG from a zero start and stopped once
+// rᵀz fell to 1e-28·r₀ᵀz₀, that is once Π β_j ≤ 1e-28; iterate stops
+// once ‖r‖₂/‖b‖₂ < 1e-14. Step for step the two take the same float
+// operations, so their coefficients are bitwise equal, but the stopping
+// rules measure the residual in different norms, so the tridiagonals
+// may differ in size. The test allows a relative 1e-6; on these
+// matrices the estimates agree bit for bit.
+func TestConditionEstimateMatchesSeparateLoop(t *testing.T) {
+	jac, err := NewJacobi(scaledChain(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		a     *sparse.CSC
+		m     Preconditioner
+		iters int
+		seed  uint64
+	}{
+		{"diagonal", diagonalSpectrum(50), Identity{}, 50, 1},
+		{"chain", scaledChain(80), Identity{}, 60, 1},
+		{"chain/jacobi", scaledChain(80), jac, 60, 1},
+		{"grid", testmat.GridSDDM(20, 20).ToCSC(), Identity{}, 60, 3},
+	} {
+		got, err := ConditionEstimate(c.a, c.m, c.iters, c.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		// With tol 0 the reference runs to the cap, taking a β after
+		// every α. The old loop kept α_k and stopped if Π_{j≤k} β_j,
+		// its rᵀz/r₀ᵀz₀, had fallen to 1e-28.
+		n := c.a.Rows
+		_, _, _, alphas, betas := referenceWarmPCG(c.a, probeRHS(n, c.seed), make([]float64, n), c.m, 0, c.iters)
+		k := 1
+		for rz := betas[0]; k < len(alphas) && rz > 1e-28; k++ {
+			rz *= betas[k]
+		}
+		lo, hi := ritzExtremes(alphas[:k], betas)
+		want := hi / lo
+		t.Logf("%s: κ %.17g, separate loop %.17g after %d of %d iterations (rel diff %.3g)", c.name, got, want, k, len(alphas), math.Abs(got-want)/want)
+		if math.Abs(got-want) > 1e-6*want {
+			t.Errorf("%s: κ %g, separate loop %g", c.name, got, want)
+		}
 	}
 }

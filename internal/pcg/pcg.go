@@ -109,6 +109,12 @@ type Result struct {
 	// BestIteration is the iteration that produced X when the solve
 	// stopped early (0 on a converged run: X is simply the final iterate).
 	BestIteration int
+	// RitzMin and RitzMax are the extreme eigenvalues of the Lanczos
+	// tridiagonal built from the solve's own CG coefficients α and β:
+	// Ritz values of M⁻¹A, which converge to its extreme eigenvalues
+	// from the inside, so RitzMax/RitzMin is a lower bound on
+	// κ(M⁻¹A). Both are zero when no iteration ran.
+	RitzMin, RitzMax float64
 }
 
 // ErrIndefinite is returned when pᵀAp or rᵀz becomes non-positive,
@@ -176,10 +182,13 @@ func SolveFromDotOp(n int, mul func(y, x []float64) float64, b, x0 []float64, m 
 var scratchPool sync.Pool // of *scratch
 
 // scratch is one solve's working set: the residual, the preconditioned
-// residual, the search direction, its product with A, and whichever of
-// the two iterate buffers the last solve did not hand to its caller.
+// residual, the search direction, its product with A, whichever of the
+// two iterate buffers the last solve did not hand to its caller, and
+// the CG coefficients α and β of every iteration, whose capacity
+// outlives the solve.
 type scratch struct {
 	r, z, p, ap, spare []float64
+	alpha, beta        []float64
 }
 
 func getScratch(n int) *scratch {
@@ -202,7 +211,8 @@ func getScratch(n int) *scratch {
 // double-buffers between x and s.spare, so the result may land in
 // either; s.spare is kept pointing at whichever buffer the result does
 // not take, so exactly one iterate buffer leaves with the Result and
-// the other stays in the set.
+// the other stays in the set. s.alpha and s.beta collect the CG
+// coefficients, which the Result's Ritz values are computed from.
 func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner, opt Options, s *scratch) (*Result, error) {
 	if opt.Tol == 0 {
 		opt.Tol = 1e-6
@@ -247,6 +257,7 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 	}
 
 	res := &Result{}
+	s.alpha, s.beta = s.alpha[:0], s.beta[:0]
 	rz := applyDot(m, z, r)
 	copy(p, z)
 	if rz <= 0 || math.IsNaN(rz) {
@@ -269,9 +280,14 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 	if opt.StagnationWindow > 0 {
 		winBest = make([]float64, opt.StagnationWindow)
 	}
-	// finishBest points the result at the best iterate for early stops.
-	finishBest := func() {
+	// finish points the result at its iterate (the final one on
+	// convergence, the best one on an early stop) and sets its Ritz
+	// values from the coefficients of the iterations that ran.
+	finish := func() {
+		res.RitzMin, res.RitzMax = ritzExtremes(s.alpha, s.beta)
 		switch {
+		case res.Converged:
+			res.X, res.BestIteration = x, res.Iterations
 		case bestIter == 0:
 			res.X = x
 		case xIsBest:
@@ -286,7 +302,7 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		if opt.Ctx != nil {
 			if err := opt.Ctx.Err(); err != nil {
-				finishBest()
+				finish()
 				return res, fmt.Errorf("pcg: solve cancelled at iteration %d: %w", iter, err)
 			}
 		}
@@ -295,6 +311,7 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 			return nil, fmt.Errorf("%w: p'Ap = %g at iteration %d", ErrIndefinite, pap, iter)
 		}
 		alpha := rz / pap
+		s.alpha = append(s.alpha, alpha)
 		xNext := x
 		if xIsBest {
 			xNext = spare
@@ -317,14 +334,14 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 			break
 		}
 		if opt.DivergenceFactor > 0 && rel > opt.DivergenceFactor*best {
-			finishBest()
+			finish()
 			return res, fmt.Errorf("%w: relative residual %.3e at iteration %d exceeds %g× the best %.3e",
 				ErrDiverged, rel, iter, opt.DivergenceFactor, best)
 		}
 		if w := len(winBest); w > 0 {
 			k := uint(iter) % uint(w)
 			if iter > w && best > stagFactor*winBest[k] {
-				finishBest()
+				finish()
 				return res, fmt.Errorf("%w: best relative residual improved only %.3e → %.3e over the last %d iterations (need a factor %g)",
 					ErrStagnated, winBest[k], best, w, stagFactor)
 			}
@@ -336,18 +353,14 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 			return nil, fmt.Errorf("%w: r'z = %g at iteration %d", ErrIndefinite, rzNew, iter)
 		}
 		beta := rzNew / rz
+		s.beta = append(s.beta, beta)
 		rz = rzNew
 		zp := z[:len(p)]
 		for i, pv := range p {
 			p[i] = zp[i] + beta*pv
 		}
 	}
-	if res.Converged {
-		res.X = x
-		res.BestIteration = res.Iterations
-	} else {
-		finishBest()
-	}
+	finish()
 	return res, nil
 }
 

@@ -19,7 +19,7 @@ type SSOR struct {
 	a     *sparse.CSC
 	omega float64
 	diag  []float64
-	pool  sync.Pool // of []float64, length a.Rows
+	pool  sync.Pool // of *[]float64, length a.Rows
 }
 
 // NewSSOR builds the preconditioner; omega must lie in (0, 2), with 0
@@ -47,12 +47,16 @@ func NewSSOR(a *sparse.CSC, omega float64) (*SSOR, error) {
 // symmetry of A, row i of the strict lower triangle is read from column i
 // (entries with index > i), so no transpose copy is needed. Apply is safe
 // for concurrent use: the sweep buffer is drawn from a pool per call.
+// The pool holds pointers: putting the slice itself would box its
+// header on the heap on every Put, a malloc per application.
 func (s *SSOR) Apply(z, r []float64) {
-	w, ok := s.pool.Get().([]float64)
-	if !ok || len(w) != s.a.Rows {
-		w = make([]float64, s.a.Rows)
+	wp, ok := s.pool.Get().(*[]float64)
+	if !ok || len(*wp) != s.a.Rows {
+		w := make([]float64, s.a.Rows)
+		wp = &w
 	}
-	defer s.pool.Put(w)
+	defer s.pool.Put(wp)
+	w := *wp
 	a, om := s.a, s.omega
 	n := a.Rows
 	// Hoisted operand windows and a carried column-pointer walk (see

@@ -12,8 +12,9 @@ import (
 // referenceWarmPCG is PCG as five-pass prologue and unfused loop: the
 // warm start takes copy(r, b), Norm2(b), the product, AxpyTo and
 // Norm2(r), and every iteration a product, Dot, two AxpyTo, Norm2, the
-// preconditioner and another Dot. iterate must return its bits.
-func referenceWarmPCG(a *sparse.CSC, b, x0 []float64, m Preconditioner, tol float64, maxIter int) (x []float64, iters int, rel float64) {
+// preconditioner and another Dot. iterate must return its bits. It
+// also returns the CG coefficients α and β of the iterations it ran.
+func referenceWarmPCG(a *sparse.CSC, b, x0 []float64, m Preconditioner, tol float64, maxIter int) (x []float64, iters int, rel float64, alphas, betas []float64) {
 	n := len(b)
 	x = append([]float64(nil), x0...)
 	r, z, p, ap := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
@@ -22,7 +23,7 @@ func referenceWarmPCG(a *sparse.CSC, b, x0 []float64, m Preconditioner, tol floa
 	a.MulVec(ap, x)
 	sparse.AxpyTo(r, r, -1, ap)
 	if rel = sparse.Norm2(r) / bnorm; rel < tol {
-		return x, 0, rel
+		return x, 0, rel, nil, nil
 	}
 	m.Apply(z, r)
 	copy(p, z)
@@ -30,20 +31,22 @@ func referenceWarmPCG(a *sparse.CSC, b, x0 []float64, m Preconditioner, tol floa
 	for iters = 1; iters <= maxIter; iters++ {
 		a.MulVec(ap, p)
 		alpha := rz / sparse.Dot(p, ap)
+		alphas = append(alphas, alpha)
 		sparse.AxpyTo(x, x, alpha, p)
 		sparse.AxpyTo(r, r, -alpha, ap)
 		if rel = sparse.Norm2(r) / bnorm; rel < tol {
-			return x, iters, rel
+			return x, iters, rel, alphas, betas
 		}
 		m.Apply(z, r)
 		rzNew := sparse.Dot(r, z)
 		beta := rzNew / rz
+		betas = append(betas, beta)
 		rz = rzNew
 		for i := range p {
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	return x, maxIter, rel
+	return x, maxIter, rel, alphas, betas
 }
 
 // dotJacobi is Jacobi with an ApplyDot that takes rᵀz in its own pass,
@@ -62,8 +65,9 @@ func (j dotJacobi) ApplyDot(z, r []float64) float64 {
 
 // TestWarmStartMatchesFivePassReference pins the fused warm-start pass
 // (residual) and the ApplyDot route against referenceWarmPCG, bit for
-// bit: from a guess that must iterate, and from one that meets the
-// tolerance in the prologue.
+// bit, Ritz values included: from a guess that must iterate, and from
+// one that meets the tolerance in the prologue (no iteration, so both
+// Ritz values are zero).
 func TestWarmStartMatchesFivePassReference(t *testing.T) {
 	s := testmat.GridSDDM(24, 24)
 	a := s.ToCSC()
@@ -93,10 +97,11 @@ func TestWarmStartMatchesFivePassReference(t *testing.T) {
 		x0      []float64
 		atStart bool
 	}{{"iterating", rough, false}, {"converged at start", exact.X, true}} {
-		wantX, wantIters, wantRel := referenceWarmPCG(a, b, c.x0, jac, tol, maxIter)
+		wantX, wantIters, wantRel, alphas, betas := referenceWarmPCG(a, b, c.x0, jac, tol, maxIter)
 		if (wantIters == 0) != c.atStart {
 			t.Fatalf("%s: the reference took %d iterations", c.name, wantIters)
 		}
+		wantLo, wantHi := ritzExtremes(alphas, betas)
 		for _, m := range []Preconditioner{jac, dotJacobi{jac}} {
 			res, err := SolveFromOp(n, a.MulVec, b, c.x0, m, Options{Tol: tol, MaxIter: maxIter})
 			if err != nil {
@@ -107,6 +112,9 @@ func TestWarmStartMatchesFivePassReference(t *testing.T) {
 			}
 			if math.Float64bits(res.Residual) != math.Float64bits(wantRel) {
 				t.Fatalf("%s %T: residual %g, reference %g", c.name, m, res.Residual, wantRel)
+			}
+			if math.Float64bits(res.RitzMin) != math.Float64bits(wantLo) || math.Float64bits(res.RitzMax) != math.Float64bits(wantHi) {
+				t.Fatalf("%s %T: Ritz values [%g, %g], reference [%g, %g]", c.name, m, res.RitzMin, res.RitzMax, wantLo, wantHi)
 			}
 			for i := range wantX {
 				if math.Float64bits(res.X[i]) != math.Float64bits(wantX[i]) {

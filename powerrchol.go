@@ -316,7 +316,16 @@ type Result struct {
 	// that produced it, so a one-shot solve reports the number the
 	// pgserved cache budgets against.
 	MemoryBytes int
-	Timings     Timings
+	// RitzMin and RitzMax are the extreme Ritz values of M⁻¹A that the
+	// solve's own PCG coefficients give (the Lanczos tridiagonal of its
+	// α and β), so RitzMax/RitzMin is a lower bound on κ(M⁻¹A), the
+	// quantity that governs the iteration count. They describe the
+	// system PCG iterated on: under MethodPowerRush or TransformMerge,
+	// the contracted one. Both are zero when no iteration ran: exact
+	// solves, and warm starts that were already converged. Unlike
+	// Timings, they are deterministic.
+	RitzMin, RitzMax float64
+	Timings          Timings
 	// BestIteration is the iteration that produced X. It equals
 	// Iterations on converged runs; on capped, stagnated or cancelled
 	// runs X is the best iterate seen, not the last.
@@ -456,6 +465,7 @@ func fill(res *Result, p *pcg.Result) {
 	res.Converged = p.Converged
 	res.History = p.History
 	res.BestIteration = p.BestIteration
+	res.RitzMin, res.RitzMax = p.RitzMin, p.RitzMax
 }
 
 func relativeResidual(sys *graph.SDDM, x, b []float64) float64 {
