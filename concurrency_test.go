@@ -98,7 +98,7 @@ func TestConcurrentPreconditionerApply(t *testing.T) {
 			t.Fatalf("%v: %v", m, err)
 		}
 		want := make([]float64, s.N())
-		solver.m.Apply(want, b)
+		solver.iter.M.Apply(want, b)
 
 		const goroutines = 8
 		const repeats = 20
@@ -110,7 +110,7 @@ func TestConcurrentPreconditionerApply(t *testing.T) {
 				defer wg.Done()
 				z := make([]float64, len(b))
 				for rep := 0; rep < repeats; rep++ {
-					solver.m.Apply(z, b)
+					solver.iter.M.Apply(z, b)
 					for i := range z {
 						if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
 							errc <- m.String()

@@ -380,8 +380,8 @@ func TestWrappedPreconditionerKeepsBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plain.m.(interface{ ApplyDot(z, r []float64) float64 }); !ok {
-		t.Fatalf("the unwrapped preconditioner %T has no ApplyDot", plain.m)
+	if _, ok := plain.iter.M.(interface{ ApplyDot(z, r []float64) float64 }); !ok {
+		t.Fatalf("the unwrapped preconditioner %T has no ApplyDot", plain.iter.M)
 	}
 	wrapped, err := NewSolver(s, wrappedOpt)
 	if err != nil {

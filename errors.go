@@ -15,8 +15,8 @@ import (
 var ErrNotConverged = errors.New("powerrchol: PCG did not converge within the iteration limit")
 
 // ErrInvalidOptions is the sentinel matched by errors.Is when a front
-// end (Solve*, NewSolver*, CompilePlan) rejects its Options before any
-// work: an out-of-range setting, or an unknown Method or Transform.
+// end (Solve*, NewSolver*) rejects its Options before any work: an
+// out-of-range or non-finite setting, or an unknown Method or Transform.
 var ErrInvalidOptions = pipeline.ErrInvalidOptions
 
 // NotConvergedError reports a solve that ran out of iterations. It

@@ -172,7 +172,7 @@ func TestCombineFingerprintComposes(t *testing.T) {
 
 // TestMemoryBytesSharedFormula: the prepared solver's footprint and the
 // one-shot Result's estimate must agree for the same configuration —
-// that is the whole point of sharing solverMemoryBytes between the cache
+// that is the whole point of one Solver.MemoryBytes formula for the cache
 // budget and the bench report.
 func TestMemoryBytesSharedFormula(t *testing.T) {
 	s, b, _ := testProblem(t)

@@ -37,15 +37,24 @@ func FuzzSolveOptions(f *testing.F) {
 			rhs[k][i] = r.Float64() - 0.5
 		}
 	}
-	f.Add(uint8(0), 0, 0, 0, 0.0, int16(0), 0, int8(0), 0.0, 0, 0, false)
-	f.Add(uint8(1), int(MethodRChol), int(OrderAMD), 0, 1e-10, int16(50), 16, int8(3), 10.0, 2, 3, true)
-	f.Add(uint8(2), int(MethodPowerRush), 0, int(TransformMerge), 1e-6, int16(200), 0, int8(0), 0.0, 0, 4, false)
-	f.Add(uint8(0), int(MethodFeGRASS), 0, int(TransformNone), 1e-8, int16(0), 1<<62, int8(1), 1e300, 1<<40, 1, false)
-	f.Add(uint8(1), -1, 99, -3, -1.0, int16(-1), -1, int8(-1), -1.0, -1, -1, true)
-	f.Add(uint8(2), 0, 0, 0, 1e-8, int16(100), math.MaxInt, int8(2), 0.0, 0, 2, false)
-	f.Add(uint8(0), 0, 0, 0, 0.0, int16(0), 0, int8(0), 0.0, 0, math.MaxInt, false)
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(uint8(0), 0, 0, 0, 0.0, int16(0), 0, int8(0), 0.0, 0.0, 0.0, 0.0, 0, 0, false)
+	f.Add(uint8(1), int(MethodRChol), int(OrderAMD), 0, 1e-10, int16(50), 16, int8(3), 10.0, 0.0, 0.0, 0.0, 2, 3, true)
+	f.Add(uint8(2), int(MethodPowerRush), 0, int(TransformMerge), 1e-6, int16(200), 0, int8(0), 0.0, 0.0, 0.0, 0.0, 0, 4, false)
+	f.Add(uint8(0), int(MethodFeGRASS), 0, int(TransformNone), 1e-8, int16(0), 1<<62, int8(1), 1e300, 0.0, 0.0, 0.0, 1<<40, 1, false)
+	f.Add(uint8(1), -1, 99, -3, -1.0, int16(-1), -1, int8(-1), -1.0, 0.0, 0.0, 0.0, -1, -1, true)
+	f.Add(uint8(2), 0, 0, 0, 1e-8, int16(100), math.MaxInt, int8(2), 0.0, 0.0, 0.0, 0.0, 0, 2, false)
+	f.Add(uint8(0), 0, 0, 0, 0.0, int16(0), 0, int8(0), 0.0, 0.0, 0.0, 0.0, 0, math.MaxInt, false)
+	f.Add(uint8(0), 0, 0, 0, inf, int16(0), 0, int8(0), 0.0, 0.0, 0.0, 0.0, 0, 0, false)
+	// The feGRASS recovery budget, the IChol drop tolerance and the merge
+	// threshold at NaN, +Inf, a finite value far past any budget, and −1.
+	for _, v := range []float64{nan, inf, 1e300, -1} {
+		f.Add(uint8(0), int(MethodFeGRASS), 0, 0, 0.0, int16(0), 0, int8(0), 0.0, v, 0.0, 0.0, 0, 0, false)
+		f.Add(uint8(1), int(MethodFeGRASSIChol), 0, 0, 0.0, int16(0), 0, int8(0), 0.0, 0.0, v, 0.0, 0, 0, false)
+		f.Add(uint8(2), int(MethodPowerRush), 0, 0, 0.0, int16(0), 0, int8(0), 0.0, 0.0, 0.0, v, 0, 0, false)
+	}
 	f.Fuzz(func(t *testing.T, sys uint8, method, ordering, transform int, tol float64, maxIter int16,
-		buckets int, samples int8, heavy float64, workers, attempts int, escalate bool) {
+		buckets int, samples int8, heavy, recoverFrac, dropTol, mergeFactor float64, workers, attempts int, escalate bool) {
 		k := int(sys) % len(systems)
 		s, b := systems[k], rhs[k]
 		opt := Options{
@@ -57,19 +66,19 @@ func FuzzSolveOptions(f *testing.F) {
 			Buckets:     buckets,
 			Samples:     int(samples),
 			HeavyFactor: heavy,
+			RecoverFrac: recoverFrac,
+			DropTol:     dropTol,
+			MergeFactor: mergeFactor,
 			Workers:     workers,
 			Retry:       RetryPolicy{MaxAttempts: attempts, Escalate: escalate},
 		}
 		// A rejected configuration must be typed as such on every front
 		// end; validate normalizes in place, so it checks a copy.
 		v := opt
-		_, planErr := CompilePlan(opt)
-		if v.validate() != nil && planErr == nil {
-			t.Fatalf("CompilePlan(%+v) accepted options validate rejects", opt)
-		}
-		invalid := planErr != nil
-		if invalid && !errors.Is(planErr, ErrInvalidOptions) {
-			t.Fatalf("CompilePlan(%+v) = %v, want an error wrapping ErrInvalidOptions", opt, planErr)
+		solver, prepErr := NewSolver(s, opt)
+		invalid := errors.Is(prepErr, ErrInvalidOptions)
+		if v.validate() != nil && !invalid {
+			t.Fatalf("NewSolver(%+v) = %v, want an error wrapping ErrInvalidOptions for options validate rejects", opt, prepErr)
 		}
 		res, err := SolveContext(context.Background(), s, b, opt)
 		if invalid && !errors.Is(err, ErrInvalidOptions) {
@@ -78,11 +87,7 @@ func FuzzSolveOptions(f *testing.F) {
 		if err == nil && (res == nil || len(res.X) != s.N()) {
 			t.Fatalf("SolveContext(%+v) returned no error and no solution", opt)
 		}
-		solver, err := NewSolver(s, opt)
-		if invalid && !errors.Is(err, ErrInvalidOptions) {
-			t.Fatalf("NewSolver(%+v) = %v, want an error wrapping ErrInvalidOptions", opt, err)
-		}
-		if err != nil {
+		if prepErr != nil {
 			return
 		}
 		res, err = solver.Solve(b)

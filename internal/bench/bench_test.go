@@ -37,6 +37,9 @@ func TestTable2Runs(t *testing.T) {
 	if !strings.Contains(buf.String(), "Sp_a") {
 		t.Fatalf("missing speedup summary:\n%s", buf.String())
 	}
+	if !strings.Contains(buf.String(), "κ̂ is each solve's Ritz ratio") {
+		t.Fatalf("missing the κ̂ columns' note:\n%s", buf.String())
+	}
 }
 
 func TestTable3Runs(t *testing.T) {
@@ -46,6 +49,9 @@ func TestTable3Runs(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "vs feGRASS") {
 		t.Fatalf("missing summary:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "κ̂ is each solve's Ritz ratio") {
+		t.Fatalf("missing the κ̂ columns' note:\n%s", buf.String())
 	}
 }
 

@@ -48,8 +48,8 @@ func SparsifyContext(ctx context.Context, s *graph.SDDM, frac float64) (*graph.S
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if frac < 0 {
-		return nil, fmt.Errorf("fegrass: negative recovery fraction %g", frac)
+	if !(frac >= 0) {
+		return nil, fmt.Errorf("fegrass: recovery fraction %g is not non-negative", frac)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("fegrass: cancelled before spanning forest: %w", err)
@@ -85,9 +85,11 @@ func SparsifyContext(ctx context.Context, s *graph.SDDM, frac float64) (*graph.S
 	}
 	sort.Slice(sc, func(i, j int) bool { return sc[i].score > sc[j].score })
 
-	budget := int(frac * float64(n))
-	if budget > len(sc) {
-		budget = len(sc)
+	// Compare in float64 first: a huge fraction clamps to every
+	// off-tree edge instead of overflowing the conversion.
+	budget := len(sc)
+	if f := frac * float64(n); f < float64(budget) {
+		budget = int(f)
 	}
 	out := graph.New(n, len(tree)+budget)
 	for i, e := range tree {

@@ -191,7 +191,24 @@ func TestRecoveryBudgetMonotone(t *testing.T) {
 
 func TestSparsifyRejectsNegativeFraction(t *testing.T) {
 	s := testmat.GridSDDM(4, 4)
-	if _, err := Sparsify(s, -0.1); err == nil {
-		t.Fatal("negative fraction accepted")
+	for _, frac := range []float64{-0.1, math.NaN()} {
+		if _, err := Sparsify(s, frac); err == nil {
+			t.Fatalf("fraction %g accepted", frac)
+		}
+	}
+}
+
+// TestSparsifyHugeFractionKeepsEveryEdge: a budget past the off-tree
+// edge count, up to one that overflows an int, recovers every edge.
+func TestSparsifyHugeFractionKeepsEveryEdge(t *testing.T) {
+	s := testmat.GridSDDM(6, 5)
+	for _, frac := range []float64{10, 1e300} {
+		sp, err := Sparsify(s, frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.G.M() != s.G.M() {
+			t.Fatalf("fraction %g kept %d of %d edges", frac, sp.G.M(), s.G.M())
+		}
 	}
 }

@@ -1,17 +1,18 @@
 // Package pipeline is the staged setup layer behind the powerrchol
 // module's one solve driver: every Solver — prepared by NewSolver, or
 // built per rung by the one-shot Solve — is made from a Setup the
-// Runner returns. A solve setup is a plan — one or
-// more rungs, each the composition of an optional Transformer (feGRASS
-// sparsify, PowerRush resistor-merge contraction, identity), an Orderer
-// (Alg. 4, AMD, RCM, ND, natural, with the heavy-node tie-break RNG on
-// retry rungs) and a Factorizer (LT-RChol, RChol, complete Cholesky,
-// IChol, AMG, Jacobi, SSOR). The recovery ladder (reseed → RChol/AMD →
-// direct Cholesky) is plan rewriting: attemptPlan lays the rungs out up
-// front and the Runner simply walks them, so both front-ends get the
-// identical ladder, per-stage timings and Attempt trail from one piece
-// of code. A contracting transform hands back Fold/Expand/Restrict maps
-// with its Setup, so both front-ends accept every plan.
+// Runner returns. A solve setup is a plan of one or more rungs, and
+// each rung runs three stages in a straight line (stages.go): an
+// optional transform (feGRASS sparsify, PowerRush resistor-merge
+// contraction, identity), an ordering (Alg. 4, AMD, RCM, ND, natural,
+// with the heavy-node tie-break RNG on retry rungs) and a factorization
+// (LT-RChol, RChol, complete Cholesky, IChol, AMG, Jacobi, SSOR). The
+// recovery ladder (reseed → RChol/AMD → direct Cholesky) is plan
+// rewriting: attemptPlan lays the rungs out up front and the Runner
+// simply walks them, so both front-ends get the identical ladder,
+// per-stage timings and Attempt trail from one piece of code. A
+// contracting transform hands back Fold/Expand/Restrict maps with its
+// Setup, so both front-ends accept every plan.
 //
 // The registry (registry.go) maps each public Method to its default
 // stage composition; Config.Transform overrides the transform stage
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"powerrchol/internal/core"
+	"powerrchol/internal/fegrass"
 	"powerrchol/internal/graph"
 	"powerrchol/internal/pcg"
 	"powerrchol/internal/sparse"
@@ -67,10 +69,6 @@ type Config struct {
 // Setup is one rung's built preconditioner plus everything a front-end
 // needs to run (or skip) the iteration phase.
 type Setup struct {
-	// Method and Ordering identify the rung that built this setup (the
-	// requested method, or a ladder escalation).
-	Method   Method
-	Ordering Ordering
 	// Sys is the system PCG iterates on: the input system, or the
 	// contracted one when the plan carries a contraction.
 	Sys *graph.SDDM
@@ -96,30 +94,33 @@ type Setup struct {
 	Fold     func(b []float64) []float64
 	Expand   func(x []float64) []float64
 	Restrict func(x []float64) []float64
-	// Reorder (transform + ordering) and Factorize are this rung's
-	// per-stage setup timings. Assemble is the time spent waiting for
-	// Mat once factorization was done: assembly runs beside ordering
-	// and factorization, so only the part it outlasts them by is
-	// charged, and the three spans still partition the rung's wall time.
+	// Reorder (transform + ordering) and Factorize (including the level
+	// schedule Workers > 1 adds) are this rung's per-stage setup
+	// timings. Assemble is the time spent waiting for Mat once
+	// factorization was done: assembly runs beside ordering and
+	// factorization, so only the part it outlasts them by is charged,
+	// and the three spans still partition the rung's wall time.
 	Reorder   time.Duration
 	Factorize time.Duration
 	Assemble  time.Duration
 }
+
+// N is the dimension of Sys, the system PCG iterates on.
+func (s *Setup) N() int { return s.Sys.N() }
 
 // Runner walks a plan: Next builds rungs until one factorizes, the
 // front-end runs its iteration phase, and Succeed/FailSolve close the
 // attempt out — FailSolve reporting whether another rung should run.
 // The Attempt trail accumulates across both phases.
 type Runner struct {
-	sys       *graph.SDDM
-	cfg       Config
-	spec      *Spec
-	transform Transformer
-	plan      []rung
-	next      int
-	trail     []Attempt
-	pending   Attempt   // attempt record of the setup Next last returned
-	asm       *assembly // the last iteration matrix started, reused by later rungs on its system
+	sys     *graph.SDDM
+	cfg     Config
+	spec    *Spec
+	plan    []rung
+	next    int
+	trail   []Attempt
+	pending Attempt   // attempt record of the setup Next last returned
+	asm     *assembly // the last iteration matrix started, reused by later rungs on its system
 }
 
 // assembly builds one system's iteration matrix on a helper goroutine.
@@ -157,61 +158,41 @@ func (a *assembly) wait() *sparse.CSR {
 	return a.mat
 }
 
-// Plan is a compiled setup plan: the method registry resolution,
-// transform stage and recovery-ladder rung layout for one Config,
-// independent of any particular system. Compiling once and stamping
-// runners out of it amortizes the resolution across many systems — the
-// Monte Carlo workload shape, where hundreds of perturbed samples share
-// one solver configuration and fingerprint-identical samples additionally
-// share whole prepared solvers. A Plan is immutable and safe for
-// concurrent NewRunner calls.
-type Plan struct {
-	cfg       Config
-	spec      *Spec
-	transform Transformer
-	rungs     []rung
-}
-
-// Compile resolves cfg against the method registry and lays the rungs
-// out. It fails fast on an unknown method or transform.
-func Compile(cfg Config) (*Plan, error) {
-	spec, err := specFor(cfg.Method)
-	if err != nil {
-		return nil, err
-	}
-	transform, err := transformerFor(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{cfg: cfg, spec: spec, transform: transform}
-	if spec.Ladder {
-		p.rungs = attemptPlan(cfg)
-		return p, nil
-	}
-	ordering := cfg.Ordering
-	if ordering == OrderDefault {
-		ordering = spec.DefaultOrdering
-	}
-	p.rungs = []rung{{method: cfg.Method, ordering: ordering, seed: cfg.Seed}}
-	return p, nil
-}
-
-// NewRunner stamps a runner for sys out of the compiled plan. The
-// runner starts at the first rung with an empty trail; the plan's rung
-// slice is shared read-only across runners.
-func (p *Plan) NewRunner(sys *graph.SDDM) *Runner {
-	return &Runner{sys: sys, cfg: p.cfg, spec: p.spec, transform: p.transform, plan: p.rungs}
-}
-
-// NewRunner compiles cfg and stamps a runner for sys — the one-shot
-// path. Callers preparing many systems with one configuration should
-// Compile once and stamp runners from the plan instead.
+// NewRunner resolves cfg against the method registry and lays the
+// rungs out: the recovery ladder for the randomized methods, one rung
+// otherwise. The Runner's copy of cfg has the TransformDefault
+// placeholder and the zero feGRASS recovery budget resolved to the
+// method's paper defaults (2%|V| off-tree edges, 50%|V| for the IChol
+// variant). It fails fast on an unknown method or transform.
 func NewRunner(sys *graph.SDDM, cfg Config) (*Runner, error) {
-	p, err := Compile(cfg)
-	if err != nil {
-		return nil, err
+	spec, ok := specs[cfg.Method]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidOptions, cfg.Method)
 	}
-	return p.NewRunner(sys), nil
+	t := cfg.Transform
+	if t == TransformDefault {
+		t = spec.DefaultTransform
+	}
+	switch t {
+	case TransformNone, TransformMerge:
+	case TransformFeGRASS:
+		if cfg.RecoverFrac == 0 {
+			cfg.RecoverFrac = fegrass.DefaultRecoverFrac
+			if cfg.Method == MethodFeGRASSIChol {
+				cfg.RecoverFrac = fegrass.IcholRecoverFrac
+			}
+		}
+	default:
+		return nil, fmt.Errorf("%w: unknown transform %v", ErrInvalidOptions, cfg.Transform)
+	}
+	cfg.Transform = t
+	r := &Runner{sys: sys, cfg: cfg, spec: spec}
+	if spec.Ladder {
+		r.plan = attemptPlan(cfg)
+	} else {
+		r.plan = []rung{baseRung(cfg)}
+	}
+	return r, nil
 }
 
 // Ladder reports whether this plan is subject to the recovery ladder
@@ -251,7 +232,7 @@ func (r *Runner) Next(ctx context.Context) (*Setup, error) {
 	return nil, errors.New("powerrchol: attempt plan exhausted")
 }
 
-// buildRung runs one rung's transform → order → factorize chain. Unless
+// buildRung runs one rung's transform → reorder → factorize stages. Unless
 // the rung is exact, the iteration matrix is assembled on a helper
 // goroutine meanwhile (or reused from an earlier rung on the same
 // system); the helper is joined before buildRung returns, on every path.
@@ -265,12 +246,11 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 	}
 
 	t0 := time.Now()
-	tr, err := r.transform.Transform(ctx, r.sys)
+	tr, err := transform(ctx, r.cfg, r.sys)
 	if err != nil {
 		return nil, att, err
 	}
-	fac := r.factorizerFor(rg, i)
-	exact := fac.Exact() && tr.Precond == tr.Iterate
+	exact := !r.spec.Ladder && r.spec.factor == factorCholesky && tr.Precond == tr.Iterate
 	var asm *assembly
 	if !exact {
 		if r.asm == nil || r.asm.sys != tr.Iterate {
@@ -281,74 +261,40 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 	}
 	var perm []int
 	if r.spec.Ordered {
-		ord := OrdererFor(rg.ordering, r.cfg.HeavyFactor)
-		perm = ord.Order(tr.Precond.G, orderTieRng(rg.seed, i))
+		perm = reorder(rg.ordering, tr.Precond.G, r.cfg.HeavyFactor, orderTieRng(rg.seed, i))
 	}
-	reorder := time.Since(t0)
+	setup := &Setup{
+		Sys:      tr.Iterate,
+		Exact:    exact,
+		Fold:     tr.Fold,
+		Expand:   tr.Expand,
+		Restrict: tr.Restrict,
+		Reorder:  time.Since(t0),
+	}
 
 	t0 = time.Now()
-	m, nnz, err := fac.Factorize(ctx, tr.Precond, perm)
+	m, err := r.factorize(ctx, rg, i, tr.Precond, perm)
 	if err != nil {
 		return nil, att, err
 	}
-	factorize := time.Since(t0)
-
-	if r.cfg.Workers > 1 {
-		if f, ok := m.(*core.Factor); ok {
+	if f, ok := m.(*core.Factor); ok {
+		if r.cfg.Workers > 1 {
 			f.Parallelize(r.cfg.Workers)
 		}
+		setup.FactorNNZ, setup.FactorIndexBytes = f.NNZ(), f.IndexBytes()
 	}
-	idxBytes := 0
-	if f, ok := m.(*core.Factor); ok {
-		idxBytes = f.IndexBytes()
-	}
+	setup.Factorize = time.Since(t0)
+
 	if r.cfg.WrapPrecond != nil {
 		m = r.cfg.WrapPrecond(i, m)
 	}
-	var mat *sparse.CSR
-	var assemble time.Duration
+	setup.M = m
 	if asm != nil {
 		t0 = time.Now()
-		mat = asm.wait()
-		assemble = time.Since(t0)
+		setup.Mat = asm.wait()
+		setup.Assemble = time.Since(t0)
 	}
-	return &Setup{
-		Method:           rg.method,
-		Ordering:         rg.ordering,
-		Sys:              tr.Iterate,
-		Mat:              mat,
-		M:                m,
-		Exact:            exact,
-		FactorNNZ:        nnz,
-		FactorIndexBytes: idxBytes,
-		Fold:             tr.Fold,
-		Expand:           tr.Expand,
-		Restrict:         tr.Restrict,
-		Reorder:          reorder,
-		Factorize:        factorize,
-		Assemble:         assemble,
-	}, att, nil
-}
-
-// factorizerFor materializes the factorizer stage for one rung. Ladder
-// rungs carry their own escalation configuration (reseeded variant or
-// the direct Cholesky bottom rung); everything else uses the spec's
-// fixed factorizer.
-func (r *Runner) factorizerFor(rg rung, attempt int) Factorizer {
-	if !r.spec.Ladder {
-		return r.spec.newFactorizer(r.cfg)
-	}
-	if rg.direct {
-		return cholFactorizer{ladder: true}
-	}
-	return randomizedFactorizer{
-		variant: rg.variant,
-		seed:    rg.seed,
-		buckets: r.cfg.Buckets,
-		samples: r.cfg.Samples,
-		attempt: attempt,
-		hook:    r.cfg.FactorOpts,
-	}
+	return setup, att, nil
 }
 
 // Succeed closes the pending attempt out as converged and returns the

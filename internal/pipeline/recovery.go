@@ -75,24 +75,16 @@ func orderTieRng(seed uint64, attempt int) *rng.Rand {
 	return rng.New(seed ^ orderTieSalt)
 }
 
-// baseRung resolves the requested randomized method to its paper
-// configuration (the exact logic Solve has always used).
+// baseRung resolves the requested method to its paper configuration:
+// the registry's default ordering unless cfg names one, and the RChol
+// variant for MethodRChol (LT-RChol otherwise).
 func baseRung(cfg Config) rung {
 	rg := rung{method: cfg.Method, ordering: cfg.Ordering, variant: core.VariantLT, seed: cfg.Seed}
-	switch cfg.Method {
-	case MethodPowerRChol:
-		if rg.ordering == OrderDefault {
-			rg.ordering = OrderAlg4
-		}
-	case MethodRChol:
+	if rg.ordering == OrderDefault {
+		rg.ordering = specs[cfg.Method].DefaultOrdering
+	}
+	if cfg.Method == MethodRChol {
 		rg.variant = core.VariantRChol
-		if rg.ordering == OrderDefault {
-			rg.ordering = OrderAMD
-		}
-	case MethodLTRChol:
-		if rg.ordering == OrderDefault {
-			rg.ordering = OrderAMD
-		}
 	}
 	return rg
 }

@@ -2,10 +2,7 @@ package pipeline
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-
-	"powerrchol/internal/fegrass"
 )
 
 // Spec is one registered method composition: which stages a method's
@@ -32,10 +29,10 @@ type Spec struct {
 	// Summary is the one-line description shown by `pgsolve -method list`.
 	Summary string
 
-	// newFactorizer builds the factorizer for one rung of this method's
-	// plan. Ladder rungs override it with the rung's own variant/direct
-	// escalation configuration (see Runner.factorizerFor).
-	newFactorizer func(cfg Config) Factorizer
+	// factor is the method's factorizer stage. Ladder methods leave it
+	// at factorRandomized: each rung picks its own variant, or complete
+	// Cholesky on the direct rung (see Runner.factorize).
+	factor factorKind
 }
 
 // specs is the method registry. Order of the table mirrors the Method
@@ -75,7 +72,7 @@ var specs = map[Method]*Spec{
 		Ordered:          true,
 		FactorName:       "cholesky",
 		Summary:          "feGRASS sparsifier (2%|V| off-tree) factorized completely",
-		newFactorizer:    func(Config) Factorizer { return cholFactorizer{} },
+		factor:           factorCholesky,
 	},
 	MethodFeGRASSIChol: {
 		Method:           MethodFeGRASSIChol,
@@ -84,21 +81,21 @@ var specs = map[Method]*Spec{
 		Ordered:          true,
 		FactorName:       "ichol",
 		Summary:          "feGRASS sparsifier (50%|V|) + threshold incomplete Cholesky",
-		newFactorizer:    func(cfg Config) Factorizer { return icholFactorizer{dropTol: cfg.DropTol} },
+		factor:           factorIChol,
 	},
 	MethodAMG: {
 		Method:           MethodAMG,
 		DefaultTransform: TransformNone,
 		FactorName:       "amg",
 		Summary:          "aggregation-AMG preconditioned CG (PowerRush's core)",
-		newFactorizer:    func(Config) Factorizer { return amgFactorizer{} },
+		factor:           factorAMG,
 	},
 	MethodPowerRush: {
 		Method:           MethodPowerRush,
 		DefaultTransform: TransformMerge,
 		FactorName:       "amg",
 		Summary:          "resistor-merge contraction + AMG-PCG on the contracted grid",
-		newFactorizer:    func(Config) Factorizer { return amgFactorizer{} },
+		factor:           factorAMG,
 	},
 	MethodDirect: {
 		Method:           MethodDirect,
@@ -107,21 +104,21 @@ var specs = map[Method]*Spec{
 		Ordered:          true,
 		FactorName:       "cholesky",
 		Summary:          "complete sparse Cholesky: exact solve, no iteration",
-		newFactorizer:    func(Config) Factorizer { return cholFactorizer{} },
+		factor:           factorCholesky,
 	},
 	MethodJacobi: {
 		Method:           MethodJacobi,
 		DefaultTransform: TransformNone,
 		FactorName:       "jacobi",
 		Summary:          "diagonally preconditioned CG, the weak reference point",
-		newFactorizer:    func(Config) Factorizer { return jacobiFactorizer{} },
+		factor:           factorJacobi,
 	},
 	MethodSSOR: {
 		Method:           MethodSSOR,
 		DefaultTransform: TransformNone,
 		FactorName:       "ssor",
 		Summary:          "symmetric-SOR preconditioned CG: zero setup cost",
-		newFactorizer:    func(Config) Factorizer { return ssorFactorizer{} },
+		factor:           factorSSOR,
 	},
 }
 
@@ -129,15 +126,6 @@ var specs = map[Method]*Spec{
 // an unknown method or transform here, and the public Options' range
 // checks in the root package, which re-exports it.
 var ErrInvalidOptions = errors.New("powerrchol: invalid options")
-
-// specFor resolves a method to its registered spec.
-func specFor(m Method) (*Spec, error) {
-	s, ok := specs[m]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidOptions, m)
-	}
-	return s, nil
-}
 
 // MethodInfo is one row of the registry-derived method table.
 type MethodInfo struct {
@@ -169,32 +157,4 @@ func Methods() []MethodInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Method < out[j].Method })
 	return out
-}
-
-// transformerFor resolves the configured transform stage for a plan.
-// TransformDefault picks the spec's own stage; the recovery budget for
-// feGRASS sparsification keeps the per-method paper defaults (2%|V|,
-// 50%|V| for the IChol variant) unless overridden.
-func transformerFor(spec *Spec, cfg Config) (Transformer, error) {
-	t := cfg.Transform
-	if t == TransformDefault {
-		t = spec.DefaultTransform
-	}
-	switch t {
-	case TransformNone:
-		return identityTransformer{}, nil
-	case TransformFeGRASS:
-		frac := cfg.RecoverFrac
-		if frac == 0 {
-			if cfg.Method == MethodFeGRASSIChol {
-				frac = fegrass.IcholRecoverFrac
-			} else {
-				frac = fegrass.DefaultRecoverFrac
-			}
-		}
-		return fegrassTransformer{frac: frac}, nil
-	case TransformMerge:
-		return mergeTransformer{factor: cfg.MergeFactor}, nil
-	}
-	return nil, fmt.Errorf("%w: unknown transform %v", ErrInvalidOptions, cfg.Transform)
 }

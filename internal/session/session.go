@@ -58,23 +58,11 @@ type Session struct {
 
 // Prepare factorizes sys once under ctx and returns the session that
 // amortizes it. It is NewSolverContext plus the preparation accounting
-// workload tests assert factorize-once contracts against.
+// workload tests assert factorize-once contracts against, and the one
+// way this package builds a solver from options: the transient and
+// Monte Carlo workloads prepare every system through it.
 func Prepare(ctx context.Context, sys *graph.SDDM, opt powerrchol.Options) (*Session, error) {
 	solver, err := powerrchol.NewSolverContext(ctx, sys, opt)
-	if err != nil {
-		return nil, err
-	}
-	prepares.Add(1)
-	return &Session{solver: solver, sys: sys}, nil
-}
-
-// PrepareFromPlan is Prepare with a precompiled solver plan: the method
-// registry resolution and recovery-ladder rung layout are shared across
-// every system prepared from the same plan — the Monte Carlo path, where
-// fingerprint-distinct samples reuse one plan while fingerprint-identical
-// samples reuse whole sessions.
-func PrepareFromPlan(ctx context.Context, sys *graph.SDDM, plan *powerrchol.SolverPlan) (*Session, error) {
-	solver, err := powerrchol.NewSolverFromPlan(ctx, sys, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -243,19 +243,17 @@ type mcGroup struct {
 
 // MonteCarlo runs a perturbation ensemble over a bare SDDM. Samples are
 // drawn serially (each from its own split rng stream), grouped by
-// topology fingerprint, solved group-by-group through one prepared
-// session each (the group's RHS ensemble fans out across the solver's
-// bounded worker pool), and reduced in sample-index order.
+// topology fingerprint, solved group-by-group through one
+// session.Prepare each (the group's RHS ensemble fans out across the
+// solver's bounded worker pool), and reduced in sample-index order.
+// Options that NewSolver rejects fail the first Prepare, with an error
+// wrapping powerrchol.ErrInvalidOptions.
 func MonteCarlo(ctx context.Context, sys *graph.SDDM, b []float64, spec MCSpec, opt powerrchol.Options) (*MCResult, error) {
 	n := sys.N()
 	if len(b) != n {
 		return nil, fmt.Errorf("workload: rhs has length %d, want %d", len(b), n)
 	}
 	if err := spec.setDefaults(sys.G.M()); err != nil {
-		return nil, err
-	}
-	plan, err := powerrchol.CompilePlan(opt)
-	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -269,7 +267,7 @@ func MonteCarlo(ctx context.Context, sys *graph.SDDM, b []float64, spec MCSpec, 
 			ref[i] = spec.Vdd
 		}
 	} else {
-		sess, err := session.PrepareFromPlan(ctx, sys, plan)
+		sess, err := session.Prepare(ctx, sys, opt)
 		if err != nil {
 			return nil, fmt.Errorf("workload: mc reference prepare: %w", err)
 		}
@@ -317,7 +315,7 @@ func MonteCarlo(ctx context.Context, sys *graph.SDDM, b []float64, spec MCSpec, 
 	}
 	for _, g := range order {
 		gs, _, _ := sm.sample(g.first)
-		sess, err := session.PrepareFromPlan(ctx, sm.detach(gs), plan)
+		sess, err := session.Prepare(ctx, sm.detach(gs), opt)
 		if err != nil {
 			return nil, fmt.Errorf("workload: mc prepare sample %d (topology %016x): %w", g.first, g.fp, err)
 		}

@@ -226,8 +226,8 @@ func (o *Options) validate() error {
 		o.MaxIter = 500
 	}
 	switch {
-	case math.IsNaN(o.Tol) || o.Tol <= 0:
-		return fmt.Errorf("%w: Tol %g is not a positive tolerance", ErrInvalidOptions, o.Tol)
+	case !(o.Tol > 0 && o.Tol <= math.MaxFloat64):
+		return fmt.Errorf("%w: Tol %g is not a finite positive tolerance", ErrInvalidOptions, o.Tol)
 	case o.MaxIter < 0:
 		return fmt.Errorf("%w: negative MaxIter %d", ErrInvalidOptions, o.MaxIter)
 	case o.Workers < 0:
@@ -242,13 +242,26 @@ func (o *Options) validate() error {
 		return fmt.Errorf("%w: Retry.MaxAttempts %d exceeds %d", ErrInvalidOptions, o.Retry.MaxAttempts, pipeline.MaxRetryAttempts)
 	case math.IsNaN(o.HeavyFactor) || o.HeavyFactor < 0:
 		return fmt.Errorf("%w: HeavyFactor %g is not a valid threshold", ErrInvalidOptions, o.HeavyFactor)
+	case !finiteNonNegative(o.RecoverFrac):
+		return fmt.Errorf("%w: RecoverFrac %g is not a finite non-negative fraction", ErrInvalidOptions, o.RecoverFrac)
+	case !finiteNonNegative(o.DropTol):
+		return fmt.Errorf("%w: DropTol %g is not a finite non-negative tolerance", ErrInvalidOptions, o.DropTol)
+	case !finiteNonNegative(o.MergeFactor):
+		return fmt.Errorf("%w: MergeFactor %g is not a finite non-negative threshold", ErrInvalidOptions, o.MergeFactor)
 	}
 	return nil
 }
 
-// pipelineConfig maps the public Options onto the setup pipeline's
-// Config.
-func (o Options) pipelineConfig() pipeline.Config {
+// finiteNonNegative reports 0 <= v < +Inf; NaN fails every comparison.
+func finiteNonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+// runner validates o in place and starts the setup pipeline's Runner
+// for sys: the one path from Options to a Solver, for NewSolver and
+// for every rung of the one-shot Solve.
+func (o *Options) runner(sys *graph.SDDM) (*pipeline.Runner, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	cfg := pipeline.Config{
 		Method:      o.Method,
 		Ordering:    o.Ordering,
@@ -267,7 +280,7 @@ func (o Options) pipelineConfig() pipeline.Config {
 		cfg.FactorOpts = o.Hooks.FactorOpts
 		cfg.WrapPrecond = o.Hooks.WrapPrecond
 	}
-	return cfg
+	return pipeline.NewRunner(sys, cfg)
 }
 
 // pcgOptions assembles the iteration options for one solve attempt.
@@ -360,15 +373,12 @@ func SolveContext(ctx context.Context, sys *graph.SDDM, b []float64, opt Options
 	if len(b) != sys.N() {
 		return nil, fmt.Errorf("powerrchol: rhs has length %d, want %d", len(b), sys.N())
 	}
-	if err := opt.validate(); err != nil {
+	r, err := opt.runner(sys)
+	if err != nil {
 		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	r, err := pipeline.NewRunner(sys, opt.pipelineConfig())
-	if err != nil {
-		return nil, err
 	}
 	for {
 		s, err := newSolver(ctx, r, sys, opt)
@@ -376,9 +386,9 @@ func SolveContext(ctx context.Context, sys *graph.SDDM, b []float64, opt Options
 			return nil, err
 		}
 		res, err := s.solveContext(ctx, b, nil)
-		res.Timings.Reorder = s.setupReorder
-		res.Timings.Factorize = s.setupFactorize
-		res.Timings.Iterate += s.setupAssemble
+		res.Timings.Reorder = s.iter.Reorder
+		res.Timings.Factorize = s.iter.Factorize
+		res.Timings.Iterate += s.iter.Assemble
 		if err == nil {
 			res.Attempts = r.Succeed(res.Iterations, res.Residual)
 			return res, nil
@@ -435,16 +445,6 @@ func SolveSDD(a *sparse.CSC, b []float64, opt Options) (*Result, error) {
 
 func ctxDone(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// solverMemoryBytes is the one formula behind both Solver.MemoryBytes
-// and Result.MemoryBytes: float64 values of the iteration matrix and the
-// factor (8 bytes each), their index arrays as actually stored, plus a
-// scratch estimate — the n-length work vectors one solve draws (PCG's
-// x/r/z/p/Ap and the factor Apply's pooled buffer).
-func solverMemoryBytes(n, matNNZ, matIndexBytes, factorNNZ, factorIndexBytes int) int {
-	const scratchVectors = 6
-	return 8*(matNNZ+factorNNZ) + matIndexBytes + factorIndexBytes + scratchVectors*8*n
 }
 
 // notConverged builds the typed iteration-cap error for a populated

@@ -36,33 +36,19 @@ type Solver struct {
 	// sys is the caller's system: the length Solve expects of b, the
 	// Fingerprint input and the reference of exact-solve residuals.
 	sys *graph.SDDM
-	// iter is the system PCG iterates on: sys itself, or its
-	// contraction under TransformMerge, with fold, expand and restrict
-	// mapping right-hand sides, solutions and warm starts across (nil =
-	// identity).
-	iter     *graph.SDDM
-	fold     func(b []float64) []float64
-	expand   func(x []float64) []float64
-	restrict func(x []float64) []float64
-	// mul multiplies by the assembled iteration matrix and returns
-	// xᵀ·A·x, gathering from its rows (sparse.CSR.MulVecDot).
-	// matNNZ and matIndexBytes size that storage. Exact setups assemble
-	// no matrix (mul is nil): they never iterate.
+	// iter is the set-up the pipeline built for the iteration phase:
+	// the system PCG iterates on (sys itself, or its contraction under
+	// TransformMerge, with Fold, Expand and Restrict mapping right-hand
+	// sides, solutions and warm starts across), its assembled matrix,
+	// the preconditioner, |L| and the set-up timings. An Exact setup
+	// applies its preconditioner once instead of iterating, and
+	// assembles no matrix.
+	iter *pipeline.Setup
+	// mul is iter.Mat's product, which returns xᵀ·A·x as it gathers
+	// from the rows (sparse.CSR.MulVecDot), bound once per Solver; nil
+	// for exact setups.
 	mul           func(y, x []float64) float64
-	matNNZ        int
-	matIndexBytes int
-	m             pcg.Preconditioner
-	// exact marks a preconditioner that solves the system exactly
-	// (complete Cholesky with no sparsifying transform in the way):
-	// Solve applies it once instead of iterating.
-	exact bool
-
-	setupReorder     time.Duration
-	setupFactorize   time.Duration
-	setupAssemble    time.Duration
-	factorNNZ        int
-	factorIndexBytes int
-	setupAttempts    []Attempt
+	setupAttempts []Attempt
 }
 
 // NewSolver validates the system and builds the preconditioner for the
@@ -80,51 +66,14 @@ func NewSolver(sys *graph.SDDM, opt Options) (*Solver, error) {
 // ctx aborts the setup pipeline (transform, ordering and factorization
 // all poll it) promptly.
 func NewSolverContext(ctx context.Context, sys *graph.SDDM, opt Options) (*Solver, error) {
-	plan, err := CompilePlan(opt)
+	r, err := opt.runner(sys)
 	if err != nil {
 		return nil, err
 	}
-	return NewSolverFromPlan(ctx, sys, plan)
-}
-
-// SolverPlan is a compiled solver configuration: the validated options
-// plus the pipeline's resolved method registry entry and recovery-ladder
-// rung layout, independent of any particular system. Compile once,
-// prepare many — the Monte Carlo workload shape, where every perturbed
-// sample shares one configuration. A SolverPlan is immutable and safe
-// for concurrent use.
-type SolverPlan struct {
-	opt  Options
-	plan *pipeline.Plan
-}
-
-// Options returns the validated (default-normalized) options the plan
-// was compiled from.
-func (p *SolverPlan) Options() Options { return p.opt }
-
-// CompilePlan validates opt and resolves it against the method registry
-// once, for reuse across many NewSolverFromPlan calls. Plans reject the
-// same configurations NewSolver would.
-func CompilePlan(opt Options) (*SolverPlan, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	plan, err := pipeline.Compile(opt.pipelineConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &SolverPlan{opt: opt, plan: plan}, nil
-}
-
-// NewSolverFromPlan builds a prepared solver for sys from a compiled
-// plan, skipping the per-call registry resolution. Identical in every
-// observable way to NewSolverContext with the plan's options.
-func NewSolverFromPlan(ctx context.Context, sys *graph.SDDM, plan *SolverPlan) (*Solver, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := plan.plan.NewRunner(sys)
-	s, err := newSolver(ctx, r, sys, plan.opt)
+	s, err := newSolver(ctx, r, sys, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -147,23 +96,9 @@ func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Opt
 		}
 		return nil, &SolveError{Attempts: r.Trail(), Last: err}
 	}
-	s := &Solver{
-		opt:              opt,
-		sys:              sys,
-		iter:             setup.Sys,
-		fold:             setup.Fold,
-		expand:           setup.Expand,
-		restrict:         setup.Restrict,
-		m:                setup.M,
-		exact:            setup.Exact,
-		setupReorder:     setup.Reorder,
-		setupFactorize:   setup.Factorize,
-		setupAssemble:    setup.Assemble,
-		factorNNZ:        setup.FactorNNZ,
-		factorIndexBytes: setup.FactorIndexBytes,
-	}
-	if a := setup.Mat; a != nil {
-		s.mul, s.matNNZ, s.matIndexBytes = a.MulVecDot, a.NNZ(), a.IndexBytes()
+	s := &Solver{opt: opt, sys: sys, iter: setup}
+	if setup.Mat != nil {
+		s.mul = setup.Mat.MulVecDot
 	}
 	return s, nil
 }
@@ -173,31 +108,39 @@ func newSolver(ctx context.Context, r *pipeline.Runner, sys *graph.SDDM, opt Opt
 // one-shot Solve also counts in Timings.Iterate. Total() is the whole
 // set-up.
 func (s *Solver) SetupTimings() Timings {
-	return Timings{Reorder: s.setupReorder, Factorize: s.setupFactorize, Iterate: s.setupAssemble}
+	return Timings{Reorder: s.iter.Reorder, Factorize: s.iter.Factorize, Iterate: s.iter.Assemble}
 }
 
 // N reports the system dimension (the length Solve expects of b).
 func (s *Solver) N() int { return s.sys.N() }
 
 // FactorNNZ reports |L| (0 for AMG/Jacobi).
-func (s *Solver) FactorNNZ() int { return s.factorNNZ }
+func (s *Solver) FactorNNZ() int { return s.iter.FactorNNZ }
 
 // FactorIndexBytes reports the factor's index-array footprint in bytes
 // (column pointers + row indices); 0 for the matrix-free
 // preconditioners.
-func (s *Solver) FactorIndexBytes() int { return s.factorIndexBytes }
+func (s *Solver) FactorIndexBytes() int { return s.iter.FactorIndexBytes }
 
 // MemoryBytes reports the retained footprint of the prepared solver in
 // bytes: factor values and index arrays, the assembled iteration matrix
 // (values plus indices), and the scratch vectors one solve draws from the
 // shared pools. It is the eviction weight of the pgserved prepared-factor
-// cache and pgperf's powerrchol.memory_mb — one formula
-// (solverMemoryBytes) for both and for Result.MemoryBytes, so the budget
-// the service enforces is the number the benchmark reports. Matrix-free
-// preconditioners (AMG, Jacobi, SSOR) contribute only their iteration
-// matrix and scratch; their hierarchy/diagonal storage is not counted.
+// cache and pgperf's powerrchol.memory_mb — one formula for both and
+// for Result.MemoryBytes, so the budget the service enforces is the
+// number the benchmark reports. Values take 8 bytes each, index arrays
+// count as actually stored, and the scratch is the six n-length work
+// vectors one solve draws (PCG's x/r/z/p/Ap and the factor Apply's
+// pooled buffer). Matrix-free preconditioners (AMG, Jacobi, SSOR)
+// contribute only their iteration matrix and scratch; their
+// hierarchy/diagonal storage is not counted.
 func (s *Solver) MemoryBytes() int {
-	return solverMemoryBytes(s.iter.N(), s.matNNZ, s.matIndexBytes, s.factorNNZ, s.factorIndexBytes)
+	const scratchVectors = 6
+	bytes := 8*s.iter.FactorNNZ + s.iter.FactorIndexBytes + scratchVectors*8*s.iter.N()
+	if a := s.iter.Mat; a != nil {
+		bytes += 8*a.NNZ() + a.IndexBytes()
+	}
+	return bytes
 }
 
 // SetupAttempts returns the recovery-ladder trail of NewSolver for the
@@ -243,12 +186,12 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 	if x0 != nil && len(x0) != n {
 		return nil, fmt.Errorf("powerrchol: initial guess has length %d, want %d", len(x0), n)
 	}
-	res := &Result{FactorNNZ: s.factorNNZ, FactorIndexBytes: s.factorIndexBytes, MemoryBytes: s.MemoryBytes()}
+	res := &Result{FactorNNZ: s.iter.FactorNNZ, FactorIndexBytes: s.iter.FactorIndexBytes, MemoryBytes: s.MemoryBytes()}
 	rhs := b
-	if s.fold != nil {
-		rhs = s.fold(b)
+	if s.iter.Fold != nil {
+		rhs = s.iter.Fold(b)
 	}
-	if s.exact {
+	if s.iter.Exact {
 		// The factor solves the system exactly: one apply, no iteration
 		// (and no use for a warm start).
 		if ctx != nil {
@@ -258,9 +201,9 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 		}
 		t0 := time.Now()
 		x := make([]float64, s.iter.N())
-		s.m.Apply(x, rhs)
-		if s.expand != nil {
-			x = s.expand(x)
+		s.iter.M.Apply(x, rhs)
+		if s.iter.Expand != nil {
+			x = s.iter.Expand(x)
 		}
 		res.Timings.Iterate = time.Since(t0)
 		res.X = x
@@ -268,16 +211,16 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 		res.Residual = relativeResidual(s.sys, x, b)
 		return res, nil
 	}
-	if x0 != nil && s.restrict != nil {
-		x0 = s.restrict(x0)
+	if x0 != nil && s.iter.Restrict != nil {
+		x0 = s.iter.Restrict(x0)
 	}
 	t0 := time.Now()
-	pres, err := pcg.SolveFromDotOp(s.iter.N(), s.mul, rhs, x0, s.m, s.opt.pcgOptions(ctx))
+	pres, err := pcg.SolveFromDotOp(s.iter.N(), s.mul, rhs, x0, s.iter.M, s.opt.pcgOptions(ctx))
 	res.Timings.Iterate = time.Since(t0)
 	if pres != nil {
 		fill(res, pres)
-		if s.expand != nil && pres.X != nil {
-			res.X = s.expand(pres.X)
+		if s.iter.Expand != nil && pres.X != nil {
+			res.X = s.iter.Expand(pres.X)
 		}
 	}
 	if err != nil {
@@ -301,11 +244,11 @@ func (s *Solver) solveContext(ctx context.Context, b, x0 []float64) (*Result, er
 func (s *Solver) ConditionEstimate(iters int) (float64, error) {
 	// Exact setups assemble no iteration matrix; the edge-list product
 	// is the same operator.
-	mul := s.iter.MulVec
+	mul := s.iter.Sys.MulVec
 	if s.mul != nil {
 		mul = func(y, x []float64) { s.mul(y, x) }
 	}
-	return pcg.ConditionEstimateOp(s.iter.N(), mul, s.m, iters, s.opt.Seed)
+	return pcg.ConditionEstimateOp(s.iter.N(), mul, s.iter.M, iters, s.opt.Seed)
 }
 
 // BatchWorkers reports the worker-pool size SolveBatch will use:

@@ -51,9 +51,9 @@ func TestSolverReusesFactorAcrossRHS(t *testing.T) {
 	// The wait for the iteration matrix's assembly is set-up too, counted
 	// in Iterate as a one-shot Solve counts it: Total() is the whole
 	// set-up. A fixed wait, so the check cannot pass on a zero reading.
-	solver.setupAssemble = 3 * time.Millisecond
+	solver.iter.Assemble = 3 * time.Millisecond
 	st := solver.SetupTimings()
-	if want := solver.setupReorder + solver.setupFactorize + 3*time.Millisecond; st.Iterate != 3*time.Millisecond || st.Total() != want {
+	if want := solver.iter.Reorder + solver.iter.Factorize + 3*time.Millisecond; st.Iterate != 3*time.Millisecond || st.Total() != want {
 		t.Fatalf("SetupTimings() = %+v, want the 3ms assembly wait in Iterate and Total() = %v", st, want)
 	}
 }
@@ -187,14 +187,14 @@ func TestSolverMatchesScatterPCGOnAsymmetricStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := s.iter.ToCSC(); &a.RowView().ColIdx[0] == &a.RowIdx[0] {
+	if a := s.iter.Sys.ToCSC(); &a.RowView().ColIdx[0] == &a.RowIdx[0] {
 		t.Fatal("the star assembled bitwise symmetric: the test no longer reaches the transposed rows")
 	}
 	got, err := s.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pcg.SolveFromOp(s.iter.N(), s.iter.ToCSC().MulVec, b, nil, s.m, s.opt.pcgOptions(nil))
+	want, err := pcg.SolveFromOp(s.iter.N(), s.iter.Sys.ToCSC().MulVec, b, nil, s.iter.M, s.opt.pcgOptions(nil))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
