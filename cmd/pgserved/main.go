@@ -48,7 +48,7 @@ func run() error {
 		method      = flag.String("method", "powerrchol", "solver method (see pgsolve -method list)")
 		tol         = flag.Float64("tol", 1e-6, "relative residual target")
 		seed        = flag.Uint64("seed", 42, "factorization seed")
-		workers     = flag.Int("workers", 0, "batch worker pool size (0 = NumCPU)")
+		workers     = flag.Int("workers", 0, "SolveBatch worker-pool size per micro-batch (0 = NumCPU); answers never depend on it")
 		retries     = flag.Int("retries", 3, "recovery-ladder attempts per factorization (1 = no retry)")
 		cacheBudget = flag.Int64("cache-budget", 256<<20, "prepared-solver cache budget in bytes")
 		maxGrids    = flag.Int("max-grids", 64, "ingested-grid store bound")

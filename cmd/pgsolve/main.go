@@ -16,9 +16,8 @@
 // Batch mode (-batch N) factorizes once and solves N deterministic load
 // patterns derived from the base right-hand side, fanned across a worker
 // pool (-workers, default NumCPU) via Solver.SolveBatch — the paper's
-// many-load-patterns workload. -workers also level-schedules the
-// factor's triangular solves across that many goroutines; it never
-// changes an answer.
+// many-load-patterns workload. -workers sizes that pool and nothing
+// else; it never changes an answer.
 package main
 
 import (
@@ -75,7 +74,7 @@ func run() error {
 	retries := flag.Int("retries", 1, "solve attempts before giving up (recovery ladder; 1 = no retry)")
 	escalate := flag.Bool("escalate", true, "with -retries > 1, escalate to more robust methods on retry")
 	batch := flag.Int("batch", 0, "solve N derived load patterns through one factorization (SolveBatch)")
-	workers := flag.Int("workers", 0, "SolveBatch pool size for -batch (0 = NumCPU); > 1 also level-schedules the triangular solves. Answers never depend on it")
+	workers := flag.Int("workers", 0, "SolveBatch pool size for -batch (0 = NumCPU); answers never depend on it")
 	outPath := flag.String("out", "", "write node voltages here (IBM .solution format; netlist input only)")
 	refPath := flag.String("ref", "", "compare against a golden .solution file (netlist input only)")
 	flag.Parse()

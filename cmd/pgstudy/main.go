@@ -101,7 +101,7 @@ func (in *input) register(fs *flag.FlagSet) {
 	fs.Float64Var(&in.tol, "tol", 1e-6, "relative residual tolerance")
 	fs.IntVar(&in.maxIter, "maxiter", 500, "PCG iteration cap")
 	fs.Uint64Var(&in.seed, "seed", 2024, "factorization and study seed")
-	fs.IntVar(&in.workers, "workers", 0, "ensemble worker-pool size (0 = NumCPU)")
+	fs.IntVar(&in.workers, "workers", 0, "SolveBatch worker-pool size for the ensemble (0 = NumCPU); answers never depend on it")
 	fs.DurationVar(&in.timeout, "timeout", 0, "abort the whole study after this duration (0 = no limit)")
 	fs.BoolVar(&in.jsonOut, "json", false, "emit the machine-readable report instead of the summary")
 }

@@ -15,8 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // Determinism regression suite. The contract: all randomness is spent at
 // factorization time (NewSolver), seeded by Options.Seed; the solve
 // phase consumes no RNG state, and the worker count never changes
-// results — parallel triangular solves and batch fan-out are bitwise
-// equivalent to the serial path.
+// results — batch fan-out is bitwise equivalent to the serial path.
 
 // TestSolveBatchDeterministicAcrossWorkers: with a fixed seed, the batch
 // results must be bit-identical for every Workers setting.

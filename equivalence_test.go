@@ -12,7 +12,6 @@ import (
 	"powerrchol/internal/pcg"
 	"powerrchol/internal/powergrid"
 	"powerrchol/internal/rng"
-	"powerrchol/internal/sparse"
 	"powerrchol/internal/testmat"
 )
 
@@ -37,24 +36,21 @@ func orderingsFor(mi MethodInfo) []Ordering {
 
 // TestFrontEndEquivalence drives the full method table (from the
 // pipeline registry, so a newly registered method is covered
-// automatically) against every ordering, serial and with Workers 4,
-// and asserts bitwise identity between the two front-ends — and with
-// the serial one-shot answer. Contracting plans (PowerRush) included.
+// automatically) against every ordering and asserts bitwise identity
+// between the two front-ends — and with a second one-shot answer.
+// Contracting plans (PowerRush) included. Workers has its own test.
 func TestFrontEndEquivalence(t *testing.T) {
 	s, b, _ := testProblem(t)
 	for _, mi := range Methods() {
 		for _, o := range orderingsFor(mi) {
-			serial, err := Solve(s, b, equivalenceOpt(mi.Method, o))
+			name := fmt.Sprintf("%s/%v", mi.Name, o)
+			opt := equivalenceOpt(mi.Method, o)
+			want, err := Solve(s, b, opt)
 			if err != nil {
-				t.Errorf("%s/%v: serial one-shot Solve: %v", mi.Name, o, err)
+				t.Errorf("%s: one-shot Solve: %v", name, err)
 				continue
 			}
-			for _, workers := range []int{0, 4} {
-				name := fmt.Sprintf("%s/%v/workers=%d", mi.Name, o, workers)
-				opt := equivalenceOpt(mi.Method, o)
-				opt.Workers = workers
-				checkFrontEnds(t, name, s, b, opt, serial)
-			}
+			checkFrontEnds(t, name, s, b, opt, want)
 		}
 	}
 }
@@ -99,40 +95,67 @@ func checkFrontEnds(t *testing.T, name string, s *graph.SDDM, b []float64, opt O
 }
 
 // TestWorkersNeverChangeAnswers pins the Workers contract the solver
-// fingerprint relies on (Workers is not part of the key): on systems
-// large enough for the level-scheduled triangular solves to run in
-// parallel, a one-shot Solve returns the same bits for every Workers
-// value, and the prepared Solver returns them too. The uniform grid's
-// factor has no level wide enough to split; the three-layer power
-// grid's has several, so its solves do run runLevels' workers. An
-// absurd Workers must neither exhaust memory nor change a bit.
+// fingerprint relies on (Workers is not part of the key). Workers only
+// sizes SolveBatch's pool, so against a serial prepared solver the
+// one-shot Solve, the prepared Solve and every entry of a SolveBatch
+// return the same bits for every Workers value. An absurd Workers is
+// clamped to the batch size: it must neither exhaust memory nor change
+// a bit.
 func TestWorkersNeverChangeAnswers(t *testing.T) {
 	g, err := powergrid.Generate(powergrid.Spec{Name: "workers", NX: 80, NY: 80, Layers: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []*graph.SDDM{testmat.GridSDDM(100, 100), g.Sys} {
-		if s.N() < sparse.ParThreshold {
-			t.Fatalf("system of %d nodes is below the parallel threshold %d", s.N(), sparse.ParThreshold)
+	s := g.Sys
+	rhs := batchRHS(s.N(), 3, 45)
+	for _, m := range []Method{MethodPowerRChol, MethodPowerRush} {
+		ref, err := NewSolver(s, Options{Method: m, Seed: 9, Workers: 1})
+		if err != nil {
+			t.Fatalf("%v serial NewSolver: %v", m, err)
 		}
-		r := rng.New(45)
-		b := make([]float64, s.N())
-		for i := range b {
-			b[i] = r.Float64() - 0.5
-		}
-		for _, m := range []Method{MethodPowerRChol, MethodPowerRush} {
-			serial, err := Solve(s, b, Options{Method: m, Seed: 9})
-			if err != nil {
-				t.Fatalf("%v serial: %v", m, err)
+		want := make([]*Result, len(rhs))
+		for i, b := range rhs {
+			if want[i], err = ref.Solve(b); err != nil {
+				t.Fatalf("%v serial rhs[%d]: %v", m, i, err)
 			}
-			// 1<<40 asks for more goroutines than any level has columns:
-			// runLevels spawns no more than the widest level needs.
-			for _, workers := range []int{2, 4, 1 << 40} {
-				checkFrontEnds(t, fmt.Sprintf("n=%d/%v/workers=%d", s.N(), m, workers), s, b,
-					Options{Method: m, Seed: 9, Workers: workers}, serial)
+		}
+		for _, workers := range []int{2, 1 << 40} {
+			name := fmt.Sprintf("%v/workers=%d", m, workers)
+			opt := Options{Method: m, Seed: 9, Workers: workers}
+			oneShot, err := Solve(s, rhs[0], opt)
+			if err != nil {
+				t.Fatalf("%s: one-shot Solve: %v", name, err)
+			}
+			solver, err := NewSolver(s, opt)
+			if err != nil {
+				t.Fatalf("%s: NewSolver: %v", name, err)
+			}
+			prepared, err := solver.Solve(rhs[0])
+			if err != nil {
+				t.Fatalf("%s: prepared Solve: %v", name, err)
+			}
+			batch, err := solver.SolveBatch(rhs)
+			if err != nil {
+				t.Fatalf("%s: SolveBatch: %v", name, err)
+			}
+			same(t, name+" one-shot", oneShot, want[0])
+			same(t, name+" prepared", prepared, want[0])
+			for i, res := range batch {
+				same(t, fmt.Sprintf("%s batch[%d]", name, i), res, want[i])
 			}
 		}
 	}
+}
+
+// same checks that got has want's iteration count, |L|, solution and
+// Ritz values, bit for bit.
+func same(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if got.Iterations != want.Iterations || got.FactorNNZ != want.FactorNNZ {
+		t.Errorf("%s: %d iterations, |L|=%d; want %d, %d", what, got.Iterations, got.FactorNNZ, want.Iterations, want.FactorNNZ)
+	}
+	assertBitwise(t, what, got.X, want.X)
+	assertBitwise(t, what+" Ritz values", []float64{got.RitzMin, got.RitzMax}, []float64{want.RitzMin, want.RitzMax})
 }
 
 // TestFrontEndEquivalenceUnderRecovery repeats the identity check with

@@ -93,8 +93,8 @@ func FingerprintSystem(sys *graph.SDDM) uint64 {
 // first (zero values resolve to their documented defaults), so
 // Options{} and Options{Tol: 1e-6, MaxIter: 500} fingerprint equal.
 //
-// Workers is deliberately excluded: the parallel kernels are bitwise
-// identical to the serial ones, so solvers differing only in Workers are
+// Workers is deliberately excluded: it only sizes SolveBatch's pool, so
+// solvers differing only in Workers return the same answers and are
 // interchangeable — and a cache should treat them as one entry.
 func Fingerprint(sys *graph.SDDM, opt Options) uint64 {
 	return CombineFingerprint(FingerprintSystem(sys), opt)

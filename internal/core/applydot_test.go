@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"powerrchol/internal/chol"
@@ -16,10 +15,7 @@ import (
 
 // scatterApply is Apply as it was written before the gather exit: the
 // permutation applied on the way in, the two serial solves, and the
-// result scattered back through the permutation itself. The
-// level-scheduled solves are bitwise the serial ones
-// (sparse.TestLevelSolvesBitwiseEqualSerial), so this is the reference
-// for a parallelized factor too.
+// result scattered back through the permutation itself.
 func scatterApply(f *core.Factor, z, r []float64) {
 	w := make([]float64, f.N)
 	perm := f.Perm()
@@ -43,12 +39,9 @@ func scatterApply(f *core.Factor, z, r []float64) {
 // apply followed by sparse.Dot(r, z), bit for bit, with z apart from r
 // and with z aliasing r, on a factor from every constructor: Factorize
 // with and without a caller ordering, exact Cholesky with and without
-// one, IChol, and Parallelize's reschedule of a Cholesky factor. Apply must write the same z.
+// one, and IChol. Apply must write the same z.
 func TestApplyDotIsApplyThenDot(t *testing.T) {
-	s := testmat.GridSDDM(96, 96) // 9,216 nodes: Parallelize schedules above sparse.ParThreshold
-	if s.N() < sparse.ParThreshold {
-		t.Fatalf("grid of %d nodes is below the parallel threshold %d", s.N(), sparse.ParThreshold)
-	}
+	s := testmat.GridSDDM(96, 96)
 	a := s.ToCSC()
 	perm := order.AMD(s.G)
 
@@ -77,14 +70,6 @@ func TestApplyDotIsApplyThenDot(t *testing.T) {
 	}
 	f, err = ichol.Factorize(a, perm, ichol.Options{DropTol: 1e-3})
 	add("ichol", f, err)
-	f, err = chol.Factorize(a, perm)
-	if err == nil {
-		f.Parallelize(2)
-		if slices.Equal(f.Perm(), perm) {
-			t.Fatal("Parallelize left the Cholesky factor in elimination order: reschedule did not run")
-		}
-	}
-	add("Parallelize reschedule", f, err)
 
 	r := rng.New(19)
 	for _, nf := range factors {

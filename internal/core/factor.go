@@ -21,9 +21,8 @@ import (
 //
 // Apply is safe for concurrent callers: scratch vectors are drawn from a
 // pool per call, and all other state (L, the permutation and its
-// inverse, the optional level boundaries) is read-only after
-// construction. All randomness is confined to Factorize; no RNG state
-// survives into the solve phase.
+// inverse) is read-only after construction. All randomness is confined
+// to Factorize; no RNG state survives into the solve phase.
 type Factor struct {
 	N int
 	L *sparse.CSC
@@ -31,13 +30,6 @@ type Factor struct {
 	// perm[newIdx] = oldIdx, nil for the identity, and inv its inverse,
 	// which Apply gathers its result through. SetPerm sets both.
 	perm, inv []int
-
-	// levels, when non-nil, are the level boundaries Parallelize found
-	// for L's columns, and workers > 1 the goroutines the triangular
-	// solves split each wide level across. They are set once before the
-	// factor is shared and never mutated afterwards.
-	levels  []int
-	workers int
 
 	pool sync.Pool // of *[]float64, length N
 }
@@ -50,8 +42,8 @@ func (f *Factor) NNZ() int { return f.L.NNZ() }
 func (f *Factor) Perm() []int { return f.perm }
 
 // SetPerm sets the factor's permutation (nil for the identity) and
-// keeps its inverse for Apply. perm is retained, not copied. Like
-// Parallelize, call it before the factor is shared.
+// keeps its inverse for Apply. perm is retained, not copied. Call it
+// before the factor is shared.
 func (f *Factor) SetPerm(perm []int) {
 	f.perm, f.inv = perm, nil
 	if perm != nil {
@@ -67,37 +59,6 @@ func (f *Factor) IsCompact() bool { return false }
 // IndexBytes returns the bytes spent on index storage (column pointers
 // plus row indices). Diagnostic.
 func (f *Factor) IndexBytes() int { return f.L.IndexBytes() }
-
-// Parallelize lets Apply run its two triangular solves across `workers`
-// goroutines, one level of L's columns at a time. The parallel solves
-// are bitwise identical to the serial ones, so enabling parallelism
-// never changes results. It needs L in level order: a factor
-// Factorize did not build (exact Cholesky, IChol) is put into schedule
-// order first, which changes L and Perm but not Apply's bits. Below
-// sparse.ParThreshold columns, where the solves would run serially
-// anyway, it builds nothing. Call it once, before the factor is shared
-// between goroutines; workers <= 1 disables the parallel path again.
-func (f *Factor) Parallelize(workers int) {
-	f.levels, f.workers = nil, 0
-	// Schedules number columns in int32, like the elimination graph.
-	if workers <= 1 || f.N < sparse.ParThreshold || f.N > sparse.MaxIndex32 {
-		return
-	}
-	lev, maxLev := chainLevels(f.L.ColPtr, f.L.RowIdx)
-	levels := make([]int, maxLev+2)
-	inOrder := true
-	for j, l := range lev {
-		levels[l+1]++
-		inOrder = inOrder && (j == 0 || lev[j-1] <= l)
-	}
-	for k := 1; k < len(levels); k++ {
-		levels[k] += levels[k-1]
-	}
-	if !inOrder {
-		f.reschedule(lev, maxLev)
-	}
-	f.levels, f.workers = levels, workers
-}
 
 // getWork returns a work vector from the pool. The pool holds
 // pointers: putting the slice itself would box its header on the heap
@@ -131,8 +92,8 @@ func (f *Factor) ApplyDot(z, r []float64) float64 {
 	} else {
 		sparse.PermuteVecInto(w, r, f.perm)
 	}
-	sparse.LowerSolveLevels(f.L, w, f.levels, f.workers)
-	sparse.LowerTransposeSolveLevels(f.L, w, f.levels, f.workers)
+	sparse.LowerSolve(f.L, w)
+	sparse.LowerTransposeSolve(f.L, w)
 	dot := gatherDot(z, r, w, f.inv)
 	f.pool.Put(wp)
 	return dot

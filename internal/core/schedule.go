@@ -109,44 +109,3 @@ func relabel(colPtr []int, ents []entry, ord []int, inv []int32) ([]int, []int, 
 	}
 	return cp, ri, v
 }
-
-// chainLevels computes the level of every column of a lower-triangular
-// factor by the row-chain rule, as eliminate does while emitting L.
-func chainLevels(colPtr, rowIdx []int) ([]int32, int32) {
-	n := len(colPtr) - 1
-	lev := make([]int32, n)
-	for i := range lev {
-		lev[i] = -1
-	}
-	var maxLev int32
-	p := colPtr[0]
-	for j, end := range colPtr[1 : n+1] {
-		rows := rowIdx[p+1 : end]
-		lj := lev[j]
-		for _, r := range rows {
-			lj = max(lj, lev[r])
-		}
-		lj++
-		lev[j] = lj
-		for _, r := range rows {
-			lev[r] = lj
-		}
-		maxLev = max(maxLev, lj)
-		p = end
-	}
-	return lev, maxLev
-}
-
-// reschedule puts the columns of f into schedule order given their
-// levels: Parallelize's route for a factor Factorize did not build.
-func (f *Factor) reschedule(lev []int32, maxLev int32) {
-	l := f.L
-	val := l.Val[:len(l.RowIdx)]
-	ents := make([]entry, len(l.RowIdx))
-	for p, r := range l.RowIdx {
-		ents[p] = entry{int32(r), val[p]}
-	}
-	e := &elimination{colPtr: l.ColPtr, ents: ents, lev: lev, maxLev: maxLev}
-	g := e.schedule(f.perm)
-	f.L, f.perm, f.inv = g.L, g.perm, g.inv
-}

@@ -27,10 +27,10 @@ func elimOrderFactor(t testing.TB, e *elimination, perm []int) *Factor {
 	return f
 }
 
-// chainLevelsRef computes the schedule levels of a factor in elimination
+// rowChainLevels computes the schedule levels of a factor in elimination
 // order the slow way: build every row's chain c₁ < … < c_m < i
 // explicitly, then take the longest path into each column.
-func chainLevelsRef(l *sparse.CSC) []int32 {
+func rowChainLevels(l *sparse.CSC) []int32 {
 	n := l.Cols
 	rows := make([][]int, n) // rows[i]: columns with an entry in row i, ascending
 	for j := 0; j < n; j++ {
@@ -68,7 +68,7 @@ func chainLevelsRef(l *sparse.CSC) []int32 {
 func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, perm []int) {
 	t.Helper()
 	n := f.N
-	want := chainLevelsRef(e0)
+	want := rowChainLevels(e0)
 	for j := range want {
 		if lev[j] != want[j] {
 			t.Fatalf("column %d: level %d, row-chain rule gives %d", j, lev[j], want[j])
@@ -134,18 +134,15 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 }
 
 // TestScheduledApplyIsBitwise is the scheduled layout's contract: for
-// every variant, ordering and worker count, Apply on the factor
-// Factorize returns equals Apply on the same factor in elimination
-// order bit for bit, and the schedule has the structure the bitwise
-// argument rests on.
+// every variant and ordering, Apply on the factor Factorize returns
+// equals Apply on the same factor in elimination order bit for bit, and
+// the schedule has the structure the bitwise argument rests on.
 //
-// Each case has two leaves. "wide" runs that contract on the factor
-// Factorize returns, which stores int indices like every factor.
-// "auto" checks the layout Parallelize picks on its own for a factor
-// in elimination order: reschedule must reproduce Factorize's L′ and
-// Perm′ exactly. The leaf names are those of the index-width axis
-// (wide, compact int32, auto) the test had while the factor had two
-// index widths; the compact leaf went with the int32 storage.
+// Each case has two leaves. "wide" checks the layout: the schedule's
+// structure, and that Factorize is eliminate followed by schedule.
+// "auto" checks Apply's bits against the elimination-order factor. The
+// leaf names are those of the index-width axis (wide, compact int32,
+// auto) the test had while the factor had two index widths.
 func TestScheduledApplyIsBitwise(t *testing.T) {
 	type system struct {
 		name string
@@ -157,8 +154,6 @@ func TestScheduledApplyIsBitwise(t *testing.T) {
 		{"random300", testmat.RandomSDDM(r, 300, 600)},
 		{"grid24", testmat.GridSDDM(24, 24)},
 		{"path", testmat.PathSDDM(40, 1)},
-		// Above sparse.ParThreshold, so Parallelize(2) builds level
-		// schedules and runs them.
 		{"grid100", testmat.GridSDDM(100, 100)},
 	}
 	for _, sys := range systems {
@@ -176,17 +171,20 @@ func TestScheduledApplyIsBitwise(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/%v", sys.name, pname, v)
 				opt := Options{Variant: v, Seed: 3}
 				t.Run(name+"/wide", func(t *testing.T) {
-					checkScheduledApply(t, sys.s, perm, opt)
+					checkScheduledLayout(t, sys.s, perm, opt)
 				})
 				t.Run(name+"/auto", func(t *testing.T) {
-					checkRescheduledLayout(t, sys.s, perm, opt)
+					checkScheduledApply(t, sys.s, perm, opt)
 				})
 			}
 		}
 	}
 }
 
-func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
+// checkScheduledLayout: schedule lays e out with the structure the
+// bitwise argument rests on, leaves the caller's perm alone, and
+// Factorize is eliminate followed by schedule.
+func checkScheduledLayout(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 	var permCopy []int
 	if perm != nil {
 		permCopy = append([]int(nil), perm...)
@@ -195,8 +193,7 @@ func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := elimOrderFactor(t, e, perm)
-	e0 := ref.L
+	e0 := elimOrderFactor(t, e, perm).L
 	lev := append([]int32(nil), e.lev...)
 	f := e.schedule(perm)
 	checkSchedule(t, f, e0, lev, e.lev, perm)
@@ -206,7 +203,6 @@ func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 		}
 	}
 
-	// Factorize is eliminate followed by schedule.
 	g, err := Factorize(s, perm, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +213,17 @@ func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 			t.Fatal("Factorize differs from eliminate + schedule")
 		}
 	}
+}
+
+// checkScheduledApply: the scheduled factor applies with the same bits
+// as the same factor in elimination order.
+func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
+	e, err := eliminate(s, perm, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := elimOrderFactor(t, e, perm)
+	f := e.schedule(perm)
 
 	r := rng.New(5)
 	in := make([]float64, f.N)
@@ -225,70 +232,7 @@ func checkScheduledApply(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
 	}
 	want := make([]float64, f.N)
 	ref.Apply(want, in)
-	for _, workers := range []int{0, 2} {
-		f.Parallelize(workers)
-		if (f.levels != nil) != (workers > 1 && f.N >= sparse.ParThreshold) {
-			t.Fatalf("workers=%d, n=%d: Parallelize kept levels %v", workers, f.N, f.levels != nil)
-		}
-		checkSameApply(t, fmt.Sprintf("workers=%d: scheduled", workers), f, in, want)
-	}
-	// Parallelize puts a factor Factorize did not schedule into level
-	// order itself, with the same bits.
-	ref.Parallelize(2)
-	checkSameApply(t, "rescheduled", ref, in, want)
-}
-
-// checkRescheduledLayout: reschedule, Parallelize's route for a factor
-// Factorize did not build, lays the elimination-order factor out
-// exactly as Factorize does, whatever the system's size, and the
-// relabeled factor applies with the same bits, serially and in
-// parallel.
-func checkRescheduledLayout(t *testing.T, s *graph.SDDM, perm []int, opt Options) {
-	e, err := eliminate(s, perm, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := elimOrderFactor(t, e, perm)
-	g := elimOrderFactor(t, e, perm)
-	g.reschedule(chainLevels(g.L.ColPtr, g.L.RowIdx))
-	f, err := Factorize(s, perm, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, gl := f.L, g.L
-	if len(gl.ColPtr) != len(fl.ColPtr) || len(gl.RowIdx) != len(fl.RowIdx) || len(gl.Val) != len(fl.Val) {
-		t.Fatalf("rescheduled L′ has %d columns, %d entries; Factorize's %d, %d", len(gl.ColPtr)-1, len(gl.RowIdx), len(fl.ColPtr)-1, len(fl.RowIdx))
-	}
-	for k := range fl.ColPtr {
-		if gl.ColPtr[k] != fl.ColPtr[k] {
-			t.Fatalf("rescheduled ColPtr[%d] = %d, Factorize's %d", k, gl.ColPtr[k], fl.ColPtr[k])
-		}
-	}
-	for p := range fl.RowIdx {
-		if gl.RowIdx[p] != fl.RowIdx[p] || math.Float64bits(gl.Val[p]) != math.Float64bits(fl.Val[p]) {
-			t.Fatalf("rescheduled L′ differs from Factorize's at entry %d", p)
-		}
-	}
-	if (g.perm == nil) != (f.perm == nil) || len(g.perm) != len(f.perm) {
-		t.Fatalf("rescheduled Perm′ nil=%v, Factorize's nil=%v", g.perm == nil, f.perm == nil)
-	}
-	for k := range f.perm {
-		if g.perm[k] != f.perm[k] {
-			t.Fatalf("rescheduled Perm′[%d] = %d, Factorize's %d", k, g.perm[k], f.perm[k])
-		}
-	}
-
-	r := rng.New(5)
-	in := make([]float64, g.N)
-	for i := range in {
-		in[i] = r.Float64() - 0.5
-	}
-	want := make([]float64, g.N)
-	ref.Apply(want, in)
-	for _, workers := range []int{0, 2} {
-		g.Parallelize(workers)
-		checkSameApply(t, fmt.Sprintf("workers=%d: rescheduled", workers), g, in, want)
-	}
+	checkSameApply(t, "scheduled", f, in, want)
 }
 
 func checkSameApply(t *testing.T, what string, f *Factor, in, want []float64) {
@@ -300,30 +244,4 @@ func checkSameApply(t *testing.T, what string, f *Factor, in, want []float64) {
 			t.Fatalf("%s Apply differs at %d: %x vs %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
-}
-
-// TestParallelizeBelowThresholdBuildsNothing: below sparse.ParThreshold
-// the triangular solves run serially whatever the worker count, so
-// Parallelize must retain no level schedule — memory the solver's
-// MemoryBytes would not count — and Apply keeps its bits.
-func TestParallelizeBelowThresholdBuildsNothing(t *testing.T) {
-	s := testmat.GridSDDM(40, 40)
-	if s.N() >= sparse.ParThreshold {
-		t.Fatalf("grid of %d nodes is not below the threshold %d", s.N(), sparse.ParThreshold)
-	}
-	f, err := Factorize(s, order.Alg4(s.G, 0, nil), Options{Variant: VariantLT, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make([]float64, f.N)
-	for i := range in {
-		in[i] = float64(i%7) - 3
-	}
-	want := make([]float64, f.N)
-	f.Apply(want, in)
-	f.Parallelize(4)
-	if f.levels != nil || f.workers != 0 {
-		t.Fatalf("Parallelize(4) on n=%d retained a schedule (%d levels, %d workers)", f.N, len(f.levels), f.workers)
-	}
-	checkSameApply(t, "Parallelize(4)", f, in, want)
 }

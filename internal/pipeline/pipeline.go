@@ -51,13 +51,6 @@ type Config struct {
 	DropTol     float64 // feGRASS-IChol drop tolerance (0 = default)
 	MergeFactor float64 // PowerRush contraction threshold (0 = default)
 
-	// Workers > 1 level-schedules the factor's triangular solves right
-	// after factorization, so Apply can run them across goroutines
-	// (bitwise identical to the serial solves). It does not govern
-	// set-up: the iteration matrix is always assembled beside ordering
-	// and factorization.
-	Workers int
-
 	Retry RetryPolicy
 
 	// FactorOpts and WrapPrecond intercept the per-attempt pipeline for
@@ -76,8 +69,7 @@ type Setup struct {
 	// (graph.SDDM.RowView); nil for exact setups, which never iterate.
 	// Rungs of one Runner that iterate on the same system share it.
 	Mat *sparse.CSR
-	// M is the preconditioner, already level-scheduled (Workers) and
-	// hook-wrapped.
+	// M is the preconditioner, already hook-wrapped.
 	M pcg.Preconditioner
 	// Exact reports that M solves Sys exactly (complete Cholesky with no
 	// sparsifying transform in the way): apply it once instead of
@@ -94,12 +86,12 @@ type Setup struct {
 	Fold     func(b []float64) []float64
 	Expand   func(x []float64) []float64
 	Restrict func(x []float64) []float64
-	// Reorder (transform + ordering) and Factorize (including the level
-	// schedule Workers > 1 adds) are this rung's per-stage setup
-	// timings. Assemble is the time spent waiting for Mat once
-	// factorization was done: assembly runs beside ordering and
-	// factorization, so only the part it outlasts them by is charged,
-	// and the three spans still partition the rung's wall time.
+	// Reorder (transform + ordering) and Factorize are this rung's
+	// per-stage setup timings. Assemble is the time spent waiting for
+	// Mat once factorization was done: assembly runs beside ordering
+	// and factorization, so only the part it outlasts them by is
+	// charged, and the three spans still partition the rung's wall
+	// time.
 	Reorder   time.Duration
 	Factorize time.Duration
 	Assemble  time.Duration
@@ -278,9 +270,6 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 		return nil, att, err
 	}
 	if f, ok := m.(*core.Factor); ok {
-		if r.cfg.Workers > 1 {
-			f.Parallelize(r.cfg.Workers)
-		}
 		setup.FactorNNZ, setup.FactorIndexBytes = f.NNZ(), f.IndexBytes()
 	}
 	setup.Factorize = time.Since(t0)

@@ -31,8 +31,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"CSC.MulVecAdd", func() { a.MulVecAdd(y, -0.5, x) }},
 		{"LowerSolve", func() { copy(w, x); LowerSolve(l, w) }},
 		{"LowerTransposeSolve", func() { copy(w, x); LowerTransposeSolve(l, w) }},
-		{"lowerSolve", func() { copy(w, x); lowerSolve(l.ColPtr, l.RowIdx, l.Val, w, w) }},
-		{"lowerTransposeSolve", func() { copy(w, x); lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, w, w) }},
+		{"lowerSolve", func() { copy(w, x); lowerSolve(l.ColPtr, l.RowIdx, l.Val, w) }},
+		{"lowerTransposeSolve", func() { copy(w, x); lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, w) }},
 		{"Dot", func() { dot = Dot(x, y) }},
 		{"Norm2", func() { dot = Norm2(x) }},
 		{"Axpy", func() { Axpy(y, 0.5, x) }},

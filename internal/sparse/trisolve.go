@@ -2,9 +2,7 @@ package sparse
 
 // The triangular solves in this file are the inner kernel of every
 // factorization-based preconditioner: applying M⁻¹ = L⁻ᵀ·L⁻¹ costs one
-// forward and one backward solve per PCG iteration. One kernel per
-// direction serves both the serial solves and the level-scheduled ones
-// (trisolve_par.go), which run it on column ranges.
+// forward and one backward solve per PCG iteration.
 //
 // Each kernel walks the column pointer without re-indexing it: CSC
 // column pointers are contiguous, so one column's end is the next
@@ -34,7 +32,7 @@ const unrolled = 4
 // each column. This layout is produced by all factorizations in this
 // repository.
 func LowerSolve(l *CSC, x []float64) {
-	lowerSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
+	lowerSolve(l.ColPtr, l.RowIdx, l.Val, x)
 }
 
 // LowerTransposeSolve solves Lᵀ·x = b in place for the same storage layout
@@ -42,17 +40,15 @@ func LowerSolve(l *CSC, x []float64) {
 // Lᵀ is column i of L, so the backward substitution is a per-column dot
 // product.
 func LowerTransposeSolve(l *CSC, x []float64) {
-	lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, x, x)
+	lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, x)
 }
 
 // lowerSolve is the forward scatter over the columns whose pointers are
-// colPtr — the factor's own, or a window ColPtr[lo:hi+1] of it — with
-// xc = x[lo:hi] their unknowns: column j divides xc[j] by its diagonal,
-// then subtracts its multiple of xc[j] from x[i] for every off-diagonal
-// row i.
-func lowerSolve(colPtr, rowIdx []int, val, xc, x []float64) {
+// colPtr: column j divides x[j] by its diagonal, then subtracts its
+// multiple of x[j] from x[i] for every off-diagonal row i.
+func lowerSolve(colPtr, rowIdx []int, val, x []float64) {
 	n := len(colPtr) - 1
-	xc = xc[:n]
+	xc := x[:n]
 	p := colPtr[0]
 	for j, end := range colPtr[1 : n+1] {
 		xj := xc[j] / val[p]
@@ -83,13 +79,13 @@ func lowerSolve(colPtr, rowIdx []int, val, xc, x []float64) {
 	}
 }
 
-// lowerTransposeSolve is the backward gather over the same column range
-// as lowerSolve: column j, walked from the last, subtracts its entries'
-// products with the already final x[i] from xc[j] in stored order, then
+// lowerTransposeSolve is the backward gather over the same columns as
+// lowerSolve: column j, walked from the last, subtracts its entries'
+// products with the already final x[i] from x[j] in stored order, then
 // divides by its diagonal.
-func lowerTransposeSolve(colPtr, rowIdx []int, val, xc, x []float64) {
+func lowerTransposeSolve(colPtr, rowIdx []int, val, x []float64) {
 	n := len(colPtr) - 1
-	xc = xc[:n]
+	xc := x[:n]
 	end := colPtr[n]
 	for j := n - 1; j >= 0; j-- {
 		p := colPtr[j]

@@ -10,15 +10,14 @@ import (
 	"powerrchol/internal/graph"
 	"powerrchol/internal/order"
 	"powerrchol/internal/rng"
-	"powerrchol/internal/sparse"
 )
 
 // The answer ledger pins, across commits, what every method returns on
 // power grids where the code the performance work changes actually
 // runs: Alg. 4's heavy rule (the cases have heavy vias), the merge
-// contraction (PowerRush really contracts them), the level-parallel
-// triangular solves (one system above sparse.ParThreshold, solved at
-// Workers 0 and 2), the warm start and SolveBatch. Each line is one
+// contraction (PowerRush really contracts them), the warm start and
+// SolveBatch, and one larger system solved at Workers 0 and 2, which
+// must agree. Each line is one
 // (case, method, transform, Workers) cell and records the iteration
 // system's size, |L|, the iteration count, the bits of Result.Residual
 // and FingerprintVector(x). The test also checks the conditions that
@@ -173,17 +172,18 @@ func TestLedger(t *testing.T) {
 		l.record(fmt.Sprintf("%s batch[%d]", key, i), s, res, nil)
 	}
 
-	// A system above the parallel threshold, serial and at Workers 2,
-	// where the level-range triangular solves run.
+	// The largest case, serial and at Workers 2. Workers sizes only
+	// SolveBatch's pool, so the two lines must agree past their keys.
 	p = ledgerCase(t, "thupg10")
-	if p.Sys.N() < sparse.ParThreshold {
-		t.Fatalf("%s: %d nodes, below the parallel threshold %d", p.Name, p.Sys.N(), sparse.ParThreshold)
-	}
 	for _, workers := range []int{0, 2} {
 		key := cell(p, MethodPowerRChol, TransformDefault, workers)
 		s := l.solver(key, p, ledgerOpt(MethodPowerRChol, TransformDefault, workers))
 		res, err := s.Solve(p.B)
 		l.record(key, s, res, err)
+	}
+	w0, w2 := l.lines[len(l.lines)-2], l.lines[len(l.lines)-1]
+	if _, a, _ := strings.Cut(w0, " n="); !strings.HasSuffix(w2, " n="+a) {
+		t.Fatalf("Workers changed an answer:\n%s\n%s", w0, w2)
 	}
 
 	compareGolden(t, "ledger.golden", strings.Join(l.lines, "\n")+"\n",

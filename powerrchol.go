@@ -169,15 +169,12 @@ type Options struct {
 	DropTol float64
 	// MergeFactor overrides the PowerRush contraction threshold.
 	MergeFactor float64
-	// Workers enables solve-phase parallelism when > 1. The paper's
-	// experiments are single-core; this is an opt-in extension. It
-	// level-schedules the factor's triangular solves across Workers
-	// goroutines and sizes the Solver.SolveBatch worker pool (0 means
-	// runtime.NumCPU() there). Neither changes a bit of any answer: a
-	// solve returns the same Result for every Workers value, on both
-	// front ends. Set-up does not read it: every non-exact setup
-	// assembles the iteration matrix on one helper goroutine beside
-	// ordering and factorization, whatever Workers is.
+	// Workers sizes the Solver.SolveBatch worker pool (0 means
+	// runtime.NumCPU()) and governs nothing else: each solve, in a
+	// batch or not, runs on one goroutine, so no answer depends on it.
+	// Set-up does not read it either: every non-exact setup assembles
+	// the iteration matrix on one helper goroutine beside ordering and
+	// factorization, whatever Workers is.
 	Workers int
 
 	// Retry is the automatic recovery policy. The zero value disables
@@ -273,7 +270,6 @@ func (o *Options) runner(sys *graph.SDDM) (*pipeline.Runner, error) {
 		RecoverFrac: o.RecoverFrac,
 		DropTol:     o.DropTol,
 		MergeFactor: o.MergeFactor,
-		Workers:     o.Workers,
 		Retry:       o.Retry,
 	}
 	if o.Hooks != nil {

@@ -267,10 +267,9 @@ func (s *Solver) BatchWorkers() int {
 // where the amortized preconditioner gives near-linear scaling without
 // any cross-solve synchronization beyond the shared read-only factor.
 //
-// Each solve runs exactly the serial Solve path (the parallel triangular
-// solves enabled by Options.Workers are bitwise identical to the serial
-// ones), so results[i] equals the Result of Solve(rhs[i]) bit for bit,
-// for every worker count. No randomness is consumed: the factorization
+// Each solve runs exactly the serial Solve path on one goroutine, so
+// results[i] equals the Result of Solve(rhs[i]) bit for bit, for every
+// worker count. No randomness is consumed: the factorization
 // seed is spent in NewSolver and never leaks into the solve phase.
 //
 // The returned slice always has len(rhs) entries. One bad right-hand
