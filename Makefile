@@ -73,7 +73,9 @@ race:
 
 # Short-budget native fuzzing of the input boundaries: Matrix Market
 # and netlist parsing, SDDM construction, the service's request
-# decoders and the solver Options. Each target runs a
+# decoders and the solver Options, plus a differential check of the
+# fixed-width rows PCG multiplies by against the scatter SpMV. Each
+# target runs a
 # few seconds — enough for regressions, not a soak; raise FUZZTIME for a
 # longer hunt. TestFuzzTargetsInMakefile fails when a Fuzz function of
 # the module is missing here, or a line here names one that does not
@@ -82,6 +84,7 @@ FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveOptions$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
+	$(GO) test -run='^$$' -fuzz='^FuzzELLMulVecDot$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzSplitCSC$$' -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSolveRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSystemRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve

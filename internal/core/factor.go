@@ -131,20 +131,3 @@ func gatherDot(z, r, w []float64, inv []int) float64 {
 	}
 	return dot
 }
-
-// ProductCSC assembles L·Lᵀ as a CSC matrix in the ordering of Perm: it
-// approximates P·A·Pᵀ for the composed Perm, not for the ordering
-// Factorize was given. Quadratic-ish in fill; intended for tests on
-// small matrices.
-func (f *Factor) ProductCSC() *sparse.CSC {
-	l := f.L
-	coo := sparse.NewCOO(f.N, f.N, 4*l.NNZ())
-	for k := 0; k < f.N; k++ {
-		for p := l.ColPtr[k]; p < l.ColPtr[k+1]; p++ {
-			for q := l.ColPtr[k]; q < l.ColPtr[k+1]; q++ {
-				coo.Add(l.RowIdx[p], l.RowIdx[q], l.Val[p]*l.Val[q])
-			}
-		}
-	}
-	return coo.ToCSC()
-}

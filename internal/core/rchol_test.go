@@ -151,7 +151,7 @@ func TestPathGraphFactorizationIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		got := f.ProductCSC().Dense()
+		got := testmat.LLT(f.L).Dense()
 		if d := testmat.MaxAbsDiff(a, got); d > 1e-12 {
 			t.Errorf("%v: path LLᵀ differs from A by %g", v, d)
 		}
@@ -177,7 +177,7 @@ func TestFactorizationIsUnbiased(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", v, err)
 			}
-			p := f.ProductCSC().Dense()
+			p := testmat.LLT(f.L).Dense()
 			for i := range sum {
 				for j := range sum[i] {
 					sum[i][j] += p[i][j] / trials
@@ -333,7 +333,7 @@ func TestFactorizePermutationSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ap := sparse.PermuteSym(s.ToCSC(), perm).Dense()
-	got := f.ProductCSC().Dense()
+	got := testmat.LLT(f.L).Dense()
 	if d := testmat.MaxAbsDiff(ap, got); d > 1e-12 {
 		t.Fatalf("permuted tree factorization differs from P·A·Pᵀ by %g", d)
 	}
@@ -355,7 +355,7 @@ func TestSlackDistributionMatchesExactSchur(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := f.ProductCSC().Dense()
+	got := testmat.LLT(f.L).Dense()
 	want := s.ToCSC().Dense()
 	if dd := testmat.MaxAbsDiff(got, want); dd > 1e-12 {
 		t.Fatalf("2-node elimination differs from exact by %g (got %v)", dd, got)

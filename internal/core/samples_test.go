@@ -49,7 +49,7 @@ func TestMultiSampleStaysUnbiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := testmat.MaxAbsDiff(f.ProductCSC().Dense(), s.ToCSC().Dense()); d > 1e-12 {
+	if d := testmat.MaxAbsDiff(testmat.LLT(f.L).Dense(), s.ToCSC().Dense()); d > 1e-12 {
 		t.Fatalf("tree factorization with 3 samples differs from A by %g", d)
 	}
 
@@ -67,7 +67,7 @@ func TestMultiSampleStaysUnbiased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := f.ProductCSC().Dense()
+		p := testmat.LLT(f.L).Dense()
 		for i := range sum {
 			for j := range sum[i] {
 				sum[i][j] += p[i][j] / trials

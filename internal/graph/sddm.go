@@ -46,27 +46,6 @@ func NewSDDM(g *Graph, d []float64) (*SDDM, error) {
 // the historical COO route — same entry placement order, same column
 // sort/merge tail).
 func (s *SDDM) ToCSC() *sparse.CSC {
-	a, _ := s.assemble()
-	return a
-}
-
-// RowView returns A's rows as s.ToCSC().RowView() does: the storage
-// PCG's MulVecDot gathers from. Assembly places each edge as a mirrored
-// pair, (u, v) and (v, u) with the same value in the same order, so A is
-// bitwise symmetric unless a long column merged parallel edges. The rows
-// of a symmetric A are its columns: the view shares the assembled arrays
-// without CSC.RowView's O(nnz) check, which runs only after such a merge.
-func (s *SDDM) RowView() *sparse.CSR {
-	a, mergedLong := s.assemble()
-	if mergedLong {
-		return a.RowView()
-	}
-	return &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.ColPtr, ColIdx: a.RowIdx, Val: a.Val}
-}
-
-// assemble builds A and reports whether a long column merged duplicate
-// entries (sparse.CSCBuilder.MergedLongColumn).
-func (s *SDDM) assemble() (a *sparse.CSC, mergedLong bool) {
 	g := s.G
 	counts := make([]int, g.N)
 	for i := range counts {
@@ -77,6 +56,7 @@ func (s *SDDM) assemble() (a *sparse.CSC, mergedLong bool) {
 		counts[e.V]++
 	}
 	b, err := sparse.NewCSCBuilder(g.N, g.N, counts)
+	var a *sparse.CSC
 	if err == nil {
 		diag := g.WeightedDegrees()
 		for i, d := range diag {
@@ -93,7 +73,20 @@ func (s *SDDM) assemble() (a *sparse.CSC, mergedLong bool) {
 		// edge list; a mismatch is impossible for an in-variant SDDM.
 		panic("graph: SDDM assembly mismatch: " + err.Error())
 	}
-	return a, b.MergedLongColumn()
+	return a
+}
+
+// ToELL assembles A and lays its rows out in the fixed-width form PCG
+// multiplies by (sparse.NewELL): one transposing pass over the
+// assembled columns, whatever order assembly summed merged parallel
+// edges in. It fails only with sparse.ErrIndexOverflow, for a system
+// whose node count exceeds the row form's int32 columns, and refuses
+// such a system before assembling anything.
+func (s *SDDM) ToELL() (*sparse.ELL, error) {
+	if n := s.N(); n > sparse.MaxIndex32 {
+		return nil, fmt.Errorf("graph: %d nodes: %w", n, sparse.ErrIndexOverflow)
+	}
+	return sparse.NewELL(s.ToCSC())
 }
 
 // SplitCSC decomposes a CSC matrix into SDDM form. It validates that A is

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"powerrchol/internal/core"
 	"powerrchol/internal/pcg"
 	"powerrchol/internal/rng"
 	"powerrchol/internal/sparse"
@@ -12,9 +13,7 @@ import (
 
 // rowSumDeviation returns ‖L·Lᵀ·1 − A·1‖∞, the quantity MIC is designed
 // to keep at zero.
-func rowSumDeviation(t *testing.T, a *sparse.CSC, f interface {
-	ProductCSC() *sparse.CSC
-}) float64 {
+func rowSumDeviation(t *testing.T, a *sparse.CSC, f *core.Factor) float64 {
 	t.Helper()
 	n := a.Rows
 	ones := make([]float64, n)
@@ -24,7 +23,7 @@ func rowSumDeviation(t *testing.T, a *sparse.CSC, f interface {
 	want := make([]float64, n)
 	a.MulVec(want, ones)
 	got := make([]float64, n)
-	f.ProductCSC().MulVec(got, ones)
+	testmat.LLT(f.L).MulVec(got, ones)
 	var dev float64
 	for i := range got {
 		if d := math.Abs(got[i] - want[i]); d > dev {

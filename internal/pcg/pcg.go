@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"powerrchol/internal/sparse"
@@ -156,11 +157,11 @@ func SolveFromOp(n int, mul func(y, x []float64), b, x0 []float64, m Preconditio
 
 // SolveFromDotOp is SolveFromOp for a multiply that also returns
 // xᵀ·(A·x): the pᵀAp every iteration needs, computed in the multiply's
-// own pass (sparse.CSR.MulVecDot). With a mul that returns
-// sparse.Dot(x, A·x) the result is bitwise that of SolveFromOp, which
-// is exactly that adapter. The scratch vectors come from a shared pool,
-// so only the returned X is allocated per solve, and it is the
-// caller's: no later solve writes to it.
+// own pass over the fixed-width rows (sparse.ELL.MulVecDot). With a mul
+// that returns sparse.Dot(x, A·x) the result is bitwise that of
+// SolveFromOp, which is exactly that adapter. The scratch vectors come
+// from a shared pool, so only the returned X is allocated per solve,
+// and it is the caller's: no later solve writes to it.
 func SolveFromDotOp(n int, mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner, opt Options) (*Result, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("pcg: rhs has length %d, want %d", len(b), n)
@@ -229,7 +230,6 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 		stagFactor = 0.5
 	}
 
-	x := make([]float64, len(b))
 	r, z, p, ap, spare := s.r, s.z, s.p, s.ap, s.spare
 	if len(z) != len(r) || len(p) != len(r) {
 		panic(errLengths) // proves the loop's z and p accesses in bounds
@@ -240,12 +240,16 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 		return nil, fmt.Errorf("pcg: right-hand side contains non-finite values")
 	}
 	if bnorm == 0 {
-		return &Result{X: x, Converged: true}, nil
+		return &Result{X: make([]float64, len(b)), Converged: true}, nil
 	}
+	// A warm iterate starts as a copy of x0, which overwrites every
+	// entry: only a cold one needs zeroing.
+	var x []float64
 	if x0 == nil {
+		x = make([]float64, len(b))
 		copy(r, b)
 	} else {
-		copy(x, x0)
+		x = slices.Clone(x0)
 		mul(ap, x)
 		rr := residual(r, b, ap)
 		if math.IsNaN(rr) || math.IsInf(rr, 0) {

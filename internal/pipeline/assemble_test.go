@@ -11,6 +11,7 @@ import (
 	"powerrchol/internal/core"
 	"powerrchol/internal/graph"
 	"powerrchol/internal/pcg"
+	"powerrchol/internal/rng"
 	"powerrchol/internal/sparse"
 	"powerrchol/internal/testmat"
 )
@@ -55,7 +56,7 @@ func TestFailedFactorizationRungSharesMatrix(t *testing.T) {
 	if started[0] == nil || started[1] != started[0] {
 		t.Fatalf("rung 1 started its own assembly (%p) instead of reusing rung 0's (%p)", started[1], started[0])
 	}
-	if setup.Mat == nil || setup.Mat != started[0].wait() {
+	if mat, _ := started[0].wait(); setup.Mat == nil || setup.Mat != mat {
 		t.Fatal("rung 1's setup does not carry the matrix rung 0 assembled")
 	}
 	checkMatrix(t, setup.Mat, sys.ToCSC())
@@ -91,10 +92,10 @@ func TestFailedSolveRungSharesMatrix(t *testing.T) {
 // pivots) aborts the rung, and the assembly helper, slowed down to
 // outlast the factorization, has finished by the time Next returns.
 func TestCancelledRungJoinsAssembly(t *testing.T) {
-	defer func(f func(*graph.SDDM) *sparse.CSR) { rowView = f }(rowView)
-	rowView = func(s *graph.SDDM) *sparse.CSR {
+	defer func(f func(*graph.SDDM) (*sparse.ELL, error)) { buildRows = f }(buildRows)
+	buildRows = func(s *graph.SDDM) (*sparse.ELL, error) {
 		time.Sleep(50 * time.Millisecond)
-		return s.RowView()
+		return s.ToELL()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -132,8 +133,8 @@ func TestCancelledRungJoinsAssembly(t *testing.T) {
 // service's per-request guard) can catch it, instead of crashing the
 // process.
 func TestAssemblyPanicReachesCaller(t *testing.T) {
-	defer func(f func(*graph.SDDM) *sparse.CSR) { rowView = f }(rowView)
-	rowView = func(*graph.SDDM) *sparse.CSR { panic("injected assembly fault") }
+	defer func(f func(*graph.SDDM) (*sparse.ELL, error)) { buildRows = f }(buildRows)
+	buildRows = func(*graph.SDDM) (*sparse.ELL, error) { panic("injected assembly fault") }
 	r, err := NewRunner(testmat.GridSDDM(8, 8), Config{Method: MethodPowerRChol, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -165,21 +166,29 @@ func TestExactRungStartsNoAssembly(t *testing.T) {
 	}
 }
 
-// checkMatrix compares the rows the helper assembled with the columns
-// of the reference assembly, bit for bit.
-func checkMatrix(t *testing.T, got *sparse.CSR, want *sparse.CSC) {
+// checkMatrix checks the rows the helper assembled against the columns
+// of the reference assembly: their product and its dot with x are
+// those of the scatter MulVec and Dot, bit for bit.
+func checkMatrix(t *testing.T, got *sparse.ELL, want *sparse.CSC) {
 	t.Helper()
-	if got.Rows != want.Cols || len(got.RowPtr) != len(want.ColPtr) || len(got.Val) != len(want.Val) {
-		t.Fatal("assembled matrix has the wrong shape")
+	n := want.Cols
+	if got.N() != n {
+		t.Fatalf("assembled matrix has dimension %d, want %d", got.N(), n)
 	}
-	for i := range got.RowPtr {
-		if got.RowPtr[i] != want.ColPtr[i] {
-			t.Fatalf("RowPtr[%d] = %d, want %d", i, got.RowPtr[i], want.ColPtr[i])
+	r := rng.New(3)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = r.Float64() - 0.5
+	}
+	wantY, gotY := make([]float64, n), make([]float64, n)
+	want.MulVec(wantY, x)
+	wantDot, gotDot := sparse.Dot(x, wantY), got.MulVecDot(gotY, x)
+	for i := range wantY {
+		if math.Float64bits(gotY[i]) != math.Float64bits(wantY[i]) {
+			t.Fatalf("y[%d] = %x, want %x", i, math.Float64bits(gotY[i]), math.Float64bits(wantY[i]))
 		}
 	}
-	for p := range got.Val {
-		if got.ColIdx[p] != want.RowIdx[p] || math.Float64bits(got.Val[p]) != math.Float64bits(want.Val[p]) {
-			t.Fatalf("entry %d differs from the reference assembly", p)
-		}
+	if math.Float64bits(gotDot) != math.Float64bits(wantDot) {
+		t.Fatalf("xᵀy = %x, want %x", math.Float64bits(gotDot), math.Float64bits(wantDot))
 	}
 }

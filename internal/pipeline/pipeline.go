@@ -65,10 +65,10 @@ type Setup struct {
 	// Sys is the system PCG iterates on: the input system, or the
 	// contracted one when the plan carries a contraction.
 	Sys *graph.SDDM
-	// Mat is Sys assembled in the row form PCG gathers from
-	// (graph.SDDM.RowView); nil for exact setups, which never iterate.
+	// Mat is Sys assembled in the fixed-width row form PCG multiplies
+	// by (graph.SDDM.ToELL); nil for exact setups, which never iterate.
 	// Rungs of one Runner that iterate on the same system share it.
-	Mat *sparse.CSR
+	Mat *sparse.ELL
 	// M is the preconditioner, already hook-wrapped.
 	M pcg.Preconditioner
 	// Exact reports that M solves Sys exactly (complete Cholesky with no
@@ -121,33 +121,35 @@ type Runner struct {
 type assembly struct {
 	sys   *graph.SDDM
 	done  chan struct{}
-	mat   *sparse.CSR
+	mat   *sparse.ELL
+	err   error
 	fault any // a panic of the helper, raised again by wait
 }
 
-// rowView is the helper's work, a variable so that tests can make it
+// buildRows is the helper's work, a variable so that tests can make it
 // outlast factorization.
-var rowView = (*graph.SDDM).RowView
+var buildRows = (*graph.SDDM).ToELL
 
 func startAssembly(sys *graph.SDDM) *assembly {
 	a := &assembly{sys: sys, done: make(chan struct{})}
 	go func() {
 		defer close(a.done)
 		defer func() { a.fault = recover() }()
-		a.mat = rowView(sys)
+		a.mat, a.err = buildRows(sys)
 	}()
 	return a
 }
 
-// wait joins the helper and returns its matrix. It may be called any
-// number of times. A panic of the helper is raised on the caller, as
-// it would have been had the caller assembled the matrix itself.
-func (a *assembly) wait() *sparse.CSR {
+// wait joins the helper and returns its matrix, or its error. It may be
+// called any number of times. A panic of the helper is raised on the
+// caller, as it would have been had the caller assembled the matrix
+// itself.
+func (a *assembly) wait() (*sparse.ELL, error) {
 	<-a.done
 	if a.fault != nil {
 		panic(a.fault)
 	}
-	return a.mat
+	return a.mat, a.err
 }
 
 // NewRunner resolves cfg against the method registry and lays the
@@ -280,8 +282,11 @@ func (r *Runner) buildRung(ctx context.Context, i int) (*Setup, Attempt, error) 
 	setup.M = m
 	if asm != nil {
 		t0 = time.Now()
-		setup.Mat = asm.wait()
+		setup.Mat, err = asm.wait()
 		setup.Assemble = time.Since(t0)
+		if err != nil {
+			return nil, att, err
+		}
 	}
 	return setup, att, nil
 }

@@ -15,7 +15,18 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	r := rng.New(41)
 	const n = 300
 	a := randCSC(r, n, n, 5*n)
-	csr := a.ToCSR()
+	wide, err := NewELL(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := NewELL(randCSC(r, n, n, 2*n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.Width() != ellLong || narrow.Width() != ellShort || len(wide.ov.rows) == 0 || len(narrow.ov.rows) == 0 {
+		t.Fatalf("widths %d and %d with %d and %d long rows: want both widths, each with an overflow",
+			wide.Width(), narrow.Width(), len(wide.ov.rows), len(narrow.ov.rows))
+	}
 	l := randLower(r, n, 3)
 	x, y, w := randVec(r, n), make([]float64, n), make([]float64, n)
 	perm := r.Perm(n)
@@ -24,9 +35,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"CSR.MulVecDot", func() { dot = csr.MulVecDot(y, x) }},
-		{"mulVecDot", func() { dot = mulVecDot(csr.RowPtr, csr.ColIdx, csr.Val, y, x) }},
-		{"mulVecDot/panic", panicking(t, func() { mulVecDot(csr.RowPtr, csr.ColIdx, csr.Val, y[:n-1], x) })},
+		{"ELL.MulVecDot/8", func() { dot = wide.MulVecDot(y, x) }},
+		{"ELL.MulVecDot/5", func() { dot = narrow.MulVecDot(y, x) }},
+		{"mul8/panic", panicking(t, func() { wide.MulVecDot(y[:n-1], x) })},
+		{"mul5/panic", panicking(t, func() { narrow.MulVecDot(y, x[:n-1]) })},
 		{"CSC.MulVec", func() { a.MulVec(y, x) }},
 		{"CSC.MulVecAdd", func() { a.MulVecAdd(y, -0.5, x) }},
 		{"LowerSolve", func() { copy(w, x); LowerSolve(l, w) }},

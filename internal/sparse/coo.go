@@ -96,11 +96,8 @@ func (c *COO) ToCSC() *CSC {
 // insertion sort. sort.Sort runs exactly that algorithm for such short
 // inputs, and a stable sort has only one possible output, so the
 // duplicate merge sees the same order either way. Longer columns keep
-// sort.Sort, whose arrangement of equal rows the merge depends on. The
-// result reports whether any such long column merged a duplicate: the
-// one place where the order in which a merged entry was summed is
-// sort.Sort's choice rather than the order the entries were placed in.
-func compressColumns(a *CSC) (mergedLong bool) {
+// sort.Sort, whose arrangement of equal rows the merge depends on.
+func compressColumns(a *CSC) {
 	// One sorter reused across columns: boxing a fresh colSorter into the
 	// sort.Interface per column costs an allocation per column, which at
 	// 1e7 columns is the difference between assembly being allocation-flat
@@ -130,15 +127,11 @@ func compressColumns(a *CSC) (mergedLong bool) {
 				last = r
 			}
 		}
-		if len(rows) > shortColumn && out-first < len(rows) {
-			mergedLong = true
-		}
 		lo = hi
 	}
 	colPtr[a.Cols] = out
 	a.RowIdx = rowIdx[:out]
 	a.Val = val[:out]
-	return mergedLong
 }
 
 // shortColumn is the longest input sort.Sort hands straight to its

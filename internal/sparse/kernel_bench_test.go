@@ -113,13 +113,17 @@ func BenchmarkCSCMulVec(b *testing.B) {
 	}
 }
 
-// BenchmarkCSRMulVecDot is BenchmarkCSCMulVec's product as PCG now
-// takes it: the row gather over the same matrix plus the xᵀ·A·x the
-// scatter form needs a separate Dot pass for.
-func BenchmarkCSRMulVecDot(b *testing.B) {
-	a := randCSC(rng.New(1), 20000, 20000, 200000).ToCSR()
-	x := randVec(rng.New(12), a.Cols)
-	y := make([]float64, a.Rows)
+// BenchmarkELLMulVecDot is BenchmarkCSCMulVec's product as PCG takes
+// it: the fixed-width rows of the same matrix (about ten entries per
+// row, so 8 slots and an overflow) plus the xᵀ·A·x the scatter form
+// needs a separate Dot pass for.
+func BenchmarkELLMulVecDot(b *testing.B) {
+	a, err := NewELL(randCSC(rng.New(1), 20000, 20000, 200000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := randVec(rng.New(12), a.N())
+	y := make([]float64, a.N())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

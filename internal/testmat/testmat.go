@@ -9,6 +9,7 @@ import (
 
 	"powerrchol/internal/graph"
 	"powerrchol/internal/rng"
+	"powerrchol/internal/sparse"
 )
 
 // RandomConnectedGraph returns a connected graph on n nodes: a random
@@ -116,6 +117,22 @@ func ParallelStarSDDM(r *rng.Rand, spokes, parallel int) *graph.SDDM {
 		panic(err)
 	}
 	return s
+}
+
+// LLT assembles L·Lᵀ for a lower factor L as a CSC matrix, in L's own
+// ordering: for a core.Factor f, testmat.LLT(f.L) approximates
+// P·A·Pᵀ for the composed f.Perm. Quadratic in each column's length;
+// for small matrices.
+func LLT(l *sparse.CSC) *sparse.CSC {
+	coo := sparse.NewCOO(l.Rows, l.Cols, 4*l.NNZ())
+	for k := 0; k < l.Cols; k++ {
+		for p := l.ColPtr[k]; p < l.ColPtr[k+1]; p++ {
+			for q := l.ColPtr[k]; q < l.ColPtr[k+1]; q++ {
+				coo.Add(l.RowIdx[p], l.RowIdx[q], l.Val[p]*l.Val[q])
+			}
+		}
+	}
+	return coo.ToCSC()
 }
 
 // DenseCholesky factorizes an SPD dense matrix in place, returning the

@@ -44,9 +44,9 @@ type Solver struct {
 	// applies its preconditioner once instead of iterating, and
 	// assembles no matrix.
 	iter *pipeline.Setup
-	// mul is iter.Mat's product, which returns xᵀ·A·x as it gathers
-	// from the rows (sparse.CSR.MulVecDot), bound once per Solver; nil
-	// for exact setups.
+	// mul is iter.Mat's product, which returns xᵀ·A·x as it sums the
+	// fixed-width rows (sparse.ELL.MulVecDot), bound once per Solver;
+	// nil for exact setups.
 	mul           func(y, x []float64) float64
 	setupAttempts []Attempt
 }
@@ -124,8 +124,8 @@ func (s *Solver) FactorIndexBytes() int { return s.iter.FactorIndexBytes }
 
 // MemoryBytes reports the retained footprint of the prepared solver in
 // bytes: factor values and index arrays, the assembled iteration matrix
-// (values plus indices), and the scratch vectors one solve draws from the
-// shared pools. It is the eviction weight of the pgserved prepared-factor
+// (its fixed-width rows, padding slots included, plus their overflow
+// list), and the scratch vectors one solve draws from the shared pools. It is the eviction weight of the pgserved prepared-factor
 // cache and pgperf's powerrchol.memory_mb — one formula for both and
 // for Result.MemoryBytes, so the budget the service enforces is the
 // number the benchmark reports. Values take 8 bytes each, index arrays
@@ -138,7 +138,7 @@ func (s *Solver) MemoryBytes() int {
 	const scratchVectors = 6
 	bytes := 8*s.iter.FactorNNZ + s.iter.FactorIndexBytes + scratchVectors*8*s.iter.N()
 	if a := s.iter.Mat; a != nil {
-		bytes += 8*a.NNZ() + a.IndexBytes()
+		bytes += a.Bytes()
 	}
 	return bytes
 }
