@@ -80,8 +80,7 @@ func run(args []string) int {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "pgoptcheck: %d finding(s) (%d baselined, %d new); compiler kept %d bounds check(s) across the surface\n",
-		len(findings), len(findings)-len(delta.Fresh), len(delta.Fresh), report.BoundsChecks)
+	fmt.Fprintln(os.Stderr, baseline.Summary(findings, delta, report.BoundsChecks))
 
 	if *diff {
 		for _, f := range delta.Improved {

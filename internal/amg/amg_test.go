@@ -85,7 +85,7 @@ func TestGalerkinPreservesSymmetryAndRowSums(t *testing.T) {
 	a := s.ToCSC()
 	agg, nc := aggregate(a, 0.25)
 	ac := galerkin(a, agg, nc)
-	if !ac.IsSymmetric(1e-10) {
+	if !testmat.IsSymmetric(ac, 1e-10) {
 		t.Fatal("Galerkin operator not symmetric")
 	}
 	// Row sums are preserved under piecewise-constant PᵀAP: Σ_ij Ac = Σ_ij A,

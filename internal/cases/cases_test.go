@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"powerrchol/internal/pcg"
+	"powerrchol/internal/testmat"
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -60,7 +61,7 @@ func TestEveryCaseBuildsAndIsWellFormed(t *testing.T) {
 			if slack <= 0 {
 				t.Fatal("singular system: no slack")
 			}
-			if err := p.Sys.ToCSC().Check(); err != nil {
+			if err := testmat.CheckCSC(p.Sys.ToCSC()); err != nil {
 				t.Fatal(err)
 			}
 		})

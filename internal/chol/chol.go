@@ -25,12 +25,13 @@ func EliminationTree(a *sparse.CSC) []int {
 	n := a.Cols
 	parent := make([]int, n)
 	ancestor := make([]int, n)
-	for k := 0; k < n; k++ {
+	for k := range parent {
 		parent[k] = -1
 		ancestor[k] = -1
 		for p := a.ColPtr[k]; p < a.ColPtr[k+1]; p++ {
-			i := a.RowIdx[p]
-			for i < k && i != -1 {
+			// uint(i) < uint(k) is 0 <= i < k: it also stops at a
+			// root's -1.
+			for i := a.RowIdx[p]; uint(i) < uint(k); {
 				inext := ancestor[i]
 				ancestor[i] = k // path compression
 				if inext == -1 {
@@ -44,31 +45,32 @@ func EliminationTree(a *sparse.CSC) []int {
 }
 
 // ereach computes the nonzero pattern of row k of L (the reach of the
-// upper part of column k in the elimination tree). It writes the pattern
-// into s[top:n] in topological order and returns top. stamp/curStamp
-// implement O(1) marking across calls.
-func ereach(a *sparse.CSC, k int, parent []int, s []int, stamp []int, curStamp int) int {
-	n := a.Cols
-	top := n
+// upper part of column k in the elimination tree), given the row indices
+// of column k of A. It writes the pattern into s[top:] in topological
+// order and returns top; len(s), len(parent) and len(stamp) are n.
+// stamp/curStamp implement O(1) marking across calls. Both passes call
+// it once per column; it stays out of line rather than be copied into
+// each.
+//
+//go:noinline
+func ereach(rows []int, k int, parent, s, stamp []int, curStamp int) int {
+	stamp, parent = stamp[:len(s)], parent[:len(s)]
+	top := len(s)
 	stamp[k] = curStamp
-	for p := a.ColPtr[k]; p < a.ColPtr[k+1]; p++ {
-		i := a.RowIdx[p]
-		if i >= k {
+	for _, i := range rows {
+		if uint(i) >= uint(k) {
 			continue
 		}
-		// climb the etree from i until an already-visited node
-		length := 0
+		// Climb the etree from i until an already-visited node, then
+		// push the path on the stack with its ancestors last. Nodes on
+		// the stack and the path are distinct, so they fit in s.
+		path := s[:0]
 		for ; stamp[i] != curStamp; i = parent[i] {
-			s[length] = i
-			length++
+			path = append(path, i)
 			stamp[i] = curStamp
 		}
-		// push the path on the stack in reverse (ancestors last)
-		for length > 0 {
-			length--
-			top--
-			s[top] = s[length]
-		}
+		top -= len(path)
+		copy(s[top:], path)
 	}
 	return top
 }
@@ -102,6 +104,9 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 	}
 	n := work.Cols
 	parent := EliminationTree(work)
+	// column k of A is rows and values aRow/aVal[aPtr[k]:aPtr[k+1]].
+	aPtr, aRow := work.ColPtr[:n+1], work.RowIdx[:len(work.RowIdx):len(work.RowIdx)]
+	aVal := work.Val[:len(aRow):len(aRow)]
 
 	s := make([]int, n)
 	stamp := make([]int, n)
@@ -109,23 +114,26 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 		stamp[i] = -1
 	}
 
-	// Symbolic pass: column counts via ereach.
-	counts := make([]int, n) // entries strictly below the diagonal
-	for k := 0; k < n; k++ {
+	// Symbolic pass: column counts via ereach, accumulated in place of
+	// the column pointers they become.
+	colPtr := make([]int, n+1)
+	start, ends := colPtr[:n], colPtr[1:] // column j is start[j]:ends[j]
+	for k := range start {
 		if k%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("chol: symbolic pass cancelled at column %d of %d: %w", k, n, err)
 			}
 		}
-		for top := ereach(work, k, parent, s, stamp, k); top < n; top++ {
-			counts[s[top]]++
+		rows := aRow[aPtr[k]:aPtr[k+1]]
+		for _, j := range s[ereach(rows, k, parent, s, stamp, k):] {
+			ends[j]++ // entries strictly below the diagonal
 		}
 	}
-	colPtr := make([]int, n+1)
-	for j := 0; j < n; j++ {
-		colPtr[j+1] = colPtr[j] + counts[j] + 1 // +1 for the diagonal
+	nnz := 0
+	for j, c := range ends {
+		nnz += c + 1 // +1 for the diagonal
+		ends[j] = nnz
 	}
-	nnz := colPtr[n]
 	rowIdx := make([]int, nnz)
 	val := make([]float64, nnz)
 	next := make([]int, n) // next free slot per column
@@ -135,33 +143,32 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 		stamp[i] = -1
 	}
 
-	for k := 0; k < n; k++ {
+	for k := range x {
 		if k%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("chol: factorization cancelled at column %d of %d: %w", k, n, err)
 			}
 		}
-		top := ereach(work, k, parent, s, stamp, n+k)
+		rows, vals := aRow[aPtr[k]:aPtr[k+1]], aVal[aPtr[k]:aPtr[k+1]]
+		top := ereach(rows, k, parent, s, stamp, n+k)
 		// Scatter the upper part of column k of A into x.
 		d := 0.0
-		for p := work.ColPtr[k]; p < work.ColPtr[k+1]; p++ {
-			i := work.RowIdx[p]
-			if i < k {
-				x[i] = work.Val[p]
+		for t, i := range rows {
+			if uint(i) < uint(k) {
+				x[i] = vals[t]
 			} else if i == k {
-				d = work.Val[p]
+				d = vals[t]
 			}
 		}
 		// Sparse triangular solve for row k of L, in topological order.
-		for ; top < n; top++ {
-			j := s[top]
-			lkj := x[j] / val[colPtr[j]]
+		for _, j := range s[top:] {
+			lkj := x[j] / val[start[j]]
 			x[j] = 0
-			for p := colPtr[j] + 1; p < next[j]; p++ {
+			q := next[j]
+			for p := start[j] + 1; p < q; p++ {
 				x[rowIdx[p]] -= val[p] * lkj
 			}
 			d -= lkj * lkj
-			q := next[j]
 			rowIdx[q] = k
 			val[q] = lkj
 			next[j] = q + 1
@@ -169,15 +176,11 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("chol: non-positive pivot %g at column %d (matrix not positive definite)", d, k)
 		}
-		rowIdx[colPtr[k]] = k
-		val[colPtr[k]] = math.Sqrt(d)
-		next[k] = colPtr[k] + 1
+		c := start[k]
+		rowIdx[c] = k
+		val[c] = math.Sqrt(d)
+		next[k] = c + 1
 	}
 
-	f := &core.Factor{
-		N: n,
-		L: &sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val},
-	}
-	f.SetPerm(perm)
-	return f, nil
+	return core.NewFactor(&sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, perm), nil
 }

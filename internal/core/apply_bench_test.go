@@ -1,21 +1,26 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"powerrchol/internal/chol"
+	"powerrchol/internal/core"
+	"powerrchol/internal/ichol"
 	"powerrchol/internal/order"
 	"powerrchol/internal/powergrid"
 	"powerrchol/internal/rng"
 )
 
 // BenchmarkFactorApply times one preconditioner apply (forward plus
-// backward solve, with the permutation around them) on the factor of
-// the transient benchmark system: the 100x100-node, three-layer grid
-// (n = 17,500) under Alg. 4 with LT-RChol. It compares the scheduled
-// layout Factorize returns with the same factor in elimination order,
-// whose columns mix lengths at random. A random lower factor
-// (sparse.BenchmarkLowerSolve) hides that difference: its columns all
-// have the same length.
+// backward solve, with the permutation around them) on factors of the
+// transient benchmark system: the 100x100-node, three-layer grid (n =
+// 17,500) under Alg. 4. It compares the scheduled layout Factorize
+// returns with the same LT-RChol factor in elimination order, whose
+// columns mix lengths at random, and with the exact and the incomplete
+// Cholesky factors of the same ordering, which no step sorts by length
+// either: their runs of equal-length columns are short. A random lower
+// factor (sparse.BenchmarkLowerSolve) hides these differences: its
+// columns all have the same length.
 func BenchmarkFactorApply(b *testing.B) {
 	g, err := powergrid.Generate(powergrid.Spec{Name: "bench", NX: 100, NY: 100, Layers: 3, Seed: 1})
 	if err != nil {
@@ -26,12 +31,16 @@ func BenchmarkFactorApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	perm := order.Alg4(sys.G, 0, nil)
-	e, err := eliminate(sys, perm, Options{Variant: VariantLT, Seed: 1})
+	elim, sched := core.FactorLayouts(b, sys, perm, core.Options{Variant: core.VariantLT, Seed: 1})
+	a := sys.ToCSC()
+	exact, err := chol.Factorize(a, perm)
 	if err != nil {
 		b.Fatal(err)
 	}
-	elim := elimOrderFactor(b, e, perm)
-	sched := e.schedule(perm)
+	inc, err := ichol.Factorize(a, perm, ichol.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	r := rng.New(2)
 	in := make([]float64, sys.N())
@@ -41,8 +50,8 @@ func BenchmarkFactorApply(b *testing.B) {
 	out := make([]float64, sys.N())
 	for _, c := range []struct {
 		name string
-		f    *Factor
-	}{{"elimination", elim}, {"scheduled", sched}} {
+		f    *core.Factor
+	}{{"elimination", elim}, {"scheduled", sched}, {"chol", exact}, {"ichol", inc}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"powerrchol/internal/graph"
@@ -134,11 +135,15 @@ func (m sliceAdj) gather(u int, pos, nbr []int32, wts []float64) ([]int32, []flo
 // TestFactorizeAllocationsIndependentOfSize pins the arena contract: a
 // factorization makes a small constant number of allocations, so a grid
 // twice the size makes exactly as many. A per-node make or per-node
-// slice growth would scale with n.
+// slice growth would scale with n. A collection runs before each
+// measurement: the runtime allocates when a process's first GC cycle
+// starts, and in a test binary that runs only this test that cycle
+// would otherwise fall inside the first measurement.
 func TestFactorizeAllocationsIndependentOfSize(t *testing.T) {
 	allocs := func(nx, ny int) float64 {
 		s := testmat.GridSDDM(nx, ny)
 		perm := order.Alg4(s.G, 0, nil)
+		runtime.GC()
 		return testing.AllocsPerRun(3, func() {
 			if _, err := Factorize(s, perm, Options{Variant: VariantLT, Seed: 1}); err != nil {
 				t.Fatal(err)

@@ -19,19 +19,38 @@ import (
 // composed with that relabeling (DESIGN.md §16). Apply computes the same
 // bits in either order.
 //
+// Every factor is built by NewFactor, which also lists L's runs of
+// equal-length columns for the triangular solves.
+//
 // Apply is safe for concurrent callers: scratch vectors are drawn from a
-// pool per call, and all other state (L, the permutation and its
-// inverse) is read-only after construction. All randomness is confined
-// to Factorize; no RNG state survives into the solve phase.
+// pool per call, and all other state (L, its run table, the permutation
+// and its inverse) is read-only after construction. All randomness is
+// confined to Factorize; no RNG state survives into the solve phase.
 type Factor struct {
 	N int
 	L *sparse.CSC
 
+	// runs is sparse.ColumnRuns(L), the run table both solves walk.
+	runs []int32
+
 	// perm[newIdx] = oldIdx, nil for the identity, and inv its inverse,
-	// which Apply gathers its result through. SetPerm sets both.
+	// which Apply gathers its result through.
 	perm, inv []int
 
 	pool sync.Pool // of *[]float64, length N
+}
+
+// NewFactor returns the factor with lower-triangular L, stored with the
+// diagonal first in each column, and permutation perm (perm[newIdx] =
+// oldIdx, nil for the identity). l and perm are retained, not copied.
+// It is the one constructor of every factor: Factorize, the exact and
+// the incomplete Cholesky all build theirs here.
+func NewFactor(l *sparse.CSC, perm []int) *Factor {
+	f := &Factor{N: l.Cols, L: l, runs: sparse.ColumnRuns(l), perm: perm}
+	if perm != nil {
+		f.inv = sparse.InvPerm(perm)
+	}
+	return f
 }
 
 // NNZ returns the number of stored entries of L (the paper's |L|).
@@ -40,16 +59,6 @@ func (f *Factor) NNZ() int { return f.L.NNZ() }
 // Perm returns the factor's permutation, Perm()[newIdx] = oldIdx, or
 // nil for the identity. The slice is shared; callers must not mutate it.
 func (f *Factor) Perm() []int { return f.perm }
-
-// SetPerm sets the factor's permutation (nil for the identity) and
-// keeps its inverse for Apply. perm is retained, not copied. Call it
-// before the factor is shared.
-func (f *Factor) SetPerm(perm []int) {
-	f.perm, f.inv = perm, nil
-	if perm != nil {
-		f.inv = sparse.InvPerm(perm)
-	}
-}
 
 // IsCompact reports whether the factor uses int32 index storage. Every
 // factor stores int indices, so it always returns false. It stays for
@@ -92,8 +101,8 @@ func (f *Factor) ApplyDot(z, r []float64) float64 {
 	} else {
 		sparse.PermuteVecInto(w, r, f.perm)
 	}
-	sparse.LowerSolve(f.L, w)
-	sparse.LowerTransposeSolve(f.L, w)
+	sparse.LowerSolve(f.L, f.runs, w)
+	sparse.LowerTransposeSolve(f.L, f.runs, w)
 	dot := gatherDot(z, r, w, f.inv)
 	f.pool.Put(wp)
 	return dot

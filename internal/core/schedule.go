@@ -36,7 +36,7 @@ func (e *elimination) schedule(perm []int) *Factor {
 	ord, identity := e.order()
 	inv := e.lev // order leaves inv[j] = ord⁻¹[j] in place of the levels
 	cp, ri, v := relabel(e.colPtr, e.ents, ord, inv)
-	f := &Factor{N: n, L: &sparse.CSC{Rows: n, Cols: n, ColPtr: cp, RowIdx: ri, Val: v}}
+	l := &sparse.CSC{Rows: n, Cols: n, ColPtr: cp, RowIdx: ri, Val: v}
 	switch {
 	case identity: // the relabeling leaves perm as it is
 	case perm == nil:
@@ -47,8 +47,7 @@ func (e *elimination) schedule(perm []int) *Factor {
 		}
 		perm = ord
 	}
-	f.SetPerm(perm)
-	return f
+	return NewFactor(l, perm)
 }
 
 // order counting-sorts the columns by (level, length bucket) and

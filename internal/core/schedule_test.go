@@ -22,9 +22,7 @@ func elimOrderFactor(t testing.TB, e *elimination, perm []int) *Factor {
 	for p, en := range e.ents {
 		l.RowIdx[p], l.Val[p] = int(en.row), en.val
 	}
-	f := &Factor{N: n, L: l}
-	f.SetPerm(perm)
-	return f
+	return NewFactor(l, perm)
 }
 
 // rowChainLevels computes the schedule levels of a factor in elimination

@@ -11,11 +11,15 @@ import "math"
 // sortPairsExact sorts (w, id) pairs ascending by w using an in-place
 // quicksort with insertion-sort cutoff. It avoids the allocation and
 // interface dispatch of sort.Slice in the factorization inner loop.
+// len(id) must be at least len(w). Each pass reslices id to w's length,
+// which proves every id access in bounds once the matching w access is
+// (pgoptcheck rule bce).
 func sortPairsExact(w []float64, id []int32) {
 	for len(w) > 12 {
+		id = id[:len(w)]
 		// median-of-three pivot
 		n := len(w)
-		m := n / 2
+		m := n >> 1
 		if w[0] > w[m] {
 			w[0], w[m] = w[m], w[0]
 			id[0], id[m] = id[m], id[0]
@@ -46,14 +50,20 @@ func sortPairsExact(w []float64, id []int32) {
 		}
 		// Recurse into the smaller half, loop on the larger.
 		if j+1 < n-i {
-			sortPairsExact(w[:j+1], id[:j+1])
+			sortPairsExact(w[:j+1], id)
 			w, id = w[i:], id[i:]
 		} else {
 			sortPairsExact(w[i:], id[i:])
-			w, id = w[:j+1], id[:j+1]
+			w = w[:j+1]
 		}
 	}
-	// insertion sort for the tail
+	insertionSortPairs(w, id)
+}
+
+// insertionSortPairs sorts (w, id) pairs ascending by w, stably, by
+// insertion. len(id) must be at least len(w).
+func insertionSortPairs(w []float64, id []int32) {
+	id = id[:len(w)]
 	for i := 1; i < len(w); i++ {
 		wi, ii := w[i], id[i]
 		j := i - 1
@@ -104,15 +114,7 @@ func (cs *countingSorter) sort(w []float64, id []int32) {
 	if d <= 16 {
 		// Exact insertion sort beats bucketing on tiny lists and its cost
 		// is bounded by a constant, so linearity is preserved.
-		for i := 1; i < d; i++ {
-			wi, ii := w[i], id[i]
-			j := i - 1
-			for j >= 0 && w[j] > wi {
-				w[j+1], id[j+1] = w[j], id[j]
-				j--
-			}
-			w[j+1], id[j+1] = wi, ii
-		}
+		insertionSortPairs(w, id)
 		return
 	}
 	maxW := w[0]

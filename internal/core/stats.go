@@ -48,8 +48,10 @@ func CollectStats(s *graph.SDDM, perm []int, opt Options) (Stats, error) {
 func statsFromFactor(f *Factor) Stats {
 	st := Stats{N: f.N}
 	degrees := make([]int, f.N)
-	for k := 0; k < f.N; k++ {
-		d := f.L.ColPtr[k+1] - f.L.ColPtr[k] - 1
+	p := f.L.ColPtr[0]
+	for k, end := range f.L.ColPtr[1 : f.N+1] {
+		d := end - p - 1
+		p = end
 		degrees[k] = d
 		st.TotalDegree += d
 		if d > st.MaxDegree {
@@ -62,17 +64,13 @@ func statsFromFactor(f *Factor) Stats {
 			st.SumDLogD += float64(d) * math.Log2(float64(d))
 		}
 	}
-	if f.N > 0 {
-		st.MeanDegree = float64(st.TotalDegree) / float64(f.N)
+	if f.N == 0 {
+		return st
 	}
+	st.MeanDegree = float64(st.TotalDegree) / float64(f.N)
 	sort.Ints(degrees)
-	q := func(p float64) int {
-		if f.N == 0 {
-			return 0
-		}
-		i := int(p * float64(f.N-1))
-		return degrees[i]
+	for i, q := range [4]float64{0.50, 0.90, 0.99, 1.0} {
+		st.DegreeQuantiles[i] = degrees[int(q*float64(f.N-1))]
 	}
-	st.DegreeQuantiles = [4]int{q(0.50), q(0.90), q(0.99), q(1.0)}
 	return st
 }

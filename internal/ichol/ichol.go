@@ -77,10 +77,9 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int, opt Option
 
 	shift := 0.0
 	for try := 0; ; try++ {
-		f, err := factorizeShifted(ctx, work, opt, shift)
+		l, err := factorizeShifted(ctx, work, opt, shift)
 		if err == nil {
-			f.SetPerm(perm)
-			return f, nil
+			return core.NewFactor(l, perm), nil
 		}
 		if try >= opt.MaxShiftRetries {
 			return nil, fmt.Errorf("ichol: breakdown persists after %d shift retries: %w", try, err)
@@ -98,7 +97,7 @@ type entry struct {
 	val float64
 }
 
-func factorizeShifted(ctx context.Context, a *sparse.CSC, opt Options, shift float64) (*core.Factor, error) {
+func factorizeShifted(ctx context.Context, a *sparse.CSC, opt Options, shift float64) (*sparse.CSC, error) {
 	dropTol, zeroFill := opt.DropTol, opt.ZeroFill
 	n := a.Cols
 
@@ -259,8 +258,5 @@ func factorizeShifted(ctx context.Context, a *sparse.CSC, opt Options, shift flo
 		}
 	}
 	colPtr[n] = q
-	return &core.Factor{
-		N: n,
-		L: &sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val},
-	}, nil
+	return &sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, nil
 }

@@ -45,6 +45,20 @@ func (b *Baseline) Sites() int {
 	return n
 }
 
+// Summary is the gate's one-line report: the findings, how many the
+// baseline covers and how many are new, the bounds checks the compiler
+// kept across the surface, the sites the findings hold, and the sites
+// the baseline sanctions in total — the number CI refuses to let grow
+// past its merge base's. d is b.Split(findings).
+func (b *Baseline) Summary(findings []Finding, d Delta, kept int) string {
+	sites := 0
+	for _, f := range findings {
+		sites += f.Count
+	}
+	return fmt.Sprintf("pgoptcheck: %d finding(s) (%d baselined, %d new); compiler kept %d bounds check(s) across the surface; findings hold %d site(s), baseline sanctions %d",
+		len(findings), len(findings)-len(d.Fresh), len(d.Fresh), kept, sites, b.Sites())
+}
+
 // LoadBaseline reads path; a missing file is an empty baseline.
 func LoadBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)

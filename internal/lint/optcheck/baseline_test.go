@@ -80,6 +80,25 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBaselineSummary: the gate's summary line carries the counts the
+// CI step compares — the sites the findings hold and the baseline's
+// sanctioned total — beside the findings and the compiler's kept checks.
+func TestBaselineSummary(t *testing.T) {
+	b := &Baseline{Version: 1, Findings: []BaselineEntry{
+		{Rule: RuleBCE, File: "a.go", Func: "F", Message: "Found IsInBounds", Count: 3},
+		{Rule: RuleBCE, File: "b.go", Func: "G", Message: "Found IsInBounds", Count: 4},
+	}}
+	findings := []Finding{
+		{Rule: RuleBCE, File: "a.go", Func: "F", Message: "Found IsInBounds", Count: 2},
+		{Rule: RuleBCE, File: "d.go", Func: "K", Message: "Found IsInBounds", Count: 1},
+	}
+	got := b.Summary(findings, b.Split(findings), 9)
+	want := "pgoptcheck: 2 finding(s) (1 baselined, 1 new); compiler kept 9 bounds check(s) across the surface; findings hold 3 site(s), baseline sanctions 7"
+	if got != want {
+		t.Errorf("summary\n got %q\nwant %q", got, want)
+	}
+}
+
 func TestLoadBaselineMissingIsEmpty(t *testing.T) {
 	b, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
 	if err != nil {

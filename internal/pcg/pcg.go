@@ -49,15 +49,26 @@ type Jacobi struct{ InvDiag []float64 }
 
 // NewJacobi builds a Jacobi preconditioner from the diagonal of a.
 func NewJacobi(a *sparse.CSC) (*Jacobi, error) {
+	d, err := positiveDiag(a)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range d {
+		d[i] = 1 / v
+	}
+	return &Jacobi{InvDiag: d}, nil
+}
+
+// positiveDiag returns the diagonal of a, or an error naming the first
+// entry that is not positive.
+func positiveDiag(a *sparse.CSC) ([]float64, error) {
 	d := a.Diag()
-	inv := make([]float64, len(d))
 	for i, v := range d {
 		if v <= 0 {
 			return nil, fmt.Errorf("pcg: non-positive diagonal %g at %d", v, i)
 		}
-		inv[i] = 1 / v
 	}
-	return &Jacobi{InvDiag: inv}, nil
+	return d, nil
 }
 
 // Apply scales the residual by the inverse diagonal. Both operands are

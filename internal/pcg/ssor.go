@@ -34,11 +34,9 @@ func NewSSOR(a *sparse.CSC, omega float64) (*SSOR, error) {
 	if omega <= 0 || omega >= 2 {
 		return nil, fmt.Errorf("pcg: SSOR omega %g outside (0,2)", omega)
 	}
-	d := a.Diag()
-	for i, v := range d {
-		if v <= 0 {
-			return nil, fmt.Errorf("pcg: non-positive diagonal %g at %d", v, i)
-		}
+	d, err := positiveDiag(a)
+	if err != nil {
+		return nil, err
 	}
 	return &SSOR{a: a, omega: omega, diag: d}, nil
 }
@@ -65,7 +63,8 @@ func (s *SSOR) Apply(z, r []float64) {
 	w = w[:n]
 	z = z[:n]
 	diag := s.diag[:n]
-	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
+	colPtr, rowIdx := a.ColPtr, a.RowIdx[:len(a.RowIdx):len(a.RowIdx)]
+	val := a.Val[:len(rowIdx):len(rowIdx)]
 	// forward: (D/ω + L)·w = r, traversing columns ascending and
 	// scattering column i's below-diagonal entries after w[i] is final.
 	copy(w, r)
@@ -73,9 +72,7 @@ func (s *SSOR) Apply(z, r []float64) {
 	for i, end := range colPtr[1 : n+1 : n+1] {
 		w[i] *= om / diag[i]
 		wi := w[i]
-		rows := rowIdx[p:end]
-		vals := val[p:end]
-		vals = vals[:len(rows)]
+		rows, vals := rowIdx[p:end], val[p:end]
 		for k, j := range rows {
 			if j > i {
 				w[j] -= vals[k] * wi
@@ -93,9 +90,7 @@ func (s *SSOR) Apply(z, r []float64) {
 	for i := n - 1; i >= 0; i-- {
 		p := colPtr[i]
 		sum := w[i]
-		rows := rowIdx[p:end]
-		vals := val[p:end]
-		vals = vals[:len(rows)]
+		rows, vals := rowIdx[p:end], val[p:end]
 		for k, j := range rows {
 			if j > i {
 				sum -= vals[k] * z[j]

@@ -28,6 +28,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			wide.Width(), narrow.Width(), len(wide.ov.rows), len(narrow.ov.rows))
 	}
 	l := randLower(r, n, 3)
+	runs := ColumnRuns(l)
 	x, y, w := randVec(r, n), make([]float64, n), make([]float64, n)
 	perm := r.Perm(n)
 	var dot float64
@@ -41,10 +42,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"mul5/panic", panicking(t, func() { narrow.MulVecDot(y, x[:n-1]) })},
 		{"CSC.MulVec", func() { a.MulVec(y, x) }},
 		{"CSC.MulVecAdd", func() { a.MulVecAdd(y, -0.5, x) }},
-		{"LowerSolve", func() { copy(w, x); LowerSolve(l, w) }},
-		{"LowerTransposeSolve", func() { copy(w, x); LowerTransposeSolve(l, w) }},
-		{"lowerSolve", func() { copy(w, x); lowerSolve(l.ColPtr, l.RowIdx, l.Val, w) }},
-		{"lowerTransposeSolve", func() { copy(w, x); lowerTransposeSolve(l.ColPtr, l.RowIdx, l.Val, w) }},
+		{"LowerSolve", func() { copy(w, x); LowerSolve(l, runs, w) }},
+		{"LowerTransposeSolve", func() { copy(w, x); LowerTransposeSolve(l, runs, w) }},
+		{"LowerSolve/panic", panicking(t, func() { LowerSolve(l, runs, w[:n-1]) })},
+		{"LowerTransposeSolve/panic", panicking(t, func() { LowerTransposeSolve(l, runs[1:], w) })},
 		{"Dot", func() { dot = Dot(x, y) }},
 		{"Norm2", func() { dot = Norm2(x) }},
 		{"Axpy", func() { Axpy(y, 0.5, x) }},

@@ -165,22 +165,23 @@ func (s colSorter) Swap(i, j int) {
 
 // DropZeros removes entries with |v| <= tol in place and returns a.
 func (a *CSC) DropZeros(tol float64) *CSC {
-	out := 0
-	start := 0
-	for j := 0; j < a.Cols; j++ {
-		end := a.ColPtr[j+1]
-		a.ColPtr[j] = out
+	rowIdx := a.RowIdx[:len(a.RowIdx):len(a.RowIdx)]
+	val := a.Val[:len(rowIdx):len(rowIdx)]
+	// Column j's old entries are start:end; its kept ones end at out,
+	// which replaces end once the column is read.
+	out, start := 0, 0
+	ends := a.ColPtr[1 : a.Cols+1]
+	for j, end := range ends {
 		for p := start; p < end; p++ {
-			if a.Val[p] > tol || a.Val[p] < -tol {
-				a.RowIdx[out] = a.RowIdx[p]
-				a.Val[out] = a.Val[p]
+			if v := val[p]; v > tol || v < -tol {
+				rowIdx[out] = rowIdx[p]
+				val[out] = v
 				out++
 			}
 		}
+		ends[j] = out
 		start = end
 	}
-	a.ColPtr[a.Cols] = out
-	a.RowIdx = a.RowIdx[:out]
-	a.Val = a.Val[:out]
+	a.RowIdx, a.Val = rowIdx[:out], val[:out]
 	return a
 }

@@ -9,12 +9,6 @@
 // column are kept sorted by every constructor in this package.
 package sparse
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
 // CSC is a sparse matrix in compressed sparse column format.
 type CSC struct {
 	Rows, Cols int
@@ -57,71 +51,6 @@ func (a *CSC) Clone() *CSC {
 	return b
 }
 
-// At returns the value at (i, j), using binary search within column j.
-// It is intended for tests and small matrices, not inner loops.
-func (a *CSC) At(i, j int) float64 {
-	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-	k := sort.SearchInts(a.RowIdx[lo:hi], i)
-	if k < hi-lo && a.RowIdx[lo+k] == i {
-		return a.Val[lo+k]
-	}
-	return 0
-}
-
-// Check validates structural invariants: monotone column pointers,
-// in-range sorted row indices and finite values. It returns a descriptive
-// error on the first violation.
-func (a *CSC) Check() error {
-	if len(a.ColPtr) != a.Cols+1 {
-		return fmt.Errorf("sparse: ColPtr length %d, want %d", len(a.ColPtr), a.Cols+1)
-	}
-	if a.ColPtr[0] != 0 {
-		return fmt.Errorf("sparse: ColPtr[0] = %d, want 0", a.ColPtr[0])
-	}
-	nnz := a.ColPtr[a.Cols]
-	if len(a.RowIdx) != nnz || len(a.Val) != nnz {
-		return fmt.Errorf("sparse: index/value arrays have length %d/%d, want %d",
-			len(a.RowIdx), len(a.Val), nnz)
-	}
-	for j := 0; j < a.Cols; j++ {
-		if a.ColPtr[j] > a.ColPtr[j+1] {
-			return fmt.Errorf("sparse: column %d has negative length", j)
-		}
-		prev := -1
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			if i < 0 || i >= a.Rows {
-				return fmt.Errorf("sparse: row index %d out of range in column %d", i, j)
-			}
-			if i <= prev {
-				return fmt.Errorf("sparse: unsorted or duplicate row index %d in column %d", i, j)
-			}
-			prev = i
-			if math.IsNaN(a.Val[p]) || math.IsInf(a.Val[p], 0) {
-				return fmt.Errorf("sparse: non-finite value at (%d,%d)", i, j)
-			}
-		}
-	}
-	return nil
-}
-
-// IsSymmetric reports whether a equals its transpose up to tol
-// (absolute, element-wise). Quadratic in nnz per column; test use only.
-func (a *CSC) IsSymmetric(tol float64) bool {
-	if a.Rows != a.Cols {
-		return false
-	}
-	for j := 0; j < a.Cols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			if math.Abs(a.Val[p]-a.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Dense expands a into a dense row-major matrix. Test use only.
 func (a *CSC) Dense() [][]float64 {
 	d := make([][]float64, a.Rows)
@@ -138,61 +67,48 @@ func (a *CSC) Dense() [][]float64 {
 
 // Transpose returns a new matrix equal to aᵀ, with sorted columns.
 func (a *CSC) Transpose() *CSC {
-	t := &CSC{
-		Rows:   a.Cols,
-		Cols:   a.Rows,
-		ColPtr: make([]int, a.Rows+1),
-		RowIdx: make([]int, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
+	aRow := a.RowIdx
+	aVal := a.Val[:len(aRow):len(aRow)]
+	colPtr := make([]int, a.Rows+1)
+	rowIdx := make([]int, len(aRow))
+	val := make([]float64, len(aRow))
+	// Count entries per row of a (= per column of aᵀ), then sum.
+	counts := colPtr[1:]
+	for _, i := range aRow {
+		counts[i]++
 	}
-	// Count entries per row of a (= per column of t).
-	for _, i := range a.RowIdx {
-		t.ColPtr[i+1]++
+	for j := 1; j < len(colPtr); j++ {
+		colPtr[j] += colPtr[j-1]
 	}
-	for j := 0; j < t.Cols; j++ {
-		t.ColPtr[j+1] += t.ColPtr[j]
-	}
-	next := append([]int(nil), t.ColPtr...)
+	next := append([]int(nil), colPtr...)
 	for j := 0; j < a.Cols; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
+			i := aRow[p]
 			q := next[i]
 			next[i]++
-			t.RowIdx[q] = j
-			t.Val[q] = a.Val[p]
+			rowIdx[q] = j
+			val[q] = aVal[p]
 		}
 	}
-	return t
+	return &CSC{Rows: a.Cols, Cols: a.Rows, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // MulVec computes y = A·x. len(x) must be Cols and len(y) must be Rows.
-// The column walk carries each column's end into the next iteration and
-// scatters from a hoisted window, leaving only the data-dependent y
-// scatter checked (pgoptcheck rule bce).
+// It zeroes y and adds 1·A·x: multiplying by 1 is exact, so every y[i]
+// receives the same additions, in the same order, as a loop of its own.
 func (a *CSC) MulVec(y, x []float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	n := a.Cols
-	x = x[:n]
-	p := a.ColPtr[0]
-	for j, end := range a.ColPtr[1 : n+1 : n+1] {
-		xj := x[j]
-		if xj == 0 {
-			p = end
-			continue
-		}
-		rows := a.RowIdx[p:end]
-		vals := a.Val[p:end]
-		vals = vals[:len(rows)]
-		for k, i := range rows {
-			y[i] += vals[k] * xj
-		}
-		p = end
-	}
+	a.MulVecAdd(y, 1, x)
 }
 
-// MulVecAdd computes y += alpha·A·x without zeroing y first.
+// MulVecAdd computes y += alpha·A·x without zeroing y first. Column j
+// ascending adds alpha·x[j] times each of its entries into y[i], and a
+// column with alpha·x[j] == 0 is skipped. The column walk carries each
+// column's end into the next iteration and scatters from a hoisted
+// window, leaving only the data-dependent y scatter checked (pgoptcheck
+// rule bce).
 func (a *CSC) MulVecAdd(y []float64, alpha float64, x []float64) {
 	n := a.Cols
 	x = x[:n]

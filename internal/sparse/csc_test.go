@@ -1,4 +1,4 @@
-package sparse
+package sparse_test
 
 import (
 	"bytes"
@@ -7,10 +7,12 @@ import (
 	"testing/quick"
 
 	"powerrchol/internal/rng"
+	"powerrchol/internal/sparse"
+	"powerrchol/internal/testmat"
 )
 
-func randomCOO(r *rng.Rand, n, nnz int) *COO {
-	c := NewCOO(n, n, nnz)
+func randomCOO(r *rng.Rand, n, nnz int) *sparse.COO {
+	c := sparse.NewCOO(n, n, nnz)
 	for k := 0; k < nnz; k++ {
 		c.Add(r.Intn(n), r.Intn(n), r.Float64()*2-1)
 	}
@@ -18,22 +20,22 @@ func randomCOO(r *rng.Rand, n, nnz int) *COO {
 }
 
 func TestCOOToCSCSumsDuplicates(t *testing.T) {
-	c := NewCOO(3, 3, 4)
+	c := sparse.NewCOO(3, 3, 4)
 	c.Add(1, 2, 1.5)
 	c.Add(1, 2, 2.5)
 	c.Add(0, 0, 1)
 	c.Add(2, 1, -3)
 	a := c.ToCSC()
-	if err := a.Check(); err != nil {
+	if err := testmat.CheckCSC(a); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.At(1, 2); got != 4.0 {
+	if got := testmat.At(a, 1, 2); got != 4.0 {
 		t.Errorf("duplicate sum: got %g, want 4", got)
 	}
-	if got := a.At(0, 0); got != 1.0 {
+	if got := testmat.At(a, 0, 0); got != 1.0 {
 		t.Errorf("At(0,0) = %g, want 1", got)
 	}
-	if got := a.At(2, 1); got != -3.0 {
+	if got := testmat.At(a, 2, 1); got != -3.0 {
 		t.Errorf("At(2,1) = %g, want -3", got)
 	}
 	if a.NNZ() != 3 {
@@ -42,20 +44,20 @@ func TestCOOToCSCSumsDuplicates(t *testing.T) {
 }
 
 func TestCSCCheckCatchesCorruption(t *testing.T) {
-	c := NewCOO(3, 3, 2)
+	c := sparse.NewCOO(3, 3, 2)
 	c.Add(0, 0, 1)
 	c.Add(2, 2, 1)
 	a := c.ToCSC()
-	if err := a.Check(); err != nil {
+	if err := testmat.CheckCSC(a); err != nil {
 		t.Fatalf("valid matrix rejected: %v", err)
 	}
 	a.RowIdx[0] = 5
-	if err := a.Check(); err == nil {
+	if err := testmat.CheckCSC(a); err == nil {
 		t.Error("out-of-range row index not detected")
 	}
 	a.RowIdx[0] = 0
 	a.Val[0] = math.NaN()
-	if err := a.Check(); err == nil {
+	if err := testmat.CheckCSC(a); err == nil {
 		t.Error("NaN value not detected")
 	}
 }
@@ -86,7 +88,7 @@ func TestTransposeEntries(t *testing.T) {
 	for j := 0; j < 9; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			i := a.RowIdx[p]
-			if got := at.At(j, i); got != a.Val[p] {
+			if got := testmat.At(at, j, i); got != a.Val[p] {
 				t.Fatalf("At^T(%d,%d) = %g, want %g", j, i, got, a.Val[p])
 			}
 		}
@@ -128,7 +130,7 @@ func TestPermuteSymRoundTrip(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + r.Intn(20)
-		c := NewCOO(n, n, 4*n)
+		c := sparse.NewCOO(n, n, 4*n)
 		for k := 0; k < 2*n; k++ {
 			i, j := r.Intn(n), r.Intn(n)
 			v := r.Float64()
@@ -139,21 +141,21 @@ func TestPermuteSymRoundTrip(t *testing.T) {
 		}
 		a := c.ToCSC()
 		perm := r.Perm(n)
-		b := PermuteSym(a, perm)
+		b := sparse.PermuteSym(a, perm)
 		// B[new_i][new_j] == A[perm[new_i]][perm[new_j]]
 		for nj := 0; nj < n; nj++ {
 			for p := b.ColPtr[nj]; p < b.ColPtr[nj+1]; p++ {
 				ni := b.RowIdx[p]
-				if want := a.At(perm[ni], perm[nj]); math.Abs(b.Val[p]-want) > 1e-14 {
+				if want := testmat.At(a, perm[ni], perm[nj]); math.Abs(b.Val[p]-want) > 1e-14 {
 					t.Fatalf("PermuteSym(%d,%d) = %g, want %g", ni, nj, b.Val[p], want)
 				}
 			}
 		}
 		// round trip with the inverse permutation
-		back := PermuteSym(b, InvPerm(perm))
+		back := sparse.PermuteSym(b, sparse.InvPerm(perm))
 		for j := 0; j < n; j++ {
 			for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-				if math.Abs(back.At(a.RowIdx[p], j)-a.Val[p]) > 1e-14 {
+				if math.Abs(testmat.At(back, a.RowIdx[p], j)-a.Val[p]) > 1e-14 {
 					t.Fatal("PermuteSym round trip mismatch")
 				}
 			}
@@ -165,13 +167,13 @@ func TestInvPermProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
 		p := rng.New(seed).Perm(n)
-		inv := InvPerm(p)
+		inv := sparse.InvPerm(p)
 		for i := 0; i < n; i++ {
 			if p[inv[i]] != i || inv[p[i]] != i {
 				return false
 			}
 		}
-		return CheckPerm(p, n) == nil && CheckPerm(inv, n) == nil
+		return sparse.CheckPerm(p, n) == nil && sparse.CheckPerm(inv, n) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -179,13 +181,13 @@ func TestInvPermProperty(t *testing.T) {
 }
 
 func TestCheckPermRejectsBad(t *testing.T) {
-	if err := CheckPerm([]int{0, 1, 1}, 3); err == nil {
+	if err := sparse.CheckPerm([]int{0, 1, 1}, 3); err == nil {
 		t.Error("duplicate not rejected")
 	}
-	if err := CheckPerm([]int{0, 3, 1}, 3); err == nil {
+	if err := sparse.CheckPerm([]int{0, 3, 1}, 3); err == nil {
 		t.Error("out of range not rejected")
 	}
-	if err := CheckPerm([]int{0, 1}, 3); err == nil {
+	if err := sparse.CheckPerm([]int{0, 1}, 3); err == nil {
 		t.Error("short permutation not rejected")
 	}
 }
@@ -195,7 +197,7 @@ func TestLowerSolveAgainstDense(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 1 + r.Intn(20)
 		// Build a well-conditioned lower-triangular matrix, diag first.
-		coo := NewCOO(n, n, 3*n)
+		coo := sparse.NewCOO(n, n, 3*n)
 		for j := 0; j < n; j++ {
 			coo.Add(j, j, 1+r.Float64())
 			for i := j + 1; i < n; i++ {
@@ -210,7 +212,7 @@ func TestLowerSolveAgainstDense(t *testing.T) {
 			b[i] = r.Float64()*2 - 1
 		}
 		x := append([]float64(nil), b...)
-		LowerSolve(l, x)
+		sparse.LowerSolve(l, sparse.ColumnRuns(l), x)
 		// check L x = b
 		y := make([]float64, n)
 		l.MulVec(y, x)
@@ -221,7 +223,7 @@ func TestLowerSolveAgainstDense(t *testing.T) {
 		}
 		// transpose solve
 		xt := append([]float64(nil), b...)
-		LowerTransposeSolve(l, xt)
+		sparse.LowerTransposeSolve(l, sparse.ColumnRuns(l), xt)
 		lt := l.Transpose()
 		lt.MulVec(y, xt)
 		for i := range y {
@@ -236,10 +238,10 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	r := rng.New(23)
 	a := randomCOO(r, 12, 40).ToCSC().DropZeros(0)
 	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, a, false); err != nil {
+	if err := sparse.WriteMatrixMarket(&buf, a, false); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadMatrixMarket(&buf)
+	b, err := sparse.ReadMatrixMarket(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	}
 	for j := 0; j < a.Cols; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if got := b.At(a.RowIdx[p], j); math.Abs(got-a.Val[p]) > 1e-15 {
+			if got := testmat.At(b, a.RowIdx[p], j); math.Abs(got-a.Val[p]) > 1e-15 {
 				t.Fatalf("round trip value mismatch at (%d,%d)", a.RowIdx[p], j)
 			}
 		}
@@ -258,7 +260,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 
 func TestMatrixMarketSymmetric(t *testing.T) {
 	// symmetric writer emits the lower triangle; reader mirrors it back
-	c := NewCOO(3, 3, 5)
+	c := sparse.NewCOO(3, 3, 5)
 	c.AddSym(0, 1, -2)
 	c.AddSym(1, 2, -3)
 	c.Add(0, 0, 5)
@@ -266,17 +268,17 @@ func TestMatrixMarketSymmetric(t *testing.T) {
 	c.Add(2, 2, 7)
 	a := c.ToCSC()
 	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, a, true); err != nil {
+	if err := sparse.WriteMatrixMarket(&buf, a, true); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadMatrixMarket(&buf)
+	b, err := sparse.ReadMatrixMarket(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.IsSymmetric(0) {
+	if !testmat.IsSymmetric(b, 0) {
 		t.Fatal("read-back matrix not symmetric")
 	}
-	if b.At(1, 0) != -2 || b.At(0, 1) != -2 || b.At(2, 2) != 7 {
+	if testmat.At(b, 1, 0) != -2 || testmat.At(b, 0, 1) != -2 || testmat.At(b, 2, 2) != 7 {
 		t.Fatal("symmetric round trip values wrong")
 	}
 }
@@ -288,7 +290,7 @@ func TestMatrixMarketRejectsGarbage(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
 	} {
-		if _, err := ReadMatrixMarket(bytes.NewBufferString(src)); err == nil {
+		if _, err := sparse.ReadMatrixMarket(bytes.NewBufferString(src)); err == nil {
 			t.Errorf("accepted invalid input %q", src)
 		}
 	}
@@ -296,25 +298,25 @@ func TestMatrixMarketRejectsGarbage(t *testing.T) {
 
 func TestVecHelpers(t *testing.T) {
 	x := []float64{3, -4}
-	if Norm2(x) != 5 {
-		t.Errorf("Norm2 = %g, want 5", Norm2(x))
+	if sparse.Norm2(x) != 5 {
+		t.Errorf("Norm2 = %g, want 5", sparse.Norm2(x))
 	}
-	if NormInf(x) != 4 {
-		t.Errorf("NormInf = %g, want 4", NormInf(x))
+	if sparse.NormInf(x) != 4 {
+		t.Errorf("NormInf = %g, want 4", sparse.NormInf(x))
 	}
 	y := []float64{1, 1}
-	if Dot(x, y) != -1 {
-		t.Errorf("Dot = %g, want -1", Dot(x, y))
+	if sparse.Dot(x, y) != -1 {
+		t.Errorf("Dot = %g, want -1", sparse.Dot(x, y))
 	}
-	Axpy(y, 2, x) // y = {7, -7}
+	sparse.Axpy(y, 2, x) // y = {7, -7}
 	if y[0] != 7 || y[1] != -7 {
 		t.Errorf("Axpy = %v", y)
 	}
-	Scale(y, 0.5)
+	sparse.Scale(y, 0.5)
 	if y[0] != 3.5 {
 		t.Errorf("Scale = %v", y)
 	}
-	Zero(y)
+	sparse.Zero(y)
 	if y[0] != 0 || y[1] != 0 {
 		t.Errorf("Zero = %v", y)
 	}
@@ -323,38 +325,16 @@ func TestVecHelpers(t *testing.T) {
 // TestAxpyToBitwiseEqualsAxpy: PCG's out-of-place update must produce
 // the bits of the in-place Axpy, aliased or not, and reject operands
 // of different lengths.
-func TestAxpyToBitwiseEqualsAxpy(t *testing.T) {
-	r := rng.New(13)
-	for _, n := range []int{0, 1, 100, 5000} {
-		x := randVec(r, n)
-		y0 := randVec(r, n)
-		want := append([]float64(nil), y0...)
-		Axpy(want, 0.37, x)
-		got := append([]float64(nil), y0...)
-		AxpyTo(got, got, 0.37, x)
-		bitwiseEqual(t, "AxpyTo in place", got, want)
-		dst := make([]float64, n)
-		AxpyTo(dst, y0, 0.37, x)
-		bitwiseEqual(t, "AxpyTo out of place", dst, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AxpyTo accepted operands of different lengths")
-		}
-	}()
-	AxpyTo(make([]float64, 3), make([]float64, 2), 1, make([]float64, 3))
-}
-
 func TestDropZeros(t *testing.T) {
-	c := NewCOO(2, 2, 3)
+	c := sparse.NewCOO(2, 2, 3)
 	c.Add(0, 0, 1e-20)
 	c.Add(1, 1, 2)
 	c.Add(0, 1, -1e-20)
 	a := c.ToCSC().DropZeros(1e-15)
-	if a.NNZ() != 1 || a.At(1, 1) != 2 {
+	if a.NNZ() != 1 || testmat.At(a, 1, 1) != 2 {
 		t.Fatalf("DropZeros kept %d entries", a.NNZ())
 	}
-	if err := a.Check(); err != nil {
+	if err := testmat.CheckCSC(a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -374,7 +354,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestDiag(t *testing.T) {
-	c := NewCOO(3, 3, 4)
+	c := sparse.NewCOO(3, 3, 4)
 	c.Add(0, 0, 5)
 	c.Add(2, 2, -1)
 	c.Add(0, 1, 9)
@@ -385,14 +365,14 @@ func TestDiag(t *testing.T) {
 }
 
 func TestNewCSCAndNNZ(t *testing.T) {
-	a := NewCSC(4, 5, 10)
+	a := sparse.NewCSC(4, 5, 10)
 	if a.Rows != 4 || a.Cols != 5 || a.NNZ() != 0 {
 		t.Fatalf("NewCSC shape wrong: %+v", a)
 	}
-	if err := a.Check(); err != nil {
+	if err := testmat.CheckCSC(a); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCOO(2, 2, 1)
+	c := sparse.NewCOO(2, 2, 1)
 	c.Add(0, 0, 1)
 	if c.NNZ() != 1 {
 		t.Fatal("COO.NNZ wrong")
@@ -403,26 +383,60 @@ func TestPermuteVecHelpers(t *testing.T) {
 	x := []float64{10, 20, 30}
 	perm := []int{2, 0, 1} // new i <- old perm[i]
 	y := make([]float64, 3)
-	PermuteVecInto(y, x, perm)
+	sparse.PermuteVecInto(y, x, perm)
 	if y[0] != 30 || y[1] != 10 || y[2] != 20 {
 		t.Fatalf("PermuteVecInto = %v", y)
 	}
 	z := make([]float64, 3)
-	PermuteVecInto(z, y, InvPerm(perm))
+	sparse.PermuteVecInto(z, y, sparse.InvPerm(perm))
 	for i := range x {
 		if z[i] != x[i] {
 			t.Fatalf("PermuteVecInto through InvPerm = %v", z)
 		}
 	}
-	id := IdentityPerm(3)
+	id := sparse.IdentityPerm(3)
 	for i, v := range id {
 		if v != i {
 			t.Fatal("IdentityPerm wrong")
 		}
 	}
 	w := make([]float64, 3)
-	Copy(w, x)
+	sparse.Copy(w, x)
 	if w[2] != 30 {
 		t.Fatal("Copy wrong")
 	}
+}
+
+// FuzzReadMatrixMarket: the Matrix Market reader must never panic, and
+// any accepted matrix must pass the structural validator and survive a
+// write/read round trip.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 -3.5\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 -1\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 9\n1 1 1.0\n")
+	f.Add("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
+	f.Add("garbage\n")
+	f.Add("")
+	f.Add("%%MatrixMarket matrix coordinate real general\n-1 2 1\n1 1 1\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		a, err := sparse.ReadMatrixMarket(bytes.NewBufferString(src))
+		if err != nil {
+			return
+		}
+		if err := testmat.CheckCSC(a); err != nil {
+			t.Fatalf("accepted matrix fails Check: %v\ninput %q", err, src)
+		}
+		var buf bytes.Buffer
+		if err := sparse.WriteMatrixMarket(&buf, a, false); err != nil {
+			t.Fatalf("write-back failed: %v", err)
+		}
+		b, err := sparse.ReadMatrixMarket(&buf)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v", err)
+		}
+		if b.Rows != a.Rows || b.Cols != a.Cols || b.NNZ() != a.NNZ() {
+			t.Fatalf("round trip changed shape")
+		}
+	})
 }

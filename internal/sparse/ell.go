@@ -65,7 +65,7 @@ var errELLShape = errors.New("sparse: fixed-width row operands disagree in lengt
 // matrix that is not square, or whose indices exceed MaxIndex32, is
 // refused; the latter with ErrIndexOverflow. a's RowIdx and Val must
 // hold exactly its entries, as every constructor in this package
-// leaves them (CSC.Check).
+// leaves them.
 func NewELL(a *CSC) (*ELL, error) {
 	n := a.Cols
 	if a.Rows != n {

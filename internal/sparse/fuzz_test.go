@@ -1,46 +1,11 @@
 package sparse
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"powerrchol/internal/rng"
 )
-
-// FuzzReadMatrixMarket: the Matrix Market reader must never panic, and
-// any accepted matrix must pass the structural validator and survive a
-// write/read round trip.
-func FuzzReadMatrixMarket(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 -3.5\n")
-	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 -1\n")
-	f.Add("%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 9\n1 1 1.0\n")
-	f.Add("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
-	f.Add("garbage\n")
-	f.Add("")
-	f.Add("%%MatrixMarket matrix coordinate real general\n-1 2 1\n1 1 1\n")
-	f.Fuzz(func(t *testing.T, src string) {
-		a, err := ReadMatrixMarket(bytes.NewBufferString(src))
-		if err != nil {
-			return
-		}
-		if err := a.Check(); err != nil {
-			t.Fatalf("accepted matrix fails Check: %v\ninput %q", err, src)
-		}
-		var buf bytes.Buffer
-		if err := WriteMatrixMarket(&buf, a, false); err != nil {
-			t.Fatalf("write-back failed: %v", err)
-		}
-		b, err := ReadMatrixMarket(&buf)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if b.Rows != a.Rows || b.Cols != a.Cols || b.NNZ() != a.NNZ() {
-			t.Fatalf("round trip changed shape")
-		}
-	})
-}
 
 // FuzzELLMulVecDot is a differential check of the fixed-width rows: on a
 // random small CSC with empty rows, rows longer than 8 entries, and
@@ -99,6 +64,80 @@ func FuzzELLMulVecDot(f *testing.F) {
 		}
 		if math.Float64bits(gotDot) != math.Float64bits(wantDot) {
 			t.Fatalf("xᵀy = %x, scatter %x (width %d)", math.Float64bits(gotDot), math.Float64bits(wantDot), e.Width())
+		}
+	})
+}
+
+// FuzzLowerSolveRuns is a differential check of the run kernels: on a
+// random diag-first lower CSC whose columns come in runs of random
+// lengths, with 0 to 13 off-diagonals each, ColumnRuns must list exactly
+// the maximal runs, and LowerSolve and LowerTransposeSolve must equal
+// the plain column loops bit for bit. Values include ±0.
+func FuzzLowerSolveRuns(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint8(6), uint8(3))
+	f.Add(uint64(2), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(79), uint8(13), uint8(0))
+	f.Add(uint64(4), uint8(64), uint8(7), uint8(9))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, maxLen, maxRun uint8) {
+		r := rng.New(seed)
+		value := func() float64 {
+			switch r.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return math.Copysign(0, -1)
+			default:
+				return 2*r.Float64() - 1
+			}
+		}
+		n := 1 + int(nRaw%80)
+		m, left := 0, 0 // the current run's off-diagonal count and columns left in it
+		l := lowerWithLengths(r, n, func(int) int {
+			if left == 0 {
+				m, left = r.Intn(1+int(maxLen%14)), 1+r.Intn(1+int(maxRun%8))
+			}
+			left--
+			return m
+		})
+		for p := range l.Val {
+			l.Val[p] = value()
+		}
+		for j := 0; j < n; j++ {
+			l.Val[l.ColPtr[j]] = math.Copysign(0.5+r.Float64(), value())
+		}
+		runs := ColumnRuns(l)
+		length := func(j int) int { return l.ColPtr[j+1] - l.ColPtr[j] }
+		for k := 0; k+1 < len(runs); k++ {
+			lo, hi := int(runs[k]), int(runs[k+1])
+			if lo >= hi || (k > 0 && length(lo) == length(lo-1)) {
+				t.Fatalf("run %d = [%d, %d) is empty or not maximal (table %v)", k, lo, hi, runs)
+			}
+			for j := lo + 1; j < hi; j++ {
+				if length(j) != length(lo) {
+					t.Fatalf("run %d = [%d, %d) mixes lengths %d and %d", k, lo, hi, length(lo), length(j))
+				}
+			}
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = value()
+		}
+		want, got := append([]float64(nil), b...), append([]float64(nil), b...)
+		loopLowerSolve(l, want)
+		LowerSolve(l, runs, got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("LowerSolve x[%d] = %x, loop %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+		copy(want, b)
+		copy(got, b)
+		loopLowerTransposeSolve(l, want)
+		LowerTransposeSolve(l, runs, got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("LowerTransposeSolve x[%d] = %x, loop %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
 	})
 }

@@ -22,14 +22,15 @@ func benchLower(b *testing.B) (*CSC, []float64, []float64) {
 }
 
 // lowerWithLengths builds a random lower factor whose column j has
-// length(j) off-diagonals, in random rows below the diagonal.
+// length(j) off-diagonals (fewer only where fewer rows lie below the
+// diagonal), in distinct random rows below the diagonal.
 func lowerWithLengths(r *rng.Rand, n int, length func(j int) int) *CSC {
 	l := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
 	for j := 0; j < n; j++ {
 		l.RowIdx = append(l.RowIdx, j)
 		l.Val = append(l.Val, 1+r.Float64())
 		seen := map[int]bool{}
-		for k := length(j); k > 0 && j+1 < n; k-- {
+		for want := min(length(j), n-j-1); len(seen) < want; {
 			i := j + 1 + int(r.Uint64()%uint64(n-j-1))
 			if seen[i] {
 				continue
@@ -47,9 +48,10 @@ func lowerWithLengths(r *rng.Rand, n int, length func(j int) int) *CSC {
 // solve on three random factors with the same number of entries (n =
 // 17,500, four off-diagonals per column on average): every column of
 // length four; lengths two to six mixed at random; and the same mix in
-// runs of equal length. The column loop's exit costs a misprediction
-// per column whenever neighbouring columns differ in length, which is
-// what core.Factorize's scheduled layout avoids.
+// runs of equal length. The kernels switch once per run of equal-length
+// columns, so the mixed factor, whose runs are mostly one column long,
+// pays a mispredicted switch on most columns; core.Factorize's
+// scheduled layout avoids that.
 func BenchmarkLowerSolveColumnLengths(b *testing.B) {
 	const n = 17500
 	mixed := rng.New(21)
@@ -71,12 +73,13 @@ func BenchmarkLowerSolveColumnLengths(b *testing.B) {
 		l := lowerWithLengths(r, n, c.length)
 		x := randVec(r, n)
 		work := make([]float64, n)
+		runs := ColumnRuns(l)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(work, x)
-				LowerSolve(l, work)
-				LowerTransposeSolve(l, work)
+				LowerSolve(l, runs, work)
+				LowerTransposeSolve(l, runs, work)
 			}
 		})
 	}
@@ -84,21 +87,23 @@ func BenchmarkLowerSolveColumnLengths(b *testing.B) {
 
 func BenchmarkLowerSolve(b *testing.B) {
 	l, x, work := benchLower(b)
+	runs := ColumnRuns(l)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, x)
-		LowerSolve(l, work)
+		LowerSolve(l, runs, work)
 	}
 }
 
 func BenchmarkLowerTransposeSolve(b *testing.B) {
 	l, x, work := benchLower(b)
+	runs := ColumnRuns(l)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, x)
-		LowerTransposeSolve(l, work)
+		LowerTransposeSolve(l, runs, work)
 	}
 }
 

@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"powerrchol/internal/rng"
@@ -58,7 +60,7 @@ func TestUpperSolveConsistentWithTransposeSolve(t *testing.T) {
 		b[i] = r.Float64()
 	}
 	x1 := append([]float64(nil), b...)
-	LowerTransposeSolve(l, x1)
+	LowerTransposeSolve(l, ColumnRuns(l), x1)
 	x2 := append([]float64(nil), b...)
 	UpperSolve(u, x2)
 	for i := range x1 {
@@ -176,8 +178,8 @@ func randLevelLower(r *rng.Rand, n, maxExtra, maxWidth int) (*CSC, []int) {
 }
 
 // loopLowerSolve and loopLowerTransposeSolve are the triangular solves
-// as plain column loops: the reference the unrolled kernels must match
-// bit for bit.
+// as plain column loops: the reference the run kernels must match bit
+// for bit.
 func loopLowerSolve(l *CSC, x []float64) {
 	for j := 0; j < l.Cols; j++ {
 		p := l.ColPtr[j]
@@ -199,23 +201,111 @@ func loopLowerTransposeSolve(l *CSC, x []float64) {
 	}
 }
 
-// TestUnrolledSolvesMatchLoop covers every column length around the
-// kernels' unrolled prefix, in runs of equal length and mixed.
+// solvesMatchLoop checks both run kernels against the plain loops, bit
+// for bit, from right-hand side b.
+func solvesMatchLoop(t *testing.T, what string, l *CSC, b []float64) {
+	t.Helper()
+	runs := ColumnRuns(l)
+	want := append([]float64(nil), b...)
+	loopLowerSolve(l, want)
+	got := append([]float64(nil), b...)
+	LowerSolve(l, runs, got)
+	bitwiseEqual(t, what+": LowerSolve", got, want)
+
+	want = append(want[:0], b...)
+	loopLowerTransposeSolve(l, want)
+	got = append(got[:0], b...)
+	LowerTransposeSolve(l, runs, got)
+	bitwiseEqual(t, what+": LowerTransposeSolve", got, want)
+}
+
+// TestUnrolledSolvesMatchLoop pins the run kernels to the plain column
+// loops bit for bit: every off-diagonal count from 0 to 12, past the
+// largest straight-line body (6), in long runs of one length, in runs
+// of random lengths, in single-column runs of alternating lengths, and
+// mixed at random. The factors Factorize, the exact and the incomplete
+// Cholesky build are covered in package core (TestRunSolvesOnFactors).
 func TestUnrolledSolvesMatchLoop(t *testing.T) {
 	r := rng.New(18)
-	for _, maxExtra := range []int{0, 1, unrolled - 1, unrolled, unrolled + 1, 3 * unrolled} {
-		l, _ := randLevelLower(r, 3000, maxExtra, 40)
-		b := randVec(r, l.Cols)
-		want := append([]float64(nil), b...)
-		loopLowerSolve(l, want)
-		got := append([]float64(nil), b...)
-		LowerSolve(l, got)
-		bitwiseEqual(t, "LowerSolve", got, want)
+	const n = 3000
+	for m := 0; m <= 12; m++ {
+		l := lowerWithLengths(r, n, func(int) int { return m })
+		solvesMatchLoop(t, fmt.Sprintf("%d off-diagonals", m), l, randVec(r, n))
+	}
+	for _, c := range []struct {
+		name   string
+		length func(j int) int
+	}{
+		{"alternating 2 and 3", func(j int) int { return 2 + j%2 }},
+		{"alternating 0 and 12", func(j int) int { return 12 * (j % 2) }},
+		{"cycling 0 to 12", func(j int) int { return j % 13 }},
+		{"random 0 to 12", func(int) int { return r.Intn(13) }},
+		{"runs of random length", func(j int) int { return (j / 7) % 13 }},
+	} {
+		l := lowerWithLengths(r, n, c.length)
+		solvesMatchLoop(t, c.name, l, randVec(r, n))
+	}
+	for _, maxExtra := range []int{0, 1, 5, 6, 7, 12} {
+		l, _ := randLevelLower(r, n, maxExtra, 40)
+		solvesMatchLoop(t, fmt.Sprintf("levels of up to %d off-diagonals", maxExtra), l, randVec(r, n))
+	}
+}
 
-		want = append(want[:0], b...)
-		loopLowerTransposeSolve(l, want)
-		got = append(got[:0], b...)
-		LowerTransposeSolve(l, got)
-		bitwiseEqual(t, "LowerTransposeSolve", got, want)
+// TestColumnRuns: the table lists the first column of every maximal run
+// of equal-length columns and the sentinel n, in an exact-size array,
+// and a factor whose columns int32 cannot number is refused.
+func TestColumnRuns(t *testing.T) {
+	lower := func(lens ...int) *CSC {
+		l := &CSC{Rows: len(lens), Cols: len(lens), ColPtr: make([]int, len(lens)+1)}
+		for j, s := range lens {
+			l.ColPtr[j+1] = l.ColPtr[j] + s
+		}
+		return l
+	}
+	for _, c := range []struct {
+		lens []int
+		want []int32
+	}{
+		{nil, []int32{0}},
+		{[]int{1}, []int32{0, 1}},
+		{[]int{3, 3, 3}, []int32{0, 3}},
+		{[]int{2, 3, 2, 3}, []int32{0, 1, 2, 3, 4}},
+		{[]int{4, 4, 2, 2, 2, 1}, []int32{0, 2, 5, 6}},
+	} {
+		got := ColumnRuns(lower(c.lens...))
+		if !slices.Equal(got, c.want) || cap(got) != len(got) {
+			t.Errorf("ColumnRuns of lengths %v = %v (cap %d), want %v exactly", c.lens, got, cap(got), c.want)
+		}
+	}
+	// A table past int32 is refused before anything is read: a bare
+	// header allocates nothing n-sized.
+	defer func() {
+		if recover() != ErrIndexOverflow {
+			t.Error("ColumnRuns did not refuse a factor past MaxIndex32 columns")
+		}
+	}()
+	ColumnRuns(&CSC{Rows: MaxIndex32 + 1, Cols: MaxIndex32 + 1})
+}
+
+// TestRunSolvesRejectMisfits: a vector or table that does not fit the
+// factor panics before the solve touches x.
+func TestRunSolvesRejectMisfits(t *testing.T) {
+	l := randLower(rng.New(5), 50, 3)
+	runs := ColumnRuns(l)
+	for name, call := range map[string]func(){
+		"short x":           func() { LowerSolve(l, runs, make([]float64, 49)) },
+		"long x":            func() { LowerTransposeSolve(l, runs, make([]float64, 51)) },
+		"no table":          func() { LowerSolve(l, nil, make([]float64, 50)) },
+		"wrong sentinel":    func() { LowerTransposeSolve(l, runs[:len(runs)-1], make([]float64, 50)) },
+		"not from column 0": func() { LowerSolve(l, runs[1:], make([]float64, 50)) },
+	} {
+		func() {
+			defer func() {
+				if recover() != errRuns {
+					t.Errorf("%s: did not panic with errRuns", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

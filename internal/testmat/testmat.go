@@ -6,6 +6,7 @@ package testmat
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"powerrchol/internal/graph"
 	"powerrchol/internal/rng"
@@ -199,4 +200,69 @@ func MaxAbsDiff(a, b [][]float64) float64 {
 		}
 	}
 	return m
+}
+
+// At returns a's value at (i, j), by binary search within column j,
+// whose row indices must be sorted.
+func At(a *sparse.CSC, i, j int) float64 {
+	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
+	k := sort.SearchInts(a.RowIdx[lo:hi], i)
+	if k < hi-lo && a.RowIdx[lo+k] == i {
+		return a.Val[lo+k]
+	}
+	return 0
+}
+
+// CheckCSC validates a's structural invariants: monotone column
+// pointers, in-range sorted row indices and finite values. It returns a
+// descriptive error on the first violation.
+func CheckCSC(a *sparse.CSC) error {
+	if len(a.ColPtr) != a.Cols+1 {
+		return fmt.Errorf("sparse: ColPtr length %d, want %d", len(a.ColPtr), a.Cols+1)
+	}
+	if a.ColPtr[0] != 0 {
+		return fmt.Errorf("sparse: ColPtr[0] = %d, want 0", a.ColPtr[0])
+	}
+	nnz := a.ColPtr[a.Cols]
+	if len(a.RowIdx) != nnz || len(a.Val) != nnz {
+		return fmt.Errorf("sparse: index/value arrays have length %d/%d, want %d",
+			len(a.RowIdx), len(a.Val), nnz)
+	}
+	for j := 0; j < a.Cols; j++ {
+		if a.ColPtr[j] > a.ColPtr[j+1] {
+			return fmt.Errorf("sparse: column %d has negative length", j)
+		}
+		prev := -1
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			i := a.RowIdx[p]
+			if i < 0 || i >= a.Rows {
+				return fmt.Errorf("sparse: row index %d out of range in column %d", i, j)
+			}
+			if i <= prev {
+				return fmt.Errorf("sparse: unsorted or duplicate row index %d in column %d", i, j)
+			}
+			prev = i
+			if math.IsNaN(a.Val[p]) || math.IsInf(a.Val[p], 0) {
+				return fmt.Errorf("sparse: non-finite value at (%d,%d)", i, j)
+			}
+		}
+	}
+	return nil
+}
+
+// IsSymmetric reports whether a equals its transpose up to tol
+// (absolute, element-wise). Quadratic in nnz per column.
+func IsSymmetric(a *sparse.CSC, tol float64) bool {
+	if a.Rows != a.Cols {
+		return false
+	}
+	for j := 0; j < a.Cols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			i := a.RowIdx[p]
+			if math.Abs(a.Val[p]-At(a, j, i)) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }
