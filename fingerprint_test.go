@@ -6,7 +6,9 @@ import (
 	"math"
 	"testing"
 
+	"powerrchol/internal/core"
 	"powerrchol/internal/rng"
+	"powerrchol/internal/sparse"
 	"powerrchol/internal/testmat"
 )
 
@@ -190,5 +192,33 @@ func TestMemoryBytesSharedFormula(t *testing.T) {
 	}
 	if solver.MemoryBytes() <= 0 {
 		t.Fatalf("non-positive memory estimate %d", solver.MemoryBytes())
+	}
+}
+
+// TestMemoryBytesModel pins Solver.MemoryBytes to the byte model its
+// doc comment states, term by term, on a fixed grid: the factor's
+// values and int32 rows, its column pointers and run table, the int32
+// permutation pair, six scratch n-vectors and the iteration matrix.
+func TestMemoryBytesModel(t *testing.T) {
+	s := testmat.GridSDDM(40, 30)
+	solver, err := NewSolver(s, Options{Tol: 1e-8, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, ok := solver.iter.M.(*core.Factor)
+	if !ok {
+		t.Fatalf("preconditioner is %T, want *core.Factor", solver.iter.M)
+	}
+	if f.Perm() == nil {
+		t.Fatal("the PowerRChol factor has no permutation: the test no longer covers the pair")
+	}
+	n, nnz := s.N(), solver.FactorNNZ()
+	runs := len(sparse.ColumnRuns(f.L))
+	if got, want := solver.FactorIndexBytes(), 8*(n+1)+4*nnz+4*runs+8*n; got != want {
+		t.Fatalf("FactorIndexBytes %d, model %d", got, want)
+	}
+	want := 12*nnz + 8*(n+1) + 4*runs + 8*n + 48*n + solver.iter.Mat.Bytes()
+	if got := solver.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes %d, model %d (n %d, |L| %d, %d runs)", got, want, n, nnz, runs)
 	}
 }

@@ -95,6 +95,11 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("chol: matrix is %dx%d, not square", a.Rows, a.Cols)
 	}
+	// The factor numbers rows in int32: refuse a system past that
+	// before allocating anything.
+	if a.Cols > sparse.MaxIndex32 {
+		return nil, fmt.Errorf("chol: %d nodes: %w", a.Cols, sparse.ErrIndexOverflow)
+	}
 	work := a
 	if perm != nil {
 		if err := sparse.CheckPerm(perm, a.Cols); err != nil {
@@ -134,7 +139,7 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 		nnz += c + 1 // +1 for the diagonal
 		ends[j] = nnz
 	}
-	rowIdx := make([]int, nnz)
+	rowIdx := make([]int32, nnz)
 	val := make([]float64, nnz)
 	next := make([]int, n) // next free slot per column
 
@@ -169,7 +174,7 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 				x[rowIdx[p]] -= val[p] * lkj
 			}
 			d -= lkj * lkj
-			rowIdx[q] = k
+			rowIdx[q] = int32(k)
 			val[q] = lkj
 			next[j] = q + 1
 		}
@@ -177,10 +182,10 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int) (*core.Fac
 			return nil, fmt.Errorf("chol: non-positive pivot %g at column %d (matrix not positive definite)", d, k)
 		}
 		c := start[k]
-		rowIdx[c] = k
+		rowIdx[c] = int32(k)
 		val[c] = math.Sqrt(d)
 		next[k] = c + 1
 	}
 
-	return core.NewFactor(&sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, perm), nil
+	return core.NewFactor(&sparse.Lower{N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, sparse.Perm32(perm)), nil
 }

@@ -41,7 +41,7 @@ func TestCholeskyMatchesDenseFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fac.L.Dense()
+	got := testmat.LowerCSC(fac.L).Dense()
 	if d := testmat.MaxAbsDiff(got, want); d > 1e-10 {
 		t.Fatalf("sparse and dense Cholesky factors differ by %g", d)
 	}
@@ -162,5 +162,19 @@ func TestFactorizeContextCancelled(t *testing.T) {
 	}
 	if _, err := FactorizeContext(nil, a, nil); err != nil { //nolint:staticcheck // nil ctx is documented as "never cancelled"
 		t.Fatalf("FactorizeContext with nil ctx: %v", err)
+	}
+}
+
+// TestFactorizeRejectsInt32Overflow: the factor numbers rows in int32,
+// so a matrix past MaxIndex32 columns must fail with ErrIndexOverflow
+// up front, ahead of the permutation check too. The matrix is a bare
+// header: the check has to come before any n-sized allocation for this
+// test to run at all.
+func TestFactorizeRejectsInt32Overflow(t *testing.T) {
+	const n = sparse.MaxIndex32 + 1
+	for _, perm := range [][]int{nil, {0}} {
+		if _, err := Factorize(&sparse.CSC{Rows: n, Cols: n}, perm); !errors.Is(err, sparse.ErrIndexOverflow) {
+			t.Fatalf("perm %v: got %v, want ErrIndexOverflow", perm, err)
+		}
 	}
 }

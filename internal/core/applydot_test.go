@@ -23,7 +23,9 @@ func scatterApply(f *core.Factor, z, r []float64) {
 	if perm == nil {
 		copy(w, r)
 	} else {
-		sparse.PermuteVecInto(w, r, perm)
+		for k, i := range perm {
+			w[k] = r[i]
+		}
 	}
 	loopSolve(f.L, w)
 	loopTransposeSolve(f.L, w)
@@ -39,8 +41,8 @@ func scatterApply(f *core.Factor, z, r []float64) {
 // loopSolve and loopTransposeSolve are the triangular solves as plain
 // column loops, the reference sparse's run kernels must match bit for
 // bit.
-func loopSolve(l *sparse.CSC, x []float64) {
-	for j := 0; j < l.Cols; j++ {
+func loopSolve(l *sparse.Lower, x []float64) {
+	for j := 0; j < l.N; j++ {
 		p := l.ColPtr[j]
 		x[j] /= l.Val[p]
 		for q := p + 1; q < l.ColPtr[j+1]; q++ {
@@ -49,8 +51,8 @@ func loopSolve(l *sparse.CSC, x []float64) {
 	}
 }
 
-func loopTransposeSolve(l *sparse.CSC, x []float64) {
-	for j := l.Cols - 1; j >= 0; j-- {
+func loopTransposeSolve(l *sparse.Lower, x []float64) {
+	for j := l.N - 1; j >= 0; j-- {
 		p := l.ColPtr[j]
 		sum := x[j]
 		for q := p + 1; q < l.ColPtr[j+1]; q++ {
@@ -109,7 +111,7 @@ func TestRunSolvesOnFactors(t *testing.T) {
 	for _, nf := range everyFactor(t) {
 		l := nf.f.L
 		runs := sparse.ColumnRuns(l)
-		b := make([]float64, l.Cols)
+		b := make([]float64, l.N)
 		for i := range b {
 			b[i] = 2*r.Float64() - 1
 		}

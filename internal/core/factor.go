@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"powerrchol/internal/sparse"
 )
@@ -22,33 +21,40 @@ import (
 // Every factor is built by NewFactor, which also lists L's runs of
 // equal-length columns for the triangular solves.
 //
-// Apply is safe for concurrent callers: scratch vectors are drawn from a
-// pool per call, and all other state (L, its run table, the permutation
-// and its inverse) is read-only after construction. All randomness is
-// confined to Factorize; no RNG state survives into the solve phase.
+// Every node index a factor keeps is int32: L's row indices, the
+// permutation and its inverse (DESIGN.md §11).
+//
+// Apply is safe for concurrent callers: its work vector is drawn from
+// the process-wide pool (sparse.GetVec) per call, and all other state
+// (L, its run table, the permutation and its inverse) is read-only
+// after construction. All randomness is confined to Factorize; no RNG
+// state survives into the solve phase.
 type Factor struct {
 	N int
-	L *sparse.CSC
+	L *sparse.Lower
 
 	// runs is sparse.ColumnRuns(L), the run table both solves walk.
 	runs []int32
 
-	// perm[newIdx] = oldIdx, nil for the identity, and inv its inverse,
-	// which Apply gathers its result through.
-	perm, inv []int
-
-	pool sync.Pool // of *[]float64, length N
+	// perm[newIdx] = oldIdx, nil for the identity, which Apply gathers
+	// r through, and inv its inverse, which Apply gathers its result
+	// through.
+	perm, inv []int32
 }
 
-// NewFactor returns the factor with lower-triangular L, stored with the
-// diagonal first in each column, and permutation perm (perm[newIdx] =
-// oldIdx, nil for the identity). l and perm are retained, not copied.
-// It is the one constructor of every factor: Factorize, the exact and
-// the incomplete Cholesky all build theirs here.
-func NewFactor(l *sparse.CSC, perm []int) *Factor {
-	f := &Factor{N: l.Cols, L: l, runs: sparse.ColumnRuns(l), perm: perm}
+// NewFactor returns the factor with lower-triangular L and permutation
+// perm (perm[newIdx] = oldIdx, nil for the identity). l and perm are
+// retained, not copied; the inverse permutation is derived here. It is
+// the one constructor of every factor: Factorize, the exact and the
+// incomplete Cholesky all build theirs here.
+func NewFactor(l *sparse.Lower, perm []int32) *Factor {
+	f := &Factor{N: l.N, L: l, runs: sparse.ColumnRuns(l), perm: perm}
 	if perm != nil {
-		f.inv = sparse.InvPerm(perm)
+		inv := make([]int32, len(perm))
+		for newIdx, oldIdx := range perm {
+			inv[oldIdx] = int32(newIdx)
+		}
+		f.inv = inv
 	}
 	return f
 }
@@ -58,26 +64,19 @@ func (f *Factor) NNZ() int { return f.L.NNZ() }
 
 // Perm returns the factor's permutation, Perm()[newIdx] = oldIdx, or
 // nil for the identity. The slice is shared; callers must not mutate it.
-func (f *Factor) Perm() []int { return f.perm }
+func (f *Factor) Perm() []int32 { return f.perm }
 
-// IsCompact reports whether the factor uses int32 index storage. Every
-// factor stores int indices, so it always returns false. It stays for
-// the benchmark replica (cmd/pgperf), which sizes index traffic by it.
-func (f *Factor) IsCompact() bool { return false }
+// IsCompact reports whether the factor stores int32 row indices. Every
+// factor does, so it always returns true. It stays for the benchmark
+// replica (cmd/pgperf), which sizes index traffic by it.
+func (f *Factor) IsCompact() bool { return true }
 
-// IndexBytes returns the bytes spent on index storage (column pointers
-// plus row indices). Diagnostic.
-func (f *Factor) IndexBytes() int { return f.L.IndexBytes() }
-
-// getWork returns a work vector from the pool. The pool holds
-// pointers: putting the slice itself would box its header on the heap
-// on every Put, a malloc per application.
-func (f *Factor) getWork() *[]float64 {
-	if w, ok := f.pool.Get().(*[]float64); ok && len(*w) == f.N {
-		return w
-	}
-	w := make([]float64, f.N)
-	return &w
+// IndexBytes returns the bytes the factor keeps in index storage: L's
+// column pointers (8 each) and row indices (4 each), the run table (4
+// per run) and the permutation pair (4 + 4 per node when there is
+// one).
+func (f *Factor) IndexBytes() int {
+	return f.L.IndexBytes() + 4*(len(f.runs)+len(f.perm)+len(f.inv))
 }
 
 // Apply computes z = Pᵀ·L⁻ᵀ·L⁻¹·P·r, the preconditioning operation of
@@ -94,18 +93,29 @@ func (f *Factor) Apply(z, r []float64) { f.ApplyDot(z, r) }
 // read before z[i] is written, so with z aliasing r the dot is still
 // taken over r's input values.
 func (f *Factor) ApplyDot(z, r []float64) float64 {
-	wp := f.getWork()
+	wp := sparse.GetVec(f.N)
 	w := *wp
 	if f.perm == nil {
 		copy(w, r)
 	} else {
-		sparse.PermuteVecInto(w, r, f.perm)
+		gather(w, r, f.perm)
 	}
 	sparse.LowerSolve(f.L, f.runs, w)
 	sparse.LowerTransposeSolve(f.L, f.runs, w)
 	dot := gatherDot(z, r, w, f.inv)
-	f.pool.Put(wp)
+	sparse.PutVec(wp)
 	return dot
+}
+
+// gather sets w[i] = r[perm[i]]. w is resliced to perm's length up
+// front, so only the data-dependent r gather stays bounds-checked. It
+// and gatherDot index by uint32(k), for the reason the triangular
+// solves do (sparse/trisolve.go).
+func gather(w, r []float64, perm []int32) {
+	w = w[:len(perm)]
+	for i, k := range perm {
+		w[i] = r[uint32(k)]
+	}
 }
 
 // errApplyLengths is gatherDot's panic value: a preallocated error, so
@@ -116,7 +126,7 @@ var errApplyLengths = errors.New("core: Apply operand lengths differ from the fa
 // Σ r[i]·z[i] in ascending i, reading r[i] before writing z[i]. With
 // the lengths checked up front, only the data-dependent w gather stays
 // bounds-checked (pgoptcheck rule bce).
-func gatherDot(z, r, w []float64, inv []int) float64 {
+func gatherDot(z, r, w []float64, inv []int32) float64 {
 	if len(z) != len(w) || len(r) != len(w) {
 		panic(errApplyLengths)
 	}
@@ -133,7 +143,7 @@ func gatherDot(z, r, w []float64, inv []int) float64 {
 		panic(errApplyLengths)
 	}
 	for i, k := range inv {
-		v := w[k]
+		v := w[uint32(k)]
 		ri := r[i]
 		z[i] = v
 		dot += ri * v

@@ -112,7 +112,7 @@ type halfedge struct {
 // to match; perm itself is never modified.
 func Factorize(s *graph.SDDM, perm []int, opt Options) (*Factor, error) {
 	if s.N() == 0 {
-		return NewFactor(sparse.NewCSC(0, 0, 0), nil), nil
+		return NewFactor(&sparse.Lower{ColPtr: []int{0}}, nil), nil
 	}
 	e, err := eliminate(s, perm, opt)
 	if err != nil {

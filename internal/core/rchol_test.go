@@ -212,11 +212,11 @@ func TestFactorizationBreakdownFree(t *testing.T) {
 		l := fac.L
 		for k := 0; k < n; k++ {
 			p := l.ColPtr[k]
-			if l.RowIdx[p] != k || !(l.Val[p] > 0) {
+			if int(l.RowIdx[p]) != k || !(l.Val[p] > 0) {
 				return false // diagonal must lead each column and be positive
 			}
 			for q := p + 1; q < l.ColPtr[k+1]; q++ {
-				if l.RowIdx[q] <= k {
+				if int(l.RowIdx[q]) <= k {
 					return false // strictly below the diagonal
 				}
 			}

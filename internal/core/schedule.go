@@ -30,24 +30,23 @@ const lenBuckets = 16
 // schedule relabels e into schedule order — by level, then by column
 // length within a level — copying it into exact-size arrays, and
 // composes perm (the elimination order Factorize was given) with the
-// relabeling. perm is not modified; e is consumed.
+// relabeling into the factor's int32 permutation, in ord's storage.
+// perm is not modified; e is consumed.
 func (e *elimination) schedule(perm []int) *Factor {
-	n := len(e.lev)
 	ord, identity := e.order()
 	inv := e.lev // order leaves inv[j] = ord⁻¹[j] in place of the levels
-	cp, ri, v := relabel(e.colPtr, e.ents, ord, inv)
-	l := &sparse.CSC{Rows: n, Cols: n, ColPtr: cp, RowIdx: ri, Val: v}
+	l := relabel(e.colPtr, e.ents, ord, inv)
+	var p []int32 // nil: the composed permutation is the identity
 	switch {
-	case identity: // the relabeling leaves perm as it is
-	case perm == nil:
-		perm = ord
-	default:
+	case perm != nil:
 		for k, j := range ord {
-			ord[k] = perm[j]
+			ord[k] = int32(perm[j])
 		}
-		perm = ord
+		p = ord
+	case !identity:
+		p = ord
 	}
-	return NewFactor(l, perm)
+	return NewFactor(l, p)
 }
 
 // order counting-sorts the columns by (level, length bucket) and
@@ -58,7 +57,7 @@ func (e *elimination) schedule(perm []int) *Factor {
 // The length part of the key is capped by the mean level width as well
 // as lenBuckets, so the count array stays within n + levels entries:
 // a narrow level has little to sort.
-func (e *elimination) order() ([]int, bool) {
+func (e *elimination) order() ([]int32, bool) {
 	lev, colPtr := e.lev, e.colPtr
 	n := len(lev)
 	levels := int(e.maxLev) + 1
@@ -74,37 +73,37 @@ func (e *elimination) order() ([]int, bool) {
 	for i := 1; i < len(start); i++ {
 		start[i] += start[i-1]
 	}
-	ord := make([]int, n)
+	ord := make([]int32, n)
 	identity := true
 	for j, key := range lev {
 		p := start[key]
 		start[key]++
-		ord[p] = j
+		ord[p] = int32(j)
 		lev[j] = p
 		identity = identity && int(p) == j
 	}
 	return ord, identity
 }
 
-// relabel copies the factor (colPtr, ents) into exact-size CSC arrays
-// in the column order ord, renaming row r to inv[r]. Each column keeps
-// its entries in stored order, diagonal first.
-func relabel(colPtr []int, ents []entry, ord []int, inv []int32) ([]int, []int, []float64) {
+// relabel copies the factor (colPtr, ents) into an exact-size Lower in
+// the column order ord, renaming row r to inv[r]. Each column keeps its
+// entries in stored order, diagonal first.
+func relabel(colPtr []int, ents []entry, ord, inv []int32) *sparse.Lower {
 	cp := make([]int, len(ord)+1)
-	ri := make([]int, len(ents))
+	ri := make([]int32, len(ents))
 	v := make([]float64, len(ents))
 	next := cp[1:]
 	q := 0
 	for k, j := range ord {
-		col := colPtr[j : j+2]
+		col := colPtr[int(j) : int(j)+2]
 		src := ents[col[0]:col[1]]
 		dst, dv := ri[q:q+len(src)], v[q:q+len(src)]
 		for i, e := range src {
-			dst[i] = int(inv[e.row])
+			dst[i] = inv[e.row]
 			dv[i] = e.val
 		}
 		q += len(src)
 		next[k] = q
 	}
-	return cp, ri, v
+	return &sparse.Lower{N: len(ord), ColPtr: cp, RowIdx: ri, Val: v}
 }

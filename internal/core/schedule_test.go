@@ -18,18 +18,18 @@ import (
 func elimOrderFactor(t testing.TB, e *elimination, perm []int) *Factor {
 	t.Helper()
 	n := len(e.lev)
-	l := &sparse.CSC{Rows: n, Cols: n, ColPtr: e.colPtr, RowIdx: make([]int, len(e.ents)), Val: make([]float64, len(e.ents))}
+	l := &sparse.Lower{N: n, ColPtr: e.colPtr, RowIdx: make([]int32, len(e.ents)), Val: make([]float64, len(e.ents))}
 	for p, en := range e.ents {
-		l.RowIdx[p], l.Val[p] = int(en.row), en.val
+		l.RowIdx[p], l.Val[p] = en.row, en.val
 	}
-	return NewFactor(l, perm)
+	return NewFactor(l, sparse.Perm32(perm))
 }
 
 // rowChainLevels computes the schedule levels of a factor in elimination
 // order the slow way: build every row's chain c₁ < … < c_m < i
 // explicitly, then take the longest path into each column.
-func rowChainLevels(l *sparse.CSC) []int32 {
-	n := l.Cols
+func rowChainLevels(l *sparse.Lower) []int32 {
+	n := l.N
 	rows := make([][]int, n) // rows[i]: columns with an entry in row i, ascending
 	for j := 0; j < n; j++ {
 		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
@@ -63,7 +63,7 @@ func rowChainLevels(l *sparse.CSC) []int32 {
 // columns of one level share a row, positions follow levels, L′ is
 // lower-triangular with its diagonal first, and Perm′ is a permutation
 // composed as Perm[ord[k]].
-func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, perm []int) {
+func checkSchedule(t *testing.T, f *Factor, e0 *sparse.Lower, lev, inv []int32, perm []int) {
 	t.Helper()
 	n := f.N
 	want := rowChainLevels(e0)
@@ -75,7 +75,7 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 	owner := make(map[[2]int32]int) // (level, row) -> column
 	for j := 0; j < n; j++ {
 		for p := e0.ColPtr[j]; p < e0.ColPtr[j+1]; p++ {
-			key := [2]int32{lev[j], int32(e0.RowIdx[p])}
+			key := [2]int32{lev[j], e0.RowIdx[p]}
 			if c, ok := owner[key]; ok {
 				t.Fatalf("columns %d and %d share level %d and row %d", c, j, lev[j], e0.RowIdx[p])
 			}
@@ -102,17 +102,21 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 	}
 	for k := 0; k < n; k++ {
 		p := l.ColPtr[k]
-		if l.ColPtr[k+1]-p != e0.ColPtr[ord[k]+1]-e0.ColPtr[ord[k]] || l.RowIdx[p] != k {
+		if l.ColPtr[k+1]-p != e0.ColPtr[ord[k]+1]-e0.ColPtr[ord[k]] || int(l.RowIdx[p]) != k {
 			t.Fatalf("column %d of L′ is not column %d of L with its diagonal first", k, ord[k])
 		}
 		for q := p + 1; q < l.ColPtr[k+1]; q++ {
-			if l.RowIdx[q] <= k || l.RowIdx[q] >= n {
+			if i := int(l.RowIdx[q]); i <= k || i >= n {
 				t.Fatalf("row %d of column %d of L′ is outside the strict lower triangle", l.RowIdx[q], k)
 			}
 		}
 	}
 	if f.perm != nil {
-		if err := sparse.CheckPerm(f.perm, n); err != nil {
+		wide := make([]int, n)
+		for k, i := range f.perm {
+			wide[k] = int(i)
+		}
+		if err := sparse.CheckPerm(wide, n); err != nil {
 			t.Fatalf("Perm′: %v", err)
 		}
 	}
@@ -123,7 +127,7 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.CSC, lev, inv []int32, pe
 		}
 		got := k
 		if f.perm != nil {
-			got = f.perm[k]
+			got = int(f.perm[k])
 		}
 		if got != want {
 			t.Fatalf("Perm′[%d] = %d, want Perm[ord[%d]] = %d", k, got, k, want)

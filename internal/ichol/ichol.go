@@ -61,6 +61,11 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int, opt Option
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("ichol: matrix is %dx%d, not square", a.Rows, a.Cols)
 	}
+	// The factor numbers rows in int32: refuse a system past that
+	// before allocating anything.
+	if a.Cols > sparse.MaxIndex32 {
+		return nil, fmt.Errorf("ichol: %d nodes: %w", a.Cols, sparse.ErrIndexOverflow)
+	}
 	if opt.DropTol == 0 {
 		opt.DropTol = DefaultDropTol
 	}
@@ -79,7 +84,7 @@ func FactorizeContext(ctx context.Context, a *sparse.CSC, perm []int, opt Option
 	for try := 0; ; try++ {
 		l, err := factorizeShifted(ctx, work, opt, shift)
 		if err == nil {
-			return core.NewFactor(l, perm), nil
+			return core.NewFactor(l, sparse.Perm32(perm)), nil
 		}
 		if try >= opt.MaxShiftRetries {
 			return nil, fmt.Errorf("ichol: breakdown persists after %d shift retries: %w", try, err)
@@ -97,7 +102,7 @@ type entry struct {
 	val float64
 }
 
-func factorizeShifted(ctx context.Context, a *sparse.CSC, opt Options, shift float64) (*sparse.CSC, error) {
+func factorizeShifted(ctx context.Context, a *sparse.CSC, opt Options, shift float64) (*sparse.Lower, error) {
 	dropTol, zeroFill := opt.DropTol, opt.ZeroFill
 	n := a.Cols
 
@@ -240,23 +245,23 @@ func factorizeShifted(ctx context.Context, a *sparse.CSC, opt Options, shift flo
 		}
 	}
 
-	// Assemble CSC (diag-first layout matches sparse.LowerSolve).
+	// Assemble L (diagonal first in each column, as sparse.Lower keeps it).
 	nnz := 0
 	for _, c := range cols {
 		nnz += len(c)
 	}
 	colPtr := make([]int, n+1)
-	rowIdx := make([]int, nnz)
+	rowIdx := make([]int32, nnz)
 	val := make([]float64, nnz)
 	q := 0
 	for j, c := range cols {
 		colPtr[j] = q
 		for _, e := range c {
-			rowIdx[q] = e.row
+			rowIdx[q] = int32(e.row)
 			val[q] = e.val
 			q++
 		}
 	}
 	colPtr[n] = q
-	return &sparse.CSC{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, nil
+	return &sparse.Lower{N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, nil
 }

@@ -31,7 +31,7 @@ func TestIC0PatternMatchesLowerTriangle(t *testing.T) {
 	// Every factor entry must sit on A's pattern.
 	for k := 0; k < f.N; k++ {
 		for p := f.L.ColPtr[k]; p < f.L.ColPtr[k+1]; p++ {
-			if testmat.At(a, f.L.RowIdx[p], k) == 0 {
+			if testmat.At(a, int(f.L.RowIdx[p]), k) == 0 {
 				t.Fatalf("IC(0) entry (%d,%d) outside A's pattern", f.L.RowIdx[p], k)
 			}
 		}

@@ -1,6 +1,7 @@
 package ichol
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -76,15 +77,15 @@ func TestFactorStructure(t *testing.T) {
 	l := f.L
 	for k := 0; k < f.N; k++ {
 		p := l.ColPtr[k]
-		if l.RowIdx[p] != k || l.Val[p] <= 0 {
+		if int(l.RowIdx[p]) != k || l.Val[p] <= 0 {
 			t.Fatalf("column %d: diagonal not first or not positive", k)
 		}
 		prev := k
 		for q := p + 1; q < l.ColPtr[k+1]; q++ {
-			if l.RowIdx[q] <= prev {
+			if int(l.RowIdx[q]) <= prev {
 				t.Fatalf("column %d rows not strictly ascending", k)
 			}
-			prev = l.RowIdx[q]
+			prev = int(l.RowIdx[q])
 		}
 	}
 }
@@ -143,5 +144,19 @@ func TestShiftRetryExhaustion(t *testing.T) {
 	// The default budget (8) reaches shift > 1 and succeeds.
 	if _, err := Factorize(a, nil, Options{}); err != nil {
 		t.Fatalf("default retry budget failed to repair the pivot: %v", err)
+	}
+}
+
+// TestFactorizeRejectsInt32Overflow: the factor numbers rows in int32,
+// so a matrix past MaxIndex32 columns must fail with ErrIndexOverflow
+// up front, ahead of the permutation check too. The matrix is a bare
+// header: the check has to come before any n-sized allocation for this
+// test to run at all.
+func TestFactorizeRejectsInt32Overflow(t *testing.T) {
+	const n = sparse.MaxIndex32 + 1
+	for _, perm := range [][]int{nil, {0}} {
+		if _, err := Factorize(&sparse.CSC{Rows: n, Cols: n}, perm, Options{}); !errors.Is(err, sparse.ErrIndexOverflow) {
+			t.Fatalf("perm %v: got %v, want ErrIndexOverflow", perm, err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package pcg
 
 import (
 	"fmt"
-	"sync"
 
 	"powerrchol/internal/sparse"
 )
@@ -19,7 +18,6 @@ type SSOR struct {
 	a     *sparse.CSC
 	omega float64
 	diag  []float64
-	pool  sync.Pool // of *[]float64, length a.Rows
 }
 
 // NewSSOR builds the preconditioner; omega must lie in (0, 2), with 0
@@ -44,16 +42,11 @@ func NewSSOR(a *sparse.CSC, omega float64) (*SSOR, error) {
 // Apply computes z = M⁻¹·r via one forward and one backward sweep. By
 // symmetry of A, row i of the strict lower triangle is read from column i
 // (entries with index > i), so no transpose copy is needed. Apply is safe
-// for concurrent use: the sweep buffer is drawn from a pool per call.
-// The pool holds pointers: putting the slice itself would box its
-// header on the heap on every Put, a malloc per application.
+// for concurrent use: the sweep buffer is drawn from the process-wide
+// pool (sparse.GetVec) per call.
 func (s *SSOR) Apply(z, r []float64) {
-	wp, ok := s.pool.Get().(*[]float64)
-	if !ok || len(*wp) != s.a.Rows {
-		w := make([]float64, s.a.Rows)
-		wp = &w
-	}
-	defer s.pool.Put(wp)
+	wp := sparse.GetVec(s.a.Rows)
+	defer sparse.PutVec(wp)
 	w := *wp
 	a, om := s.a, s.omega
 	n := a.Rows

@@ -78,7 +78,7 @@ type Setup struct {
 	// FactorNNZ is |L| (0 for the matrix-free preconditioners).
 	FactorNNZ int
 	// FactorIndexBytes is the factor's index-array footprint in bytes
-	// (ColPtr + RowIdx); 0 for the matrix-free preconditioners.
+	// (core.Factor.IndexBytes); 0 for the matrix-free preconditioners.
 	FactorIndexBytes int
 	// Fold and Expand map right-hand sides into and solutions out of the
 	// transformed space, Restrict maps warm-start guesses in; nil means

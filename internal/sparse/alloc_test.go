@@ -7,9 +7,9 @@ import (
 )
 
 // TestKernelsDoNotAllocate: the kernels a PCG iteration runs — SpMV,
-// the triangular solves, the vector helpers and the permutation gather
-// — never heap-allocate, not even on the length-check panic path, which
-// panics with a preallocated error. A per-call allocation here would be
+// the triangular solves and the vector helpers — never heap-allocate,
+// not even on the length-check panic path, which panics with a
+// preallocated error. A per-call allocation here would be
 // paid once per iteration of every solve.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	r := rng.New(41)
@@ -30,7 +30,6 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	l := randLower(r, n, 3)
 	runs := ColumnRuns(l)
 	x, y, w := randVec(r, n), make([]float64, n), make([]float64, n)
-	perm := r.Perm(n)
 	var dot float64
 	for _, tc := range []struct {
 		name string
@@ -49,7 +48,6 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"Dot", func() { dot = Dot(x, y) }},
 		{"Norm2", func() { dot = Norm2(x) }},
 		{"Axpy", func() { Axpy(y, 0.5, x) }},
-		{"PermuteVecInto", func() { PermuteVecInto(w, x, perm) }},
 	} {
 		if allocs := testing.AllocsPerRun(10, tc.run); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", tc.name, allocs)

@@ -32,13 +32,6 @@ func NewCSC(rows, cols, nnz int) *CSC {
 // NNZ returns the number of stored entries.
 func (a *CSC) NNZ() int { return a.ColPtr[a.Cols] }
 
-// IndexBytes returns the bytes spent on index storage (ColPtr+RowIdx).
-// Diagnostic use.
-func (a *CSC) IndexBytes() int {
-	const w = 8 // int is 8 bytes on every platform this repo targets
-	return w * (len(a.ColPtr) + len(a.RowIdx))
-}
-
 // Clone returns a deep copy of a.
 func (a *CSC) Clone() *CSC {
 	b := &CSC{

@@ -12,7 +12,7 @@ import (
 // guards, benchmarked without goroutine scheduling noise so a
 // reintroduced bounds check or heap escape moves ns/op directly.
 
-func benchLower(b *testing.B) (*CSC, []float64, []float64) {
+func benchLower(b *testing.B) (*Lower, []float64, []float64) {
 	b.Helper()
 	r := rng.New(11)
 	l := randLower(r, 20000, 8)
@@ -24,10 +24,10 @@ func benchLower(b *testing.B) (*CSC, []float64, []float64) {
 // lowerWithLengths builds a random lower factor whose column j has
 // length(j) off-diagonals (fewer only where fewer rows lie below the
 // diagonal), in distinct random rows below the diagonal.
-func lowerWithLengths(r *rng.Rand, n int, length func(j int) int) *CSC {
-	l := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
+func lowerWithLengths(r *rng.Rand, n int, length func(j int) int) *Lower {
+	l := &Lower{N: n, ColPtr: make([]int, n+1)}
 	for j := 0; j < n; j++ {
-		l.RowIdx = append(l.RowIdx, j)
+		l.RowIdx = append(l.RowIdx, int32(j))
 		l.Val = append(l.Val, 1+r.Float64())
 		seen := map[int]bool{}
 		for want := min(length(j), n-j-1); len(seen) < want; {
@@ -36,7 +36,7 @@ func lowerWithLengths(r *rng.Rand, n int, length func(j int) int) *CSC {
 				continue
 			}
 			seen[i] = true
-			l.RowIdx = append(l.RowIdx, i)
+			l.RowIdx = append(l.RowIdx, int32(i))
 			l.Val = append(l.Val, 0.5*(2*r.Float64()-1))
 		}
 		l.ColPtr[j+1] = len(l.RowIdx)

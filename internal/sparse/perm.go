@@ -46,16 +46,18 @@ func PermuteSym(a *CSC, perm []int) *CSC {
 	return coo.ToCSC()
 }
 
-// PermuteVecInto gathers x into caller storage: y[newIdx] =
-// x[perm[newIdx]]. The dense operand is resliced to the permutation's
-// length up front, so only the data-dependent side of the gather keeps
-// its bounds check. With InvPerm(perm) in place of perm it undoes
-// itself.
-func PermuteVecInto(y, x []float64, perm []int) {
-	y = y[:len(perm)]
-	for newIdx, oldIdx := range perm {
-		y[newIdx] = x[oldIdx]
+// Perm32 returns p narrowed to int32, the width a factor keeps its
+// permutation in, or nil for a nil p. p must permute at most
+// MaxIndex32 nodes.
+func Perm32(p []int) []int32 {
+	if p == nil {
+		return nil
 	}
+	q := make([]int32, len(p))
+	for i, v := range p {
+		q[i] = int32(v)
+	}
+	return q
 }
 
 // IdentityPerm returns the identity permutation of length n.

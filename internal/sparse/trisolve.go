@@ -25,6 +25,33 @@ import "errors"
 // too. What stays bounds-checked is the row window of each column and
 // the data-dependent gather or scatter through the row indices
 // (pgoptcheck rule bce; DESIGN.md §13).
+//
+// The bodies index x by uint32(row). A row index is never negative, so
+// this is the same index, but the amd64 compiler folds a zero-extending
+// 32-bit load into the indexed address, while a sign-extending one
+// costs an extra address computation per entry.
+
+// Lower is a lower-triangular factor in compressed-column form, as
+// every factorization in this repository stores it: column j is
+// RowIdx/Val[ColPtr[j]:ColPtr[j+1]], its diagonal FIRST, then its
+// off-diagonal rows in any order. Row indices are int32, like every
+// node index a prepared solver keeps per entry or per node, so N must
+// not exceed MaxIndex32; column pointers stay int, because a factor
+// may hold more than 2³¹ entries (DESIGN.md §11).
+type Lower struct {
+	N      int
+	ColPtr []int // length N+1
+	RowIdx []int32
+	Val    []float64 // length ColPtr[N], like RowIdx
+}
+
+// NNZ returns the number of stored entries, the length of RowIdx and
+// Val.
+func (l *Lower) NNZ() int { return len(l.Val) }
+
+// IndexBytes returns the bytes of l's index storage: 8 per column
+// pointer and 4 per row index.
+func (l *Lower) IndexBytes() int { return 8*len(l.ColPtr) + 4*len(l.RowIdx) }
 
 // errRuns is the kernels' panic value for a run table or vector that
 // does not fit the factor: preallocated, so the panic path moves
@@ -34,16 +61,16 @@ var errRuns = errors.New("sparse: triangular solve: run table or vector does not
 // ColumnRuns returns the run table of l that LowerSolve and
 // LowerTransposeSolve take: the first column of each maximal run of
 // consecutive columns with equal lengths, in ascending order, followed
-// by the sentinel l.Cols. Run k is columns runs[k] to runs[k+1]-1. The
+// by the sentinel l.N. Run k is columns runs[k] to runs[k+1]-1. The
 // table is one exact-size allocation. l must have at most MaxIndex32
 // columns.
-func ColumnRuns(l *CSC) []int32 {
-	if l.Cols > MaxIndex32 {
+func ColumnRuns(l *Lower) []int32 {
+	if l.N > MaxIndex32 {
 		panic(ErrIndexOverflow)
 	}
-	colPtr := l.ColPtr[:l.Cols+1]
+	colPtr := l.ColPtr[:l.N+1]
 	count := 1 // the sentinel
-	if l.Cols > 0 {
+	if l.N > 0 {
 		count++
 	}
 	for j := 2; j < len(colPtr); j++ {
@@ -52,7 +79,7 @@ func ColumnRuns(l *CSC) []int32 {
 		}
 	}
 	runs := make([]int32, 0, count)
-	if l.Cols > 0 {
+	if l.N > 0 {
 		runs = append(runs, 0)
 	}
 	for j := 2; j < len(colPtr); j++ {
@@ -60,7 +87,7 @@ func ColumnRuns(l *CSC) []int32 {
 			runs = append(runs, int32(j-1))
 		}
 	}
-	return append(runs, int32(l.Cols))
+	return append(runs, int32(l.N))
 }
 
 // checkRuns panics with errRuns unless runs starts at column 0 (or is
@@ -74,13 +101,11 @@ func checkRuns(n int, runs []int32, x []float64) {
 	}
 }
 
-// LowerSolve solves L·x = b in place (x holds b on entry) for a lower
-// triangular matrix stored in CSC with the diagonal as the FIRST entry
-// of each column, as every factorization in this repository stores it;
-// runs must be ColumnRuns(l). Column j divides x[j] by its diagonal,
+// LowerSolve solves L·x = b in place (x holds b on entry); runs must be
+// ColumnRuns(l). Column j divides x[j] by its diagonal,
 // then subtracts its multiple of x[j] from x[i] for every off-diagonal
 // row i, in stored order.
-func LowerSolve(l *CSC, runs []int32, x []float64) {
+func LowerSolve(l *Lower, runs []int32, x []float64) {
 	colPtr, rowIdx := l.ColPtr, l.RowIdx[:len(l.RowIdx):len(l.RowIdx)]
 	val := l.Val[:len(rowIdx):len(rowIdx)]
 	n := len(colPtr) - 1
@@ -97,7 +122,7 @@ func LowerSolve(l *CSC, runs []int32, x []float64) {
 				c, v := rowIdx[p:p+2:p+2], val[p:p+2:p+2]
 				xj := xr[k] / v[0]
 				xr[k] = xj
-				x[c[1]] -= v[1] * xj
+				x[uint32(c[1])] -= v[1] * xj
 				p += 2
 			}
 		case 3:
@@ -105,8 +130,8 @@ func LowerSolve(l *CSC, runs []int32, x []float64) {
 				c, v := rowIdx[p:p+3:p+3], val[p:p+3:p+3]
 				xj := xr[k] / v[0]
 				xr[k] = xj
-				x[c[1]] -= v[1] * xj
-				x[c[2]] -= v[2] * xj
+				x[uint32(c[1])] -= v[1] * xj
+				x[uint32(c[2])] -= v[2] * xj
 				p += 3
 			}
 		case 4:
@@ -114,9 +139,9 @@ func LowerSolve(l *CSC, runs []int32, x []float64) {
 				c, v := rowIdx[p:p+4:p+4], val[p:p+4:p+4]
 				xj := xr[k] / v[0]
 				xr[k] = xj
-				x[c[1]] -= v[1] * xj
-				x[c[2]] -= v[2] * xj
-				x[c[3]] -= v[3] * xj
+				x[uint32(c[1])] -= v[1] * xj
+				x[uint32(c[2])] -= v[2] * xj
+				x[uint32(c[3])] -= v[3] * xj
 				p += 4
 			}
 		case 5:
@@ -124,10 +149,10 @@ func LowerSolve(l *CSC, runs []int32, x []float64) {
 				c, v := rowIdx[p:p+5:p+5], val[p:p+5:p+5]
 				xj := xr[k] / v[0]
 				xr[k] = xj
-				x[c[1]] -= v[1] * xj
-				x[c[2]] -= v[2] * xj
-				x[c[3]] -= v[3] * xj
-				x[c[4]] -= v[4] * xj
+				x[uint32(c[1])] -= v[1] * xj
+				x[uint32(c[2])] -= v[2] * xj
+				x[uint32(c[3])] -= v[3] * xj
+				x[uint32(c[4])] -= v[4] * xj
 				p += 5
 			}
 		case 6:
@@ -135,11 +160,11 @@ func LowerSolve(l *CSC, runs []int32, x []float64) {
 				c, v := rowIdx[p:p+6:p+6], val[p:p+6:p+6]
 				xj := xr[k] / v[0]
 				xr[k] = xj
-				x[c[1]] -= v[1] * xj
-				x[c[2]] -= v[2] * xj
-				x[c[3]] -= v[3] * xj
-				x[c[4]] -= v[4] * xj
-				x[c[5]] -= v[5] * xj
+				x[uint32(c[1])] -= v[1] * xj
+				x[uint32(c[2])] -= v[2] * xj
+				x[uint32(c[3])] -= v[3] * xj
+				x[uint32(c[4])] -= v[4] * xj
+				x[uint32(c[5])] -= v[5] * xj
 				p += 6
 			}
 		case 7:
@@ -147,12 +172,12 @@ func LowerSolve(l *CSC, runs []int32, x []float64) {
 				c, v := rowIdx[p:p+7:p+7], val[p:p+7:p+7]
 				xj := xr[k] / v[0]
 				xr[k] = xj
-				x[c[1]] -= v[1] * xj
-				x[c[2]] -= v[2] * xj
-				x[c[3]] -= v[3] * xj
-				x[c[4]] -= v[4] * xj
-				x[c[5]] -= v[5] * xj
-				x[c[6]] -= v[6] * xj
+				x[uint32(c[1])] -= v[1] * xj
+				x[uint32(c[2])] -= v[2] * xj
+				x[uint32(c[3])] -= v[3] * xj
+				x[uint32(c[4])] -= v[4] * xj
+				x[uint32(c[5])] -= v[5] * xj
+				x[uint32(c[6])] -= v[6] * xj
 				p += 7
 			}
 		default:
@@ -170,13 +195,13 @@ func LowerSolve(l *CSC, runs []int32, x []float64) {
 // long columns average 130 entries, then solved a third slower.
 //
 //go:noinline
-func lowerSolveRun(rowIdx []int, val, x, xr []float64, p, s int) {
+func lowerSolveRun(rowIdx []int32, val, x, xr []float64, p, s int) {
 	for k := range xr {
 		rows, vals := rowIdx[p+1:p+s], val[p+1:p+s]
 		xj := xr[k] / val[p]
 		xr[k] = xj
 		for t, i := range rows {
-			x[i] -= vals[t] * xj
+			x[uint32(i)] -= vals[t] * xj
 		}
 		p += s
 	}
@@ -187,7 +212,7 @@ func lowerSolveRun(rowIdx []int, val, x, xr []float64, p, s int) {
 // backward substitution walks the columns from the last: column j
 // subtracts its entries' products with the already final x[i] from
 // x[j] in stored order, then divides by its diagonal.
-func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
+func LowerTransposeSolve(l *Lower, runs []int32, x []float64) {
 	colPtr, rowIdx := l.ColPtr, l.RowIdx[:len(l.RowIdx):len(l.RowIdx)]
 	val := l.Val[:len(rowIdx):len(rowIdx)]
 	n := len(colPtr) - 1
@@ -206,7 +231,7 @@ func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
 				p -= 2
 				c, v := rowIdx[p:p+2:p+2], val[p:p+2:p+2]
 				sum := xr[k]
-				sum -= v[1] * x[c[1]]
+				sum -= v[1] * x[uint32(c[1])]
 				xr[k] = sum / v[0]
 			}
 		case 3:
@@ -214,8 +239,8 @@ func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
 				p -= 3
 				c, v := rowIdx[p:p+3:p+3], val[p:p+3:p+3]
 				sum := xr[k]
-				sum -= v[1] * x[c[1]]
-				sum -= v[2] * x[c[2]]
+				sum -= v[1] * x[uint32(c[1])]
+				sum -= v[2] * x[uint32(c[2])]
 				xr[k] = sum / v[0]
 			}
 		case 4:
@@ -223,9 +248,9 @@ func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
 				p -= 4
 				c, v := rowIdx[p:p+4:p+4], val[p:p+4:p+4]
 				sum := xr[k]
-				sum -= v[1] * x[c[1]]
-				sum -= v[2] * x[c[2]]
-				sum -= v[3] * x[c[3]]
+				sum -= v[1] * x[uint32(c[1])]
+				sum -= v[2] * x[uint32(c[2])]
+				sum -= v[3] * x[uint32(c[3])]
 				xr[k] = sum / v[0]
 			}
 		case 5:
@@ -233,10 +258,10 @@ func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
 				p -= 5
 				c, v := rowIdx[p:p+5:p+5], val[p:p+5:p+5]
 				sum := xr[k]
-				sum -= v[1] * x[c[1]]
-				sum -= v[2] * x[c[2]]
-				sum -= v[3] * x[c[3]]
-				sum -= v[4] * x[c[4]]
+				sum -= v[1] * x[uint32(c[1])]
+				sum -= v[2] * x[uint32(c[2])]
+				sum -= v[3] * x[uint32(c[3])]
+				sum -= v[4] * x[uint32(c[4])]
 				xr[k] = sum / v[0]
 			}
 		case 6:
@@ -244,11 +269,11 @@ func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
 				p -= 6
 				c, v := rowIdx[p:p+6:p+6], val[p:p+6:p+6]
 				sum := xr[k]
-				sum -= v[1] * x[c[1]]
-				sum -= v[2] * x[c[2]]
-				sum -= v[3] * x[c[3]]
-				sum -= v[4] * x[c[4]]
-				sum -= v[5] * x[c[5]]
+				sum -= v[1] * x[uint32(c[1])]
+				sum -= v[2] * x[uint32(c[2])]
+				sum -= v[3] * x[uint32(c[3])]
+				sum -= v[4] * x[uint32(c[4])]
+				sum -= v[5] * x[uint32(c[5])]
 				xr[k] = sum / v[0]
 			}
 		case 7:
@@ -256,12 +281,12 @@ func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
 				p -= 7
 				c, v := rowIdx[p:p+7:p+7], val[p:p+7:p+7]
 				sum := xr[k]
-				sum -= v[1] * x[c[1]]
-				sum -= v[2] * x[c[2]]
-				sum -= v[3] * x[c[3]]
-				sum -= v[4] * x[c[4]]
-				sum -= v[5] * x[c[5]]
-				sum -= v[6] * x[c[6]]
+				sum -= v[1] * x[uint32(c[1])]
+				sum -= v[2] * x[uint32(c[2])]
+				sum -= v[3] * x[uint32(c[3])]
+				sum -= v[4] * x[uint32(c[4])]
+				sum -= v[5] * x[uint32(c[5])]
+				sum -= v[6] * x[uint32(c[6])]
 				xr[k] = sum / v[0]
 			}
 		default:
@@ -276,13 +301,13 @@ func LowerTransposeSolve(l *CSC, runs []int32, x []float64) {
 // lowerSolveRun does.
 //
 //go:noinline
-func lowerTransposeSolveRun(rowIdx []int, val, x, xr []float64, p, s int) {
+func lowerTransposeSolveRun(rowIdx []int32, val, x, xr []float64, p, s int) {
 	for k := len(xr) - 1; k >= 0; k-- {
 		p -= s
 		rows, vals := rowIdx[p+1:p+s], val[p+1:p+s]
 		sum := xr[k]
 		for t, i := range rows {
-			sum -= vals[t] * x[i]
+			sum -= vals[t] * x[uint32(i)]
 		}
 		xr[k] = sum / val[p]
 	}

@@ -53,12 +53,13 @@ func TestUpperSolveConsistentWithTransposeSolve(t *testing.T) {
 			}
 		}
 	}
-	l := coo.ToCSC()
-	u := l.Transpose()
+	c := coo.ToCSC()
+	u := c.Transpose()
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = r.Float64()
 	}
+	l := lowerOf(c)
 	x1 := append([]float64(nil), b...)
 	LowerTransposeSolve(l, ColumnRuns(l), x1)
 	x2 := append([]float64(nil), b...)
@@ -101,13 +102,23 @@ func randVec(r *rng.Rand, n int) []float64 {
 	return v
 }
 
+// lowerOf narrows a lower-triangular CSC whose columns hold their
+// diagonal first to the Lower the kernels take.
+func lowerOf(c *CSC) *Lower {
+	l := &Lower{N: c.Cols, ColPtr: c.ColPtr, RowIdx: make([]int32, len(c.RowIdx)), Val: c.Val}
+	for p, i := range c.RowIdx {
+		l.RowIdx[p] = int32(i)
+	}
+	return l
+}
+
 // randLower builds a random lower-triangular factor in the repository's
-// diag-first CSC layout, with off-diagonal rows deliberately left in the
+// diag-first layout, with off-diagonal rows deliberately left in the
 // unsorted order the randomized factorizations produce.
-func randLower(r *rng.Rand, n, extraPerCol int) *CSC {
-	l := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
+func randLower(r *rng.Rand, n, extraPerCol int) *Lower {
+	l := &Lower{N: n, ColPtr: make([]int, n+1)}
 	for j := 0; j < n; j++ {
-		l.RowIdx = append(l.RowIdx, j)
+		l.RowIdx = append(l.RowIdx, int32(j))
 		l.Val = append(l.Val, 1+r.Float64()) // diag in [1,2): well conditioned
 		seen := map[int]bool{j: true}
 		for k := 0; k < extraPerCol && j+1 < n; k++ {
@@ -116,7 +127,7 @@ func randLower(r *rng.Rand, n, extraPerCol int) *CSC {
 				continue
 			}
 			seen[i] = true
-			l.RowIdx = append(l.RowIdx, i)
+			l.RowIdx = append(l.RowIdx, int32(i))
 			l.Val = append(l.Val, 0.5*(2*r.Float64()-1))
 		}
 		l.ColPtr[j+1] = len(l.RowIdx)
@@ -149,18 +160,18 @@ func bitwiseEqual(t *testing.T, what string, got, want []float64) {
 // boundaries: levels of 1 to maxWidth columns, each column with 0 to
 // maxExtra off-diagonal rows, unsorted, drawn from later levels so that
 // no two columns of one level share a row.
-func randLevelLower(r *rng.Rand, n, maxExtra, maxWidth int) (*CSC, []int) {
+func randLevelLower(r *rng.Rand, n, maxExtra, maxWidth int) (*Lower, []int) {
 	levels := []int{0}
 	for hi := 0; hi < n; {
 		hi = min(n, hi+1+r.Intn(maxWidth))
 		levels = append(levels, hi)
 	}
-	l := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
+	l := &Lower{N: n, ColPtr: make([]int, n+1)}
 	for k := 0; k+1 < len(levels); k++ {
 		lo, hi := levels[k], levels[k+1]
 		taken := map[int]bool{}
 		for j := lo; j < hi; j++ {
-			l.RowIdx = append(l.RowIdx, j)
+			l.RowIdx = append(l.RowIdx, int32(j))
 			l.Val = append(l.Val, 1+r.Float64())
 			for extra := r.Intn(maxExtra + 1); extra > 0 && hi < n; extra-- {
 				i := hi + r.Intn(n-hi)
@@ -168,7 +179,7 @@ func randLevelLower(r *rng.Rand, n, maxExtra, maxWidth int) (*CSC, []int) {
 					continue
 				}
 				taken[i] = true
-				l.RowIdx = append(l.RowIdx, i)
+				l.RowIdx = append(l.RowIdx, int32(i))
 				l.Val = append(l.Val, 0.5*(2*r.Float64()-1))
 			}
 			l.ColPtr[j+1] = len(l.RowIdx)
@@ -180,8 +191,8 @@ func randLevelLower(r *rng.Rand, n, maxExtra, maxWidth int) (*CSC, []int) {
 // loopLowerSolve and loopLowerTransposeSolve are the triangular solves
 // as plain column loops: the reference the run kernels must match bit
 // for bit.
-func loopLowerSolve(l *CSC, x []float64) {
-	for j := 0; j < l.Cols; j++ {
+func loopLowerSolve(l *Lower, x []float64) {
+	for j := 0; j < l.N; j++ {
 		p := l.ColPtr[j]
 		x[j] /= l.Val[p]
 		for q := p + 1; q < l.ColPtr[j+1]; q++ {
@@ -190,8 +201,8 @@ func loopLowerSolve(l *CSC, x []float64) {
 	}
 }
 
-func loopLowerTransposeSolve(l *CSC, x []float64) {
-	for j := l.Cols - 1; j >= 0; j-- {
+func loopLowerTransposeSolve(l *Lower, x []float64) {
+	for j := l.N - 1; j >= 0; j-- {
 		p := l.ColPtr[j]
 		sum := x[j]
 		for q := p + 1; q < l.ColPtr[j+1]; q++ {
@@ -203,7 +214,7 @@ func loopLowerTransposeSolve(l *CSC, x []float64) {
 
 // solvesMatchLoop checks both run kernels against the plain loops, bit
 // for bit, from right-hand side b.
-func solvesMatchLoop(t *testing.T, what string, l *CSC, b []float64) {
+func solvesMatchLoop(t *testing.T, what string, l *Lower, b []float64) {
 	t.Helper()
 	runs := ColumnRuns(l)
 	want := append([]float64(nil), b...)
@@ -255,8 +266,8 @@ func TestUnrolledSolvesMatchLoop(t *testing.T) {
 // of equal-length columns and the sentinel n, in an exact-size array,
 // and a factor whose columns int32 cannot number is refused.
 func TestColumnRuns(t *testing.T) {
-	lower := func(lens ...int) *CSC {
-		l := &CSC{Rows: len(lens), Cols: len(lens), ColPtr: make([]int, len(lens)+1)}
+	lower := func(lens ...int) *Lower {
+		l := &Lower{N: len(lens), ColPtr: make([]int, len(lens)+1)}
 		for j, s := range lens {
 			l.ColPtr[j+1] = l.ColPtr[j] + s
 		}
@@ -284,7 +295,7 @@ func TestColumnRuns(t *testing.T) {
 			t.Error("ColumnRuns did not refuse a factor past MaxIndex32 columns")
 		}
 	}()
-	ColumnRuns(&CSC{Rows: MaxIndex32 + 1, Cols: MaxIndex32 + 1})
+	ColumnRuns(&Lower{N: MaxIndex32 + 1})
 }
 
 // TestRunSolvesRejectMisfits: a vector or table that does not fit the

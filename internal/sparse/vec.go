@@ -1,6 +1,9 @@
 package sparse
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Small dense-vector helpers shared by the iterative solvers. They are
 // deliberately plain loops: at the sizes this repository targets the
@@ -82,3 +85,28 @@ func Zero(x []float64) {
 		x[i] = 0
 	}
 }
+
+// vecPool is the process-wide pool of work vectors that a kernel
+// borrows for the length of one call: the factor Apply's permuted
+// right-hand side and the SSOR sweep. One pool for every user keeps
+// about as many vectors as there are calls in flight, where a pool per
+// preconditioner would keep some for every preconditioner a process
+// holds, in use or not.
+var vecPool sync.Pool // of *[]float64
+
+// GetVec returns a vector of length n from the shared pool, with
+// arbitrary contents. A pooled vector of another length is dropped, as
+// PCG's scratch pool drops working sets of another size. The pool
+// holds pointers: putting the slice itself would box its header on the
+// heap on every Put, a malloc per call.
+func GetVec(n int) *[]float64 {
+	if w, ok := vecPool.Get().(*[]float64); ok && len(*w) == n {
+		return w
+	}
+	w := make([]float64, n)
+	return &w
+}
+
+// PutVec returns a vector from GetVec to the shared pool. The caller
+// must not use it afterwards.
+func PutVec(w *[]float64) { vecPool.Put(w) }

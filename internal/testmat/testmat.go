@@ -124,16 +124,37 @@ func ParallelStarSDDM(r *rng.Rand, spokes, parallel int) *graph.SDDM {
 // ordering: for a core.Factor f, testmat.LLT(f.L) approximates
 // P·A·Pᵀ for the composed f.Perm. Quadratic in each column's length;
 // for small matrices.
-func LLT(l *sparse.CSC) *sparse.CSC {
-	coo := sparse.NewCOO(l.Rows, l.Cols, 4*l.NNZ())
-	for k := 0; k < l.Cols; k++ {
+func LLT(l *sparse.Lower) *sparse.CSC {
+	coo := sparse.NewCOO(l.N, l.N, 4*l.NNZ())
+	for k := 0; k < l.N; k++ {
 		for p := l.ColPtr[k]; p < l.ColPtr[k+1]; p++ {
 			for q := l.ColPtr[k]; q < l.ColPtr[k+1]; q++ {
-				coo.Add(l.RowIdx[p], l.RowIdx[q], l.Val[p]*l.Val[q])
+				coo.Add(int(l.RowIdx[p]), int(l.RowIdx[q]), l.Val[p]*l.Val[q])
 			}
 		}
 	}
 	return coo.ToCSC()
+}
+
+// Lower narrows a lower-triangular CSC whose columns hold their
+// diagonal first, as a sorted one does, to the sparse.Lower the
+// triangular solves take.
+func Lower(c *sparse.CSC) *sparse.Lower {
+	l := &sparse.Lower{N: c.Cols, ColPtr: c.ColPtr, RowIdx: make([]int32, len(c.RowIdx)), Val: c.Val}
+	for p, i := range c.RowIdx {
+		l.RowIdx[p] = int32(i)
+	}
+	return l
+}
+
+// LowerCSC widens a factor's L into a CSC matrix with the same
+// entries, in the same stored order.
+func LowerCSC(l *sparse.Lower) *sparse.CSC {
+	c := &sparse.CSC{Rows: l.N, Cols: l.N, ColPtr: l.ColPtr, RowIdx: make([]int, len(l.RowIdx)), Val: l.Val}
+	for p, i := range l.RowIdx {
+		c.RowIdx[p] = int(i)
+	}
+	return c
 }
 
 // DenseCholesky factorizes an SPD dense matrix in place, returning the

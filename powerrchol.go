@@ -316,8 +316,8 @@ type Result struct {
 	// FactorNNZ is |L| (0 for AMG-family methods).
 	FactorNNZ int
 	// FactorIndexBytes is the factor's index-array footprint in bytes
-	// (column pointers + row indices); 0 for the matrix-free
-	// preconditioners.
+	// (column pointers, row indices, run table and permutation pair);
+	// 0 for the matrix-free preconditioners.
 	FactorIndexBytes int
 	// MemoryBytes estimates the solver-state footprint of this solve:
 	// factor values + indices, iteration-matrix storage (none for an

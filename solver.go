@@ -118,22 +118,32 @@ func (s *Solver) N() int { return s.sys.N() }
 func (s *Solver) FactorNNZ() int { return s.iter.FactorNNZ }
 
 // FactorIndexBytes reports the factor's index-array footprint in bytes
-// (column pointers + row indices); 0 for the matrix-free
-// preconditioners.
+// (column pointers, row indices, run table and permutation pair); 0 for
+// the matrix-free preconditioners.
 func (s *Solver) FactorIndexBytes() int { return s.iter.FactorIndexBytes }
 
 // MemoryBytes reports the retained footprint of the prepared solver in
-// bytes: factor values and index arrays, the assembled iteration matrix
-// (its fixed-width rows, padding slots included, plus their overflow
-// list), and the scratch vectors one solve draws from the shared pools. It is the eviction weight of the pgserved prepared-factor
-// cache and pgperf's powerrchol.memory_mb — one formula for both and
-// for Result.MemoryBytes, so the budget the service enforces is the
-// number the benchmark reports. Values take 8 bytes each, index arrays
-// count as actually stored, and the scratch is the six n-length work
-// vectors one solve draws (PCG's x/r/z/p/Ap and the factor Apply's
-// pooled buffer). Matrix-free preconditioners (AMG, Jacobi, SSOR)
-// contribute only their iteration matrix and scratch; their
-// hierarchy/diagonal storage is not counted.
+// bytes: the factor, the assembled iteration matrix, and the scratch
+// vectors one solve draws from the shared pools. It is the eviction
+// weight of the pgserved prepared-factor cache and pgperf's
+// powerrchol.memory_mb — one formula for both and for
+// Result.MemoryBytes, so the budget the service enforces is the number
+// the benchmark reports. For n nodes (of the system PCG iterates on),
+// |L| factor entries and R column runs, the byte model is
+//
+//	12·|L|          factor values (8) and int32 row indices (4)
+//	+ 8·(n+1)       factor column pointers
+//	+ 4·R           the run table both triangular solves walk
+//	+ 8·n           the int32 permutation and its inverse, if any
+//	+ 48·n          six n-vectors of scratch: PCG's x, r, z, p and Ap,
+//	                and the factor Apply's pooled work vector
+//	+ Mat.Bytes()   the fixed-width rows, padding slots included, plus
+//	                their overflow list
+//
+// where everything up to the scratch is FactorIndexBytes plus 8·|L|.
+// Matrix-free preconditioners (AMG, Jacobi, SSOR) contribute only their
+// iteration matrix and scratch; their hierarchy/diagonal storage is not
+// counted.
 func (s *Solver) MemoryBytes() int {
 	const scratchVectors = 6
 	bytes := 8*s.iter.FactorNNZ + s.iter.FactorIndexBytes + scratchVectors*8*s.iter.N()
