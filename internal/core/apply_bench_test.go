@@ -18,9 +18,11 @@ import (
 // returns with the same LT-RChol factor in elimination order, whose
 // columns mix lengths at random, and with the exact and the incomplete
 // Cholesky factors of the same ordering, which no step sorts by length
-// either: their runs of equal-length columns are short. A random lower
-// factor (sparse.BenchmarkLowerSolve) hides these differences: its
-// columns all have the same length.
+// either: their runs of equal-length columns are short. Each leaf
+// reports its factor's run count (runs), the boundaries both solves
+// cross on every apply. A random lower factor
+// (sparse.BenchmarkLowerSolve) hides these differences: its columns all
+// have the same length.
 func BenchmarkFactorApply(b *testing.B) {
 	g, err := powergrid.Generate(powergrid.Spec{Name: "bench", NX: 100, NY: 100, Layers: 3, Seed: 1})
 	if err != nil {
@@ -57,6 +59,7 @@ func BenchmarkFactorApply(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.f.Apply(out, in)
 			}
+			b.ReportMetric(float64(core.RunCount(c.f)), "runs")
 		})
 	}
 }

@@ -18,3 +18,8 @@ func FactorLayouts(tb testing.TB, s *graph.SDDM, perm []int, opt Options) (elim,
 	}
 	return elimOrderFactor(tb, e, perm), e.schedule(perm)
 }
+
+// RunCount returns the number of runs of consecutive equal-length
+// columns in f's run table: the run boundaries each triangular solve
+// crosses.
+func RunCount(f *Factor) int { return len(f.runs) - 1 }

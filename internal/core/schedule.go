@@ -20,15 +20,19 @@ import "powerrchol/internal/sparse"
 // predecessor in every chain through it) is computed while L is
 // emitted (eliminate). Columns of one level share no row, so any order
 // inside a level keeps the bits; schedule sorts each level by column
-// length. Dependency-only levels are not enough: they let two columns
-// that both touch row i swap, which reorders x[i]'s subtractions.
+// length, ascending on even levels and descending on odd ones, so that
+// a level usually starts with the length its predecessor ended on and
+// the boundary between them costs no extra run. Dependency-only levels
+// are not enough: they let two columns that both touch row i swap,
+// which reorders x[i]'s subtractions.
 
 // lenBuckets caps the column-length part of the schedule key: columns
 // with lenBuckets-1 or more off-diagonals share the last bucket.
 const lenBuckets = 16
 
 // schedule relabels e into schedule order — by level, then by column
-// length within a level — copying it into exact-size arrays, and
+// length within a level, ascending on even levels and descending on odd
+// ones — copying it into exact-size arrays, and
 // composes perm (the elimination order Factorize was given) with the
 // relabeling into the factor's int32 permutation, in ord's storage.
 // perm is not modified; e is consumed.
@@ -51,8 +55,11 @@ func (e *elimination) schedule(perm []int) *Factor {
 
 // order counting-sorts the columns by (level, length bucket) and
 // returns ord (ord[k] is the column that goes to position k) and
-// whether ord is the identity. It overwrites e.lev, first with each
-// column's sort key, then with ord's inverse.
+// whether ord is the identity. The bucket counts up on even levels and
+// down on odd ones, so the lengths zigzag across the level boundaries:
+// levels 0, 1, 2 run short to long, long to short, short to long. It
+// overwrites e.lev, first with each column's sort key, then with ord's
+// inverse.
 //
 // The length part of the key is capped by the mean level width as well
 // as lenBuckets, so the count array stays within n + levels entries:
@@ -65,7 +72,11 @@ func (e *elimination) order() ([]int32, bool) {
 	start := make([]int32, levels*b+1)
 	p := colPtr[0]
 	for j, end := range colPtr[1 : n+1] {
-		key := lev[j]*int32(b) + int32(min(end-p-1, b-1))
+		bucket := int32(min(end-p-1, b-1))
+		if lev[j]&1 != 0 {
+			bucket = int32(b-1) - bucket
+		}
+		key := lev[j]*int32(b) + bucket
 		lev[j] = key
 		start[key+1]++
 		p = end

@@ -60,7 +60,9 @@ func rowChainLevels(l *sparse.Lower) []int32 {
 // checkSchedule checks the structure of a scheduled factor f built from
 // e0 (e's arrays in elimination order, with levels lev) given perm and
 // the inverse schedule inv: levels match the row-chain rule, no two
-// columns of one level share a row, positions follow levels, L′ is
+// columns of one level share a row, positions follow levels, capped
+// length buckets ascend inside even levels and descend inside odd ones
+// (a level starts on the length its predecessor ended on), L′ is
 // lower-triangular with its diagonal first, and Perm′ is a permutation
 // composed as Perm[ord[k]].
 func checkSchedule(t *testing.T, f *Factor, e0 *sparse.Lower, lev, inv []int32, perm []int) {
@@ -94,6 +96,27 @@ func checkSchedule(t *testing.T, f *Factor, e0 *sparse.Lower, lev, inv []int32, 
 	for k := 1; k < n; k++ {
 		if lev[ord[k-1]] > lev[ord[k]] {
 			t.Fatalf("positions %d, %d out of level order", k-1, k)
+		}
+	}
+	// Inside a level, the capped length buckets ascend on even levels
+	// and descend on odd ones.
+	levels := 1
+	for _, l := range lev {
+		levels = max(levels, int(l)+1)
+	}
+	b := min(lenBuckets, (n+levels-1)/levels)
+	bucket := func(j int) int { return min(e0.ColPtr[j+1]-e0.ColPtr[j]-1, b-1) }
+	for k := 1; k < n; k++ {
+		j0, j1 := ord[k-1], ord[k]
+		if lev[j0] != lev[j1] {
+			continue
+		}
+		lo, hi := bucket(j0), bucket(j1)
+		if lev[j1]%2 == 1 {
+			lo, hi = hi, lo
+		}
+		if lo > hi {
+			t.Fatalf("positions %d, %d of level %d: length buckets %d, %d out of order", k-1, k, lev[j1], bucket(j0), bucket(j1))
 		}
 	}
 	l := f.L

@@ -246,26 +246,35 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 		panic(errLengths) // proves the loop's z and p accesses in bounds
 	}
 
-	bnorm := sparse.Norm2(b)
+	// A warm start reads b once: it multiplies x0 first and takes ‖b‖²
+	// in the pass that writes r₀ = b − A·x0 and ‖r₀‖². A cold start
+	// takes ‖b‖² alone. The checks keep their order whatever the start:
+	// a non-finite b, then a zero b (a zero X, whatever x0 holds), then
+	// a non-finite r₀. A warm iterate starts as a copy of x0, which
+	// overwrites every entry: only a cold one needs zeroing.
+	var bb, rr float64
+	if x0 == nil {
+		bb = sparse.Dot(b, b)
+	} else {
+		mul(ap, x0)
+		bb, rr = residualNorms(r, b, ap)
+	}
+	bnorm := math.Sqrt(bb)
 	if math.IsNaN(bnorm) || math.IsInf(bnorm, 0) {
 		return nil, fmt.Errorf("pcg: right-hand side contains non-finite values")
 	}
 	if bnorm == 0 {
 		return &Result{X: make([]float64, len(b)), Converged: true}, nil
 	}
-	// A warm iterate starts as a copy of x0, which overwrites every
-	// entry: only a cold one needs zeroing.
 	var x []float64
 	if x0 == nil {
 		x = make([]float64, len(b))
 		copy(r, b)
 	} else {
-		x = slices.Clone(x0)
-		mul(ap, x)
-		rr := residual(r, b, ap)
 		if math.IsNaN(rr) || math.IsInf(rr, 0) {
 			return nil, fmt.Errorf("pcg: initial guess gives a non-finite residual b - A·x0")
 		}
+		x = slices.Clone(x0)
 		if rel := math.Sqrt(rr) / bnorm; rel < opt.Tol {
 			return &Result{X: x, Converged: true, Residual: rel}, nil
 		}
@@ -385,22 +394,23 @@ func iterate(mul func(y, x []float64) float64, b, x0 []float64, m Preconditioner
 // panic path allocate nothing (TestKernelsDoNotAllocate).
 var errLengths = errors.New("pcg: vector lengths differ")
 
-// residual sets r = b − ap, the warm start's r₀ = b − A·x0, and
-// returns ‖r‖² in a single pass. Per element and in accumulation order
-// these are exactly the float operations of copy(r, b),
-// sparse.AxpyTo(r, r, −1, ap) and sparse.Norm2(r) (less its square
-// root): b + (−1)·ap rounds as b − ap, since (−1)·ap is exact.
-func residual(r, b, ap []float64) float64 {
+// residualNorms sets r = b − ap, the warm start's r₀ = b − A·x0, and
+// returns ‖b‖² and ‖r‖² in a single pass. Per element and in
+// accumulation order these are exactly the float operations of
+// sparse.Norm2(b), copy(r, b), sparse.AxpyTo(r, r, −1, ap) and
+// sparse.Norm2(r) (less the square roots): b + (−1)·ap rounds as
+// b − ap, since (−1)·ap is exact.
+func residualNorms(r, b, ap []float64) (bb, rr float64) {
 	if len(r) != len(b) || len(ap) != len(b) {
 		panic(errLengths)
 	}
-	var rr float64
 	for i, bi := range b {
+		bb += bi * bi
 		ri := bi - ap[i]
 		r[i] = ri
 		rr += ri * ri
 	}
-	return rr
+	return bb, rr
 }
 
 // update takes one CG step in a single pass: xNext = x + α·p (xNext

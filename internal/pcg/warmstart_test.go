@@ -2,6 +2,7 @@ package pcg
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"powerrchol/internal/rng"
@@ -119,6 +120,109 @@ func TestWarmStartMatchesFivePassReference(t *testing.T) {
 			for i := range wantX {
 				if math.Float64bits(res.X[i]) != math.Float64bits(wantX[i]) {
 					t.Fatalf("%s %T: x[%d] = %g, reference %g", c.name, m, i, res.X[i], wantX[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWarmStartEdgeOrder pins what a warm start reports when b or x0 is
+// degenerate, in the order iterate checks them: a non-finite b is the
+// right-hand side's error whatever x0 holds, a zero b returns a zero X
+// with Converged before x0 is looked at, and only then does a
+// non-finite x0 fail as the initial guess.
+func TestWarmStartEdgeOrder(t *testing.T) {
+	s := testmat.GridSDDM(6, 5)
+	a := s.ToCSC()
+	n := s.N()
+	fill := func(v float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = v
+		}
+		return x
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name    string
+		b, x0   []float64
+		wantErr string // "" for a zero X with Converged
+	}{
+		{"zero b, NaN x0", fill(0), fill(nan), ""},
+		{"-0 b, Inf x0", fill(math.Copysign(0, -1)), fill(inf), ""},
+		{"NaN b, NaN x0", fill(nan), fill(nan), "right-hand side"},
+		{"Inf b, Inf x0", fill(inf), fill(-inf), "right-hand side"},
+		{"Inf b, finite x0", fill(inf), fill(1), "right-hand side"},
+		{"huge b, NaN x0", fill(1e200), fill(nan), "right-hand side"},
+		{"finite b, NaN x0", fill(1), fill(nan), "initial guess"},
+		{"finite b, huge x0", fill(1), fill(1e200), "initial guess"},
+	} {
+		res, err := SolveFromOp(n, a.MulVec, c.b, c.x0, nil, Options{})
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: error %v, want one naming the %s", c.name, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || !res.Converged || res.Iterations != 0 {
+			t.Fatalf("%s: %+v, %v; want a converged zero solution", c.name, res, err)
+		}
+		for i, v := range res.X {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: x[%d] = %g, want +0", c.name, i, v)
+			}
+		}
+	}
+}
+
+// TestResidualNormsIsThreePasses pins the warm start's fused prologue:
+// residualNorms returns Norm2(b)'s sum of squares, whose square root is
+// sparse.Norm2(b) bit for bit, and the r and ‖r‖² of the separate residual pass it
+// replaced (copy, AxpyTo with −1, then the sum of squares), on random
+// vectors salted with ±0, subnormals and entries whose squares
+// underflow or round.
+func TestResidualNormsIsThreePasses(t *testing.T) {
+	r := rng.New(29)
+	draw := func() float64 {
+		switch r.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return (r.Float64() - 0.5) * 1e3 * math.SmallestNonzeroFloat64
+		case 3:
+			return (r.Float64() - 0.5) * 1e-160
+		default:
+			return (r.Float64() - 0.5) * math.Ldexp(1, r.Intn(80)-40)
+		}
+	}
+	for _, n := range []int{0, 1, 7, 300} {
+		for trial := 0; trial < 20; trial++ {
+			b, ap := make([]float64, n), make([]float64, n)
+			for i := range b {
+				b[i], ap[i] = draw(), draw()
+			}
+			want := make([]float64, n)
+			copy(want, b)
+			sparse.AxpyTo(want, want, -1, ap)
+			var wantBB, wantRR float64
+			for i, v := range want {
+				wantBB += b[i] * b[i]
+				wantRR += v * v
+			}
+
+			got := make([]float64, n)
+			bb, rr := residualNorms(got, b, ap)
+			if math.Float64bits(bb) != math.Float64bits(wantBB) || math.Float64bits(math.Sqrt(bb)) != math.Float64bits(sparse.Norm2(b)) {
+				t.Fatalf("n=%d trial %d: ‖b‖² = %g, want %g with root Norm2(b) = %g", n, trial, bb, wantBB, sparse.Norm2(b))
+			}
+			if math.Float64bits(rr) != math.Float64bits(wantRR) {
+				t.Fatalf("n=%d trial %d: ‖r‖² = %g, three passes give %g", n, trial, rr, wantRR)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d trial %d: r[%d] = %g, three passes give %g", n, trial, i, got[i], want[i])
 				}
 			}
 		}

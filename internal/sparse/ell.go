@@ -218,6 +218,12 @@ var errMulVecDotLengths = errors.New("sparse: MulVecDot operand lengths differ")
 // branch depends on the row's length, plus a test against the next long
 // row that fails on every short one. With the operand lengths checked
 // up front, only the data-dependent x gathers stay bounds-checked.
+//
+// The gathers index x by uint32(col), as the triangular solves index by
+// uint32(row). A column index is never negative, so this is the same
+// index, but the amd64 compiler folds a zero-extending 32-bit load into
+// the indexed address, while a sign-extending one costs an extra
+// address computation per slot.
 func mul5(cols [][ellShort]int32, vals [][ellShort]float64, ov *overflow, y, x []float64) float64 {
 	n := len(cols)
 	if len(vals) != n || len(y) != n || len(x) != n {
@@ -228,11 +234,11 @@ func mul5(cols [][ellShort]int32, vals [][ellShort]float64, ov *overflow, y, x [
 	for i := range cols {
 		c, v := &cols[i], &vals[i]
 		var s float64
-		s += v[0] * x[c[0]]
-		s += v[1] * x[c[1]]
-		s += v[2] * x[c[2]]
-		s += v[3] * x[c[3]]
-		s += v[4] * x[c[4]]
+		s += v[0] * x[uint32(c[0])]
+		s += v[1] * x[uint32(c[1])]
+		s += v[2] * x[uint32(c[2])]
+		s += v[3] * x[uint32(c[3])]
+		s += v[4] * x[uint32(c[4])]
 		if i == next {
 			s, next = ov.add(k, s, x)
 			k++
@@ -254,14 +260,14 @@ func mul8(cols [][ellLong]int32, vals [][ellLong]float64, ov *overflow, y, x []f
 	for i := range cols {
 		c, v := &cols[i], &vals[i]
 		var s float64
-		s += v[0] * x[c[0]]
-		s += v[1] * x[c[1]]
-		s += v[2] * x[c[2]]
-		s += v[3] * x[c[3]]
-		s += v[4] * x[c[4]]
-		s += v[5] * x[c[5]]
-		s += v[6] * x[c[6]]
-		s += v[7] * x[c[7]]
+		s += v[0] * x[uint32(c[0])]
+		s += v[1] * x[uint32(c[1])]
+		s += v[2] * x[uint32(c[2])]
+		s += v[3] * x[uint32(c[3])]
+		s += v[4] * x[uint32(c[4])]
+		s += v[5] * x[uint32(c[5])]
+		s += v[6] * x[uint32(c[6])]
+		s += v[7] * x[uint32(c[7])]
 		if i == next {
 			s, next = ov.add(k, s, x)
 			k++
