@@ -16,18 +16,22 @@ import (
 	"powerrchol/internal/sparse"
 )
 
+// The hierarchy's fixed parameters.
+const (
+	// strengthTheta: edge (i,j) is a strong connection when
+	// |a_ij| >= strengthTheta·max_k |a_ik|.
+	strengthTheta = 0.25
+	// coarsestSize stops coarsening once a level is this small; the
+	// coarsest system is solved densely.
+	coarsestSize = 64
+	// maxLevels bounds the hierarchy depth.
+	maxLevels = 30
+	// smoothings is the number of pre- and post-smoothing sweeps.
+	smoothings = 1
+)
+
 // Options configure the hierarchy construction.
 type Options struct {
-	// StrengthTheta: edge (i,j) is a strong connection when
-	// |a_ij| >= theta·max_k |a_ik|. 0 means 0.25.
-	StrengthTheta float64
-	// CoarsestSize stops coarsening once a level is this small; the
-	// coarsest system is solved densely. 0 means 64.
-	CoarsestSize int
-	// MaxLevels bounds the hierarchy depth. 0 means 30.
-	MaxLevels int
-	// Smoothings is the number of pre- and post-smoothing sweeps. 0 means 1.
-	Smoothings int
 	// SmoothedAggregation applies one damped-Jacobi smoothing step to the
 	// piecewise-constant prolongation, P = (I − ω·D⁻¹·A)·P₀ with ω = 2/3.
 	// This is the classic SA-AMG upgrade: denser coarse operators, but a
@@ -61,7 +65,6 @@ type Preconditioner struct {
 	levels  []*level
 	coarseL [][]float64 // dense Cholesky factor of the coarsest matrix
 	coarseN int
-	sweeps  int
 	pool    sync.Pool // of *scratch
 }
 
@@ -117,26 +120,14 @@ func NewContext(ctx context.Context, a *sparse.CSC, opt Options) (*Preconditione
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("amg: matrix is %dx%d, not square", a.Rows, a.Cols)
 	}
-	if opt.StrengthTheta == 0 {
-		opt.StrengthTheta = 0.25
-	}
-	if opt.CoarsestSize == 0 {
-		opt.CoarsestSize = 64
-	}
-	if opt.MaxLevels == 0 {
-		opt.MaxLevels = 30
-	}
-	if opt.Smoothings == 0 {
-		opt.Smoothings = 1
-	}
 
-	p := &Preconditioner{sweeps: opt.Smoothings}
+	p := &Preconditioner{}
 	cur := a
-	for len(p.levels) < opt.MaxLevels-1 && cur.Cols > opt.CoarsestSize {
+	for len(p.levels) < maxLevels-1 && cur.Cols > coarsestSize {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("amg: setup cancelled at level %d: %w", len(p.levels), err)
 		}
-		agg, nc := aggregate(cur, opt.StrengthTheta)
+		agg, nc := aggregate(cur, strengthTheta)
 		if nc >= cur.Cols { // no coarsening progress; stop
 			break
 		}
@@ -297,7 +288,7 @@ func (p *Preconditioner) cycle(li int, x, b []float64, sc *scratch) {
 	a := lv.a
 	r, cr, cx := sc.r[li], sc.cr[li], sc.cx[li]
 	sparse.Zero(x)
-	for s := 0; s < p.sweeps; s++ {
+	for s := 0; s < smoothings; s++ {
 		gaussSeidelForward(a, x, b)
 	}
 	// residual r = b - A x
@@ -323,7 +314,7 @@ func (p *Preconditioner) cycle(li int, x, b []float64, sc *scratch) {
 			x[i] += cx[ai]
 		}
 	}
-	for s := 0; s < p.sweeps; s++ {
+	for s := 0; s < smoothings; s++ {
 		gaussSeidelBackward(a, x, b)
 	}
 }

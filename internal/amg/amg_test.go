@@ -153,7 +153,7 @@ func TestApplyIsLinearAndSPD(t *testing.T) {
 }
 
 func TestSmallMatrixGoesStraightToDense(t *testing.T) {
-	s := testmat.GridSDDM(4, 4) // 16 nodes < CoarsestSize
+	s := testmat.GridSDDM(4, 4) // 16 nodes < coarsestSize
 	a := s.ToCSC()
 	p, err := New(a, Options{})
 	if err != nil {

@@ -180,6 +180,11 @@ func TestScheduledApplyIsBitwise(t *testing.T) {
 		{"grid24", testmat.GridSDDM(24, 24)},
 		{"path", testmat.PathSDDM(40, 1)},
 		{"grid100", testmat.GridSDDM(100, 100)},
+		// Just under the random-order cutoff: under a random order its
+		// levels are wide (111 to 121 levels for 961 columns, 8 or 9
+		// length buckets), so the within-level length order is checked
+		// on a realistic layout.
+		{"grid31", testmat.GridSDDM(31, 31)},
 	}
 	for _, sys := range systems {
 		n := sys.s.N()

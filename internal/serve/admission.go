@@ -19,7 +19,8 @@
 //   - the degradation ladder (degrade.go): under pressure the service
 //     sheds batch width, evicts cache, and downgrades retry rungs
 //     before it starts refusing traffic.
-//   - Server (server.go): per-request deadlines through the existing
+//   - Server (server.go): one request path (serveRHS) that solves and
+//     studies share, per-request deadlines through the existing
 //     ctx-cancellation paths, per-request panic isolation, and clean
 //     drain-on-shutdown with health/readiness endpoints.
 package serve

@@ -11,9 +11,8 @@ import (
 )
 
 // Prepared is one cached unit of serving state: the prepared solver and
-// its micro-batcher (both owned by the shared session layer — this
-// package consumes the RHS-stream machinery, it no longer implements
-// it). The solver is immutable and safe for concurrent use; the batcher
+// the micro-batcher (session.Batcher) that dispatches onto it. The
+// solver is immutable and safe for concurrent use; the batcher
 // serializes batch windows against it.
 type Prepared struct {
 	Solver *powerrchol.Solver

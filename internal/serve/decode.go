@@ -75,33 +75,8 @@ func DecodeSolveRequest(r io.Reader, maxBytes int64) (*SolveRequest, error) {
 	if _, err := ParseFingerprint(req.Grid); err != nil {
 		return nil, err
 	}
-	dense := len(req.B) > 0
-	sparse := len(req.Nodes) > 0 || len(req.Values) > 0
-	switch {
-	case dense && sparse:
-		return nil, errors.New("serve: request has both dense b and sparse nodes/values")
-	case !dense && !sparse:
-		return nil, errors.New("serve: request has no right-hand side")
-	}
-	if sparse {
-		if len(req.Nodes) != len(req.Values) {
-			return nil, fmt.Errorf("serve: nodes/values length mismatch: %d vs %d", len(req.Nodes), len(req.Values))
-		}
-		for _, u := range req.Nodes {
-			if u < 0 {
-				return nil, fmt.Errorf("serve: negative node index %d", u)
-			}
-		}
-	}
-	for _, v := range req.B {
-		if !isFinite(v) {
-			return nil, errors.New("serve: non-finite value in b")
-		}
-	}
-	for _, v := range req.Values {
-		if !isFinite(v) {
-			return nil, errors.New("serve: non-finite value in values")
-		}
+	if err := req.checkRHS(); err != nil {
+		return nil, err
 	}
 	for _, u := range req.Return {
 		if u < 0 {
@@ -112,6 +87,39 @@ func DecodeSolveRequest(r io.Reader, maxBytes int64) (*SolveRequest, error) {
 		return nil, fmt.Errorf("serve: negative timeout_ms %d", req.TimeoutMillis)
 	}
 	return &req, nil
+}
+
+// checkRHS is the right-hand side's check that needs no grid, shared by
+// the solve and study decoders: exactly one shape, matching sparse
+// lengths, non-negative nodes and finite values.
+func (req *SolveRequest) checkRHS() error {
+	dense := len(req.B) > 0
+	sparse := len(req.Nodes) > 0 || len(req.Values) > 0
+	switch {
+	case dense && sparse:
+		return errors.New("serve: request has both dense b and sparse nodes/values")
+	case !dense && !sparse:
+		return errors.New("serve: request has no right-hand side")
+	}
+	if len(req.Nodes) != len(req.Values) {
+		return fmt.Errorf("serve: nodes/values length mismatch: %d vs %d", len(req.Nodes), len(req.Values))
+	}
+	for _, u := range req.Nodes {
+		if u < 0 {
+			return fmt.Errorf("serve: negative node index %d", u)
+		}
+	}
+	for _, v := range req.B {
+		if !isFinite(v) {
+			return errors.New("serve: non-finite value in b")
+		}
+	}
+	for _, v := range req.Values {
+		if !isFinite(v) {
+			return errors.New("serve: non-finite value in values")
+		}
+	}
+	return nil
 }
 
 // RHS materializes the request's right-hand side as a dense length-n
@@ -143,6 +151,17 @@ func (req *SolveRequest) CheckReturn(n int) error {
 		}
 	}
 	return nil
+}
+
+func (req *SolveRequest) target() (string, int64) { return req.Grid, req.TimeoutMillis }
+
+// vector is RHS followed by CheckReturn.
+func (req *SolveRequest) vector(n int) ([]float64, error) {
+	b, err := req.RHS(n)
+	if err == nil {
+		err = req.CheckReturn(n)
+	}
+	return b, err
 }
 
 // SystemRequest is the wire form of a grid ingest: the SDDM system in

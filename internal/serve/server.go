@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -224,11 +225,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		sys, err = decodeSystem(body, s.cfg.MaxNodes)
 	}
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrRequestTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, err.Error(), 0)
+		decodeError(w, err)
 		return
 	}
 	fp := powerrchol.FingerprintSystem(sys)
@@ -268,31 +265,94 @@ type SolveResponse struct {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	serveRHS(s, w, r, endpoint{name: "solve", refuses: "traffic", refuseFrom: LevelCritical},
+		func(body io.Reader) (*SolveRequest, error) {
+			return DecodeSolveRequest(body, s.cfg.MaxRequestBytes)
+		}, s.runSolve)
+}
+
+// runSolve answers an admitted solve request through the micro-batcher
+// of its grid's prepared solver.
+func (s *Server) runSolve(ctx context.Context, level Level, g grid, b []float64, req *SolveRequest) (any, error) {
+	res, width, hit, err := s.solve(ctx, level, g, b)
+	if err != nil {
+		return nil, err
+	}
+	x := res.X
+	if len(req.Return) > 0 {
+		x = make([]float64, len(req.Return))
+		for i, u := range req.Return {
+			x[i] = res.X[u]
+		}
+	}
+	return SolveResponse{
+		Grid:       req.Grid,
+		Solver:     FormatFingerprint(g.key),
+		X:          x,
+		Iterations: res.Iterations,
+		Residual:   res.Residual,
+		Converged:  res.Converged,
+		BatchWidth: width,
+		CacheHit:   hit,
+	}, nil
+}
+
+// request is a decoded solve or study body, as their shared request
+// path reads it.
+type request interface {
+	// target returns the wire fingerprint of the grid the request names
+	// and its timeout_ms.
+	target() (grid string, timeoutMillis int64)
+	// vector builds the dense right-hand side for an n-node grid,
+	// checking every bound that depends on the grid.
+	vector(n int) ([]float64, error)
+}
+
+// An endpoint is what tells POST /v1/solve and POST /v1/study apart on
+// their shared request path.
+type endpoint struct {
+	name string // "solve" or "study": the work a 504 says ran out of time
+	// refuses is what a pressure refusal says is refused, from level
+	// refuseFrom up.
+	refuses    string
+	refuseFrom Level
+	// count, when non-nil, counts the endpoint's admitted requests
+	// beside metrics.admitted.
+	count *atomic.Int64
+}
+
+// serveRHS is the one request path of the endpoints that solve against
+// an ingested grid. In order: the drain barrier (before s.level(), which
+// sheds the cache), the pressure refusal, the bounded decode, the
+// clamped deadline, an admission slot, the grid lookup and the
+// right-hand side. run then does the endpoint's work, and a failure
+// maps onto the one status taxonomy: 504 for the deadline, 503 for a
+// client that left or a draining server, 422 for a failed solve.
+func serveRHS[R request](s *Server, w http.ResponseWriter, r *http.Request, ep endpoint,
+	decode func(io.Reader) (R, error),
+	run func(ctx context.Context, level Level, g grid, b []float64, req R) (any, error)) {
 	if s.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, ErrDraining.Error(), s.gate.RetryAfter())
 		s.met.refused.Add(1)
 		return
 	}
 	level := s.level()
-	if !level.Admit() {
-		httpError(w, http.StatusServiceUnavailable, "serve: refusing traffic under critical load", s.gate.RetryAfter())
+	if level >= ep.refuseFrom {
+		httpError(w, http.StatusServiceUnavailable,
+			"serve: refusing "+ep.refuses+" under "+level.String()+" load", s.gate.RetryAfter())
 		s.met.refused.Add(1)
 		return
 	}
 
-	req, err := DecodeSolveRequest(r.Body, s.cfg.MaxRequestBytes)
+	req, err := decode(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrRequestTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, err.Error(), 0)
+		decodeError(w, err)
 		return
 	}
-
+	gridWire, timeoutMillis := req.target()
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
+	if timeoutMillis > 0 {
+		timeout = time.Duration(timeoutMillis) * time.Millisecond
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
@@ -315,29 +375,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Release()
 	s.met.admitted.Add(1)
+	if ep.count != nil {
+		ep.count.Add(1)
+	}
 	start := time.Now()
 
-	gridFP, _ := ParseFingerprint(req.Grid) // validated by the decoder
+	gridFP, _ := ParseFingerprint(gridWire) // validated by the decoder
 	g, ok := s.lookupGrid(gridFP)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown grid %s", req.Grid), 0)
+		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown grid %s", gridWire), 0)
 		return
 	}
-	b, err := req.RHS(g.sys.N())
-	if err == nil {
-		err = req.CheckReturn(g.sys.N())
-	}
+	b, err := req.vector(g.sys.N())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 
-	res, width, hit, err := s.solve(ctx, level, g, b)
+	resp, err := run(ctx, level, g, b, req)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.met.timeouts.Add(1)
-			httpError(w, http.StatusGatewayTimeout, "serve: solve deadline expired", 0)
+			httpError(w, http.StatusGatewayTimeout, "serve: "+ep.name+" deadline expired", 0)
 		case errors.Is(err, context.Canceled), errors.Is(err, ErrDraining):
 			httpError(w, http.StatusServiceUnavailable, err.Error(), 0)
 		default:
@@ -347,24 +407,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.lat.record(time.Since(start))
+	writeJSON(w, http.StatusOK, resp)
+}
 
-	x := res.X
-	if len(req.Return) > 0 {
-		x = make([]float64, len(req.Return))
-		for i, u := range req.Return {
-			x[i] = res.X[u]
-		}
+// decodeError answers a body that failed to decode: 413 when it was too
+// large, 400 otherwise.
+func decodeError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrRequestTooLarge) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, http.StatusOK, SolveResponse{
-		Grid:       req.Grid,
-		Solver:     FormatFingerprint(g.key),
-		X:          x,
-		Iterations: res.Iterations,
-		Residual:   res.Residual,
-		Converged:  res.Converged,
-		BatchWidth: width,
-		CacheHit:   hit,
-	})
+	httpError(w, status, err.Error(), 0)
 }
 
 // solve resolves the prepared solver for g (cached under g.key) and
@@ -384,7 +437,7 @@ func (s *Server) solve(ctx context.Context, level Level, g grid, b []float64) (*
 			if err != nil {
 				return nil, 0, err
 			}
-			batch := session.NewBatcher(session.Wrap(solver), s.batchWidth, func(width int) {
+			batch := session.NewBatcher(solver, s.batchWidth, func(width int) {
 				s.met.batches.Add(1)
 				s.met.batched.Add(int64(width))
 			})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"powerrchol/internal/workload"
 )
@@ -70,34 +69,8 @@ func DecodeStudyRequest(r io.Reader, maxBytes int64, maxSteps, maxSamples int) (
 	if req.Kind != "transient" && req.Kind != "mc" {
 		return nil, fmt.Errorf("serve: unknown study kind %q (want transient or mc)", req.Kind)
 	}
-	// RHS shape/content checks are shared with the solve decoder via the
-	// same field layout.
-	sr := SolveRequest{Grid: req.Grid, B: req.B, Nodes: req.Nodes, Values: req.Values}
-	dense := len(sr.B) > 0
-	sparse := len(sr.Nodes) > 0 || len(sr.Values) > 0
-	switch {
-	case dense && sparse:
-		return nil, errors.New("serve: request has both dense b and sparse nodes/values")
-	case !dense && !sparse:
-		return nil, errors.New("serve: request has no right-hand side")
-	}
-	if sparse && len(sr.Nodes) != len(sr.Values) {
-		return nil, fmt.Errorf("serve: nodes/values length mismatch: %d vs %d", len(sr.Nodes), len(sr.Values))
-	}
-	for _, u := range sr.Nodes {
-		if u < 0 {
-			return nil, fmt.Errorf("serve: negative node index %d", u)
-		}
-	}
-	for _, v := range sr.B {
-		if !isFinite(v) {
-			return nil, errors.New("serve: non-finite value in b")
-		}
-	}
-	for _, v := range sr.Values {
-		if !isFinite(v) {
-			return nil, errors.New("serve: non-finite value in values")
-		}
+	if err := req.rhsRequest().checkRHS(); err != nil {
+		return nil, err
 	}
 	for _, v := range []float64{req.Dt, req.Cap, req.ResistorSigma, req.FailProb, req.LoadSigma, req.Threshold} {
 		if !isFinite(v) || v < 0 {
@@ -130,11 +103,15 @@ func DecodeStudyRequest(r io.Reader, maxBytes int64, maxSteps, maxSamples int) (
 	return &req, nil
 }
 
-// rhs materializes the study's right-hand side for an n-node grid.
-func (req *StudyRequest) rhs(n int) ([]float64, error) {
-	sr := SolveRequest{B: req.B, Nodes: req.Nodes, Values: req.Values}
-	return sr.RHS(n)
+// rhsRequest is the study's right-hand side as a solve request holds
+// it, so the two decoders check it and build it with the same code.
+func (req *StudyRequest) rhsRequest() *SolveRequest {
+	return &SolveRequest{B: req.B, Nodes: req.Nodes, Values: req.Values}
 }
+
+func (req *StudyRequest) target() (string, int64) { return req.Grid, req.TimeoutMillis }
+
+func (req *StudyRequest) vector(n int) ([]float64, error) { return req.rhsRequest().RHS(n) }
 
 // StudyResponse is the wire form of a completed study. Exactly one of
 // the per-kind sections is populated.
@@ -163,72 +140,16 @@ type StudyResponse struct {
 }
 
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, ErrDraining.Error(), s.gate.RetryAfter())
-		s.met.refused.Add(1)
-		return
-	}
-	level := s.level()
-	if level >= LevelHigh {
-		httpError(w, http.StatusServiceUnavailable,
-			"serve: refusing studies under "+level.String()+" load", s.gate.RetryAfter())
-		s.met.refused.Add(1)
-		return
-	}
+	serveRHS(s, w, r, endpoint{name: "study", refuses: "studies", refuseFrom: LevelHigh, count: &s.met.studies},
+		func(body io.Reader) (*StudyRequest, error) {
+			return DecodeStudyRequest(body, s.cfg.MaxRequestBytes, s.cfg.MaxStudySteps, s.cfg.MaxStudySamples)
+		}, s.runStudy)
+}
 
-	req, err := DecodeStudyRequest(r.Body, s.cfg.MaxRequestBytes, s.cfg.MaxStudySteps, s.cfg.MaxStudySamples)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrRequestTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, err.Error(), 0)
-		return
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	if err := s.gate.Acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			s.met.shed.Add(1)
-			httpError(w, http.StatusTooManyRequests, err.Error(), s.gate.RetryAfter())
-		case errors.Is(err, context.DeadlineExceeded):
-			s.met.timeouts.Add(1)
-			httpError(w, http.StatusGatewayTimeout, "serve: deadline expired while queued", 0)
-		default: // client went away
-			httpError(w, http.StatusServiceUnavailable, err.Error(), 0)
-		}
-		return
-	}
-	defer s.gate.Release()
-	s.met.admitted.Add(1)
-	s.met.studies.Add(1)
-	start := time.Now()
-
-	gridFP, _ := ParseFingerprint(req.Grid) // validated by the decoder
-	g, ok := s.lookupGrid(gridFP)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("serve: unknown grid %s", req.Grid), 0)
-		return
-	}
-	b, err := req.rhs(g.sys.N())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-
-	// Studies run the base options with the ladder's retry downgrade:
-	// every preparation a study spends is a build that would otherwise
-	// retry expensively under pressure.
+// runStudy runs an admitted study. Studies run the base options with
+// the ladder's retry downgrade: every preparation a study spends is a
+// build that would otherwise retry expensively under pressure.
+func (s *Server) runStudy(ctx context.Context, level Level, g grid, b []float64, req *StudyRequest) (any, error) {
 	opt := s.cfg.Options
 	opt.Retry = level.RetryFor(opt.Retry)
 
@@ -239,8 +160,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 			Cap: req.Cap, TimeStep: req.Dt, Steps: req.Steps,
 		}, opt)
 		if err != nil {
-			s.studyError(w, err)
-			return
+			return nil, err
 		}
 		resp.Preparations = tr.Preparations
 		resp.TotalIterations = tr.TotalIterations
@@ -261,8 +181,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 			DropThreshold:  req.Threshold,
 		}, opt)
 		if err != nil {
-			s.studyError(w, err)
-			return
+			return nil, err
 		}
 		resp.Preparations = mc.Preparations
 		resp.TotalIterations = mc.TotalIterations
@@ -275,21 +194,5 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		resp.SetupMicros = mc.SetupTime.Microseconds()
 		resp.SolveMicros = mc.SolveTime.Microseconds()
 	}
-	s.met.lat.record(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// studyError maps a failed study to the same status taxonomy as a
-// failed solve.
-func (s *Server) studyError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.met.timeouts.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "serve: study deadline expired", 0)
-	case errors.Is(err, context.Canceled), errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err.Error(), 0)
-	default:
-		s.met.solveErrs.Add(1)
-		httpError(w, http.StatusUnprocessableEntity, err.Error(), 0)
-	}
+	return resp, nil
 }

@@ -15,18 +15,18 @@ import (
 var ErrBatcherStopped = errors.New("session: batcher stopped")
 
 // Batcher aggregates concurrent single-RHS solve requests against one
-// prepared session into Ensemble windows. It is work-conserving: a
-// window is its first request plus every request already waiting to be
-// accepted, up to the width bound, and it is dispatched at once — the
-// dispatcher never waits for peers. Requests that arrive while a window
-// is solving queue up and form the next one, so the batch width follows
-// the load with no delay setting: a lone request is solved alone, a
-// burst is solved together. The width bound comes from a callback so a
-// degradation ladder can narrow it per window without restarting the
-// dispatcher. Batching is purely an amortization: every response is
-// bitwise identical to a one-shot Solver.Solve of the same right-hand
-// side (the SolveBatch contract), which the serve soak test asserts end
-// to end.
+// prepared solver into SolveBatchContext windows. It is
+// work-conserving: a window is its first request plus every request
+// already waiting to be accepted, up to the width bound, and it is
+// dispatched at once — the dispatcher never waits for peers. Requests
+// that arrive while a window is solving queue up and form the next one,
+// so the batch width follows the load with no delay setting: a lone
+// request is solved alone, a burst is solved together. The width bound
+// comes from a callback so a degradation ladder can narrow it per
+// window without restarting the dispatcher. Batching is purely an
+// amortization: every response is bitwise identical to a one-shot
+// Solver.Solve of the same right-hand side (the SolveBatch contract),
+// which the serve soak test asserts end to end.
 //
 // Lifecycle: Start spawns one dispatcher goroutine, tied to the ctx the
 // owner passes (its lifetime context). Stop — or that ctx ending —
@@ -36,7 +36,7 @@ var ErrBatcherStopped = errors.New("session: batcher stopped")
 // buffered and owned by the dispatcher, so an abandoned client can
 // never block the dispatch loop.
 type Batcher struct {
-	sess *Session
+	solver *powerrchol.Solver
 	// width returns the current window width bound.
 	width   func() int
 	onBatch func(width int)
@@ -45,9 +45,6 @@ type Batcher struct {
 	stopped chan struct{}
 	stop    sync.Once
 	wg      sync.WaitGroup
-
-	batches atomic.Int64
-	widths  atomic.Int64
 }
 
 type solveReq struct {
@@ -62,23 +59,20 @@ type solveResp struct {
 	width int // the batch width this response was served in
 }
 
-// NewBatcher builds a batcher over sess. width must be non-nil and safe
-// for concurrent use; it is consulted once per window, and a bound below
-// 1 means 1. onBatch, if non-nil, observes each dispatched window's
-// width (the serve layer feeds its service-wide metrics this way,
-// surviving batcher eviction).
-func NewBatcher(sess *Session, width func() int, onBatch func(width int)) *Batcher {
+// NewBatcher builds a batcher over solver. width must be non-nil and
+// safe for concurrent use; it is consulted once per window, and a bound
+// below 1 means 1. onBatch, if non-nil, observes each dispatched
+// window's width (the serve layer feeds its service-wide metrics this
+// way, surviving batcher eviction).
+func NewBatcher(solver *powerrchol.Solver, width func() int, onBatch func(width int)) *Batcher {
 	return &Batcher{
-		sess:    sess,
+		solver:  solver,
 		width:   width,
 		onBatch: onBatch,
 		reqs:    make(chan *solveReq),
 		stopped: make(chan struct{}),
 	}
 }
-
-// Session returns the prepared session this batcher dispatches against.
-func (bt *Batcher) Session() *Session { return bt.sess }
 
 // Start launches the dispatcher under ctx, the owner's lifetime
 // context. It must be called exactly once, before the first Submit.
@@ -105,11 +99,6 @@ func (bt *Batcher) Stop() {
 	bt.stop.Do(func() { close(bt.stopped) })
 	bt.wg.Wait()
 }
-
-// Batches and BatchedRHS report the dispatched window count and the
-// right-hand sides they carried.
-func (bt *Batcher) Batches() int64    { return bt.batches.Load() }
-func (bt *Batcher) BatchedRHS() int64 { return bt.widths.Load() }
 
 // Submit solves one right-hand side in the next window the dispatcher
 // opens, blocking until the response, the request ctx ending, or the
@@ -153,10 +142,8 @@ drain:
 }
 
 // solve runs the collected window. Members whose context already ended
-// are answered immediately and excluded; the batch itself runs under a
-// context that is cancelled once every remaining member's context has
-// ended — one client hanging up never aborts its batch peers, but a
-// batch nobody is waiting for stops burning iterations.
+// are answered immediately and excluded; the rest are solved under
+// batchContext.
 func (bt *Batcher) solve(ctx context.Context, members []*solveReq) {
 	live := members[:0]
 	for _, m := range members {
@@ -169,48 +156,57 @@ func (bt *Batcher) solve(ctx context.Context, members []*solveReq) {
 	if len(live) == 0 {
 		return
 	}
-	bt.batches.Add(1)
-	bt.widths.Add(int64(len(live)))
 	if bt.onBatch != nil {
 		bt.onBatch(len(live))
 	}
-
-	batchCtx, cancel := context.WithCancel(ctx)
-	watchDone := make(chan struct{})
-	var gone atomic.Int64
-	for _, m := range live {
-		go func(mctx context.Context) {
-			select {
-			case <-mctx.Done():
-				if gone.Add(1) == int64(len(live)) {
-					cancel()
-				}
-			case <-watchDone:
-			}
-		}(m.ctx)
-	}
+	batchCtx, release := batchContext(ctx, live)
+	defer release()
 
 	if len(live) == 1 {
 		// A lone request skips the batch machinery: same solve path,
 		// same bits, one less indirection.
-		res, err := bt.sess.Solve(batchCtx, live[0].b)
+		res, err := bt.solver.SolveContext(batchCtx, live[0].b)
 		live[0].resp <- solveResp{res: res, err: err, width: 1}
-	} else {
-		rhs := make([][]float64, len(live))
-		for i, m := range live {
-			rhs[i] = m.b
-		}
-		results, err := bt.sess.Ensemble(batchCtx, rhs)
-		errs := batchErrs(err, len(live))
-		for i, m := range live {
-			m.resp <- solveResp{res: results[i], err: errs[i], width: len(live)}
-		}
+		return
 	}
-	close(watchDone)
-	cancel()
+	rhs := make([][]float64, len(live))
+	for i, m := range live {
+		rhs[i] = m.b
+	}
+	results, err := bt.solver.SolveBatchContext(batchCtx, rhs)
+	errs := batchErrs(err, len(live))
+	for i, m := range live {
+		m.resp <- solveResp{res: results[i], err: errs[i], width: len(live)}
+	}
 }
 
-// batchErrs explodes an Ensemble error into per-member errors: a
+// batchContext derives the context a window's batch runs under: it ends
+// with ctx, and it is cancelled once every member's context has ended —
+// one client hanging up never aborts its batch peers, but a batch nobody
+// is waiting for stops burning iterations. Each member counts itself
+// out through a context.AfterFunc registration, which costs no
+// goroutine while the member waits. release ends the window: it
+// withdraws the registrations and cancels the batch context.
+func batchContext(ctx context.Context, members []*solveReq) (context.Context, func()) {
+	batchCtx, cancel := context.WithCancel(ctx)
+	var gone atomic.Int64
+	stops := make([]func() bool, len(members))
+	for i, m := range members {
+		stops[i] = context.AfterFunc(m.ctx, func() {
+			if gone.Add(1) == int64(len(members)) {
+				cancel()
+			}
+		})
+	}
+	return batchCtx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
+	}
+}
+
+// batchErrs explodes a SolveBatchContext error into per-member errors: a
 // *powerrchol.BatchError maps index-by-index, anything else applies to
 // every member.
 func batchErrs(err error, n int) []error {

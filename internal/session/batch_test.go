@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,14 +30,13 @@ func testRHS(n int, seed uint64) []float64 {
 	return b
 }
 
-func newTestSession(t *testing.T) *Session {
+func newTestSolver(t *testing.T) *powerrchol.Solver {
 	t.Helper()
-	sys := testmat.GridSDDM(12, 12)
-	sess, err := Prepare(context.Background(), sys, testOptions())
+	solver, err := powerrchol.NewSolver(testmat.GridSDDM(12, 12), testOptions())
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("NewSolver: %v", err)
 	}
-	return sess
+	return solver
 }
 
 func staticWidth(width int) func() int {
@@ -48,8 +48,8 @@ func staticWidth(width int) func() int {
 // runWindow itself: the window's non-blocking drain takes a buffered
 // request exactly as it takes a Submit blocked on the channel. The
 // buffer holds more requests than any test lines up.
-func queuedBatcher(sess *Session, width int, onBatch func(int)) *Batcher {
-	bt := NewBatcher(sess, staticWidth(width), onBatch)
+func queuedBatcher(solver *powerrchol.Solver, width int, onBatch func(int)) *Batcher {
+	bt := NewBatcher(solver, staticWidth(width), onBatch)
 	bt.reqs = make(chan *solveReq, 64)
 	return bt
 }
@@ -58,10 +58,10 @@ func newSolveReq(ctx context.Context, b []float64) *solveReq {
 	return &solveReq{ctx: ctx, b: b, resp: make(chan solveResp, 1)}
 }
 
-// checkBitwise fails unless x is bit for bit Solver.Solve(b) on sess.
-func checkBitwise(t *testing.T, sess *Session, label string, x, b []float64) {
+// checkBitwise fails unless x is bit for bit solver.Solve(b).
+func checkBitwise(t *testing.T, solver *powerrchol.Solver, label string, x, b []float64) {
 	t.Helper()
-	ref, err := sess.Solver().Solve(b)
+	ref, err := solver.Solve(b)
 	if err != nil {
 		t.Fatalf("%s referee: %v", label, err)
 	}
@@ -75,15 +75,18 @@ func checkBitwise(t *testing.T, sess *Session, label string, x, b []float64) {
 // TestBatcherBitwiseEqualsSolve is the batching contract: answers served
 // through a micro-batch window are bit-for-bit the answers of one-shot
 // solves on the same solver. Once every request is answered and the
-// batcher stopped, no goroutine of it may outlive it — not the
-// dispatcher, and not a window's member watchers — though the members'
-// contexts are still live.
+// batcher stopped, no goroutine of it may outlive it, though the
+// members' contexts are still live.
 func TestBatcherBitwiseEqualsSolve(t *testing.T) {
-	sess := newTestSession(t)
+	solver := newTestSolver(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	base := runtime.NumGoroutine()
-	bt := NewBatcher(sess, staticWidth(8), nil)
+	var windows, batched atomic.Int64
+	bt := NewBatcher(solver, staticWidth(8), func(width int) {
+		windows.Add(1)
+		batched.Add(int64(width))
+	})
 	bt.Start(ctx)
 
 	const k = 6
@@ -115,20 +118,20 @@ func TestBatcherBitwiseEqualsSolve(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("submit %d: %v", i, errs[i])
 		}
-		checkBitwise(t, sess, fmt.Sprintf("request %d", i), got[i], testRHS(n, uint64(100+i)))
+		checkBitwise(t, solver, fmt.Sprintf("request %d", i), got[i], testRHS(n, uint64(100+i)))
 	}
-	if bt.BatchedRHS() != k {
-		t.Fatalf("batched RHS = %d, want %d", bt.BatchedRHS(), k)
+	if batched.Load() != k {
+		t.Fatalf("batched RHS = %d, want %d", batched.Load(), k)
 	}
-	if bt.Batches() >= k {
-		t.Logf("no aggregation happened (%d windows for %d requests) — timing-dependent, not fatal", bt.Batches(), k)
+	if windows.Load() >= k {
+		t.Logf("no aggregation happened (%d windows for %d requests) — timing-dependent, not fatal", windows.Load(), k)
 	}
 }
 
 func TestBatcherStopRejectsSubmits(t *testing.T) {
-	sess := newTestSession(t)
+	solver := newTestSolver(t)
 	ctx := context.Background()
-	bt := NewBatcher(sess, staticWidth(4), nil)
+	bt := NewBatcher(solver, staticWidth(4), nil)
 	bt.Start(ctx)
 	bt.Stop()
 	_, _, err := bt.Submit(ctx, testRHS(12*12, 1))
@@ -145,7 +148,7 @@ func TestBatcherStopRejectsSubmits(t *testing.T) {
 // the window open until the client has given up; a live request must
 // then still be served.
 func TestBatcherPreCancelledMember(t *testing.T) {
-	sess := newTestSession(t)
+	solver := newTestSolver(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	accepted := make(chan struct{})
@@ -158,7 +161,7 @@ func TestBatcherPreCancelledMember(t *testing.T) {
 		})
 		return 4
 	}
-	bt := NewBatcher(sess, width, nil)
+	bt := NewBatcher(solver, width, nil)
 	bt.Start(ctx)
 
 	dead, kill := context.WithCancel(context.Background())
@@ -189,7 +192,7 @@ func TestBatcherPreCancelledMember(t *testing.T) {
 		t.Fatalf("live submit after a cancelled member: %v (the dispatcher is stuck answering it)", err)
 	}
 	bt.Stop()
-	checkBitwise(t, sess, "live request", res.X, b)
+	checkBitwise(t, solver, "live request", res.X, b)
 }
 
 // TestBatcherWindowTakesWaitingRequests: a window is its first request
@@ -197,7 +200,7 @@ func TestBatcherPreCancelledMember(t *testing.T) {
 // past it; the rest form the next window. Every response is bitwise
 // the one-shot answer.
 func TestBatcherWindowTakesWaitingRequests(t *testing.T) {
-	sess := newTestSession(t)
+	solver := newTestSolver(t)
 	ctx := context.Background()
 	n := 12 * 12
 	for _, tc := range []struct {
@@ -211,7 +214,8 @@ func TestBatcherWindowTakesWaitingRequests(t *testing.T) {
 		{width: 1, requests: 3, windows: []int{1, 1, 1}},
 	} {
 		label := fmt.Sprintf("width %d, %d waiting", tc.width, tc.requests)
-		bt := queuedBatcher(sess, tc.width, nil)
+		windows := 0
+		bt := queuedBatcher(solver, tc.width, func(int) { windows++ })
 		reqs := make([]*solveReq, tc.requests)
 		for i := range reqs {
 			reqs[i] = newSolveReq(ctx, testRHS(n, uint64(200+i)))
@@ -231,12 +235,12 @@ func TestBatcherWindowTakesWaitingRequests(t *testing.T) {
 				if resp.width != want {
 					t.Fatalf("%s: window %d served width %d, want %d", label, w, resp.width, want)
 				}
-				checkBitwise(t, sess, label, resp.res.X, r.b)
+				checkBitwise(t, solver, label, resp.res.X, r.b)
 			}
 			served += want
 		}
-		if got := bt.Batches(); got != int64(len(tc.windows)) {
-			t.Fatalf("%s: %d windows dispatched, want %d", label, got, len(tc.windows))
+		if windows != len(tc.windows) {
+			t.Fatalf("%s: %d windows dispatched, want %d", label, windows, len(tc.windows))
 		}
 	}
 }
@@ -247,12 +251,12 @@ func TestBatcherWindowTakesWaitingRequests(t *testing.T) {
 // bitwise-correct answer in the same window, and the cancelled member
 // exactly one response.
 func TestBatcherMidBatchCancellation(t *testing.T) {
-	sess := newTestSession(t)
+	solver := newTestSolver(t)
 	ctx := context.Background()
 	n := 12 * 12
 	memberCtx, memberCancel := context.WithCancel(context.Background())
 	defer memberCancel()
-	bt := queuedBatcher(sess, 4, func(int) { memberCancel() })
+	bt := queuedBatcher(solver, 4, func(int) { memberCancel() })
 
 	member := newSolveReq(memberCtx, testRHS(n, 10))
 	peer := newSolveReq(ctx, testRHS(n, 11))
@@ -267,16 +271,16 @@ func TestBatcherMidBatchCancellation(t *testing.T) {
 	if resp.width != 2 {
 		t.Fatalf("survivor served at width %d, want 2 (same window as the cancelled member)", resp.width)
 	}
-	checkBitwise(t, sess, "survivor", resp.res.X, peer.b)
+	checkBitwise(t, solver, "survivor", resp.res.X, peer.b)
 	if len(member.resp) != 1 {
 		t.Fatalf("cancelled member got %d responses, want exactly 1", len(member.resp))
 	}
 }
 
 func TestBatcherDispatcherDiesWithContext(t *testing.T) {
-	sess := newTestSession(t)
+	solver := newTestSolver(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	bt := NewBatcher(sess, staticWidth(4), nil)
+	bt := NewBatcher(solver, staticWidth(4), nil)
 	bt.Start(ctx)
 	cancel()
 	// After the lifetime ctx ends the dispatcher exits; Stop must not
@@ -287,5 +291,39 @@ func TestBatcherDispatcherDiesWithContext(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop hung after lifetime context cancellation")
+	}
+}
+
+// TestBatchContextEndsWithLastMember is the window's cancellation rule:
+// the batch context outlives every member but the last to hang up, is
+// cancelled once that one does, and is cancelled by release whatever
+// the members do.
+func TestBatchContextEndsWithLastMember(t *testing.T) {
+	ctx := context.Background()
+	a, cancelA := context.WithCancel(ctx)
+	defer cancelA()
+	b, cancelB := context.WithCancel(ctx)
+	defer cancelB()
+
+	batchCtx, release := batchContext(ctx, []*solveReq{newSolveReq(a, nil), newSolveReq(b, nil)})
+	defer release()
+	cancelA()
+	time.Sleep(10 * time.Millisecond) // room for a miscounting AfterFunc to fire
+	if err := batchCtx.Err(); err != nil {
+		t.Fatalf("batch context ended with one of two members left: %v", err)
+	}
+	cancelB()
+	select {
+	case <-batchCtx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch context outlived every member")
+	}
+
+	live, cancelLive := context.WithCancel(ctx)
+	defer cancelLive()
+	batchCtx, release = batchContext(ctx, []*solveReq{newSolveReq(live, nil)})
+	release()
+	if batchCtx.Err() == nil {
+		t.Fatal("release left the batch context live")
 	}
 }

@@ -13,8 +13,10 @@
 //     dependent-stream walker (Sequence, warm-started step solves for
 //     transient integration).
 //   - Batcher: the micro-batching dispatcher the serve layer aggregates
-//     concurrent single-RHS requests with (moved here from
-//     internal/serve, which now consumes it).
+//     concurrent single-RHS requests with. It dispatches straight onto
+//     a *powerrchol.Solver (the serve layer builds its own, with
+//     ladder-degraded options, through its single-flight cache), not
+//     onto a Session.
 //
 // Contracts inherited from the Solver: everything is ctx-cancellable,
 // errors keep the typed taxonomy (SolveError, BatchError,
@@ -53,7 +55,6 @@ func Prepares() int64 { return prepares.Load() }
 // Sequence is a single-goroutine walker).
 type Session struct {
 	solver *powerrchol.Solver
-	sys    *graph.SDDM
 }
 
 // Prepare factorizes sys once under ctx and returns the session that
@@ -67,23 +68,12 @@ func Prepare(ctx context.Context, sys *graph.SDDM, opt powerrchol.Options) (*Ses
 		return nil, err
 	}
 	prepares.Add(1)
-	return &Session{solver: solver, sys: sys}, nil
-}
-
-// Wrap adopts an already-built solver (the serve layer builds its own,
-// with ladder-degraded options, through its single-flight cache). The
-// preparation is not re-counted: it happened wherever the solver was
-// built.
-func Wrap(solver *powerrchol.Solver) *Session {
-	return &Session{solver: solver}
+	return &Session{solver: solver}, nil
 }
 
 // Solver exposes the underlying prepared solver (fingerprint, memory
 // accounting, setup timings).
 func (s *Session) Solver() *powerrchol.Solver { return s.solver }
-
-// N reports the system dimension.
-func (s *Session) N() int { return s.solver.N() }
 
 // Solve runs one right-hand side — the one-shot passthrough, bitwise
 // identical to Solver.Solve.

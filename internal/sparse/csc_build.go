@@ -7,8 +7,7 @@ import "fmt"
 // counting pass, then positions each entry with Set, and Finish sorts
 // and duplicate-merges the columns in place. Peak memory is the final
 // arrays (plus the counting slice), roughly half of the COO route —
-// which is why the streaming grid/netlist/MatrixMarket ingest paths are
-// built on it.
+// which is why SDDM.ToCSC assembles through it.
 //
 // Determinism contract: Set places entries within a column in call
 // order, exactly as COO.ToCSC's counting scatter does, and Finish runs

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -14,12 +13,9 @@ import (
 // Symmetric files store the lower triangle; the readers mirror it so
 // the returned CSC holds both triangles, matching the package convention.
 //
-// Two readers share one parser: ReadMatrixMarket accumulates COO
-// triplets from a stream, ReadMatrixMarketFile makes two passes over a
-// file (count, then fill) so the triplet copy is never materialized —
-// the ingest-side half of the paper-scale memory diet. Both funnel every
-// entry through the same scan code and the same column sort/merge tail,
-// so they produce byte-identical matrices.
+// ReadMatrixMarket parses the header (readMMHeader), then streams the
+// entries (scanMMEntries) into COO triplets that ToCSC sorts and merges
+// by column.
 
 // mmHeader is the parsed banner and size line of a Matrix Market file.
 type mmHeader struct {
@@ -144,55 +140,6 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		return nil, err
 	}
 	return coo.ToCSC(), nil
-}
-
-// ReadMatrixMarketFile parses a Matrix Market file in two streaming
-// passes: the first counts entries per column, the second fills the
-// exactly-sized CSC arrays directly. Peak memory is the final matrix
-// plus one counting slice — the COO triplet copy ReadMatrixMarket holds
-// next to the result is never built. The output is byte-identical to
-// ReadMatrixMarket on the same file (same entry order, same column
-// sort/merge tail).
-func ReadMatrixMarketFile(path string) (*CSC, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	br := bufio.NewReaderSize(f, 1<<20)
-	h, err := readMMHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, h.cols)
-	if err := scanMMEntries(br, h, func(_, j int, _ float64) {
-		counts[j]++
-	}); err != nil {
-		return nil, err
-	}
-
-	b, err := NewCSCBuilder(h.rows, h.cols, counts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	br.Reset(f)
-	// Re-parse the header so the entry scan starts at the data section;
-	// the file cannot have changed shape between passes we control.
-	h2, err := readMMHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if h2 != h {
-		return nil, fmt.Errorf("sparse: %s changed between passes", path)
-	}
-	if err := scanMMEntries(br, h, b.Set); err != nil {
-		return nil, err
-	}
-	return b.Finish()
 }
 
 // WriteMatrixMarket writes a in "coordinate real" format. If symmetric is
